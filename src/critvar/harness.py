@@ -14,6 +14,7 @@ non-reproducible byte is the timestamp comment above each CSV header.
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import io
 import math
@@ -453,21 +454,22 @@ def _format_value(x) -> str:
 
 def emit_csv(rows: list, path, timestamp: bool = True) -> None:
     """Write rows (dicts sharing a key order) with 17-significant-digit,
-    locale-independent numbers.  The only non-deterministic byte is the
-    optional timestamp comment above the header."""
+    locale-independent numbers and minimally quoted text.  The only
+    non-deterministic byte is the optional timestamp comment above the header."""
     if not rows:
         raise EmptyReport(f"no rows to write to {path}")
     header = list(rows[0].keys())
-    lines = []
+    buf = io.StringIO()
     if timestamp:
-        lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
-    lines.append(",".join(header))
+        buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
         if list(row.keys()) != header:
             raise EmptyReport("rows disagree on columns")
-        lines.append(",".join(_format_value(row[k]) for k in header))
+        writer.writerow([_format_value(row[k]) for k in header])
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(buf.getvalue())
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

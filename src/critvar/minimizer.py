@@ -181,6 +181,8 @@ def descend(
     (mass collapse onto the center with unbounded amplitude), on a stall,
     or on the iteration cap.  The reported value is the lowest energy seen.
     """
+    if not np.isfinite(lam):
+        raise NumericFault(f"coupling must be finite, got {lam}")
     if init_pair is None:
         init_pair = _initial_pair(a, b, grid, params)
     op_a = assemble_operator(a, grid)

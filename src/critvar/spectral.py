@@ -10,14 +10,15 @@ the weight evaluated at the arithmetic face midpoint.  The node mass is
 the same cell mass the quadrature uses, so Rayleigh quotients of the
 discrete operator coincide exactly with quadrature energy ratios.  The
 origin carries zero flux (radial regularity); the boundary is Dirichlet.
+Each operator is factored once, when built, and every solve reuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .energy import lq_norm
 from .errors import IndefiniteWeight, SpectralStall, ThresholdNotReached
@@ -32,6 +33,15 @@ class TridiagonalOperator:
     diag: np.ndarray       # K_ii
     off: np.ndarray        # K_{i,i+1} = K_{i+1,i}, length len(diag)-1
     mass: np.ndarray       # diagonal node masses (same as quadrature)
+    _factor: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # LDL^T factor by LAPACK ?pttrf, the first half of the ?ptsv that
+        # solveh_banded runs on every call, so each solve is bitwise the same.
+        d, e, info = dpttrf(self.diag, self.off)
+        if info != 0:
+            raise IndefiniteWeight("stiffness operator is not positive definite")
+        object.__setattr__(self, "_factor", (d, e))
 
     @property
     def size(self) -> int:
@@ -47,18 +57,12 @@ class TridiagonalOperator:
         return float(np.dot(x, self.apply(x)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        ab = np.zeros((2, self.size))
-        ab[0, 1:] = self.off
-        ab[1] = self.diag
-        return solveh_banded(ab, rhs)
-
-    def solve_shifted(self, rhs: np.ndarray, shift: float) -> np.ndarray:
-        """(K - shift * M) x = rhs, general banded solve (may be indefinite)."""
-        ab = np.zeros((3, self.size))
-        ab[0, 1:] = self.off
-        ab[1] = self.diag - shift * self.mass
-        ab[2, :-1] = self.off
-        return solve_banded((1, 1), ab, rhs)
+        """K x = rhs from the factor built once per operator; raises
+        ValueError for a non-finite or wrongly sized rhs."""
+        rhs = np.asarray_chkfinite(rhs)
+        if rhs.shape[0] != self.size:
+            raise ValueError("shapes of operator and rhs are not compatible")
+        return dpttrs(*self._factor, rhs)[0]
 
 
 def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator:
@@ -70,13 +74,13 @@ def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator
     r = grid.nodes
     n = grid.n_cells
     nodes_w = np.asarray(w(r), dtype=float)
-    if np.any(nodes_w <= 0.0):
-        raise IndefiniteWeight("weight must be strictly positive on the grid")
+    if not np.all(np.isfinite(nodes_w) & (nodes_w > 0.0)):
+        raise IndefiniteWeight("weight must be finite and strictly positive on the grid")
     faces = grid.faces[1:]                        # r_{i+1/2}, i = 1..n-1
     h = grid.spacings[1:]
     wf = np.asarray(w(faces), dtype=float)
-    if np.any(wf <= 0.0):
-        raise IndefiniteWeight("weight must be strictly positive at cell faces")
+    if not np.all(np.isfinite(wf) & (wf > 0.0)):
+        raise IndefiniteWeight("weight must be finite and strictly positive at cell faces")
     c = grid.surface_factor * wf * faces ** (grid.dimension - 1) / h
     diag = np.empty(n - 1)
     diag[0] = c[0]                                # zero flux through the origin face

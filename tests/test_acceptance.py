@@ -14,13 +14,12 @@ import pytest
 
 from critvar import (FieldPair, FlowParams, WeightProfile, bubble_constants,
                      build_grid, correction_constant, coupling_threshold,
-                     descend, dirichlet_field, discrete_sobolev_constant,
-                     eigenfunction_pair_energy, energy, energy_curve,
-                     existence_verdict, first_eigenpair, fit_expansion,
-                     hardy_check, lagrange_multipliers, lambda_tilde, lq_norm,
-                     omega_bounds, omega_estimate, pohozaev_report,
-                     radial_moment_quadrature, slope_factor, sweep_minimize,
-                     thresholds, unit_sphere_area)
+                     descend, dirichlet_field, eigenfunction_pair_energy,
+                     energy, energy_curve, existence_verdict, first_eigenpair,
+                     fit_expansion, hardy_check, lagrange_multipliers,
+                     lambda_tilde, lq_norm, omega_bounds, omega_estimate,
+                     pohozaev_report, radial_moment_quadrature, slope_factor,
+                     sweep_minimize, thresholds, unit_sphere_area)
 from conftest import smooth_dirichlet_field
 
 QUAD = WeightProfile.pure_power(1.0, 2.0, 1.0)     # gamma0 + r^2
@@ -43,8 +42,8 @@ def sweeps(grid5):
 
 @pytest.fixture(scope="module")
 def gap_data(grid5_geo):
-    """Pooled-minimum energies at two resolutions plus the grid embedding
-    constant, for existence-regime points.
+    """Pooled-minimum energies at two resolutions, for existence-regime
+    points; the grid embedding constant is `grid5_geo_sobolev`.
 
     Graded grids keep the center well resolved; on a uniform grid the
     embedding constant is biased low by an under-resolved grid-scale
@@ -59,9 +58,7 @@ def gap_data(grid5_geo):
         q_coarse = descend(wa, wb, lam, coarse, SWEEP_FLOW).q_lambda
         q_fine = descend(wa, wb, lam, grid5_geo, SWEEP_FLOW).q_lambda
         rows.append((name, lam, q_coarse, q_fine))
-    s_grid = discrete_sobolev_constant(
-        grid5_geo, FlowParams(max_iters=20000, grad_tol=1e-6))
-    return rows, s_grid
+    return rows
 
 
 def test_criterion_01_constant_identities():
@@ -140,9 +137,9 @@ def test_criterion_05_expansion_sign_law(grid5_geo):
     assert coeffs[10.0] < coeffs[8.0]
 
 
-def test_criterion_06_energy_gap_beats_grid_bias(gap_data):
-    rows, s_grid = gap_data
-    for name, lam, q_coarse, q_fine in rows:
+def test_criterion_06_energy_gap_beats_grid_bias(gap_data, grid5_geo_sobolev):
+    s_grid = grid5_geo_sobolev
+    for name, lam, q_coarse, q_fine in gap_data:
         bias = abs(q_coarse - q_fine)
         gap = s_grid - q_fine                  # gamma0 = 1
         assert gap > 2.0 * bias, (name, lam, gap, bias)
@@ -240,13 +237,12 @@ def test_criterion_11_hardy_property(grid5, grid4, rng):
             assert lhs >= rhs * (1.0 - 1e-9)
 
 
-def test_criterion_12_concentration_at_zero_coupling(grid5_geo):
+def test_criterion_12_concentration_at_zero_coupling(grid5_geo, grid5_geo_sobolev):
     params = FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
     res = descend(QUAD, QUAD, 0.0, grid5_geo, params)
     assert res.status == "concentrating"
     assert res.concentration > 0.99
-    s_grid = discrete_sobolev_constant(
-        grid5_geo, FlowParams(max_iters=20000, grad_tol=1e-6))
+    s_grid = grid5_geo_sobolev
     assert abs(res.q_lambda - s_grid) / s_grid < 0.03   # gamma0 = 1
     # reported, not asserted: the limiting value itself
     print(f"concentration energy {res.q_lambda:.6f} vs grid constant "

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from critvar import (FieldPair, critical_exponent, dirichlet_field, energy,
-                     integrate, lq_norm, unit_sphere_area,
-                     weighted_gradient_energy)
+from critvar import (FieldPair, WeightProfile, build_grid, critical_exponent,
+                     dirichlet_field, energy, integrate, lq_norm,
+                     unit_sphere_area, weighted_gradient_energy)
 from critvar.errors import DegeneratePair, NumericFault, ShapeMismatch
 from conftest import smooth_dirichlet_field
 
@@ -47,6 +47,42 @@ def test_gradient_energy_weighted(grid5, quad_weight):
     exact = 4.0 * sigma * (1.0 / 7.0 + 1.0 / 9.0)
     val = weighted_gradient_energy(u, quad_weight, grid5)
     assert val == pytest.approx(exact, rel=1e-5)
+
+
+def _gradient_energy_reference(u, w, grid):
+    """The face-difference sum written out, sampling w on every call."""
+    h = grid.spacings[1:]
+    faces = grid.faces[1:]
+    slopes = np.diff(u)[1:] / h
+    wf = np.asarray(w(faces), dtype=float)
+    return float(grid.surface_factor
+                 * np.sum(wf * faces ** (grid.dimension - 1) * slopes ** 2 * h))
+
+
+def test_gradient_energy_matches_reference_exactly(grid5, grid4, rng):
+    # the face factors are kept per (weight, grid); the sums must stay
+    # bitwise those of the reference, whatever order the calls come in
+    quad = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    quartic = WeightProfile.pure_power(1.0, 4.0, 1.0)
+    u5 = smooth_dirichlet_field(grid5, rng)
+    u4 = smooth_dirichlet_field(grid4, rng)
+    for _ in range(2):
+        for w in (quad, quartic):
+            assert weighted_gradient_energy(u5, w, grid5) == \
+                _gradient_energy_reference(u5, w, grid5)
+            assert weighted_gradient_energy(u4, w, grid4) == \
+                _gradient_energy_reference(u4, w, grid4)
+
+
+def test_gradient_energy_fresh_weights_never_stale(rng):
+    grid = build_grid(5, 1.0, 300)
+    u = smooth_dirichlet_field(grid, rng)
+    # each round drops the previous weight; a new one, with equal or other
+    # parameters, must never be served the face factors of an old one
+    for coeff in (1.0, 1.0, 2.0, 1.0, 3.0):
+        w = WeightProfile.pure_power(1.0, 2.0, coeff)
+        assert weighted_gradient_energy(u, w, grid) == \
+            _gradient_energy_reference(u, w, grid)
 
 
 def test_lq_norm_against_quadrature(grid5):

@@ -1,5 +1,6 @@
 """Config parsing, orchestration, CSV emission, CLI."""
 
+import csv
 import math
 from pathlib import Path
 
@@ -156,6 +157,20 @@ def test_emit_csv_formatting(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b,c"
     assert lines[1] == "0.33333333333333331,true,txt"
+
+
+def test_emit_csv_quotes_text_round_trip(tmp_path):
+    path = tmp_path / "x.csv"
+    rows = [{"lambda": 0.5, "regime": "dim=4,k=2,l>2", "note": 'say "hi"'},
+            {"lambda": 1.5, "regime": "dim>=5,k=2,l=2", "note": "plain"}]
+    emit_csv(rows, path)
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# generated ")
+    assert lines[2] == '0.5,"dim=4,k=2,l>2","say ""hi"""'
+    header, *body = csv.reader(lines[1:])
+    assert header == ["lambda", "regime", "note"]
+    assert body == [["0.5", "dim=4,k=2,l>2", 'say "hi"'],
+                    ["1.5", "dim>=5,k=2,l=2", "plain"]]
 
 
 def test_emit_csv_errors(tmp_path):

@@ -9,7 +9,7 @@ from critvar import (FieldPair, FlowParams, WeightProfile, descend,
                      dirichlet_field, discrete_sobolev_constant, el_residual,
                      energy, existence_verdict, lagrange_multipliers, lq_norm,
                      sign_normalize, sweep_minimize)
-from critvar.errors import BadSpectrum
+from critvar.errors import BadSpectrum, NumericFault
 from conftest import smooth_dirichlet_field
 
 
@@ -90,6 +90,12 @@ def test_discrete_sobolev_constant_close_to_continuum(grid5_fine):
     # the discrete minimum sits slightly below the continuum constant
     assert s_grid == pytest.approx(bubble_constants(5).s, rel=1e-2)
     assert s_grid < bubble_constants(5).s
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_non_finite_coupling_rejected(grid5, quad_weight, lam):
+    with pytest.raises(NumericFault):
+        descend(quad_weight, quad_weight, lam, grid5, FlowParams(max_iters=5))
 
 
 def test_sweep_monotone_and_pooled(grid5, quad_weight, quick_flow):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from critvar import (WeightProfile, assemble_operator, build_grid,
                      coupling_threshold, dirichlet_field,
@@ -71,6 +72,35 @@ def test_indefinite_weight_rejected(grid5):
     w = WeightProfile(gamma0=1.0, extra=lambda r: -2.0 * r)   # negative outside
     with pytest.raises(IndefiniteWeight):
         assemble_operator(w, grid5)
+
+
+def test_solve_matches_banded_solver_bitwise(grid5_geo, quad_weight, rng):
+    # the factor is computed once per operator; every solve must still be
+    # exactly what a full banded solve of the same band gives
+    op = assemble_operator(quad_weight, grid5_geo)
+    ab = np.zeros((2, op.size))
+    ab[0, 1:] = op.off
+    ab[1] = op.diag
+    for scale in (1e-6, 1.0, 1e6):
+        rhs = scale * rng.standard_normal(op.size)
+        assert np.array_equal(op.solve(rhs), solveh_banded(ab, rhs))
+    rhs[7] = math.nan
+    with pytest.raises(ValueError):
+        op.solve(rhs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weight_rejected(bad):
+    grid = build_grid(5, 1.0, 200)
+    at_nodes = WeightProfile(1.0, 2.0, 1.0,
+                             extra=lambda r: np.where(r > 0.5, bad, 0.0))
+    with pytest.raises(IndefiniteWeight):
+        first_eigenpair(at_nodes, grid)
+    at_faces = WeightProfile(1.0, 2.0, 1.0,
+                             extra=lambda r: np.where(np.isin(r, grid.faces), bad, 0.0))
+    assert np.all(np.isfinite(at_faces(grid.nodes)))
+    with pytest.raises(IndefiniteWeight):
+        assemble_operator(at_faces, grid)
 
 
 def test_spectral_stall(unit_weight):
