@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 
 from .asymptotics import (BubbleParams, ExpansionFit, ExpansionPrediction,
                           blowup_rescale, bubble_field, default_eps_ladder,
-                          energy_curve, expansion_prediction, fit_expansion)
+                          energy_curve, energy_curves, expansion_prediction,
+                          fit_expansion)
 from .config import DEFAULT_TOL, Tolerances
 from .constants import (BubbleConstants, Thresholds, bubble_constants,
                         correction_constant, radial_moment,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import bubble_constants, correction_constant, slope_factor
-from .energy import EnergyReport, FieldPair, energy
+from .energy import (EnergyReport, _energy_report, _pair_terms,
+                     critical_exponent)
 from .errors import FitFailure, OutsideTable, UnderResolvedBubble
 from .grid import RadialGrid, unit_sphere_area
 from .weights import WeightProfile
@@ -113,16 +114,14 @@ def default_eps_ladder(grid: RadialGrid, cutoff_radius: float) -> list[float]:
     return ladder
 
 
-def energy_curve(
-    lam: float,
-    a: WeightProfile,
-    b: WeightProfile,
-    eps_list,
-    grid: RadialGrid,
-    cutoff_radius: float | None = None,
-) -> list[tuple[float, EnergyReport]]:
-    """Normalized coupled energy of the symmetric concentration pair,
-    one point per eps.  eps_list must be positive and decreasing."""
+def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
+                  grid: RadialGrid, cutoff_radius: float | None = None
+                  ) -> list[list[tuple[float, EnergyReport]]]:
+    """Normalized coupled energy of the symmetric concentration pair: one
+    (eps, report) curve per coupling in lams, in order.  eps_list must be
+    positive and decreasing.  The coupling enters only through the affine
+    term -lam int uv / (|u|_q |v|_q), so each eps's field, norms, gradient
+    energies and int uv are computed once and shared by all couplings."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(e <= 0.0 for e in eps_list):
         raise ValueError("eps_list must be positive")
@@ -130,12 +129,19 @@ def energy_curve(
         raise ValueError("eps_list must be decreasing")
     if cutoff_radius is None:
         cutoff_radius = 0.9 * grid.radius
-    curve = []
+    q = critical_exponent(grid.dimension)
+    terms = []
     for eps in eps_list:
         u = bubble_field(BubbleParams(epsilon=eps, cutoff_radius=cutoff_radius), grid)
-        pair = FieldPair(u=u, v=u.copy(), lam=lam)
-        curve.append((eps, energy(pair, a, b, lam, grid)))
-    return curve
+        terms.append((eps, _pair_terms(u, u, a, b, grid)))
+    return [[(eps, _energy_report(t, lam, q)) for eps, t in terms] for lam in lams]
+
+
+def energy_curve(lam: float, a: WeightProfile, b: WeightProfile, eps_list,
+                 grid: RadialGrid, cutoff_radius: float | None = None
+                 ) -> list[tuple[float, EnergyReport]]:
+    """The (eps, report) curve of one coupling; see `energy_curves`."""
+    return energy_curves([lam], a, b, eps_list, grid, cutoff_radius)[0]
 
 
 # ---------------------------------------------------------------------------

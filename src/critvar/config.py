@@ -1,20 +1,11 @@
-"""Central tolerance conventions.
-
-All algebraic identities in the package are asserted at ALGEBRAIC_REL;
-claims that depend on the quadrature rule are only asserted at the rule's
-observed order and use QUADRATURE_SLACK as the generic safety factor.
-"""
+"""Central tolerance conventions."""
 
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    algebraic_rel: float = 1e-12      # exact identities up to rounding
-    spectral_rel: float = 1e-10       # eigenpair residual / Rayleigh match
-    quadrature_slack: float = 4.0     # safety factor on rule-order claims
     monotonicity_abs: float = 1e-8    # slack in weight-derivative inequality
-    positivity_abs: float = 1e-8      # slack on sign constraints
 
 
 DEFAULT_TOL = Tolerances()

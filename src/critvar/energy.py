@@ -13,7 +13,7 @@ flux operator used by the spectral and descent modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ class FieldPair:
 
     u: np.ndarray
     v: np.ndarray
-    lam: float = 0.0
-    generation: int = 0
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -44,10 +42,6 @@ class FieldPair:
             raise ValueError("Dirichlet boundary requires u[-1] = v[-1] = 0")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    def with_fields(self, u, v, bump_generation: bool = True) -> "FieldPair":
-        return replace(self, u=u, v=v,
-                       generation=self.generation + int(bump_generation))
 
     def derivatives(self, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
         """Nodal derivative arrays (central differences, u'(0) = 0)."""
@@ -113,6 +107,27 @@ class EnergyReport:
     q: float
 
 
+def _pair_terms(u, v, a: WeightProfile, b: WeightProfile, grid: RadialGrid):
+    """(grad_a, grad_b, int uv, |u|_q, |v|_q): the energy's lam-free terms."""
+    nu = lq_norm(u, grid)
+    nv = nu if v is u else lq_norm(v, grid)
+    if nu == 0.0 or nv == 0.0:
+        raise DegeneratePair("both components must be nonzero")
+    grad_a = 0.5 * weighted_gradient_energy(u, a, grid) / nu ** 2
+    grad_b = 0.5 * weighted_gradient_energy(v, b, grid) / nv ** 2
+    return grad_a, grad_b, integrate(u * v, grid), nu, nv
+
+
+def _energy_report(terms, lam: float, q: float) -> EnergyReport:
+    """The energy at coupling lam, which enters `_pair_terms` affinely."""
+    grad_a, grad_b, uv, nu, nv = terms
+    coupling = lam * uv / (nu * nv)
+    value = grad_a + grad_b - coupling
+    if not np.isfinite(value):
+        raise NumericFault("non-finite energy")
+    return EnergyReport(grad_a, grad_b, coupling, value, nu, nv, q)
+
+
 def energy(
     pair: FieldPair,
     a: WeightProfile,
@@ -121,22 +136,5 @@ def energy(
     grid: RadialGrid,
 ) -> EnergyReport:
     """Evaluate the normalized coupled energy; scale-invariant per component."""
-    nu = lq_norm(pair.u, grid)
-    nv = lq_norm(pair.v, grid)
-    if nu == 0.0 or nv == 0.0:
-        raise DegeneratePair("both components must be nonzero")
-    grad_a = 0.5 * weighted_gradient_energy(pair.u, a, grid) / nu ** 2
-    grad_b = 0.5 * weighted_gradient_energy(pair.v, b, grid) / nv ** 2
-    coupling = lam * integrate(pair.u * pair.v, grid) / (nu * nv)
-    value = grad_a + grad_b - coupling
-    if not np.isfinite(value):
-        raise NumericFault("non-finite energy")
-    return EnergyReport(
-        grad_a=grad_a,
-        grad_b=grad_b,
-        coupling=coupling,
-        value=value,
-        norm_u=nu,
-        norm_v=nv,
-        q=critical_exponent(grid.dimension),
-    )
+    return _energy_report(_pair_terms(pair.u, pair.v, a, b, grid), lam,
+                          critical_exponent(grid.dimension))

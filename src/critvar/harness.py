@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import (default_eps_ladder, energy_curve,
+from .asymptotics import (default_eps_ladder, energy_curves,
                           expansion_prediction, fit_expansion)
 from .constants import bubble_constants, slope_factor, thresholds
 from .errors import (ConfigError, EmptyReport, IoError, LogScaledRegime,
@@ -286,6 +286,8 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
     k, a_k = _exponent_regime(a)
     l, b_l = _exponent_regime(b)
     wanted = set(scenario.analyses)
+    if "pohozaev" in wanted:    # its rows describe minimize's pairs
+        wanted.add("minimize")
     failures: list[str] = []
 
     constants_rows = []
@@ -308,7 +310,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
         })
 
     # eigenpairs are needed by minimize verdicts even when not requested
-    need_eig = bool({"eig", "minimize", "pohozaev"} & wanted)
+    need_eig = bool({"eig", "minimize"} & wanted)
     spec = lambda_tilde(a, b, grid) if need_eig else None
     eig_rows = []
     if "eig" in wanted:
@@ -384,20 +386,26 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
             failures.append(f"asymptotics: {exc}")
             ladder = None
         if ladder is not None:
+            preds = []
             for lam in scenario.lambdas:
                 try:
-                    pred = expansion_prediction(
-                        scenario.dimension, k, l, a_k, b_l, lam)
+                    preds.append((lam, expansion_prediction(
+                        scenario.dimension, k, l, a_k, b_l, lam)))
                 except OutsideTable as exc:
+                    preds.append((lam, exc))
+            fitted = [lam for lam, p in preds if not isinstance(p, OutsideTable)]
+            curves = iter(energy_curves(fitted, a, b, ladder, grid, cutoff)
+                          if fitted else ())
+            for lam, pred in preds:
+                if isinstance(pred, OutsideTable):
                     asymptotics_rows.append({
                         "lambda": lam, "scale": "outside_table", "power": math.nan,
                         "predicted_coeff": math.nan, "fitted_coeff": math.nan,
                         "intercept": math.nan, "r_squared": math.nan,
-                        "regime": str(exc),
+                        "regime": str(pred),
                     })
                     continue
-                curve = energy_curve(lam, a, b, ladder, grid, cutoff)
-                fit = fit_expansion(curve, pred.scale, pred.power, pred.regime)
+                fit = fit_expansion(next(curves), pred.scale, pred.power, pred.regime)
                 asymptotics_rows.append({
                     "lambda": lam, "scale": pred.scale, "power": pred.power,
                     "predicted_coeff": math.nan if pred.coeff is None else pred.coeff,
@@ -422,6 +430,8 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                 "boundary_b": rep.boundary_b,
                 "residual": rep.residual,
             })
+        if not pohozaev_rows:
+            failures.append("pohozaev: no coupling converged")
 
     provenance = {
         "config_sha256": hashlib.sha256(
@@ -542,6 +552,4 @@ def write_report(report: RunReport, out_dir=None, plots: bool | None = None) -> 
         emit_plot([("Q(lambda)", lams, qs)], path,
                   xlabel="lambda", ylabel="Q", verticals=verticals)
         written.append(path)
-    if plots and report.asymptotics_rows:
-        pass  # per-lambda curves are summarized in the CSV
     return written

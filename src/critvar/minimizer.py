@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .constants import thresholds
 from .energy import (FieldPair, critical_exponent, dirichlet_field, energy,
                      lq_norm, weighted_gradient_energy)
@@ -67,7 +66,7 @@ class MinimizeResult:
 
 def sign_normalize(pair: FieldPair) -> FieldPair:
     """(|u|, |v|); never increases the energy for nonnegative coupling."""
-    return pair.with_fields(np.abs(pair.u), np.abs(pair.v), bump_generation=False)
+    return FieldPair(u=np.abs(pair.u), v=np.abs(pair.v))
 
 
 def concentration_diagnostic(u: np.ndarray, delta: float, grid: RadialGrid) -> float:
@@ -272,11 +271,10 @@ def descend(
     else:
         status = "stalled"
 
-    best = FieldPair(u=best_u, v=best_v, lam=lam, generation=it)
+    best = FieldPair(u=best_u, v=best_v)
     if lam > 0.0:
         best = sign_normalize(best)
-        best = best.with_fields(_normalize(best.u, grid), _normalize(best.v, grid),
-                                bump_generation=False)
+        best = FieldPair(u=_normalize(best.u, grid), v=_normalize(best.v, grid))
     report = energy(best, a, b, lam, grid)
     l1, l2 = lagrange_multipliers(best, a, b, lam, grid)
     res = el_residual(best, l1, l2, a, b, lam, grid, ops=(op_a, op_b))
@@ -366,7 +364,6 @@ def sweep_minimize(
         j = int(np.argmin(vals))
         if vals[j] < flow.q_lambda:
             _, _, _, pr = pool[j]
-            pr = pr.with_fields(pr.u, pr.v, bump_generation=False)
             l1, l2 = lagrange_multipliers(pr, a, b, lam, grid)
             res = MinimizeResult(
                 pair=pr,

@@ -202,6 +202,5 @@ def eigenfunction_pair_energy(
             f"coupling {lam} below the eigenfunction-pair threshold {thr}",
             threshold=thr,
         )
-    pair = FieldPair(u=spec.first_a.eigenfunction, v=spec.first_b.eigenfunction,
-                     lam=lam)
+    pair = FieldPair(u=spec.first_a.eigenfunction, v=spec.first_b.eigenfunction)
     return energy(pair, a, b, lam, grid).value

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from critvar import (BubbleParams, WeightProfile, blowup_rescale, bubble_constants,
-                     bubble_field, correction_constant, default_eps_ladder,
-                     energy_curve, expansion_prediction, fit_expansion, lq_norm,
-                     slope_factor, unit_sphere_area, weighted_gradient_energy)
-from critvar.errors import FitFailure, OutsideTable, UnderResolvedBubble
+import critvar.asymptotics
+from critvar import (BubbleParams, FieldPair, WeightProfile, blowup_rescale,
+                     bubble_constants, bubble_field, correction_constant,
+                     default_eps_ladder, energy, energy_curve, energy_curves,
+                     expansion_prediction, fit_expansion, lq_norm, slope_factor,
+                     unit_sphere_area, weighted_gradient_energy)
+from critvar.errors import (FitFailure, NumericFault, OutsideTable,
+                            UnderResolvedBubble)
 
 
 def test_bubble_center_value(grid5_geo):
@@ -97,10 +100,53 @@ def test_energy_curve_flat_for_constant_weights(grid5_geo):
 
 
 def test_energy_curve_validates_ladder(grid5_geo, unit_weight):
-    with pytest.raises(ValueError):
-        energy_curve(0.0, unit_weight, unit_weight, [1e-3, 1e-3], grid5_geo)
-    with pytest.raises(ValueError):
-        energy_curve(0.0, unit_weight, unit_weight, [], grid5_geo)
+    # empty, non-decreasing and non-positive ladders, through both entry points
+    for ladder in ([], [1e-3, 1e-3], [1e-3, 2e-3], [1e-3, 0.0], [-1e-3]):
+        with pytest.raises(ValueError):
+            energy_curve(0.0, unit_weight, unit_weight, ladder, grid5_geo)
+        with pytest.raises(ValueError):
+            energy_curves([0.0, 1.0], unit_weight, unit_weight, ladder, grid5_geo)
+
+
+def test_energy_curves_non_finite_coupling(grid5_geo, unit_weight):
+    with pytest.raises(NumericFault):
+        energy_curves([1.0, math.nan], unit_weight, unit_weight, [1e-3, 5e-4],
+                      grid5_geo)
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_energy_curves_match_one_shot_energy(dim, quad_weight, quartic_weight):
+    # the shared per-eps terms give every coupling exactly the report of a
+    # one-shot energy() call on the symmetric pair
+    g = critvar.build_grid(dim, 1.0, 1500, grading="geometric", ratio=1.004)
+    ladder = [2e-3 / 2 ** j for j in range(4)]
+    lams = [0.0, 7.25, 12.5, 9.875]
+    curves = energy_curves(lams, quad_weight, quartic_weight, ladder, g, 0.5)
+    assert len(curves) == len(lams)
+    for lam, curve in zip(lams, curves):
+        assert [eps for eps, _ in curve] == ladder
+        for eps, rep in curve:
+            u = bubble_field(BubbleParams(eps, 0.5), g)
+            ref = energy(FieldPair(u=u, v=u.copy()), quad_weight, quartic_weight,
+                         lam, g)
+            assert rep == ref
+    assert energy_curve(9.875, quad_weight, quartic_weight, ladder, g, 0.5) \
+        == curves[-1]
+
+
+def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, monkeypatch):
+    calls = []
+
+    def counting_bubble_field(params, grid):
+        calls.append(params.epsilon)
+        return bubble_field(params, grid)
+
+    monkeypatch.setattr(critvar.asymptotics, "bubble_field", counting_bubble_field)
+    ladder = [1e-3 / 2 ** j for j in range(5)]
+    curves = energy_curves([0.5 * j for j in range(12)], quad_weight, quad_weight,
+                           ladder, grid5_geo)
+    assert len(curves) == 12
+    assert calls == ladder
 
 
 # --- regime dispatch --------------------------------------------------------

@@ -191,6 +191,33 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "minimize.csv" in out
 
 
+def _csv_rows(path):
+    return list(csv.DictReader(
+        line for line in path.read_text().splitlines() if not line.startswith("#")))
+
+
+def test_cli_pohozaev_runs_minimize(tmp_path):
+    # every dilation-identity row describes a pair reported in minimize.csv
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(SWEEP)
+    out = tmp_path / "out"
+    assert cli_main(["pohozaev", "--config", str(cfg), "--out", str(out)]) == 0
+    converged = {r["lambda"] for r in _csv_rows(out / "minimize.csv")
+                 if r["status"] == "converged"}
+    poh = {r["lambda"] for r in _csv_rows(out / "pohozaev.csv")}
+    assert poh and poh == converged
+
+
+def test_cli_pohozaev_without_converged_pair_fails(tmp_path, capsys):
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(SWEEP.replace("max_iters = 4000", "max_iters = 20"))
+    out = tmp_path / "out"
+    assert cli_main(["pohozaev", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not (out / "pohozaev.csv").exists()
+    assert {r["status"] for r in _csv_rows(out / "minimize.csv")} == {"stalled"}
+    assert "pohozaev" in capsys.readouterr().err
+
+
 def test_cli_bad_config(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[domain]\ndimension = 5\nnonsense = 1\n")
