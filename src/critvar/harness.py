@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -96,32 +97,39 @@ def _check_keys(parser, section: str, allowed: set):
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
 
+@contextmanager
+def _values_of(section: str):
+    """Report a value the section's parsing rejects as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad value in [{section}]: {exc}") from exc
+
+
 def _parse_weight(parser, section: str) -> WeightProfile:
     if not parser.has_section(section):
         raise ConfigError(f"missing section [{section}]")
     _check_keys(parser, section, _WEIGHT_KEYS)
     sec = parser[section]
-    try:
+    with _values_of(section):
         gamma0 = sec.getfloat("gamma0")
         exponent = sec.getfloat("exponent", fallback=2.0)
         coefficient = sec.getfloat("coefficient", fallback=0.0)
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value in [{section}]: {exc}") from exc
-    if gamma0 is None:
-        raise ConfigError(f"missing key 'gamma0' in section [{section}]")
-    perturbation = None
-    if "perturbation_r" in sec or "perturbation_theta" in sec:
-        if "perturbation_r" not in sec or "perturbation_theta" not in sec:
-            raise ConfigError(
-                f"[{section}] needs both perturbation_r and perturbation_theta"
-            )
-        r_tab = tuple(float(x) for x in sec["perturbation_r"].split())
-        t_tab = tuple(float(x) for x in sec["perturbation_theta"].split())
-        if len(r_tab) != len(t_tab):
-            raise ConfigError(f"perturbation tables in [{section}] differ in length")
-        perturbation = (r_tab, t_tab)
-    return WeightProfile(gamma0=gamma0, exponent=exponent,
-                         coefficient=coefficient, perturbation=perturbation)
+        if gamma0 is None:
+            raise ConfigError(f"missing key 'gamma0' in section [{section}]")
+        perturbation = None
+        if "perturbation_r" in sec or "perturbation_theta" in sec:
+            if "perturbation_r" not in sec or "perturbation_theta" not in sec:
+                raise ConfigError(
+                    f"[{section}] needs both perturbation_r and perturbation_theta"
+                )
+            r_tab = tuple(float(x) for x in sec["perturbation_r"].split())
+            t_tab = tuple(float(x) for x in sec["perturbation_theta"].split())
+            if len(r_tab) != len(t_tab):
+                raise ConfigError(f"perturbation tables in [{section}] differ in length")
+            perturbation = (r_tab, t_tab)
+        return WeightProfile(gamma0=gamma0, exponent=exponent,
+                             coefficient=coefficient, perturbation=perturbation)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -143,16 +151,17 @@ def parse_scenario(text: str) -> Scenario:
     _check_keys(parser, "output", _OUTPUT_KEYS)
 
     dom = parser["domain"]
-    schema = dom.getint("schema", fallback=SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {schema}")
-    dimension = dom.getint("dimension")
-    if dimension is None:
-        raise ConfigError("missing key 'dimension' in section [domain]")
-    radius = dom.getfloat("radius", fallback=1.0)
-    cells = dom.getint("cells", fallback=2000)
+    with _values_of("domain"):
+        schema = dom.getint("schema", fallback=SCHEMA_VERSION)
+        if schema != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema version {schema}")
+        dimension = dom.getint("dimension")
+        if dimension is None:
+            raise ConfigError("missing key 'dimension' in section [domain]")
+        radius = dom.getfloat("radius", fallback=1.0)
+        cells = dom.getint("cells", fallback=2000)
+        ratio = dom.getfloat("ratio", fallback=None)
     grading = dom.get("grading", fallback="uniform")
-    ratio = dom.getfloat("ratio", fallback=None)
     mode = dom.get("mode", fallback="theorem")
     if mode not in ("theorem", "machinery"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -163,15 +172,19 @@ def parse_scenario(text: str) -> Scenario:
     flow = FlowParams()
     if parser.has_section("flow"):
         sec = parser["flow"]
-        flow = FlowParams(
-            step=sec.getfloat("step", fallback=flow.step),
-            max_iters=sec.getint("max_iters", fallback=flow.max_iters),
-            grad_tol=sec.getfloat("grad_tol", fallback=flow.grad_tol),
-            stall_window=sec.getint("stall_window", fallback=flow.stall_window),
-            init=sec.get("init", fallback=flow.init),
-            init_eps=sec.getfloat("init_eps", fallback=None),
-            seed=sec.getint("seed", fallback=flow.seed),
-        )
+        with _values_of("flow"):
+            flow = FlowParams(
+                step=sec.getfloat("step", fallback=flow.step),
+                max_iters=sec.getint("max_iters", fallback=flow.max_iters),
+                grad_tol=sec.getfloat("grad_tol", fallback=flow.grad_tol),
+                stall_window=sec.getint("stall_window", fallback=flow.stall_window),
+                init=sec.get("init", fallback=flow.init),
+                init_eps=sec.getfloat("init_eps", fallback=None),
+                seed=sec.getint("seed", fallback=flow.seed),
+            )
+        if flow.init == "custom":
+            raise ConfigError("[flow] init = custom takes a field pair, "
+                              "which a config cannot give")
 
     lambdas: tuple = ()
     if parser.has_section("sweep"):
@@ -179,11 +192,13 @@ def parse_scenario(text: str) -> Scenario:
         if "lambdas" in sec:
             if "start" in sec or "stop" in sec or "step" in sec:
                 raise ConfigError("[sweep] takes either 'lambdas' or a range, not both")
-            lambdas = tuple(float(x) for x in sec["lambdas"].split())
+            with _values_of("sweep"):
+                lambdas = tuple(float(x) for x in sec["lambdas"].split())
         elif "start" in sec:
-            start = sec.getfloat("start")
-            stop = sec.getfloat("stop")
-            step = sec.getfloat("step")
+            with _values_of("sweep"):
+                start = sec.getfloat("start")
+                stop = sec.getfloat("stop")
+                step = sec.getfloat("step")
             if stop is None or step is None or step <= 0.0:
                 raise ConfigError("[sweep] range needs start, stop, and positive step")
             count = int(math.floor((stop - start) / step + 1e-12)) + 1
@@ -197,7 +212,8 @@ def parse_scenario(text: str) -> Scenario:
         out_dir = sec.get("directory", fallback=out_dir)
         if "analyses" in sec:
             analyses = tuple(sec["analyses"].split())
-        plots = sec.getboolean("plots", fallback=False)
+        with _values_of("output"):
+            plots = sec.getboolean("plots", fallback=False)
 
     return Scenario(
         dimension=dimension, radius=radius, cells=cells, grading=grading,

@@ -6,7 +6,9 @@ in u and v (simultaneous rather than alternating so that a symmetric
 configuration with equal weights stays exactly symmetric), renormalizes,
 and backtracks on the joint energy.  The raw gradient is preconditioned
 with the weighted stiffness operator; an unpreconditioned explicit step
-would be CFL-limited by the smallest cell of a graded grid.
+would be CFL-limited by the smallest cell of a graded grid.  When u == v
+holds bit for bit, as with equal weights and a symmetric start, the flow
+advances that one row and pays for one component per iteration.
 
 Stationary points of the discrete flow solve the discrete coupled system
 
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import thresholds
-from .energy import (FieldPair, critical_exponent, dirichlet_field, energy,
-                     lq_norm, weighted_gradient_energy)
+from .energy import (FieldPair, _face_flux, critical_exponent, dirichlet_field,
+                     energy, lq_norm, weighted_gradient_energy)
 from .errors import BadSpectrum, DegeneratePair, NumericFault
 from .grid import RadialGrid, integrate
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
@@ -49,6 +51,10 @@ class FlowParams:
     def __post_init__(self):
         if self.step <= 0.0 or self.grad_tol <= 0.0:
             raise ValueError("step and grad_tol must be positive")
+        if self.init not in ("bubble", "eigenfunction", "random", "custom"):
+            raise ValueError(f"unknown init {self.init!r}")
+        if self.init_eps is not None and not self.init_eps > 0.0:
+            raise ValueError("init_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,11 +165,23 @@ def _initial_pair(a: WeightProfile, b: WeightProfile, grid: RadialGrid,
         ua = first_eigenpair(a, grid).eigenfunction
         ub = first_eigenpair(b, grid).eigenfunction
         return FieldPair(u=ua, v=ub)
-    if params.init == "random":
-        u = _smooth_random_field(grid, params.seed)
-        v = _smooth_random_field(grid, params.seed + 1)
-        return FieldPair(u=u, v=v)
-    raise ValueError(f"unknown init {params.init!r}")
+    u = _smooth_random_field(grid, params.seed)           # init == "random"
+    v = _smooth_random_field(grid, params.seed + 1)
+    return FieldPair(u=u, v=v)
+
+
+def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
+             ws: tuple[WeightProfile, WeightProfile], grid: RadialGrid,
+             x: tuple[np.ndarray, np.ndarray]) -> bool:
+    """True when the flow from x = (u, v) keeps u == v bit for bit: identical
+    operators, identical gradient-energy face fluxes and an identical start.
+    Compares arrays, not weights: weights with array tables or callables do
+    not compare by value, and equal weights are often distinct objects."""
+    (op_a, op_b), (a, b), (u, v) = ops, ws, x
+    return (np.array_equal(op_a.diag, op_b.diag)
+            and np.array_equal(op_a.off, op_b.off)
+            and np.array_equal(_face_flux(a, grid), _face_flux(b, grid))
+            and np.array_equal(u, v))
 
 
 def descend(
@@ -179,30 +197,37 @@ def descend(
     Terminates on the gradient tolerance, on the concentration detector
     (mass collapse onto the center with unbounded amplitude), on a stall,
     or on the iteration cap.  The reported value is the lowest energy seen.
+
+    The flow advances the distinct rows of (u, v): one row when the weights
+    assemble to identical arrays and the normalized start has u == v (the
+    flow then keeps u == v exactly), two otherwise.  Row k's coupling
+    partner is row -1 - k, so both cases run the same arithmetic.
     """
     if not np.isfinite(lam):
         raise NumericFault(f"coupling must be finite, got {lam}")
     if init_pair is None:
         init_pair = _initial_pair(a, b, grid, params)
-    op_a = assemble_operator(a, grid)
-    op_b = assemble_operator(b, grid)
+    op_pair = (assemble_operator(a, grid), assemble_operator(b, grid))
     m = grid.masses
     m_dof = m[1:-1]
+    inv_m = 1.0 / m_dof
     q = critical_exponent(grid.dimension)
     delta = params.conc_delta_fraction * grid.radius
 
-    u = _normalize(dirichlet_field(init_pair.u, grid), grid)
-    v = _normalize(dirichlet_field(init_pair.v, grid), grid)
-    sup0 = max(np.max(np.abs(u)), np.max(np.abs(v)))
+    x = (_normalize(dirichlet_field(init_pair.u, grid), grid),
+         _normalize(dirichlet_field(init_pair.v, grid), grid))
+    ws, ops = (a, b), op_pair
+    if _one_row(ops, ws, grid, x):
+        x, ws, ops = x[:1], ws[:1], ops[:1]
+    sup0 = max(np.max(np.abs(xk)) for xk in x)
 
-    def total_energy(uu, vv):
-        ga = weighted_gradient_energy(uu, a, grid)
-        gb = weighted_gradient_energy(vv, b, grid)
-        p = integrate(uu * vv, grid)
-        return 0.5 * ga + 0.5 * gb - lam * p, ga, gb, p
+    def total_energy(xs):
+        g = tuple(weighted_gradient_energy(xk, wk, grid) for xk, wk in zip(xs, ws))
+        p = integrate(xs[0] * xs[-1], grid)
+        return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
 
-    e_now, ga, gb, p = total_energy(u, v)
-    best_e, best_u, best_v = e_now, u.copy(), v.copy()
+    e_now, g, p = total_energy(x)
+    best_e, best = e_now, tuple(xk.copy() for xk in x)
     trace = [best_e]
     tau = params.step
     status = "stalled"
@@ -211,34 +236,30 @@ def descend(
     it = 0
 
     for it in range(1, params.max_iters + 1):
-        l1 = ga - lam * p
-        l2 = gb - lam * p
-        gu = m_dof * np.abs(u[1:-1]) ** (q - 2.0) * u[1:-1]
-        gv = m_dof * np.abs(v[1:-1]) ** (q - 2.0) * v[1:-1]
-        du = op_a.apply(u[1:-1]) - lam * m_dof * v[1:-1] - l1 * gu
-        dv = op_b.apply(v[1:-1]) - lam * m_dof * u[1:-1] - l2 * gv
-        residual = float(np.sqrt(np.dot(du * du, 1.0 / m_dof)
-                                 + np.dot(dv * dv, 1.0 / m_dof)))
+        d = []
+        for k, (xk, op) in enumerate(zip(x, ops)):
+            xi = xk[1:-1]
+            grad_q = m_dof * np.abs(xi) ** (q - 2.0) * xi
+            d.append(op.apply(xi) - lam * m_dof * x[-1 - k][1:-1]
+                     - (g[k] - lam * p) * grad_q)
+        r2 = [np.dot(dk * dk, inv_m) for dk in d]
+        residual = float(np.sqrt(r2[0] + r2[-1]))
         if residual <= params.grad_tol:
             status = "converged"
             if e_now <= best_e + 1e-12 * abs(best_e):
-                best_e, best_u, best_v = e_now, u.copy(), v.copy()
+                best_e, best = e_now, tuple(xk.copy() for xk in x)
             break
 
-        su = op_a.solve(du)
-        sv = op_b.solve(dv)
+        s = [op.solve(dk) for op, dk in zip(ops, d)]
         accepted = False
         for _ in range(40):
-            u_try = u.copy()
-            v_try = v.copy()
-            u_try[1:-1] -= tau * su
-            v_try[1:-1] -= tau * sv
-            u_try[0] = u_try[1]
-            v_try[0] = v_try[1]
+            x_try = tuple(xk.copy() for xk in x)
+            for t, sk in zip(x_try, s):
+                t[1:-1] -= tau * sk
+                t[0] = t[1]
             try:
-                u_try = _normalize(u_try, grid)
-                v_try = _normalize(v_try, grid)
-                e_try, ga_t, gb_t, p_t = total_energy(u_try, v_try)
+                x_try = tuple(_normalize(t, grid) for t in x_try)
+                e_try, g_t, p_t = total_energy(x_try)
             except (DegeneratePair, FloatingPointError):
                 tau *= 0.5
                 continue
@@ -251,17 +272,17 @@ def descend(
         if not accepted:
             status = "stalled"
             break
-        u, v, e_now, ga, gb, p = u_try, v_try, e_try, ga_t, gb_t, p_t
+        x, e_now, g, p = x_try, e_try, g_t, p_t
         tau = min(tau * 1.3, params.step)
 
         if e_now < best_e - 1e-14 * abs(best_e):
-            best_e, best_u, best_v = e_now, u.copy(), v.copy()
+            best_e, best = e_now, tuple(xk.copy() for xk in x)
             last_improve = it
         trace.append(best_e)
 
         if it % 10 == 0:
-            conc = concentration_diagnostic(u, delta, grid)
-            sup = max(np.max(np.abs(u)), np.max(np.abs(v)))
+            conc = concentration_diagnostic(x[0], delta, grid)
+            sup = max(np.max(np.abs(xk)) for xk in x)
             if conc > params.conc_mass_threshold and sup > params.conc_sup_factor * sup0:
                 status = "concentrating"
                 break
@@ -271,13 +292,13 @@ def descend(
     else:
         status = "stalled"
 
-    best = FieldPair(u=best_u, v=best_v)
+    best = FieldPair(u=best[0], v=best[-1].copy())
     if lam > 0.0:
         best = sign_normalize(best)
         best = FieldPair(u=_normalize(best.u, grid), v=_normalize(best.v, grid))
     report = energy(best, a, b, lam, grid)
     l1, l2 = lagrange_multipliers(best, a, b, lam, grid)
-    res = el_residual(best, l1, l2, a, b, lam, grid, ops=(op_a, op_b))
+    res = el_residual(best, l1, l2, a, b, lam, grid, ops=op_pair)
     return MinimizeResult(
         pair=best,
         q_lambda=report.value,
@@ -296,7 +317,8 @@ def discrete_sobolev_constant(grid: RadialGrid,
     """Minimum of the discrete unweighted gradient quotient on this grid.
 
     Obtained from the decoupled flow (unit weights, zero coupling) with a
-    symmetric start, whose energy is exactly the single-field quotient.
+    symmetric start, whose energy is exactly the single-field quotient; that
+    flow keeps u == v and so advances a single row.
     """
     one = WeightProfile.constant(1.0)
     return descend(one, one, 0.0, grid, params).q_lambda

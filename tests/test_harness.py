@@ -224,5 +224,30 @@ def test_cli_bad_config(tmp_path):
     assert cli_main(["constants", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    MINIMAL + "\n[flow]\nstep = 0\n",
+    MINIMAL + "\n[flow]\ninit = bogus\n",
+    MINIMAL + "\n[flow]\ninit = custom\n",
+    MINIMAL + "\n[flow]\ngrad_tol = abc\n",
+    MINIMAL + "\n[flow]\ninit_eps = -1\n",
+    MINIMAL.replace("dimension = 5", "dimension = five"),
+    MINIMAL + "\n[sweep]\nlambdas = 1 two\n",
+    MINIMAL + "\n[sweep]\nstart = 1\nstop = x\nstep = 1\n",
+    MINIMAL.replace("[weights.b]", "perturbation_r = 0 a\n"
+                    "perturbation_theta = 0 0\n\n[weights.b]"),
+    MINIMAL.replace("gamma0 = 1.0", "gamma0 = 0.0"),
+    MINIMAL + "\n[output]\nplots = maybe\n",
+], ids=["step-zero", "init-bogus", "init-custom", "grad-tol-text",
+        "init-eps-negative", "dimension-text", "lambdas-text", "stop-text", "perturbation-text",
+        "gamma0-zero", "plots-text"])
+def test_bad_value_is_config_error(tmp_path, text):
+    with pytest.raises(ConfigError):
+        parse_scenario(text)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert cli_main(["minimize", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+
+
 def test_cli_missing_file(tmp_path):
     assert cli_main(["constants", "--config", str(tmp_path / "nope.ini")]) == 2

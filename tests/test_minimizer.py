@@ -9,7 +9,9 @@ from critvar import (FieldPair, FlowParams, WeightProfile, descend,
                      dirichlet_field, discrete_sobolev_constant, el_residual,
                      energy, existence_verdict, lagrange_multipliers, lq_norm,
                      sign_normalize, sweep_minimize)
+from critvar import minimizer
 from critvar.errors import BadSpectrum, NumericFault
+from critvar.spectral import TridiagonalOperator
 from conftest import smooth_dirichlet_field
 
 
@@ -50,6 +52,14 @@ def test_descend_converges_and_satisfies_system(grid5, quartic_weight, quick_flo
     assert res.q_lambda == pytest.approx(rep.value, rel=1e-12)
 
 
+def test_two_row_flow_satisfies_system(grid5, quad_weight, quartic_weight,
+                                       quick_flow):
+    # a != b: the flow advances both rows, each coupled to the other
+    res = descend(quad_weight, quartic_weight, 10.0, grid5, quick_flow)
+    assert res.status == "converged"
+    assert res.el_residual <= 10.0 * quick_flow.grad_tol
+
+
 def test_symmetric_data_stays_symmetric(grid5, quad_weight, quick_flow):
     res = descend(quad_weight, quad_weight, 5.0, grid5, quick_flow)
     assert np.max(np.abs(res.pair.u - res.pair.v)) < 1e-12
@@ -58,6 +68,55 @@ def test_symmetric_data_stays_symmetric(grid5, quad_weight, quick_flow):
 def test_best_trace_nonincreasing(grid5, quad_weight, quick_flow):
     res = descend(quad_weight, quad_weight, 8.0, grid5, quick_flow)
     assert np.all(np.diff(res.best_trace) <= 0.0)
+
+
+def _result_fields(res):
+    return (res.pair.u, res.pair.v, res.best_trace, res.q_lambda,
+            res.multiplier_u, res.multiplier_v, res.el_residual,
+            res.concentration, res.status, res.iterations)
+
+
+@pytest.mark.parametrize("grid_name, max_iters",
+                         [("grid5", 1500), ("grid5_geo", 300)])
+@pytest.mark.parametrize("lam", [0.0, 9.0])
+def test_one_row_flow_is_bitwise_two_row_flow(request, monkeypatch, grid_name,
+                                              max_iters, lam):
+    # two equal weights parsed apart, as the harness builds them
+    grid = request.getfixturevalue(grid_name)
+    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    b = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    params = FlowParams(max_iters=max_iters, grad_tol=1e-6, stall_window=1500)
+    one_row = descend(a, b, lam, grid, params)
+    monkeypatch.setattr(minimizer, "_one_row", lambda *args: False)
+    two_rows = descend(a, b, lam, grid, params)
+    for x, y in zip(_result_fields(one_row), _result_fields(two_rows)):
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y)
+        else:
+            assert x == y
+    assert one_row.pair.u is not one_row.pair.v
+
+
+@pytest.mark.parametrize("b_coeff, init, rows", [
+    (1.0, "bubble", 1),
+    (1.0, "random", 2),
+    (2.0, "bubble", 2),
+])
+def test_solves_per_iteration(grid5, monkeypatch, b_coeff, init, rows):
+    calls = []
+    solve = TridiagonalOperator.solve
+
+    def counted(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(TridiagonalOperator, "solve", counted)
+    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    b = WeightProfile.pure_power(1.0, 2.0, b_coeff)
+    res = descend(a, b, 9.0, grid5,
+                  FlowParams(max_iters=20, grad_tol=1e-12, init=init))
+    assert res.iterations == 20
+    assert len(calls) == rows * res.iterations
 
 
 def test_random_init_beats_nothing(grid5, quartic_weight):
