@@ -34,17 +34,19 @@ REPO = Path(__file__).resolve().parent.parent
 SIZES = (800, 3000)
 STARTS = ("symmetric", "random", "distinct")
 LAMBDA = 9.0
+ITERS = 300
+REPEATS = 15
 
 
-def _cases(critvar, iters: int):
-    flow = critvar.FlowParams(max_iters=iters, grad_tol=1e-14, stall_window=iters)
+def _cases(critvar):
+    flow = critvar.FlowParams(max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS)
     a = critvar.WeightProfile.pure_power(1.0, 2.0, 1.0)
     b_same = critvar.WeightProfile.pure_power(1.0, 2.0, 1.0)
     b_other = critvar.WeightProfile.pure_power(1.0, 2.0, 2.0)
     starts = {
         "symmetric": (b_same, flow),
-        "random": (b_same, critvar.FlowParams(max_iters=iters, grad_tol=1e-14,
-                                              stall_window=iters, init="random")),
+        "random": (b_same, critvar.FlowParams(max_iters=ITERS, grad_tol=1e-14,
+                                              stall_window=ITERS, init="random")),
         "distinct": (b_other, flow),
     }
     for n in SIZES:
@@ -54,13 +56,13 @@ def _cases(critvar, iters: int):
             yield f"n{n}/{start}", (a, b, LAMBDA, grid, params)
 
 
-def measure(critvar, iters: int, repeats: int) -> dict:
-    cases = dict(_cases(critvar, iters))
+def measure(critvar) -> dict:
+    cases = dict(_cases(critvar))
     samples = {name: [] for name in cases}
     counts = {}
     for name, args in cases.items():              # warm caches and lazy set-up
         critvar.descend(*args)
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for name, args in cases.items():
             t0 = time.perf_counter()
             res = critvar.descend(*args)
@@ -81,11 +83,7 @@ def main(argv=None) -> int:
     p.add_argument("--src", type=Path, default=REPO / "src",
                    help="source tree whose critvar is timed")
     p.add_argument("--out", type=Path, default=REPO / "BENCH_1.json")
-    p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--repeats", type=int, default=15)
     args = p.parse_args(argv)
-    if args.iters < 1 or args.repeats < 2:
-        p.error("need --iters >= 1 and --repeats >= 2")
 
     sys.path.insert(0, str(args.src.resolve()))
     import critvar
@@ -98,12 +96,11 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc["what"] = ("seconds per descend iteration (whole call / iterations), "
                    f"N = 5 uniform grid, coupling {LAMBDA}, iteration cap "
-                   f"{args.iters}; median and quartiles of {args.repeats} runs")
+                   f"{ITERS}; median and quartiles of {REPEATS} runs")
     doc["machine"] = {"python": platform.python_version(),
                       "numpy": numpy.__version__, "scipy": scipy.__version__,
                       "cpus": os.cpu_count(), "machine": platform.machine()}
-    doc.setdefault("runs", {})[args.label] = measure(critvar, args.iters,
-                                                     args.repeats)
+    doc.setdefault("runs", {})[args.label] = measure(critvar)
     runs = doc["runs"]
     if "parent" in runs and "change" in runs:
         doc["change_over_parent"] = {

@@ -41,23 +41,18 @@ def test_sign_normalize(grid5, rng):
     assert np.min(pair.u * pair.v) >= 0.0
 
 
-def test_descend_converges_and_satisfies_system(grid5, quartic_weight, quick_flow):
-    res = descend(quartic_weight, quartic_weight, 10.0, grid5, quick_flow)
-    assert res.status == "converged"
-    assert res.el_residual <= 10.0 * quick_flow.grad_tol
-    assert lq_norm(res.pair.u, grid5) == pytest.approx(1.0, rel=1e-12)
-    assert lq_norm(res.pair.v, grid5) == pytest.approx(1.0, rel=1e-12)
-    # value consistent with direct evaluation
-    rep = energy(res.pair, quartic_weight, quartic_weight, 10.0, grid5)
-    assert res.q_lambda == pytest.approx(rep.value, rel=1e-12)
-
-
-def test_two_row_flow_satisfies_system(grid5, quad_weight, quartic_weight,
-                                       quick_flow):
-    # a != b: the flow advances both rows, each coupled to the other
-    res = descend(quad_weight, quartic_weight, 10.0, grid5, quick_flow)
-    assert res.status == "converged"
-    assert res.el_residual <= 10.0 * quick_flow.grad_tol
+def test_descend_converges_and_satisfies_system(grid5, quad_weight,
+                                                quartic_weight, quick_flow):
+    # b = a advances one row; b != a advances both, each coupled to the other
+    for b in (quartic_weight, quad_weight):
+        res = descend(quartic_weight, b, 10.0, grid5, quick_flow)
+        assert res.status == "converged"
+        assert res.el_residual <= 10.0 * quick_flow.grad_tol
+        assert lq_norm(res.pair.u, grid5) == pytest.approx(1.0, rel=1e-12)
+        assert lq_norm(res.pair.v, grid5) == pytest.approx(1.0, rel=1e-12)
+        # value consistent with direct evaluation
+        rep = energy(res.pair, quartic_weight, b, 10.0, grid5)
+        assert res.q_lambda == pytest.approx(rep.value, rel=1e-12)
 
 
 def test_symmetric_data_stays_symmetric(grid5, quad_weight, quick_flow):
