@@ -1,7 +1,7 @@
-"""Seconds per iteration of the descent flow, written to BENCH_1.json.
+"""Seconds per iteration of the descent flow, written to the JSON file --out.
 
-    python bench/flow_iter.py --label change
-    python bench/flow_iter.py --label parent --src <checkout of the parent>/src
+    python bench/flow_iter.py --label parent --src <checkout of the parent>/src --out BENCH_2.json
+    python bench/flow_iter.py --label change --out BENCH_2.json
 
 Times `critvar.descend` on the N = 5 uniform grid at n = 800 and n = 3000
 cells for three starts that cover both shapes of the flow state:
@@ -82,7 +82,8 @@ def main(argv=None) -> int:
     p.add_argument("--label", required=True, help="e.g. parent or change")
     p.add_argument("--src", type=Path, default=REPO / "src",
                    help="source tree whose critvar is timed")
-    p.add_argument("--out", type=Path, default=REPO / "BENCH_1.json")
+    p.add_argument("--out", type=Path, required=True,
+                   help="JSON file to update (labels already in it are kept)")
     args = p.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))

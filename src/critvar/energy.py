@@ -76,22 +76,38 @@ def weighted_gradient_energy(u: np.ndarray, w: WeightProfile, grid: RadialGrid) 
     The innermost cell (0, r_1) is skipped: its flux factor r^(N-1)
     vanishes at the order of the rule for radially smooth fields (u'(0)=0).
     """
+    u = grid.check_shape(u)
+    if not np.all(np.isfinite(u)):
+        raise NumericFault("non-finite field samples")
+    return _gradient_energy(u, _face_flux(w, grid), grid, np.empty(u.size - 2))
+
+
+def _gradient_energy(u, flux, grid: RadialGrid, out) -> float:
+    """Unchecked kernel of weighted_gradient_energy; overwrites `out` (n-1 faces)."""
     # Face differences, not x.K.x: near a smooth minimizer x.K.x cancels large
     # terms of opposite sign, and the flow fed it stalled at 7 of 8
     # existence-sweep couplings (lambda = 9: 2,454 iterations, residual 6e-5;
     # with this sum of squares it converges in 946).
-    u = grid.check_shape(u)
-    if not np.all(np.isfinite(u)):
-        raise NumericFault("non-finite field samples")
     h = grid.spacings[1:]
-    slopes = np.diff(u)[1:] / h
-    return float(grid.surface_factor * np.sum(_face_flux(w, grid) * slopes ** 2 * h))
+    np.subtract(u[2:], u[1:-1], out=out)
+    out /= h
+    out **= 2
+    out *= flux
+    out *= h
+    return float(grid.surface_factor * out.sum())
 
 
 def lq_norm(u: np.ndarray, grid: RadialGrid) -> float:
     """(int |u|^q)^(1/q) with q = 2N/(N-2)."""
+    return _lq_norm(grid.check_shape(u), grid, np.empty(grid.nodes.size))
+
+
+def _lq_norm(u, grid: RadialGrid, out) -> float:
+    """Unchecked kernel of lq_norm; `out` (one value per node) is overwritten."""
     q = critical_exponent(grid.dimension)
-    return float(integrate(np.abs(u) ** q, grid) ** (1.0 / q))
+    np.abs(u, out=out)
+    out **= q
+    return float(np.dot(grid.masses, out)) ** (1.0 / q)
 
 
 @dataclass(frozen=True)

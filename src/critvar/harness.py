@@ -38,6 +38,7 @@ from .spectral import lambda_tilde
 from .weights import WeightProfile
 
 ANALYSES = ("constants", "eig", "minimize", "asymptotics", "pohozaev", "omega")
+_NEED_COUPLINGS = {"minimize", "asymptotics", "pohozaev"}
 SCHEMA_VERSION = 1
 
 _DOMAIN_KEYS = {"schema", "dimension", "radius", "cells", "grading", "ratio", "mode"}
@@ -297,13 +298,15 @@ def _exponent_regime(w: WeightProfile) -> tuple[float, float]:
 
 def run(scenario: Scenario, jobs: int = 1) -> RunReport:
     """Execute the requested analyses in dependency order."""
+    wanted = set(scenario.analyses)
+    if "pohozaev" in wanted:    # its rows describe minimize's pairs
+        wanted.add("minimize")
+    if not (wanted if scenario.lambdas else wanted - _NEED_COUPLINGS):
+        raise ConfigError("no analysis to run: none requested, or all need [sweep] couplings")
     grid = scenario.build_grid()
     a, b = scenario.weight_a, scenario.weight_b
     k, a_k = _exponent_regime(a)
     l, b_l = _exponent_regime(b)
-    wanted = set(scenario.analyses)
-    if "pohozaev" in wanted:    # its rows describe minimize's pairs
-        wanted.add("minimize")
     failures: list[str] = []
 
     constants_rows = []

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import thresholds
-from .energy import (FieldPair, _face_flux, critical_exponent, dirichlet_field,
-                     energy, lq_norm, weighted_gradient_energy)
+from .energy import (FieldPair, _face_flux, _gradient_energy, _lq_norm,
+                     critical_exponent, dirichlet_field, energy, weighted_gradient_energy)
 from .errors import BadSpectrum, DegeneratePair, NumericFault
 from .grid import RadialGrid, integrate
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
@@ -130,11 +130,12 @@ def el_residual(
 # ---------------------------------------------------------------------------
 
 
-def _normalize(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    n = lq_norm(u, grid)
+def _normalize(u: np.ndarray, grid: RadialGrid, node: np.ndarray) -> np.ndarray:
+    """Divide u in place by its critical norm; `node` is a scratch node row."""
+    n = _lq_norm(u, grid, node)
     if n == 0.0 or not np.isfinite(n):
         raise DegeneratePair("flow component collapsed to zero")
-    return u / n
+    return np.divide(u, n, out=u)
 
 
 def _smooth_random_field(grid: RadialGrid, seed: int) -> np.ndarray:
@@ -201,7 +202,9 @@ def descend(
     The flow advances the distinct rows of (u, v): one row when the weights
     assemble to identical arrays and the normalized start has u == v (the
     flow then keeps u == v exactly), two otherwise.  Row k's coupling
-    partner is row -1 - k, so both cases run the same arithmetic.
+    partner is row -1 - k, so both cases run the same arithmetic.  An
+    iteration costs per row one banded solve, two power passes and O(n)
+    in-place updates in a workspace allocated once per call.
     """
     if not np.isfinite(lam):
         raise NumericFault(f"coupling must be finite, got {lam}")
@@ -211,40 +214,47 @@ def descend(
     m = grid.masses
     m_dof = m[1:-1]
     inv_m = 1.0 / m_dof
+    lam_m = lam * m_dof
     q = critical_exponent(grid.dimension)
     delta = params.conc_delta_fraction * grid.radius
+    node, dof, dof2, off = (np.empty(m.size), np.empty(m_dof.size),
+                            np.empty(m_dof.size), np.empty(m_dof.size - 1))
 
-    x = (_normalize(dirichlet_field(init_pair.u, grid), grid),
-         _normalize(dirichlet_field(init_pair.v, grid), grid))
+    x = (_normalize(dirichlet_field(init_pair.u, grid), grid, node),
+         _normalize(dirichlet_field(init_pair.v, grid), grid, node))
     ws, ops = (a, b), op_pair
     if _one_row(ops, ws, grid, x):
         x, ws, ops = x[:1], ws[:1], ops[:1]
+    flux = [_face_flux(w, grid) for w in ws]
     sup0 = max(np.max(np.abs(xk)) for xk in x)
+    # trial rows swap with x when accepted (as copies their boundary node is 0);
+    # d holds each row's raw gradient
+    x_try, d = [xk.copy() for xk in x], [np.empty(m_dof.size) for _ in x]
 
     def total_energy(xs):
-        g = tuple(weighted_gradient_energy(xk, wk, grid) for xk, wk in zip(xs, ws))
-        p = integrate(xs[0] * xs[-1], grid)
+        g = [_gradient_energy(xk, fk, grid, dof) for xk, fk in zip(xs, flux)]
+        p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node)))
         return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
 
     e_now, g, p = total_energy(x)
     best_e, best = e_now, tuple(xk.copy() for xk in x)
     trace = [best_e]
     tau = params.step
-    status = "stalled"
-    residual = np.inf
-    last_improve = 0
-    it = 0
+    status = "stalled"                    # unless a test below ends the flow
+    last_improve = it = 0
 
     for it in range(1, params.max_iters + 1):
-        d = []
-        for k, (xk, op) in enumerate(zip(x, ops)):
+        for k, (xk, op, dk) in enumerate(zip(x, ops, d)):
             xi = xk[1:-1]
-            grad_q = m_dof * np.abs(xi) ** (q - 2.0) * xi
-            d.append(op.apply(xi) - lam * m_dof * x[-1 - k][1:-1]
-                     - (g[k] - lam * p) * grad_q)
-        r2 = [np.dot(dk * dk, inv_m) for dk in d]
-        residual = float(np.sqrt(r2[0] + r2[-1]))
-        if residual <= params.grad_tol:
+            np.abs(xi, out=dof)                 # m |x|^(q-2) x
+            dof **= q - 2.0
+            dof *= m_dof
+            dof *= xi
+            op._apply(xi, dk, off)
+            dk -= np.multiply(lam_m, x[-1 - k][1:-1], out=dof2)
+            dk -= np.multiply(dof, g[k] - lam * p, out=dof)
+        r2 = [np.dot(np.multiply(dk, dk, out=dof), inv_m) for dk in d]
+        if np.sqrt(r2[0] + r2[-1]) <= params.grad_tol:      # residual of the system
             status = "converged"
             if e_now <= best_e + 1e-12 * abs(best_e):
                 best_e, best = e_now, tuple(xk.copy() for xk in x)
@@ -253,13 +263,11 @@ def descend(
         s = [op.solve(dk) for op, dk in zip(ops, d)]
         accepted = False
         for _ in range(40):
-            x_try = tuple(xk.copy() for xk in x)
-            for t, sk in zip(x_try, s):
-                t[1:-1] -= tau * sk
+            for t, xk, sk in zip(x_try, x, s):
+                np.subtract(xk[1:-1], np.multiply(sk, tau, out=dof), out=t[1:-1])
                 t[0] = t[1]
             try:
-                x_try = tuple(_normalize(t, grid) for t in x_try)
-                e_try, g_t, p_t = total_energy(x_try)
+                e_try, g_t, p_t = total_energy([_normalize(t, grid, node) for t in x_try])
             except (DegeneratePair, FloatingPointError):
                 tau *= 0.5
                 continue
@@ -272,7 +280,7 @@ def descend(
         if not accepted:
             status = "stalled"
             break
-        x, e_now, g, p = x_try, e_try, g_t, p_t
+        x, x_try, e_now, g, p = x_try, x, e_try, g_t, p_t
         tau = min(tau * 1.3, params.step)
 
         if e_now < best_e - 1e-14 * abs(best_e):
@@ -289,13 +297,12 @@ def descend(
         if it - last_improve > params.stall_window:
             status = "stalled"
             break
-    else:
-        status = "stalled"
 
     best = FieldPair(u=best[0], v=best[-1].copy())
     if lam > 0.0:
         best = sign_normalize(best)
-        best = FieldPair(u=_normalize(best.u, grid), v=_normalize(best.v, grid))
+        best = FieldPair(u=_normalize(best.u, grid, node),
+                         v=_normalize(best.v, grid, node))
     report = energy(best, a, b, lam, grid)
     l1, l2 = lagrange_multipliers(best, a, b, lam, grid)
     res = el_residual(best, l1, l2, a, b, lam, grid, ops=op_pair)

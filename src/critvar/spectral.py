@@ -48,10 +48,14 @@ class TridiagonalOperator:
         return self.diag.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[:-1] += self.off * x[1:]
-        y[1:] += self.off * x[:-1]
-        return y
+        return self._apply(x, np.empty(self.size), np.empty(self.size - 1))
+
+    def _apply(self, x, out, tmp):
+        """K x into `out`; `tmp` (one value per off-diagonal) is overwritten."""
+        np.multiply(self.diag, x, out=out)
+        out[:-1] += np.multiply(self.off, x[1:], out=tmp)
+        out[1:] += np.multiply(self.off, x[:-1], out=tmp)
+        return out
 
     def quadratic_form(self, x: np.ndarray) -> float:
         return float(np.dot(x, self.apply(x)))

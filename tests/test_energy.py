@@ -83,6 +83,16 @@ def test_gradient_energy_fresh_weights_never_stale(rng):
             _gradient_energy_reference(u, w, grid)
 
 
+def test_lq_norm_matches_reference_exactly(grid5, grid4, rng):
+    # the in-place kernel keeps the arithmetic of the one-line formula
+    for grid in (grid5, grid4, build_grid(6, 1.0, 300)):
+        q = critical_exponent(grid.dimension)
+        for _ in range(3):
+            u = smooth_dirichlet_field(grid, rng)
+            assert lq_norm(u, grid) == \
+                float(integrate(np.abs(u) ** q, grid) ** (1.0 / q))
+
+
 def test_lq_norm_against_quadrature(grid5):
     from scipy.integrate import quad
 

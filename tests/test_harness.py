@@ -249,5 +249,21 @@ def test_bad_value_is_config_error(tmp_path, text):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("output, sweep", [
+    ("analyses =", ""),
+    ("analyses = minimize", "[sweep]\nstart = 5\nstop = 1\nstep = 1\n"),
+], ids=["no-analysis", "minimize-without-couplings"])
+def test_run_with_nothing_to_do_is_config_error(tmp_path, output, sweep):
+    text = MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 100")
+    text += f"\n{sweep}\n[output]\n{output}\n"
+    with pytest.raises(ConfigError):
+        run(parse_scenario(text))
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_missing_file(tmp_path):
     assert cli_main(["constants", "--config", str(tmp_path / "nope.ini")]) == 2

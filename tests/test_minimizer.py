@@ -1,6 +1,7 @@
 """Descent flow, multipliers, sweeps, and verdict dispatch."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from critvar import (FieldPair, FlowParams, WeightProfile, descend,
                      energy, existence_verdict, lagrange_multipliers, lq_norm,
                      sign_normalize, sweep_minimize)
 from critvar import minimizer
-from critvar.errors import BadSpectrum, NumericFault
+from critvar.errors import BadSpectrum, DegeneratePair, NumericFault
 from critvar.spectral import TridiagonalOperator
 from conftest import smooth_dirichlet_field
 
@@ -112,6 +113,60 @@ def test_solves_per_iteration(grid5, monkeypatch, b_coeff, init, rows):
                   FlowParams(max_iters=20, grad_tol=1e-12, init=init))
     assert res.iterations == 20
     assert len(calls) == rows * res.iterations
+
+
+@pytest.mark.parametrize("grid_name, b_name, lam, max_iters", [
+    ("grid5_geo", "quad_weight", 0.0, 20000),     # one row, concentrating
+    ("grid5", "quartic_weight", -3.0, 3000),      # two rows, a != b
+])
+def test_reported_pair_is_the_best_seen(request, quad_weight, grid_name,
+                                        b_name, lam, max_iters):
+    # lam <= 0 skips sign normalization, so the reported energy is that of
+    # the pair the flow kept as its best, not of a reused row buffer
+    grid = request.getfixturevalue(grid_name)
+    b = request.getfixturevalue(b_name)
+    params = FlowParams(max_iters=max_iters, grad_tol=1e-12, stall_window=20000)
+    res = descend(quad_weight, b, lam, grid, params)
+    assert res.status == "concentrating"
+    assert res.q_lambda == pytest.approx(res.best_trace[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("b_name", ["quad_weight", "quartic_weight"])
+def test_stalled_flow_reports_its_last_improvement(request, grid5, quad_weight,
+                                                   b_name):
+    # an unreachable tolerance ends the flow on its stall window, after
+    # accepted steps that improve nothing; the pair reported must be the
+    # one held when the best energy was last lowered, bit for bit
+    b = request.getfixturevalue(b_name)
+    params = FlowParams(max_iters=6000, grad_tol=1e-14, stall_window=30)
+    res = descend(quad_weight, b, 10.0, grid5, params)
+    last = int(np.flatnonzero(np.diff(res.best_trace) < 0)[-1]) + 1
+    assert res.status == "stalled" and res.iterations > last + 1
+    cut = descend(quad_weight, b, 10.0, grid5, replace(params, max_iters=last))
+    assert np.array_equal(res.pair.u, cut.pair.u)
+    assert np.array_equal(res.pair.v, cut.pair.v)
+    assert res.q_lambda == cut.q_lambda
+
+
+def test_calls_share_no_state(grid5, grid4, quad_weight, quartic_weight):
+    params = FlowParams(max_iters=400, grad_tol=1e-9)
+    first = descend(quad_weight, quartic_weight, 9.0, grid5, params)
+    descend(quartic_weight, quad_weight, 3.0, grid4, params)
+    again = descend(quad_weight, quartic_weight, 9.0, grid5, params)
+    for x, y in zip(_result_fields(first), _result_fields(again)):
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y)
+        else:
+            assert x == y
+
+
+@pytest.mark.parametrize("node, value", [(100, math.nan), (0, math.inf)])
+def test_non_finite_start_is_degenerate(grid5, quad_weight, node, value):
+    u = dirichlet_field(1.0 - grid5.nodes ** 2, grid5)
+    u[node] = value
+    params = FlowParams(init="custom", init_pair=FieldPair(u=u, v=u.copy()))
+    with pytest.raises(DegeneratePair), np.errstate(invalid="ignore"):
+        descend(quad_weight, quad_weight, 5.0, grid5, params)
 
 
 def test_random_init_beats_nothing(grid5, quartic_weight):

@@ -32,6 +32,18 @@ def test_apply_solve_roundtrip(grid5, unit_weight, rng):
     assert np.allclose(op.solve(op.apply(x)), x, atol=1e-9)
 
 
+def test_apply_matches_reference_exactly(grid5_geo, quad_weight, rng):
+    op = assemble_operator(quad_weight, grid5_geo)
+    out, tmp = np.full(op.size, np.nan), np.full(op.size - 1, np.nan)
+    for scale in (1e-6, 1.0, 1e6):
+        x = scale * rng.standard_normal(op.size)
+        ref = op.diag * x
+        ref[:-1] += op.off * x[1:]
+        ref[1:] += op.off * x[:-1]
+        assert np.array_equal(op.apply(x), ref)
+        assert np.array_equal(op._apply(x, out, tmp), ref)  # reused buffers
+
+
 @pytest.mark.parametrize("dim", [4, 5])
 def test_unweighted_eigenvalue_benchmark(dim, unit_weight):
     grid = build_grid(dim, 1.0, 2000)
