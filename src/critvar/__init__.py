@@ -19,7 +19,6 @@ from .asymptotics import (BubbleParams, ExpansionFit, ExpansionPrediction,
                           blowup_rescale, bubble_field, default_eps_ladder,
                           energy_curve, energy_curves, expansion_prediction,
                           fit_expansion)
-from .config import DEFAULT_TOL, Tolerances
 from .constants import (BubbleConstants, Thresholds, bubble_constants,
                         correction_constant, radial_moment,
                         radial_moment_quadrature, slope_factor, thresholds)

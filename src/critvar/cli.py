@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    critvar <subcommand> --config <file> [--out <dir>] [--jobs K] [--plots]
+    critvar <subcommand> --config <file> [--out <dir>] [--plots]
 
 The subcommand selects which analyses run (overriding the config's
 `analyses` list); `all` runs every analysis.  Exit status is 0 on
@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import CritvarError, NumericFault
+from .errors import CritvarError
 from .harness import ANALYSES, parse_scenario, run, write_report
 
 _SUBCOMMANDS = ANALYSES + ("all",)
@@ -34,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario config file")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides the config)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker count for sweep rows")
         p.add_argument("--plots", action="store_true",
                        help="also emit SVG plots")
     return parser
@@ -56,9 +54,9 @@ def main(argv=None) -> int:
             scenario = replace(scenario, out_dir=str(args.out))
         if args.plots:
             scenario = replace(scenario, plots=True)
-        report = run(scenario, jobs=max(1, args.jobs))
+        report = run(scenario)
         written = write_report(report)
-    except (CritvarError, NumericFault) as exc:
+    except CritvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:

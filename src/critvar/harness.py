@@ -183,9 +183,6 @@ def parse_scenario(text: str) -> Scenario:
                 init_eps=sec.getfloat("init_eps", fallback=None),
                 seed=sec.getint("seed", fallback=flow.seed),
             )
-        if flow.init == "custom":
-            raise ConfigError("[flow] init = custom takes a field pair, "
-                              "which a config cannot give")
 
     lambdas: tuple = ()
     if parser.has_section("sweep"):
@@ -297,7 +294,13 @@ def _exponent_regime(w: WeightProfile) -> tuple[float, float]:
 
 
 def run(scenario: Scenario, jobs: int = 1) -> RunReport:
-    """Execute the requested analyses in dependency order."""
+    """Execute the requested analyses in dependency order.
+
+    The sweep always runs in sequence.  `jobs` is kept only for the
+    `perfbench/` scripts that pass `jobs=1`; any other value is a ConfigError.
+    """
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1, got {jobs!r}: the sweep runs in sequence")
     wanted = set(scenario.analyses)
     if "pohozaev" in wanted:    # its rows describe minimize's pairs
         wanted.add("minimize")
@@ -366,8 +369,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
     minimize_rows = []
     results: dict = {}
     if "minimize" in wanted and scenario.lambdas:
-        rows = sweep_minimize(scenario.lambdas, a, b, grid,
-                              scenario.flow, jobs=jobs)
+        rows = sweep_minimize(scenario.lambdas, a, b, grid, scenario.flow)
         for row in rows:
             res = row.result
             results[row.lam] = res

@@ -21,7 +21,7 @@ so the flow's convergence test and the system residual are the same norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +33,10 @@ from .grid import RadialGrid, integrate
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
 from .weights import WeightProfile
 
+_CONC_DELTA_FRACTION = 0.1      # concentration detector: inside radius R/10
+_CONC_MASS = 0.99               # lies this fraction of the critical-norm mass
+_CONC_SUP_FACTOR = 1e2          # and the sup norm has grown this much
+
 
 @dataclass(frozen=True)
 class FlowParams:
@@ -40,18 +44,14 @@ class FlowParams:
     max_iters: int = 3000
     grad_tol: float = 1e-6
     stall_window: int = 250
-    init: str = "bubble"            # bubble | eigenfunction | random | custom
+    init: str = "bubble"            # bubble | eigenfunction | random
     init_eps: float | None = None   # bubble width; default radius^2 / 100
     seed: int = 0
-    init_pair: FieldPair | None = None
-    conc_delta_fraction: float = 0.1   # delta = R / 10
-    conc_mass_threshold: float = 0.99
-    conc_sup_factor: float = 1e2
 
     def __post_init__(self):
         if self.step <= 0.0 or self.grad_tol <= 0.0:
             raise ValueError("step and grad_tol must be positive")
-        if self.init not in ("bubble", "eigenfunction", "random", "custom"):
+        if self.init not in ("bubble", "eigenfunction", "random"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init_eps is not None and not self.init_eps > 0.0:
             raise ValueError("init_eps must be positive")
@@ -65,7 +65,7 @@ class MinimizeResult:
     multiplier_v: float
     el_residual: float
     concentration: float
-    status: str                # converged | concentrating | stalled
+    status: str                # converged | concentrating | stalled | pooled
     iterations: int
     best_trace: np.ndarray = field(repr=False, default=None)
 
@@ -154,10 +154,6 @@ def _initial_pair(a: WeightProfile, b: WeightProfile, grid: RadialGrid,
                   params: FlowParams) -> FieldPair:
     from .asymptotics import BubbleParams, bubble_field  # deferred, no cycle at import
 
-    if params.init == "custom":
-        if params.init_pair is None:
-            raise ValueError("custom init requires init_pair")
-        return params.init_pair
     if params.init == "bubble":
         eps = params.init_eps if params.init_eps is not None else grid.radius ** 2 / 100.0
         u = bubble_field(BubbleParams(epsilon=eps, cutoff_radius=grid.radius / 2.0), grid)
@@ -198,6 +194,7 @@ def descend(
     Terminates on the gradient tolerance, on the concentration detector
     (mass collapse onto the center with unbounded amplitude), on a stall,
     or on the iteration cap.  The reported value is the lowest energy seen.
+    The flow starts from init_pair when one is given, else from params.init.
 
     The flow advances the distinct rows of (u, v): one row when the weights
     assemble to identical arrays and the normalized start has u == v (the
@@ -216,7 +213,7 @@ def descend(
     inv_m = 1.0 / m_dof
     lam_m = lam * m_dof
     q = critical_exponent(grid.dimension)
-    delta = params.conc_delta_fraction * grid.radius
+    delta = _CONC_DELTA_FRACTION * grid.radius
     node, dof, dof2, off = (np.empty(m.size), np.empty(m_dof.size),
                             np.empty(m_dof.size), np.empty(m_dof.size - 1))
 
@@ -291,7 +288,7 @@ def descend(
         if it % 10 == 0:
             conc = concentration_diagnostic(x[0], delta, grid)
             sup = max(np.max(np.abs(xk)) for xk in x)
-            if conc > params.conc_mass_threshold and sup > params.conc_sup_factor * sup0:
+            if conc > _CONC_MASS and sup > _CONC_SUP_FACTOR * sup0:
                 status = "concentrating"
                 break
         if it - last_improve > params.stall_window:
@@ -348,65 +345,51 @@ def sweep_minimize(
     b: WeightProfile,
     grid: RadialGrid,
     params: FlowParams = FlowParams(),
-    jobs: int = 1,
 ) -> list[SweepRow]:
     """Run the flow for each coupling and cross-evaluate the found pairs.
 
-    Every pair discovered anywhere in the sweep is an admissible candidate
-    at every coupling; the reported value per coupling is the minimum over
-    the pool.  With sign-normalized candidates the per-candidate energy is
-    affine and nonincreasing in the coupling, so the pooled estimate is
-    monotone by construction.
+    The flows run in increasing coupling, each warm-started from the previous
+    pair.  Every pair discovered anywhere in the sweep is an admissible
+    candidate at every coupling; the reported value per coupling is the
+    minimum over the pool.  With sign-normalized candidates the per-candidate
+    energy is affine and nonincreasing in the coupling, so the pooled
+    estimate is monotone by construction.
 
-    With jobs > 1 the couplings run on a worker pool (each flow starting
-    cold); sequentially each flow warm-starts from the previous pair.
+    Only a pair found at another coupling can win a row (a flow's own pair
+    re-evaluated differs only by rounding); the row then reports that pair's
+    own concentration and the status "pooled".
     """
     lams = [float(x) for x in lams]
     flows: dict[float, MinimizeResult] = {}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {lam: pool.submit(descend, a, b, lam, grid, params)
-                       for lam in sorted(set(lams))}
-            flows = {lam: fut.result() for lam, fut in futures.items()}
-    else:
-        warm = None
-        for lam in sorted(set(lams)):
-            res = descend(a, b, lam, grid, params, init_pair=warm)
-            flows[lam] = res
-            warm = res.pair
-
-    # candidate pool: (grad_a_raw, grad_b_raw, coupling_raw) per pair
-    pool = []
-    for res in flows.values():
+    pool = []   # (source flow, grad_a_raw, grad_b_raw, coupling_raw, pair)
+    warm = None
+    for lam in sorted(set(lams)):
+        res = flows[lam] = descend(a, b, lam, grid, params, init_pair=warm)
+        warm = res.pair
         pr = sign_normalize(res.pair)
         ga = 0.5 * weighted_gradient_energy(pr.u, a, grid)
         gb = 0.5 * weighted_gradient_energy(pr.v, b, grid)
         c = integrate(pr.u * pr.v, grid)
-        pool.append((ga, gb, c, pr))
+        pool.append((res, ga, gb, c, pr))
 
     rows = []
     for lam in lams:
-        flow = flows[lam]
-        vals = [ga + gb - lam * c for ga, gb, c, _ in pool]
-        j = int(np.argmin(vals))
-        if vals[j] < flow.q_lambda:
-            _, _, _, pr = pool[j]
+        flow = res = flows[lam]
+        val, src, pr = min(((ga + gb - lam * c, src, pr)
+                            for src, ga, gb, c, pr in pool if src is not flow),
+                           key=lambda cand: cand[0], default=(np.inf, None, None))
+        if val < flow.q_lambda:
             l1, l2 = lagrange_multipliers(pr, a, b, lam, grid)
-            res = MinimizeResult(
+            res = replace(
+                flow,
                 pair=pr,
-                q_lambda=vals[j],
+                q_lambda=val,
                 multiplier_u=l1,
                 multiplier_v=l2,
                 el_residual=el_residual(pr, l1, l2, a, b, lam, grid),
-                concentration=flow.concentration,
-                status=flow.status,
-                iterations=flow.iterations,
-                best_trace=flow.best_trace,
+                concentration=src.concentration,    # of |u|^q, so sign-blind
+                status="pooled",
             )
-        else:
-            res = flow
         rows.append(SweepRow(lam=lam, result=res))
     return rows
 

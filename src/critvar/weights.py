@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .grid import RadialGrid
+
+_MONOTONICITY_ABS = 1e-8    # slack in the weight-derivative inequality
 
 
 def _as_callable(theta) -> Callable | None:
@@ -36,8 +37,6 @@ class WeightProfile:
     coefficient = 0 degenerates to a constant weight (the "exponent
     effectively infinite" situation).  `perturbation` may be a callable or
     a (r_table, theta_table) pair, linearly interpolated; default theta = 0.
-    `monotone_certified` marks profiles for which the radial monotonicity
-    inequality k*A*r^k <= r w'(r) is claimed and may be checked.
     """
 
     gamma0: float
@@ -45,7 +44,6 @@ class WeightProfile:
     coefficient: float = 0.0
     perturbation: object = None
     extra: Callable | None = None
-    monotone_certified: bool = False
 
     def __post_init__(self):
         if self.gamma0 <= 0.0:
@@ -103,10 +101,9 @@ class WeightProfile:
         return cls(gamma0=value, exponent=2.0, coefficient=0.0)
 
     @classmethod
-    def pure_power(cls, gamma0: float, exponent: float, coefficient: float,
-                   certified: bool = True) -> "WeightProfile":
-        return cls(gamma0=gamma0, exponent=exponent, coefficient=coefficient,
-                   monotone_certified=certified)
+    def pure_power(cls, gamma0: float, exponent: float,
+                   coefficient: float) -> "WeightProfile":
+        return cls(gamma0=gamma0, exponent=exponent, coefficient=coefficient)
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ def check_monotonicity_condition(
     pass as long as the perturbation does not tilt the weight downward.
     """
     if tol is None:
-        tol = DEFAULT_TOL.monotonicity_abs * max(
+        tol = _MONOTONICITY_ABS * max(
             1.0, w.coefficient * grid.radius ** w.exponent
         )
     r = grid.nodes[1:-1]

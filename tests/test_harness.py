@@ -2,15 +2,17 @@
 
 import csv
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from critvar import (emit_csv, parse_scenario, run, serialize_scenario,
-                     write_report)
+from critvar import (FlowParams, emit_csv, parse_scenario, run,
+                     serialize_scenario, write_report)
 from critvar.cli import main as cli_main
 from critvar.errors import ConfigError, EmptyReport, IoError
+from critvar.harness import _FLOW_KEYS
 
 MINIMAL = """
 [domain]
@@ -104,6 +106,23 @@ def test_roundtrip_with_perturbation():
     assert parse_scenario(serialize_scenario(s)) == s
 
 
+def test_flow_params_are_the_flow_keys():
+    # a FlowParams field no config can set is a knob nothing turns
+    assert {f.name for f in fields(FlowParams)} == _FLOW_KEYS
+
+
+def test_roundtrip_every_flow_key():
+    values = {"step": "0.25", "max_iters": "123", "grad_tol": "3e-07",
+              "stall_window": "77", "init": "random", "init_eps": "0.002",
+              "seed": "9"}
+    assert set(values) == _FLOW_KEYS
+    s = parse_scenario(MINIMAL + "\n[flow]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    for key in values:
+        assert getattr(s.flow, key) != getattr(FlowParams(), key)
+    assert parse_scenario(serialize_scenario(s)) == s
+
+
 def test_constants_only_run():
     s = parse_scenario(MINIMAL.replace(
         "[weights.b]", "[weights.b]").replace("dimension = 5",
@@ -189,6 +208,21 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert (tmp_path / "out" / "minimize.csv").exists()
     out = capsys.readouterr().out
     assert "minimize.csv" in out
+
+
+def test_cli_has_no_jobs_option(tmp_path):
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["all", "--jobs", "2", "--config", str(cfg),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_takes_only_one_job():
+    with pytest.raises(ConfigError, match="jobs"):
+        run(parse_scenario(SWEEP), jobs=2)
 
 
 def _csv_rows(path):

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from critvar import (FieldPair, FlowParams, WeightProfile, descend,
-                     dirichlet_field, discrete_sobolev_constant, el_residual,
-                     energy, existence_verdict, lagrange_multipliers, lq_norm,
+from critvar import (FieldPair, FlowParams, WeightProfile, build_grid,
+                     concentration_diagnostic, descend, dirichlet_field,
+                     discrete_sobolev_constant, el_residual, energy,
+                     existence_verdict, lagrange_multipliers, lq_norm,
                      sign_normalize, sweep_minimize)
 from critvar import minimizer
 from critvar.errors import BadSpectrum, DegeneratePair, NumericFault
@@ -164,9 +165,9 @@ def test_calls_share_no_state(grid5, grid4, quad_weight, quartic_weight):
 def test_non_finite_start_is_degenerate(grid5, quad_weight, node, value):
     u = dirichlet_field(1.0 - grid5.nodes ** 2, grid5)
     u[node] = value
-    params = FlowParams(init="custom", init_pair=FieldPair(u=u, v=u.copy()))
     with pytest.raises(DegeneratePair), np.errstate(invalid="ignore"):
-        descend(quad_weight, quad_weight, 5.0, grid5, params)
+        descend(quad_weight, quad_weight, 5.0, grid5,
+                init_pair=FieldPair(u=u, v=u.copy()))
 
 
 def test_random_init_beats_nothing(grid5, quartic_weight):
@@ -185,9 +186,9 @@ def test_eigenfunction_init(grid5, quad_weight):
 
 def test_custom_init(grid5, quad_weight):
     u = dirichlet_field(1.0 - grid5.nodes ** 2, grid5)
-    params = FlowParams(max_iters=2000, grad_tol=1e-5, init="custom",
-                        init_pair=FieldPair(u=u, v=u.copy()))
-    res = descend(quad_weight, quad_weight, 5.0, grid5, params)
+    params = FlowParams(max_iters=2000, grad_tol=1e-5)
+    res = descend(quad_weight, quad_weight, 5.0, grid5, params,
+                  init_pair=FieldPair(u=u, v=u.copy()))
     assert res.iterations > 0
 
 
@@ -213,16 +214,32 @@ def test_sweep_monotone_and_pooled(grid5, quad_weight, quick_flow):
     qs = [r.result.q_lambda for r in rows]
     assert all(b - a <= 1e-8 for a, b in zip(qs, qs[1:]))
     assert [r.lam for r in rows] == lams
+    # lam = 2 concentrates; the converged lam = 5 pair wins that row, which
+    # then describes that pair, not the flow it displaced
+    pooled = rows[0].result
+    assert np.array_equal(pooled.pair.u, rows[1].result.pair.u)
+    assert pooled.status == "pooled"
+    assert pooled.concentration == concentration_diagnostic(
+        pooled.pair.u, 0.1 * grid5.radius, grid5)
+    assert pooled.concentration == rows[1].result.concentration
 
 
-def test_sweep_parallel_matches_order(grid5, quartic_weight):
-    params = FlowParams(max_iters=3000, grad_tol=1e-5)
-    lams = [4.0, 9.0]
-    rows = sweep_minimize(lams, quartic_weight, quartic_weight, grid5,
-                          params, jobs=2)
-    assert [r.lam for r in rows] == lams
-    qs = [r.result.q_lambda for r in rows]
-    assert qs[1] <= qs[0] + 1e-8
+def test_sweep_row_never_won_by_its_own_pair():
+    # existence-sweep geometry, where re-evaluating a flow's own pair lands
+    # a few ulps below the flow's energy; such a row must report the flow
+    grid = build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
+    w = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    lams = [9.082466, 11.1759, 13.217633, 15.421775, 17.602526, 19.782147,
+            21.931874, 23.945944]
+    params = FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
+    rows = sweep_minimize(lams, w, w, grid, params)
+    warm = None
+    for row in rows:                # no pair from another coupling wins here
+        flow = descend(w, w, row.lam, grid, params, init_pair=warm)
+        warm = flow.pair
+        assert np.array_equal(row.result.pair.u, flow.pair.u)
+        assert row.result.q_lambda == flow.q_lambda
+        assert row.result.status == flow.status
 
 
 # --- verdict dispatch -------------------------------------------------------
