@@ -17,13 +17,20 @@ Stationary points of the discrete flow solve the discrete coupled system
 
 with the multipliers L1 = int a|grad u|^2 - lam int uv (and the v-analog),
 so the flow's convergence test and the system residual are the same norm.
+
+The flow converges only linearly, so once its residual first falls to
+_NEWTON_SWITCH, inside the basin of a minimizer, descend tries once to
+finish with Newton's method on this system, bordered by the normalization
+constraints; concentrating flows never get that far (see descend).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_banded
 
 from .constants import thresholds
 from .energy import (FieldPair, _face_flux, _gradient_energy, _lq_norm,
@@ -36,6 +43,8 @@ from .weights import WeightProfile
 _CONC_DELTA_FRACTION = 0.1      # concentration detector: inside radius R/10
 _CONC_MASS = 0.99               # lies this fraction of the critical-norm mass
 _CONC_SUP_FACTOR = 1e2          # and the sup norm has grown this much
+_NEWTON_SWITCH = 1e-2           # polish once the flow's residual falls to this
+_NEWTON_STEPS = 5               # Newton steps the polish may take to reach grad_tol
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ class MinimizeResult:
     el_residual: float
     concentration: float
     status: str                # converged | concentrating | stalled | pooled
-    iterations: int
+    iterations: int            # flow iterations, plus the steps of an accepted polish
     best_trace: np.ndarray = field(repr=False, default=None)
 
 
@@ -181,6 +190,59 @@ def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
             and np.array_equal(u, v))
 
 
+def _newton_polish(x, ops, lam, grid, gradient, total_energy, grad_tol, e_max):
+    """Newton's method on the bordered discrete Euler-Lagrange system from the
+    flow's rows x, which it leaves untouched.
+
+    Unknowns are the R distinct rows, interleaved at R*i + k, and their
+    multipliers L_k.  Row k's block is K_k - (q-1) L_k M|x_k|^(q-2), with -lam M
+    to its partner row -1 - k (on the diagonal when R = 1), so the matrix is
+    banded (R, R); the multipliers are eliminated by an R x R Schur complement
+    on the linearized constraints sum m|x_k|^q = 1.  Each step renormalizes
+    the rows as the flow does; L_k and the residual come from the flow's own
+    gradient code.  Returns (rows, energy, steps) once the rows pass the
+    flow's convergence test with energy <= e_max, else None.
+    """
+    r, m, q = len(x), grid.masses[1:-1], critical_exponent(grid.dimension)
+    n, node = m.size, np.empty(grid.nodes.size)
+    y = [xk.copy() for xk in x]
+    d = [np.empty(n) for _ in x]
+    ab = np.zeros((2 * r + 1, r * n))
+    rhs = np.zeros((r * n, r + 1))
+    try:
+        for step in range(_NEWTON_STEPS + 1):
+            e, g, p = total_energy(y)
+            if gradient(y, g, p, d) <= grad_tol:
+                return (y, e, step) if e <= e_max else None
+            if step == _NEWTON_STEPS:
+                return None
+            for k, (yk, op, dk) in enumerate(zip(y, ops, d)):
+                yi = yk[1:-1]
+                w = m * np.abs(yi) ** (q - 2.0)
+                ab[r, k::r] = op.diag - (q - 1.0) * (g[k] - lam * p) * w
+                ab[0, r + k::r] = op.off
+                ab[2 * r, k:r * (n - 1):r] = op.off
+                rhs[k::r, 0] = dk
+                rhs[k::r, 1 + k] = w * yi
+            if r == 1:
+                ab[1] -= lam * m
+            else:
+                ab[1, 1::2] = ab[3, 0::2] = -lam * m
+            sol = solve_banded((r, r), ab, rhs)
+            # dx = -J^-1 F + sum_k J^-1 f_k dL_k, with f_j . dx_j = 0 for each row j
+            f = [rhs[j::r, 1 + j] for j in range(r)]
+            schur = np.array([[f[j] @ sol[j::r, 1 + k] for k in range(r)]
+                              for j in range(r)])
+            dl = np.linalg.solve(schur, [f[j] @ sol[j::r, 0] for j in range(r)])
+            dx = sol[:, 1:] @ dl - sol[:, 0]
+            for k, yk in enumerate(y):
+                yk[1:-1] += dx[k::r]
+                yk[0] = yk[1]
+                _normalize(yk, grid, node)
+    except (LinAlgError, ValueError, FloatingPointError, DegeneratePair):
+        return None
+
+
 def descend(
     a: WeightProfile,
     b: WeightProfile,
@@ -202,6 +264,17 @@ def descend(
     partner is row -1 - k, so both cases run the same arithmetic.  An
     iteration costs per row one banded solve, two power passes and O(n)
     in-place updates in a workspace allocated once per call.
+
+    The first time the system residual falls to _NEWTON_SWITCH (but not to
+    grad_tol), the flow's rows are handed to _newton_polish, which takes
+    at most _NEWTON_STEPS Newton steps on the same rows.  Its result is
+    accepted, and the flow ends "converged", only if the renormalized rows
+    pass the grad_tol test with an energy at most the flow's current one
+    (with the flow's 1e-14 relative slack); the reported iterations then
+    count the Newton steps too.  A failed linear solve, a non-finite value
+    or a result that misses either test discards the attempt, and the flow
+    goes on bit for bit as without it.  A non-finite residual raises
+    NumericFault.
     """
     if not np.isfinite(lam):
         raise NumericFault(f"coupling must be finite, got {lam}")
@@ -233,31 +306,48 @@ def descend(
         p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node)))
         return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
 
+    def gradient(xs, g, p, d):
+        """Each row's raw gradient into d; returns the system residual."""
+        for k, (xk, op, dk) in enumerate(zip(xs, ops, d)):
+            xi, f = xk[1:-1], dof
+            np.abs(xi, out=f)                   # m |x|^(q-2) x
+            f **= q - 2.0
+            f *= m_dof
+            f *= xi
+            op._apply(xi, dk, off)
+            dk -= np.multiply(lam_m, xs[-1 - k][1:-1], out=dof2)
+            dk -= np.multiply(f, g[k] - lam * p, out=f)
+        r2 = [np.dot(np.multiply(dk, dk, out=dof), inv_m) for dk in d]
+        return np.sqrt(r2[0] + r2[-1])
+
     e_now, g, p = total_energy(x)
     best_e, best = e_now, tuple(xk.copy() for xk in x)
     trace = [best_e]
     tau = params.step
     status = "stalled"                    # unless a test below ends the flow
     last_improve = it = 0
+    polish_tried = False
 
     for it in range(1, params.max_iters + 1):
-        for k, (xk, op, dk) in enumerate(zip(x, ops, d)):
-            xi = xk[1:-1]
-            np.abs(xi, out=dof)                 # m |x|^(q-2) x
-            dof **= q - 2.0
-            dof *= m_dof
-            dof *= xi
-            op._apply(xi, dk, off)
-            dk -= np.multiply(lam_m, x[-1 - k][1:-1], out=dof2)
-            dk -= np.multiply(dof, g[k] - lam * p, out=dof)
-        r2 = [np.dot(np.multiply(dk, dk, out=dof), inv_m) for dk in d]
-        if np.sqrt(r2[0] + r2[-1]) <= params.grad_tol:      # residual of the system
+        res = gradient(x, g, p, d)
+        if not math.isfinite(res):
+            raise NumericFault("non-finite residual during descent")
+        if res <= params.grad_tol:
             status = "converged"
+        elif not polish_tried and res <= _NEWTON_SWITCH:
+            polish_tried = True
+            polished = _newton_polish(x, ops, lam, grid, gradient, total_energy,
+                                      params.grad_tol, e_now + 1e-14 * abs(e_now))
+            if polished is not None:
+                x, e_now, steps = polished
+                it += steps
+                status = "converged"
+        if status == "converged":
             if e_now <= best_e + 1e-12 * abs(best_e):
                 best_e, best = e_now, tuple(xk.copy() for xk in x)
             break
 
-        s = [op.solve(dk) for op, dk in zip(ops, d)]
+        s = [op._solve(dk) for op, dk in zip(ops, d)]
         accepted = False
         for _ in range(40):
             for t, xk, sk in zip(x_try, x, s):

@@ -66,6 +66,10 @@ class TridiagonalOperator:
         rhs = np.asarray_chkfinite(rhs)
         if rhs.shape[0] != self.size:
             raise ValueError("shapes of operator and rhs are not compatible")
+        return self._solve(rhs)
+
+    def _solve(self, rhs):
+        """Unchecked kernel of solve: rhs must be finite and of the operator's size."""
         return dpttrs(*self._factor, rhs)[0]
 
 

@@ -83,6 +83,9 @@ def test_one_row_flow_is_bitwise_two_row_flow(request, monkeypatch, grid_name,
     a = WeightProfile.pure_power(1.0, 2.0, 1.0)
     b = WeightProfile.pure_power(1.0, 2.0, 1.0)
     params = FlowParams(max_iters=max_iters, grad_tol=1e-6, stall_window=1500)
+    # the one- and two-row Newton solves differ in their last digits; the
+    # polished results are compared in test_newton_polish_agrees_with_flow
+    monkeypatch.setattr(minimizer, "_NEWTON_SWITCH", 0.0)
     one_row = descend(a, b, lam, grid, params)
     monkeypatch.setattr(minimizer, "_one_row", lambda *args: False)
     two_rows = descend(a, b, lam, grid, params)
@@ -101,13 +104,13 @@ def test_one_row_flow_is_bitwise_two_row_flow(request, monkeypatch, grid_name,
 ])
 def test_solves_per_iteration(grid5, monkeypatch, b_coeff, init, rows):
     calls = []
-    solve = TridiagonalOperator.solve
+    solve = TridiagonalOperator._solve
 
     def counted(self, rhs):
         calls.append(1)
         return solve(self, rhs)
 
-    monkeypatch.setattr(TridiagonalOperator, "solve", counted)
+    monkeypatch.setattr(TridiagonalOperator, "_solve", counted)
     a = WeightProfile.pure_power(1.0, 2.0, 1.0)
     b = WeightProfile.pure_power(1.0, 2.0, b_coeff)
     res = descend(a, b, 9.0, grid5,
@@ -116,14 +119,87 @@ def test_solves_per_iteration(grid5, monkeypatch, b_coeff, init, rows):
     assert len(calls) == rows * res.iterations
 
 
+def _polish_forbidden(*args):
+    raise AssertionError("a concentrating flow must never reach the polish")
+
+
+def test_concentrating_sweep_flow_never_polishes(monkeypatch, grid5, quad_weight,
+                                                 quick_flow):
+    # the lam = 2 flow of test_sweep_monotone_and_pooled
+    monkeypatch.setattr(minimizer, "_newton_polish", _polish_forbidden)
+    res = descend(quad_weight, quad_weight, 2.0, grid5, quick_flow)
+    assert res.status == "concentrating"
+
+
+@pytest.mark.parametrize("b_name", ["quartic_weight", "quad_weight"])
+def test_newton_polish_agrees_with_flow(request, monkeypatch, grid5,
+                                        quartic_weight, b_name):
+    # b = a polishes one row, b != a two
+    b = request.getfixturevalue(b_name)
+    params = FlowParams(max_iters=8000, grad_tol=1e-9, stall_window=1500)
+    polished = descend(quartic_weight, b, 10.0, grid5, params)
+    monkeypatch.setattr(minimizer, "_NEWTON_SWITCH", 0.0)
+    flow = descend(quartic_weight, b, 10.0, grid5, params)
+    for res in (polished, flow):
+        assert res.status == "converged"
+        assert res.el_residual <= params.grad_tol
+    assert polished.iterations < flow.iterations
+    for name in ("q_lambda", "multiplier_u", "multiplier_v"):
+        assert getattr(polished, name) == pytest.approx(getattr(flow, name),
+                                                        rel=1e-10, abs=0.0)
+
+
+def _raise_lin_alg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("singular")
+
+
+def _nan_solution(l_and_u, ab, b, **kwargs):
+    return np.full(np.shape(b), math.nan)
+
+
+@pytest.mark.parametrize("solve", [_raise_lin_alg_error, _nan_solution])
+@pytest.mark.parametrize("b_name", ["quartic_weight", "quad_weight"])
+def test_failed_polish_leaves_the_flow_bitwise(request, monkeypatch, grid5,
+                                               quartic_weight, b_name, solve):
+    b = request.getfixturevalue(b_name)
+    params = FlowParams(max_iters=8000, grad_tol=1e-9, stall_window=1500)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(minimizer, "solve_banded", counted)
+    failed = descend(quartic_weight, b, 10.0, grid5, params)
+    assert calls == [1]                 # one attempt, abandoned at its first solve
+    monkeypatch.setattr(minimizer, "_NEWTON_SWITCH", 0.0)
+    flow = descend(quartic_weight, b, 10.0, grid5, params)
+    for x, y in zip(_result_fields(failed), _result_fields(flow)):
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y)
+        else:
+            assert x == y
+
+
+def test_non_finite_gradient_is_numeric_fault(monkeypatch, grid5, quad_weight):
+    def nan_apply(self, x, out, tmp):
+        out.fill(math.nan)
+        return out
+
+    monkeypatch.setattr(TridiagonalOperator, "_apply", nan_apply)
+    with pytest.raises(NumericFault):
+        descend(quad_weight, quad_weight, 5.0, grid5, FlowParams(max_iters=5))
+
+
 @pytest.mark.parametrize("grid_name, b_name, lam, max_iters", [
     ("grid5_geo", "quad_weight", 0.0, 20000),     # one row, concentrating
     ("grid5", "quartic_weight", -3.0, 3000),      # two rows, a != b
 ])
-def test_reported_pair_is_the_best_seen(request, quad_weight, grid_name,
-                                        b_name, lam, max_iters):
+def test_reported_pair_is_the_best_seen(request, monkeypatch, quad_weight,
+                                        grid_name, b_name, lam, max_iters):
     # lam <= 0 skips sign normalization, so the reported energy is that of
     # the pair the flow kept as its best, not of a reused row buffer
+    monkeypatch.setattr(minimizer, "_newton_polish", _polish_forbidden)
     grid = request.getfixturevalue(grid_name)
     b = request.getfixturevalue(b_name)
     params = FlowParams(max_iters=max_iters, grad_tol=1e-12, stall_window=20000)
