@@ -1,0 +1,127 @@
+"""Check that two source trees write the same CSVs on every benchmark input.
+
+    python bench/same_output.py --parent <checkout of the parent>/src [--change <src>]
+
+Runs every variant of every workload that `perfbench/workloads.py`
+generates (`parse_scenario` -> `run` -> `write_report`, as the benchmark
+does) on two source trees: `--parent` and `--change` (default: this
+checkout's `src`).  Each tree runs in its own worker interpreter, both at
+once.  Every CSV is then compared byte for byte below its timestamp line,
+the one line a run may change; a run that raises is compared by its error
+type and message.  For each table that differs, the first differing cells
+are printed.  Exits 0 when every table is identical and 1 otherwise.
+
+Nothing under `perfbench/` is written: `workloads.py` is read with
+`runpy`, which leaves no bytecode cache behind.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+WORKLOADS = REPO / "perfbench" / "workloads.py"
+SHOWN_CELLS = 5          # differing cells printed per table
+
+
+def worker(src: Path, out: Path) -> int:
+    """Write the CSVs of every (workload, variant) under out/<workload>/<variant>."""
+    sys.path.insert(0, str(src.resolve()))
+    import critvar
+    from critvar.errors import CritvarError
+
+    if Path(critvar.__file__).resolve().parent != (src / "critvar").resolve():
+        raise SystemExit(f"critvar was not imported from {src}")
+    gen = runpy.run_path(str(WORKLOADS))
+    for workload in gen["WORKLOADS"]:
+        for variant in range(gen["VARIANTS"]):
+            target = out / workload / f"{variant:02d}"
+            try:
+                scenario = critvar.parse_scenario(gen["scenario_ini"](workload, variant))
+                critvar.write_report(critvar.run(scenario), target, plots=False)
+            except CritvarError as exc:
+                target.mkdir(parents=True, exist_ok=True)
+                (target / "error.txt").write_text(f"{type(exc).__name__}: {exc}\n")
+    return 0
+
+
+def _body(path: Path) -> str:
+    text = path.read_text()
+    if text.startswith("# generated "):
+        text = text.split("\n", 1)[1]
+    return text
+
+
+def _differing_cells(parent: str, change: str) -> list[str]:
+    """The first differing cells of two CSV texts, as printable lines."""
+    rows_p = list(csv.reader(parent.splitlines()))
+    rows_c = list(csv.reader(change.splitlines()))
+    if len(rows_p) != len(rows_c) or rows_p[:1] != rows_c[:1]:
+        return [f"  header or row count: {rows_p[:1]} x {len(rows_p)} "
+                f"vs {rows_c[:1]} x {len(rows_c)}"]
+    header, cells = rows_p[0], []
+    for i, (rp, rc) in enumerate(zip(rows_p[1:], rows_c[1:]), start=1):
+        for col, vp, vc in zip(header, rp, rc):
+            if vp != vc:
+                cells.append(f"  row {i} {col}: {vp} -> {vc}")
+        if len(rp) != len(rc):
+            cells.append(f"  row {i}: {len(rp)} -> {len(rc)} fields")
+    return cells or ["  (differs outside the cells)"]
+
+
+def compare(parent: Path, change: Path) -> tuple[int, int]:
+    """Print every differing table; return how many tables there are and
+    how many of them differ."""
+    files_p = {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
+    files_c = {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
+    differ = 0
+    for rel in sorted(files_p ^ files_c):
+        differ += 1
+        print(f"{rel}: written by the {'parent' if rel in files_p else 'change'} only")
+    for rel in sorted(files_p & files_c):
+        body_p, body_c = _body(parent / rel), _body(change / rel)
+        if body_p != body_c:
+            differ += 1
+            cells = _differing_cells(body_p, body_c)
+            print(f"{rel}: {len(cells)} differing cells")
+            print("\n".join(cells[:SHOWN_CELLS]))
+    return len(files_p | files_c), differ
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, help="source tree of the parent")
+    p.add_argument("--change", type=Path, default=REPO / "src",
+                   help="source tree of the change (default: this checkout's src)")
+    p.add_argument("--worker", nargs=2, type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker is not None:
+        return worker(*args.worker)
+    if args.parent is None:
+        p.error("--parent is required")
+
+    # one BLAS thread, as the benchmark runs
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": args.parent, "change": args.change}
+        procs = {label: subprocess.Popen(
+            [sys.executable, __file__, "--worker", str(src), str(Path(tmp) / label)],
+            env=env) for label, src in trees.items()}
+        if [proc.wait() for proc in procs.values()] != [0, 0]:
+            print("a worker failed", file=sys.stderr)
+            return 2
+        tables, differ = compare(Path(tmp) / "parent", Path(tmp) / "change")
+    print(f"{tables - differ} of {tables} tables identical below the timestamp line")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

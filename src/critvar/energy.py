@@ -7,8 +7,10 @@ The objective is, for Dirichlet fields u, v on the ball,
             - lam * int u v / (|u|_q |v|_q),
 
 with q = 2N/(N-2).  Gradient energies are computed from cell-face
-differences, so that the quadratic form agrees exactly with the assembled
-flux operator used by the spectral and descent modules.
+differences weighted by the face flux of the weight's operator
+(spectral.assemble_operator), the same face samples its conductances are
+built from, so the quadratic form agrees with that operator by
+construction.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import DegeneratePair, NumericFault, ShapeMismatch
 from .grid import RadialGrid, integrate
+from .spectral import assemble_operator
 from .weights import WeightProfile
 
 
@@ -59,27 +62,17 @@ def dirichlet_field(values, grid: RadialGrid) -> np.ndarray:
     return f
 
 
-def _face_flux(w: WeightProfile, grid: RadialGrid) -> np.ndarray:
-    """w(r_{i+1/2}) r_{i+1/2}^(N-1) on faces 1..n-1, once per (weight, grid)."""
-    entry = grid._face_flux.get(id(w))
-    if entry is None:
-        faces = grid.faces[1:]
-        flux = np.asarray(w(faces), dtype=float) * faces ** (grid.dimension - 1)
-        flux.flags.writeable = False
-        entry = grid._face_flux[id(w)] = (w, flux)
-    return entry[1]
-
-
 def weighted_gradient_energy(u: np.ndarray, w: WeightProfile, grid: RadialGrid) -> float:
     """int w(r) |u'(r)|^2 r^(N-1) sigma dr by cell-face differences.
 
     The innermost cell (0, r_1) is skipped: its flux factor r^(N-1)
     vanishes at the order of the rule for radially smooth fields (u'(0)=0).
+    Raises IndefiniteWeight unless w is finite and positive on the grid.
     """
     u = grid.check_shape(u)
     if not np.all(np.isfinite(u)):
         raise NumericFault("non-finite field samples")
-    return _gradient_energy(u, _face_flux(w, grid), grid, np.empty(u.size - 2))
+    return _gradient_energy(u, assemble_operator(w, grid).flux, grid, np.empty(u.size - 2))
 
 
 def _gradient_energy(u, flux, grid: RadialGrid, out) -> float:

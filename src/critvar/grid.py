@@ -59,9 +59,8 @@ class RadialGrid:
     masses: np.ndarray = field(init=False, repr=False)
     spacings: np.ndarray = field(init=False, repr=False)
     faces: np.ndarray = field(init=False, repr=False)
-    # id(w) -> (w, w(r_{i+1/2}) r_{i+1/2}^(N-1) on faces 1..n-1), filled by
-    # the gradient energy; holding w keeps its id from naming another weight
-    _face_flux: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # id(w) -> (w, the weight's operator), filled by spectral.assemble_operator
+    _operators: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         r = self.nodes

@@ -19,7 +19,7 @@ import hashlib
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,8 +44,9 @@ SCHEMA_VERSION = 1
 _DOMAIN_KEYS = {"schema", "dimension", "radius", "cells", "grading", "ratio", "mode"}
 _WEIGHT_KEYS = {"gamma0", "exponent", "coefficient",
                 "perturbation_r", "perturbation_theta"}
-_FLOW_KEYS = {"step", "max_iters", "grad_tol", "stall_window", "init",
-              "init_eps", "seed"}
+_FLOW_KEYS = {f.name for f in fields(FlowParams)}
+# a [flow] value is converted by its FlowParams field's annotation (a string)
+_FLOW_TYPES = {"float": float, "int": int, "str": str, "float | None": float}
 _SWEEP_KEYS = {"lambdas", "start", "stop", "step"}
 _OUTPUT_KEYS = {"directory", "analyses", "plots"}
 
@@ -174,15 +175,8 @@ def parse_scenario(text: str) -> Scenario:
     if parser.has_section("flow"):
         sec = parser["flow"]
         with _values_of("flow"):
-            flow = FlowParams(
-                step=sec.getfloat("step", fallback=flow.step),
-                max_iters=sec.getint("max_iters", fallback=flow.max_iters),
-                grad_tol=sec.getfloat("grad_tol", fallback=flow.grad_tol),
-                stall_window=sec.getint("stall_window", fallback=flow.stall_window),
-                init=sec.get("init", fallback=flow.init),
-                init_eps=sec.getfloat("init_eps", fallback=None),
-                seed=sec.getint("seed", fallback=flow.seed),
-            )
+            flow = FlowParams(**{f.name: _FLOW_TYPES[f.type](sec[f.name])
+                                 for f in fields(FlowParams) if f.name in sec})
 
     lambdas: tuple = ()
     if parser.has_section("sweep"):
@@ -244,17 +238,8 @@ def serialize_scenario(s: Scenario) -> str:
             r_tab, t_tab = w.perturbation
             parser[name]["perturbation_r"] = " ".join(repr(x) for x in r_tab)
             parser[name]["perturbation_theta"] = " ".join(repr(x) for x in t_tab)
-    f = s.flow
-    parser["flow"] = {
-        "step": repr(f.step),
-        "max_iters": str(f.max_iters),
-        "grad_tol": repr(f.grad_tol),
-        "stall_window": str(f.stall_window),
-        "init": f.init,
-        "seed": str(f.seed),
-    }
-    if f.init_eps is not None:
-        parser["flow"]["init_eps"] = repr(f.init_eps)
+    parser["flow"] = {k: repr(v) if isinstance(v, float) else str(v)
+                      for k, v in asdict(s.flow).items() if v is not None}
     parser["sweep"] = {"lambdas": " ".join(repr(x) for x in s.lambdas)}
     parser["output"] = {
         "directory": s.out_dir,

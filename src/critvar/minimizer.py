@@ -33,8 +33,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
 from .constants import thresholds
-from .energy import (FieldPair, _face_flux, _gradient_energy, _lq_norm,
-                     critical_exponent, dirichlet_field, energy, weighted_gradient_energy)
+from .energy import (FieldPair, _gradient_energy, _lq_norm, critical_exponent,
+                     dirichlet_field, energy, weighted_gradient_energy)
 from .errors import BadSpectrum, DegeneratePair, NumericFault
 from .grid import RadialGrid, integrate
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
@@ -54,8 +54,8 @@ class FlowParams:
     grad_tol: float = 1e-6
     stall_window: int = 250
     init: str = "bubble"            # bubble | eigenfunction | random
-    init_eps: float | None = None   # bubble width; default radius^2 / 100
     seed: int = 0
+    init_eps: float | None = None   # bubble width; default radius^2 / 100
 
     def __post_init__(self):
         if self.step <= 0.0 or self.grad_tol <= 0.0:
@@ -118,14 +118,11 @@ def el_residual(
     b: WeightProfile,
     lam: float,
     grid: RadialGrid,
-    ops: tuple[TridiagonalOperator, TridiagonalOperator] | None = None,
 ) -> float:
     """Discrete L2 norm of both coupled-system residuals, summed."""
     if not (np.any(pair.u) or np.any(pair.v)):
         return 0.0
-    if ops is None:
-        ops = (assemble_operator(a, grid), assemble_operator(b, grid))
-    op_a, op_b = ops
+    op_a, op_b = assemble_operator(a, grid), assemble_operator(b, grid)
     q = critical_exponent(grid.dimension)
     m = grid.masses[1:-1]
     u, v = pair.u[1:-1], pair.v[1:-1]
@@ -177,16 +174,16 @@ def _initial_pair(a: WeightProfile, b: WeightProfile, grid: RadialGrid,
 
 
 def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
-             ws: tuple[WeightProfile, WeightProfile], grid: RadialGrid,
              x: tuple[np.ndarray, np.ndarray]) -> bool:
-    """True when the flow from x = (u, v) keeps u == v bit for bit: identical
-    operators, identical gradient-energy face fluxes and an identical start.
-    Compares arrays, not weights: weights with array tables or callables do
-    not compare by value, and equal weights are often distinct objects."""
-    (op_a, op_b), (a, b), (u, v) = ops, ws, x
+    """True when the flow from x = (u, v) keeps u == v bit for bit: operators
+    with identical stiffness and gradient-energy face fluxes, and an
+    identical start.  Compares arrays, not weights: weights with array
+    tables or callables do not compare by value, and equal weights are often
+    distinct objects."""
+    (op_a, op_b), (u, v) = ops, x
     return (np.array_equal(op_a.diag, op_b.diag)
             and np.array_equal(op_a.off, op_b.off)
-            and np.array_equal(_face_flux(a, grid), _face_flux(b, grid))
+            and np.array_equal(op_a.flux, op_b.flux)
             and np.array_equal(u, v))
 
 
@@ -280,7 +277,7 @@ def descend(
         raise NumericFault(f"coupling must be finite, got {lam}")
     if init_pair is None:
         init_pair = _initial_pair(a, b, grid, params)
-    op_pair = (assemble_operator(a, grid), assemble_operator(b, grid))
+    ops = (assemble_operator(a, grid), assemble_operator(b, grid))
     m = grid.masses
     m_dof = m[1:-1]
     inv_m = 1.0 / m_dof
@@ -292,17 +289,15 @@ def descend(
 
     x = (_normalize(dirichlet_field(init_pair.u, grid), grid, node),
          _normalize(dirichlet_field(init_pair.v, grid), grid, node))
-    ws, ops = (a, b), op_pair
-    if _one_row(ops, ws, grid, x):
-        x, ws, ops = x[:1], ws[:1], ops[:1]
-    flux = [_face_flux(w, grid) for w in ws]
+    if _one_row(ops, x):
+        x, ops = x[:1], ops[:1]
     sup0 = max(np.max(np.abs(xk)) for xk in x)
     # trial rows swap with x when accepted (as copies their boundary node is 0);
     # d holds each row's raw gradient
     x_try, d = [xk.copy() for xk in x], [np.empty(m_dof.size) for _ in x]
 
     def total_energy(xs):
-        g = [_gradient_energy(xk, fk, grid, dof) for xk, fk in zip(xs, flux)]
+        g = [_gradient_energy(xk, op.flux, grid, dof) for xk, op in zip(xs, ops)]
         p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node)))
         return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
 
@@ -392,7 +387,7 @@ def descend(
                          v=_normalize(best.v, grid, node))
     report = energy(best, a, b, lam, grid)
     l1, l2 = lagrange_multipliers(best, a, b, lam, grid)
-    res = el_residual(best, l1, l2, a, b, lam, grid, ops=op_pair)
+    res = el_residual(best, l1, l2, a, b, lam, grid)
     return MinimizeResult(
         pair=best,
         q_lambda=report.value,

@@ -192,10 +192,7 @@ def omega_estimate(
             values.append(val)
             pair_snapshot = pr
             if val < -1e6:
-                return OmegaEstimate(
-                    value=-math.inf, lower_bound=None, upper_bound=None,
-                    pair=pair_snapshot, family_values=np.asarray(values),
-                )
+                break
             width /= 2.0
         return OmegaEstimate(
             value=-math.inf, lower_bound=None, upper_bound=None,

@@ -10,7 +10,12 @@ the weight evaluated at the arithmetic face midpoint.  The node mass is
 the same cell mass the quadrature uses, so Rayleigh quotients of the
 discrete operator coincide exactly with quadrature energy ratios.  The
 origin carries zero flux (radial regularity); the boundary is Dirichlet.
-Each operator is factored once, when built, and every solve reuses it.
+
+assemble_operator is the one place a weight is sampled on a grid: it
+builds one read-only operator per (weight, grid), factored once and kept
+on the grid, which carries the gradient energy's face flux from the same
+face samples as its conductances.  The descent flow, the eigen-solve, the
+Euler-Lagrange residual and the gradient energy all share it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .energy import lq_norm
 from .errors import IndefiniteWeight, SpectralStall, ThresholdNotReached
 from .grid import RadialGrid, integrate
 from .weights import WeightProfile
@@ -28,11 +32,12 @@ from .weights import WeightProfile
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Symmetric positive-definite flux operator on interior nodes 1..n-1."""
+    """Symmetric positive-definite flux operator on interior nodes 1..n-1;
+    its arrays are read-only, as every caller shares it."""
 
     diag: np.ndarray       # K_ii
     off: np.ndarray        # K_{i,i+1} = K_{i+1,i}, length len(diag)-1
-    mass: np.ndarray       # diagonal node masses (same as quadrature)
+    flux: np.ndarray       # w(r_{i+1/2}) r_{i+1/2}^(N-1) on faces 1..n-1
     _factor: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -42,6 +47,8 @@ class TridiagonalOperator:
         if info != 0:
             raise IndefiniteWeight("stiffness operator is not positive definite")
         object.__setattr__(self, "_factor", (d, e))
+        for arr in (self.diag, self.off, self.flux, d, e):
+            arr.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -74,28 +81,33 @@ class TridiagonalOperator:
 
 
 def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator:
-    """Flux-form stiffness for -div(w grad) with Dirichlet boundary.
+    """Flux-form stiffness for -div(w grad) with Dirichlet boundary, built
+    once per (weight, grid) and kept on the grid.
 
     The quadratic form x.K.x equals the cell-face gradient energy of the
-    field extended by zero at the boundary.
+    field extended by zero at the boundary.  Raises IndefiniteWeight (and
+    caches nothing) unless w is finite and positive at the nodes and faces.
     """
-    r = grid.nodes
-    n = grid.n_cells
-    nodes_w = np.asarray(w(r), dtype=float)
+    entry = grid._operators.get(id(w))
+    if entry is not None:
+        return entry[1]
+    nodes_w = np.asarray(w(grid.nodes), dtype=float)
     if not np.all(np.isfinite(nodes_w) & (nodes_w > 0.0)):
         raise IndefiniteWeight("weight must be finite and strictly positive on the grid")
     faces = grid.faces[1:]                        # r_{i+1/2}, i = 1..n-1
-    h = grid.spacings[1:]
     wf = np.asarray(w(faces), dtype=float)
     if not np.all(np.isfinite(wf) & (wf > 0.0)):
         raise IndefiniteWeight("weight must be finite and strictly positive at cell faces")
-    c = grid.surface_factor * wf * faces ** (grid.dimension - 1) / h
-    diag = np.empty(n - 1)
+    area = faces ** (grid.dimension - 1)
+    c = grid.surface_factor * wf * area / grid.spacings[1:]
+    diag = np.empty(grid.n_cells - 1)
     diag[0] = c[0]                                # zero flux through the origin face
     diag[1:] = c[:-1] + c[1:]
     off = -c[:-1]                                 # couples nodes i, i+1 for i < n-1
-    mass = grid.masses[1:-1]
-    return TridiagonalOperator(diag=diag, off=off, mass=mass)
+    op = TridiagonalOperator(diag=diag, off=off, flux=wf * area)
+    # holding w keeps its id from naming another weight
+    grid._operators[id(w)] = (w, op)
+    return op
 
 
 @dataclass(frozen=True)
@@ -125,7 +137,7 @@ def first_eigenpair(
     L2-normalized.
     """
     op = assemble_operator(w, grid)
-    m = op.mass
+    m = grid.masses[1:-1]
     x = np.ones(op.size)
     x /= np.sqrt(np.dot(m, x * x))
     rho_old = np.inf
@@ -133,8 +145,9 @@ def first_eigenpair(
     for it in range(1, max_iters + 1):
         y = op.solve(m * x)
         x = y / np.sqrt(np.dot(m, y * y))
-        rho = op.quadratic_form(x)           # x is M-normalized
-        res = op.apply(x) - rho * m * x
+        kx = op.apply(x)
+        rho = float(np.dot(x, kx))           # x is M-normalized
+        res = kx - rho * m * x
         res_norm = float(np.sqrt(np.dot(res * res, 1.0 / m)))
         if abs(rho - rho_old) <= tol * abs(rho) and res_norm <= 100.0 * tol * abs(rho):
             break
@@ -175,9 +188,11 @@ def coupling_threshold(spec: WeightedSpectrum, grid: RadialGrid) -> float:
     """The coupling strength above which the eigenfunction pair certifies a
     nonpositive energy: (|phi_a|_q |phi_b|_q / int phi_a phi_b)
     * |Omega|^(1 - 2/q) * max(lambda_a, lambda_b)."""
+    from .energy import critical_exponent, lq_norm  # local import: energy imports this module
+
     phi_a = spec.first_a.eigenfunction
     phi_b = spec.first_b.eigenfunction
-    q = 2.0 * grid.dimension / (grid.dimension - 2.0)
+    q = critical_exponent(grid.dimension)
     overlap = integrate(phi_a * phi_b, grid)
     vol = grid.volume
     return (

@@ -8,7 +8,8 @@ import pytest
 from critvar import (FieldPair, WeightProfile, build_grid, critical_exponent,
                      dirichlet_field, energy, integrate, lq_norm,
                      unit_sphere_area, weighted_gradient_energy)
-from critvar.errors import DegeneratePair, NumericFault, ShapeMismatch
+from critvar.errors import (DegeneratePair, IndefiniteWeight, NumericFault,
+                            ShapeMismatch)
 from conftest import smooth_dirichlet_field
 
 
@@ -81,6 +82,18 @@ def test_gradient_energy_fresh_weights_never_stale(rng):
         w = WeightProfile.pure_power(1.0, 2.0, coeff)
         assert weighted_gradient_energy(u, w, grid) == \
             _gradient_energy_reference(u, w, grid)
+
+
+@pytest.mark.parametrize("where", ["faces", "nodes"])
+def test_non_positive_weight_rejected(where, rng):
+    grid = build_grid(5, 1.0, 200)
+    at = getattr(grid, where)
+    w = WeightProfile(1.0, 2.0, 1.0, extra=lambda r: np.where(np.isin(r, at), -5.0, 0.0))
+    u = smooth_dirichlet_field(grid, rng)
+    with pytest.raises(IndefiniteWeight):
+        weighted_gradient_energy(u, w, grid)
+    with pytest.raises(IndefiniteWeight):
+        energy(FieldPair(u=u, v=u.copy()), w, w, 1.0, grid)
 
 
 def test_lq_norm_matches_reference_exactly(grid5, grid4, rng):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from critvar import (WeightProfile, assemble_operator, build_grid,
-                     coupling_threshold, dirichlet_field,
-                     eigenfunction_pair_energy, first_eigenpair, integrate,
-                     lambda_tilde, weighted_gradient_energy)
+from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
+                     build_grid, coupling_threshold, dirichlet_field,
+                     eigenfunction_pair_energy, el_residual, energy,
+                     first_eigenpair, integrate, lambda_tilde, sweep_minimize,
+                     weighted_gradient_energy)
+from critvar import spectral
 from critvar.errors import IndefiniteWeight, SpectralStall, ThresholdNotReached
 from conftest import smooth_dirichlet_field
 
@@ -99,6 +101,49 @@ def test_solve_matches_banded_solver_bitwise(grid5_geo, quad_weight, rng):
     rhs[7] = math.nan
     with pytest.raises(ValueError):
         op.solve(rhs)
+
+
+def test_operator_is_built_once_and_read_only(grid5, quad_weight):
+    op = assemble_operator(quad_weight, grid5)
+    assert assemble_operator(quad_weight, grid5) is op
+    for arr in (op.diag, op.off, op.flux, *op._factor):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    bad = WeightProfile(gamma0=1.0, extra=lambda r: -2.0 * r)
+    for _ in range(2):                  # a failure is not cached
+        with pytest.raises(IndefiniteWeight):
+            assemble_operator(bad, grid5)
+
+
+def test_each_weight_is_sampled_and_factored_once(monkeypatch, rng):
+    # the eigen-solve, a sweep's flows and pool, the energy and the residual
+    # all share one operator per (weight, grid)
+    grid = build_grid(5, 1.0, 200)
+    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    b = WeightProfile.pure_power(1.0, 4.0, 1.0)
+    at_faces, factored = [], []
+    call, dpttrf = WeightProfile.__call__, spectral.dpttrf
+
+    def sampled(self, r):
+        if np.shape(r) == grid.faces[1:].shape and np.array_equal(r, grid.faces[1:]):
+            at_faces.append(self)
+        return call(self, r)
+
+    def counted(*args):
+        factored.append(1)
+        return dpttrf(*args)
+
+    monkeypatch.setattr(WeightProfile, "__call__", sampled)
+    monkeypatch.setattr(spectral, "dpttrf", counted)
+    lambda_tilde(a, b, grid)
+    sweep_minimize([8.0, 10.0, 12.0], a, b, grid,
+                   FlowParams(max_iters=200, grad_tol=1e-6))
+    u = smooth_dirichlet_field(grid, rng)
+    pair = FieldPair(u=u, v=u.copy())
+    energy(pair, a, b, 9.0, grid)
+    el_residual(pair, 1.0, 1.0, a, b, 9.0, grid)
+    assert len(at_faces) == 2 and at_faces[0] is a and at_faces[1] is b
+    assert len(factored) == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
