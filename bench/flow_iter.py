@@ -1,6 +1,6 @@
 """Descent-flow cost of two source trees, timed interleaved, written to --out.
 
-    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_3.json
+    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_4.json
 
 Times `critvar.descend` from two source trees: `--parent` and `--change`
 (default: this checkout's `src`).  Each tree is imported by its own worker
@@ -9,13 +9,25 @@ alternating order, so that drift of a shared machine's speed falls on both
 trees alike instead of landing on their ratio.
 
 Per-iteration cases, on the N = 5 uniform grid at n = 800 and n = 3000
-cells, each at coupling 9 with a tolerance it cannot reach, so that it stops
-at the iteration cap; seconds per iteration is the wall time of the whole
-call divided by its iteration count:
+cells, each with a tolerance it cannot reach, so that it stops at the
+iteration cap; seconds per iteration is the wall time of the whole call
+divided by its iteration count:
 
-- symmetric: a = b = 1 + r^2 with the bubble start (u == v, one row);
-- random:    a = b = 1 + r^2 with the random start (u0 != v0, two rows);
-- distinct:  a = 1 + r^2, b = 1 + 2 r^2 with the bubble start (two rows).
+- symmetric:   a = b = 1 + r^2 at coupling 9 with the bubble start (u == v,
+               one row);
+- symmetric-0: the same at coupling 0, where the flow skips the coupling
+               products;
+- random:      a = b = 1 + r^2 at coupling 9 with the random start (u0 != v0,
+               two rows);
+- distinct:    a = 1 + r^2, b = 1 + 2 r^2 at coupling 9 with the bubble start
+               (two rows).
+
+One more per-iteration case runs until the concentration detector stops it:
+
+- conc-0: the flow of the `concentration` benchmark workload, a = b = 1 + r^2
+  at coupling 0 on the N = 5 geometric grid of 3,000 cells (ratio 1.004),
+  grad_tol 1e-12, at most 20000 iterations (one row, about 6,100
+  iterations).
 
 To-tolerance cases, on the N = 5 geometric grid of 1,500 cells (ratio
 1.004) with the acceptance suite's sweep flow (grad_tol 1e-5, at most 8000
@@ -45,7 +57,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SIZES = (800, 3000)
-STARTS = ("symmetric", "random", "distinct")
+STARTS = ("symmetric", "symmetric-0", "random", "distinct")
 LAMBDA = 9.0
 ITERS = 300
 REPEATS = 15
@@ -58,17 +70,21 @@ def _cases(critvar):
     b_same = critvar.WeightProfile.pure_power(1.0, 2.0, 1.0)
     b_other = critvar.WeightProfile.pure_power(1.0, 2.0, 2.0)
     starts = {
-        "symmetric": (b_same, flow),
-        "random": (b_same, critvar.FlowParams(max_iters=ITERS, grad_tol=1e-14,
-                                              stall_window=ITERS, init="random")),
-        "distinct": (b_other, flow),
+        "symmetric": (b_same, LAMBDA, flow),
+        "symmetric-0": (b_same, 0.0, flow),
+        "random": (b_same, LAMBDA, critvar.FlowParams(
+            max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS, init="random")),
+        "distinct": (b_other, LAMBDA, flow),
     }
     cases = {}
     for n in SIZES:
         grid = critvar.build_grid(5, 1.0, n)
         for start in STARTS:
-            b, params = starts[start]
-            cases[f"n{n}/{start}"] = ((quad, b, LAMBDA, grid, params), True)
+            b, lam, params = starts[start]
+            cases[f"n{n}/{start}"] = ((quad, b, lam, grid, params), True)
+    graded3000 = critvar.build_grid(5, 1.0, 3000, grading="geometric", ratio=1.004)
+    conc = critvar.FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
+    cases["conc-0"] = ((quad, b_same, 0.0, graded3000, conc), True)
     graded = critvar.build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
     sweep = critvar.FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
     quartic = critvar.WeightProfile.pure_power(1.0, 4.0, 1.0)
@@ -106,10 +122,10 @@ def _summary(samples, per_iteration: bool) -> dict:
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     last = samples[-1]
     out = {f"{key}_median": med, f"{key}_q1": q1, f"{key}_q3": q3,
-           "iterations": last["iterations"], "runs": len(xs)}
+           "iterations": last["iterations"], "status": last["status"],
+           "runs": len(xs)}
     if not per_iteration:
-        out.update(status=last["status"], el_residual=last["el_residual"],
-                   q_lambda=last["q_lambda"])
+        out.update(el_residual=last["el_residual"], q_lambda=last["q_lambda"])
     return out
 
 
@@ -163,8 +179,11 @@ def main(argv=None) -> int:
     doc = {
         "what": ("descend cost of the parent and the change, timed interleaved "
                  "in two worker interpreters. Per-iteration cases (n<cells>/<start>): "
-                 f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA}, "
-                 f"iteration cap {ITERS}. To-tolerance cases (sweep-9.0446, gap-4): "
+                 f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA} "
+                 f"(0 for symmetric-0), iteration cap {ITERS}. conc-0: seconds per "
+                 "iteration of the concentration workload's flow (coupling 0, "
+                 "3000 geometric cells), stopped by the concentration detector. "
+                 "To-tolerance cases (sweep-9.0446, gap-4): "
                  "seconds per converged call, N = 5 geometric grid of 1500 cells, "
                  f"grad_tol 1e-5. Median and quartiles of {REPEATS} runs each."),
         "machine": {"python": platform.python_version(),

@@ -9,7 +9,9 @@ checkout's `src`).  Each tree runs in its own worker interpreter, both at
 once.  Every CSV is then compared byte for byte below its timestamp line,
 the one line a run may change; a run that raises is compared by its error
 type and message.  For each table that differs, the first differing cells
-are printed.  Exits 0 when every table is identical and 1 otherwise.
+are printed, and at the end the largest relative difference of each
+(workload, table, column) that differs anywhere.  Exits 0 when every table
+is identical and 1 otherwise.
 
 Nothing under `perfbench/` is written: `workloads.py` is read with
 `runpy`, which leaves no bytecode cache behind.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import runpy
 import subprocess
@@ -59,39 +62,63 @@ def _body(path: Path) -> str:
     return text
 
 
-def _differing_cells(parent: str, change: str) -> list[str]:
-    """The first differing cells of two CSV texts, as printable lines."""
+def _relative(vp: str, vc: str) -> float:
+    """|vc - vp| / max(|vp|, |vc|) of two differing cells; inf unless both
+    are finite numbers."""
+    try:
+        fp, fc = float(vp), float(vc)
+    except ValueError:
+        return math.inf
+    rel = abs(fc - fp) / max(abs(fp), abs(fc))
+    return rel if math.isfinite(rel) else math.inf
+
+
+def _differing_cells(parent: str, change: str) -> list[tuple[str, float, str]]:
+    """(column, relative difference, printable line) of each differing cell
+    of two CSV texts."""
     rows_p = list(csv.reader(parent.splitlines()))
     rows_c = list(csv.reader(change.splitlines()))
     if len(rows_p) != len(rows_c) or rows_p[:1] != rows_c[:1]:
-        return [f"  header or row count: {rows_p[:1]} x {len(rows_p)} "
-                f"vs {rows_c[:1]} x {len(rows_c)}"]
+        return [("(shape)", math.inf,
+                 f"  header or row count: {rows_p[:1]} x {len(rows_p)} "
+                 f"vs {rows_c[:1]} x {len(rows_c)}")]
     header, cells = rows_p[0], []
     for i, (rp, rc) in enumerate(zip(rows_p[1:], rows_c[1:]), start=1):
         for col, vp, vc in zip(header, rp, rc):
             if vp != vc:
-                cells.append(f"  row {i} {col}: {vp} -> {vc}")
+                cells.append((col, _relative(vp, vc), f"  row {i} {col}: {vp} -> {vc}"))
         if len(rp) != len(rc):
-            cells.append(f"  row {i}: {len(rp)} -> {len(rc)} fields")
-    return cells or ["  (differs outside the cells)"]
+            cells.append(("(shape)", math.inf, f"  row {i}: {len(rp)} -> {len(rc)} fields"))
+    return cells or [("(text)", math.inf, "  (differs outside the cells)")]
 
 
 def compare(parent: Path, change: Path) -> tuple[int, int]:
-    """Print every differing table; return how many tables there are and
-    how many of them differ."""
+    """Print every differing table and the per-column summary; return how
+    many tables there are and how many of them differ."""
     files_p = {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
     files_c = {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
     differ = 0
+    largest = {}        # (workload, table, column) -> [relative, tables, cells]
     for rel in sorted(files_p ^ files_c):
         differ += 1
         print(f"{rel}: written by the {'parent' if rel in files_p else 'change'} only")
+        largest[(rel.parts[0], rel.name, "(file)")] = [math.inf, {rel}, 0]
     for rel in sorted(files_p & files_c):
         body_p, body_c = _body(parent / rel), _body(change / rel)
         if body_p != body_c:
             differ += 1
             cells = _differing_cells(body_p, body_c)
             print(f"{rel}: {len(cells)} differing cells")
-            print("\n".join(cells[:SHOWN_CELLS]))
+            print("\n".join(line for _, _, line in cells[:SHOWN_CELLS]))
+            for col, r, _ in cells:
+                entry = largest.setdefault((rel.parts[0], rel.name, col), [0.0, set(), 0])
+                entry[0] = max(entry[0], r)
+                entry[1].add(rel)
+                entry[2] += 1
+    if largest:
+        print("largest relative difference per (workload, table, column):")
+    for (workload, table, col), (r, tables, cells) in sorted(largest.items()):
+        print(f"  {workload} {table} {col}: {r:.3g} ({len(tables)} tables, {cells} cells)")
     return len(files_p | files_c), differ
 
 

@@ -72,33 +72,23 @@ def weighted_gradient_energy(u: np.ndarray, w: WeightProfile, grid: RadialGrid) 
     u = grid.check_shape(u)
     if not np.all(np.isfinite(u)):
         raise NumericFault("non-finite field samples")
-    return _gradient_energy(u, assemble_operator(w, grid).flux, grid, np.empty(u.size - 2))
-
-
-def _gradient_energy(u, flux, grid: RadialGrid, out) -> float:
-    """Unchecked kernel of weighted_gradient_energy; overwrites `out` (n-1 faces)."""
     # Face differences, not x.K.x: near a smooth minimizer x.K.x cancels large
     # terms of opposite sign, and the flow fed it stalled at 7 of 8
     # existence-sweep couplings (lambda = 9: 2,454 iterations, residual 6e-5;
-    # with this sum of squares it converges in 946).
+    # with a sum of squares it converges in 946).
     h = grid.spacings[1:]
-    np.subtract(u[2:], u[1:-1], out=out)
+    out = np.subtract(u[2:], u[1:-1])       # one buffer, updated in place
     out /= h
     out **= 2
-    out *= flux
+    out *= assemble_operator(w, grid).flux
     out *= h
     return float(grid.surface_factor * out.sum())
 
 
 def lq_norm(u: np.ndarray, grid: RadialGrid) -> float:
     """(int |u|^q)^(1/q) with q = 2N/(N-2)."""
-    return _lq_norm(grid.check_shape(u), grid, np.empty(grid.nodes.size))
-
-
-def _lq_norm(u, grid: RadialGrid, out) -> float:
-    """Unchecked kernel of lq_norm; `out` (one value per node) is overwritten."""
     q = critical_exponent(grid.dimension)
-    np.abs(u, out=out)
+    out = np.abs(grid.check_shape(u))
     out **= q
     return float(np.dot(grid.masses, out)) ** (1.0 / q)
 

@@ -8,7 +8,10 @@ and backtracks on the joint energy.  The raw gradient is preconditioned
 with the weighted stiffness operator; an unpreconditioned explicit step
 would be CFL-limited by the smallest cell of a graded grid.  When u == v
 holds bit for bit, as with equal weights and a symmetric start, the flow
-advances that one row and pays for one component per iteration.
+advances that one row and pays for one component per iteration.  Each
+trial row costs one banded solve and one fractional power pass: the
+normalization writes m|x|^(q-2) x, from which it takes the critical norm
+and which the next gradient and the concentration detector reuse.
 
 Stationary points of the discrete flow solve the discrete coupled system
 
@@ -33,12 +36,12 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
 from .constants import thresholds
-from .energy import (FieldPair, _gradient_energy, _lq_norm, critical_exponent,
-                     dirichlet_field, energy, weighted_gradient_energy)
+from .energy import (FieldPair, critical_exponent, dirichlet_field, energy,
+                     weighted_gradient_energy)
 from .errors import BadSpectrum, DegeneratePair, NumericFault
 from .grid import RadialGrid, integrate
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
-from .weights import WeightProfile
+from .weights import UNIT_WEIGHT, WeightProfile
 
 _CONC_DELTA_FRACTION = 0.1      # concentration detector: inside radius R/10
 _CONC_MASS = 0.99               # lies this fraction of the critical-norm mass
@@ -136,14 +139,6 @@ def el_residual(
 # ---------------------------------------------------------------------------
 
 
-def _normalize(u: np.ndarray, grid: RadialGrid, node: np.ndarray) -> np.ndarray:
-    """Divide u in place by its critical norm; `node` is a scratch node row."""
-    n = _lq_norm(u, grid, node)
-    if n == 0.0 or not np.isfinite(n):
-        raise DegeneratePair("flow component collapsed to zero")
-    return np.divide(u, n, out=u)
-
-
 def _smooth_random_field(grid: RadialGrid, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     r = grid.nodes
@@ -176,20 +171,18 @@ def _initial_pair(a: WeightProfile, b: WeightProfile, grid: RadialGrid,
 def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
              x: tuple[np.ndarray, np.ndarray]) -> bool:
     """True when the flow from x = (u, v) keeps u == v bit for bit: operators
-    with identical stiffness and gradient-energy face fluxes, and an
-    identical start.  Compares arrays, not weights: weights with array
-    tables or callables do not compare by value, and equal weights are often
-    distinct objects."""
+    with identical face conductances c (from which assemble_operator derives
+    every other array the flow reads) and an identical start.  Compares
+    arrays, not weights: weights with array tables or callables do not
+    compare by value, and equal weights are often distinct objects."""
     (op_a, op_b), (u, v) = ops, x
-    return (np.array_equal(op_a.diag, op_b.diag)
-            and np.array_equal(op_a.off, op_b.off)
-            and np.array_equal(op_a.flux, op_b.flux)
-            and np.array_equal(u, v))
+    return np.array_equal(op_a.c, op_b.c) and np.array_equal(u, v)
 
 
-def _newton_polish(x, ops, lam, grid, gradient, total_energy, grad_tol, e_max):
+def _newton_polish(x, h, ops, lam, grid, normalize, gradient, total_energy,
+                   grad_tol, e_max):
     """Newton's method on the bordered discrete Euler-Lagrange system from the
-    flow's rows x, which it leaves untouched.
+    flow's rows x and their power rows h, which it leaves untouched.
 
     Unknowns are the R distinct rows, interleaved at R*i + k, and their
     multipliers L_k.  Row k's block is K_k - (q-1) L_k M|x_k|^(q-2), with -lam M
@@ -201,15 +194,15 @@ def _newton_polish(x, ops, lam, grid, gradient, total_energy, grad_tol, e_max):
     flow's convergence test with energy <= e_max, else None.
     """
     r, m, q = len(x), grid.masses[1:-1], critical_exponent(grid.dimension)
-    n, node = m.size, np.empty(grid.nodes.size)
-    y = [xk.copy() for xk in x]
+    n = m.size
+    y, hy = [xk.copy() for xk in x], [hk.copy() for hk in h]
     d = [np.empty(n) for _ in x]
     ab = np.zeros((2 * r + 1, r * n))
     rhs = np.zeros((r * n, r + 1))
     try:
         for step in range(_NEWTON_STEPS + 1):
             e, g, p = total_energy(y)
-            if gradient(y, g, p, d) <= grad_tol:
+            if gradient(y, hy, g, p, d) <= grad_tol:
                 return (y, e, step) if e <= e_max else None
             if step == _NEWTON_STEPS:
                 return None
@@ -232,10 +225,10 @@ def _newton_polish(x, ops, lam, grid, gradient, total_energy, grad_tol, e_max):
                               for j in range(r)])
             dl = np.linalg.solve(schur, [f[j] @ sol[j::r, 0] for j in range(r)])
             dx = sol[:, 1:] @ dl - sol[:, 0]
-            for k, yk in enumerate(y):
+            for k, (yk, hk) in enumerate(zip(y, hy)):
                 yk[1:-1] += dx[k::r]
                 yk[0] = yk[1]
-                _normalize(yk, grid, node)
+                normalize(yk, hk)
     except (LinAlgError, ValueError, FloatingPointError, DegeneratePair):
         return None
 
@@ -259,8 +252,14 @@ def descend(
     assemble to identical arrays and the normalized start has u == v (the
     flow then keeps u == v exactly), two otherwise.  Row k's coupling
     partner is row -1 - k, so both cases run the same arithmetic.  An
-    iteration costs per row one banded solve, two power passes and O(n)
-    in-place updates in a workspace allocated once per call.
+    iteration costs per row one banded solve, one fractional power pass and
+    O(n) in-place updates in a workspace allocated once per call: the
+    normalization of a trial row t writes h = m|t|^(q-2) t, takes the norm
+    from h.t = sum m|t|^q and rescales h with t, so that h holds the
+    m|x|^(q-2) x term of the next gradient and the mass density h.x the
+    concentration detector reads.  The flow's energy is the sum of squares
+    sum_f c_f (x_{f+1} - x_f)^2 over the operator's face conductances;
+    at lam == 0 the coupling products are skipped.
 
     The first time the system residual falls to _NEWTON_SWITCH (but not to
     grad_tol), the flow's rows are handed to _newton_polish, which takes
@@ -284,34 +283,49 @@ def descend(
     lam_m = lam * m_dof
     q = critical_exponent(grid.dimension)
     delta = _CONC_DELTA_FRACTION * grid.radius
-    node, dof, dof2, off = (np.empty(m.size), np.empty(m_dof.size),
-                            np.empty(m_dof.size), np.empty(m_dof.size - 1))
+    inside = int(np.searchsorted(grid.nodes, delta, side="right"))   # r <= delta
+    node, dof, off = np.empty(m.size), np.empty(m_dof.size), np.empty(m_dof.size - 1)
 
-    x = (_normalize(dirichlet_field(init_pair.u, grid), grid, node),
-         _normalize(dirichlet_field(init_pair.v, grid), grid, node))
+    def normalize(t, h):
+        """Divide row t in place by its critical norm; h = m|t|^(q-2) t after."""
+        np.abs(t, out=h)
+        h **= q - 2.0
+        h *= m
+        h *= t
+        s = float(np.dot(h, t))                 # sum m|t|^q
+        if s == 0.0 or not math.isfinite(s):
+            raise DegeneratePair("flow component collapsed to zero")
+        n = s ** (1.0 / q)
+        t /= n
+        h *= n ** (1.0 - q)
+        return t
+
+    # each row x[k] comes with its power row h[k]
+    h = (np.empty(m.size), np.empty(m.size))
+    x = (normalize(dirichlet_field(init_pair.u, grid), h[0]),
+         normalize(dirichlet_field(init_pair.v, grid), h[1]))
     if _one_row(ops, x):
-        x, ops = x[:1], ops[:1]
+        x, h, ops = x[:1], h[:1], ops[:1]
     sup0 = max(np.max(np.abs(xk)) for xk in x)
     # trial rows swap with x when accepted (as copies their boundary node is 0);
     # d holds each row's raw gradient
-    x_try, d = [xk.copy() for xk in x], [np.empty(m_dof.size) for _ in x]
+    x_try, h_try = [xk.copy() for xk in x], [np.empty(m.size) for _ in x]
+    d = [np.empty(m_dof.size) for _ in x]
 
     def total_energy(xs):
-        g = [_gradient_energy(xk, op.flux, grid, dof) for xk, op in zip(xs, ops)]
-        p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node)))
+        g = [float(np.dot(op.c, np.square(np.subtract(xk[2:], xk[1:-1], out=dof),
+                                          out=dof)))
+             for xk, op in zip(xs, ops)]
+        p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node))) if lam else 0.0
         return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
 
-    def gradient(xs, g, p, d):
+    def gradient(xs, hs, g, p, d):
         """Each row's raw gradient into d; returns the system residual."""
-        for k, (xk, op, dk) in enumerate(zip(xs, ops, d)):
-            xi, f = xk[1:-1], dof
-            np.abs(xi, out=f)                   # m |x|^(q-2) x
-            f **= q - 2.0
-            f *= m_dof
-            f *= xi
-            op._apply(xi, dk, off)
-            dk -= np.multiply(lam_m, xs[-1 - k][1:-1], out=dof2)
-            dk -= np.multiply(f, g[k] - lam * p, out=f)
+        for k, (xk, hk, op, dk) in enumerate(zip(xs, hs, ops, d)):
+            op._apply(xk[1:-1], dk, off)
+            if lam:
+                dk -= np.multiply(lam_m, xs[-1 - k][1:-1], out=dof)
+            dk -= np.multiply(hk[1:-1], g[k] - lam * p, out=dof)
         r2 = [np.dot(np.multiply(dk, dk, out=dof), inv_m) for dk in d]
         return np.sqrt(r2[0] + r2[-1])
 
@@ -324,15 +338,16 @@ def descend(
     polish_tried = False
 
     for it in range(1, params.max_iters + 1):
-        res = gradient(x, g, p, d)
+        res = gradient(x, h, g, p, d)
         if not math.isfinite(res):
             raise NumericFault("non-finite residual during descent")
         if res <= params.grad_tol:
             status = "converged"
         elif not polish_tried and res <= _NEWTON_SWITCH:
             polish_tried = True
-            polished = _newton_polish(x, ops, lam, grid, gradient, total_energy,
-                                      params.grad_tol, e_now + 1e-14 * abs(e_now))
+            polished = _newton_polish(x, h, ops, lam, grid, normalize, gradient,
+                                      total_energy, params.grad_tol,
+                                      e_now + 1e-14 * abs(e_now))
             if polished is not None:
                 x, e_now, steps = polished
                 it += steps
@@ -349,7 +364,8 @@ def descend(
                 np.subtract(xk[1:-1], np.multiply(sk, tau, out=dof), out=t[1:-1])
                 t[0] = t[1]
             try:
-                e_try, g_t, p_t = total_energy([_normalize(t, grid, node) for t in x_try])
+                e_try, g_t, p_t = total_energy([normalize(t, ht)
+                                                for t, ht in zip(x_try, h_try)])
             except (DegeneratePair, FloatingPointError):
                 tau *= 0.5
                 continue
@@ -362,7 +378,8 @@ def descend(
         if not accepted:
             status = "stalled"
             break
-        x, x_try, e_now, g, p = x_try, x, e_try, g_t, p_t
+        x, x_try, h, h_try = x_try, x, h_try, h
+        e_now, g, p = e_try, g_t, p_t
         tau = min(tau * 1.3, params.step)
 
         if e_now < best_e - 1e-14 * abs(best_e):
@@ -371,7 +388,8 @@ def descend(
         trace.append(best_e)
 
         if it % 10 == 0:
-            conc = concentration_diagnostic(x[0], delta, grid)
+            # x[0] is normalized, so its mass inside delta is h.x over r <= delta
+            conc = float(np.dot(h[0][:inside], x[0][:inside]))
             sup = max(np.max(np.abs(xk)) for xk in x)
             if conc > _CONC_MASS and sup > _CONC_SUP_FACTOR * sup0:
                 status = "concentrating"
@@ -383,8 +401,7 @@ def descend(
     best = FieldPair(u=best[0], v=best[-1].copy())
     if lam > 0.0:
         best = sign_normalize(best)
-        best = FieldPair(u=_normalize(best.u, grid, node),
-                         v=_normalize(best.v, grid, node))
+        best = FieldPair(u=normalize(best.u, node), v=normalize(best.v, node))
     report = energy(best, a, b, lam, grid)
     l1, l2 = lagrange_multipliers(best, a, b, lam, grid)
     res = el_residual(best, l1, l2, a, b, lam, grid)
@@ -409,8 +426,7 @@ def discrete_sobolev_constant(grid: RadialGrid,
     symmetric start, whose energy is exactly the single-field quotient; that
     flow keeps u == v and so advances a single row.
     """
-    one = WeightProfile.constant(1.0)
-    return descend(one, one, 0.0, grid, params).q_lambda
+    return descend(UNIT_WEIGHT, UNIT_WEIGHT, 0.0, grid, params).q_lambda
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .energy import FieldPair
 from .errors import DegenerateDenominator, OutsideTable
 from .grid import RadialGrid, integrate
 from .spectral import first_eigenpair
-from .weights import WeightProfile
+from .weights import UNIT_WEIGHT, WeightProfile
 
 
 def tilde_weight(w: WeightProfile, grid: RadialGrid) -> np.ndarray:
@@ -216,7 +216,7 @@ def omega_estimate(
             and a.coefficient > 0.0 and b.coefficient > 0.0)
     if pure:
         try:
-            lam1 = first_eigenpair(WeightProfile.constant(1.0), grid).lambda1
+            lam1 = first_eigenpair(UNIT_WEIGHT, grid).lambda1
             lower, upper = omega_bounds(
                 grid.dimension, a.exponent, b.exponent,
                 a.coefficient, b.coefficient, 2.0 * grid.radius, lam1,

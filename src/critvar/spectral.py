@@ -14,8 +14,9 @@ origin carries zero flux (radial regularity); the boundary is Dirichlet.
 assemble_operator is the one place a weight is sampled on a grid: it
 builds one read-only operator per (weight, grid), factored once and kept
 on the grid, which carries the gradient energy's face flux from the same
-face samples as its conductances.  The descent flow, the eigen-solve, the
-Euler-Lagrange residual and the gradient energy all share it.
+face samples as its conductances c, and c itself: the descent flow takes
+its energy as sum c (x_{i+1} - x_i)^2.  The descent flow, the eigen-solve,
+the Euler-Lagrange residual and the gradient energy all share it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class TridiagonalOperator:
     diag: np.ndarray       # K_ii
     off: np.ndarray        # K_{i,i+1} = K_{i+1,i}, length len(diag)-1
     flux: np.ndarray       # w(r_{i+1/2}) r_{i+1/2}^(N-1) on faces 1..n-1
+    c: np.ndarray          # conductances c_{i+1/2} on faces 1..n-1; off = -c[:-1]
     _factor: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -47,7 +49,7 @@ class TridiagonalOperator:
         if info != 0:
             raise IndefiniteWeight("stiffness operator is not positive definite")
         object.__setattr__(self, "_factor", (d, e))
-        for arr in (self.diag, self.off, self.flux, d, e):
+        for arr in (self.diag, self.off, self.flux, self.c, d, e):
             arr.flags.writeable = False
 
     @property
@@ -104,7 +106,7 @@ def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator
     diag[0] = c[0]                                # zero flux through the origin face
     diag[1:] = c[:-1] + c[1:]
     off = -c[:-1]                                 # couples nodes i, i+1 for i < n-1
-    op = TridiagonalOperator(diag=diag, off=off, flux=wf * area)
+    op = TridiagonalOperator(diag=diag, off=off, flux=wf * area, c=c)
     # holding w keeps its id from naming another weight
     grid._operators[id(w)] = (w, op)
     return op

@@ -106,6 +106,11 @@ class WeightProfile:
         return cls(gamma0=gamma0, exponent=exponent, coefficient=coefficient)
 
 
+# one unit weight for the whole package, so that its operator is built once
+# per grid (assemble_operator keys its memo on the weight object)
+UNIT_WEIGHT = WeightProfile.constant(1.0)
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     holds: bool

@@ -119,6 +119,54 @@ def test_solves_per_iteration(grid5, monkeypatch, b_coeff, init, rows):
     assert len(calls) == rows * res.iterations
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 9.0])
+def test_first_energy_is_the_public_energy_of_the_start(grid5, quad_weight,
+                                                        quartic_weight, rng,
+                                                        rows, lam):
+    # the flow's fused normalization and conductance energy agree with the
+    # public energy of the (scale-invariant) start
+    u = smooth_dirichlet_field(grid5, rng)
+    b, v = ((quad_weight, u.copy()) if rows == 1
+            else (quartic_weight, smooth_dirichlet_field(grid5, rng)))
+    start = FieldPair(u=u, v=v)
+    res = descend(quad_weight, b, lam, grid5, FlowParams(max_iters=1),
+                  init_pair=start)
+    assert res.best_trace[0] == pytest.approx(
+        energy(start, quad_weight, b, lam, grid5).value, rel=1e-13, abs=0.0)
+
+
+# at the default sup factor the sup test is the last to pass (720 iterations
+# at lam = 0, the mass test at about 150); at 2 the mass test is
+@pytest.mark.parametrize("sup_factor", [minimizer._CONC_SUP_FACTOR, 2.0])
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+def test_detector_fires_at_the_first_checkpoint_the_public_tests_pass(
+        monkeypatch, grid5, quad_weight, lam, sup_factor):
+    # the flow reads its mass inside delta from its power rows; it must stop
+    # where concentration_diagnostic and the sup test first agree, and not
+    # at the checkpoint before
+    monkeypatch.setattr(minimizer, "_CONC_SUP_FACTOR", sup_factor)
+    params = FlowParams(max_iters=3000, grad_tol=1e-12, stall_window=3000)
+    start = minimizer._initial_pair(quad_weight, quad_weight, grid5, params).u
+    sup0 = np.max(np.abs(start)) / lq_norm(start, grid5)
+
+    def fires(res):
+        u = res.pair.u
+        # an improving last step makes the reported pair the flow's last row
+        assert res.best_trace[-1] < res.best_trace[-2]
+        return (concentration_diagnostic(u, 0.1 * grid5.radius, grid5)
+                > minimizer._CONC_MASS
+                and np.max(np.abs(u)) > minimizer._CONC_SUP_FACTOR * sup0)
+
+    res = descend(quad_weight, quad_weight, lam, grid5, params)
+    assert res.status == "concentrating" and res.iterations % 10 == 0
+    assert fires(res)
+    cut = descend(quad_weight, quad_weight, lam, grid5,
+                  replace(params, max_iters=res.iterations - 10))
+    assert cut.status != "concentrating"
+    assert not fires(cut)
+
+
 def _polish_forbidden(*args):
     raise AssertionError("a concentrating flow must never reach the polish")
 

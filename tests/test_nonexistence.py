@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from critvar import (FieldPair, WeightProfile, dirichlet_field, hardy_check,
+from critvar import (FieldPair, FlowParams, WeightProfile, build_grid,
+                     dirichlet_field, discrete_sobolev_constant, hardy_check,
                      integrate, omega_bounds, omega_estimate,
                      optimal_scaling_value, phi_quotient, pohozaev_report,
                      tilde_weight, unit_sphere_area)
@@ -148,6 +149,26 @@ def test_omega_supercritical_goes_to_zero(grid5_geo, quartic_weight):
     assert not est.unbounded_below
     assert est.value < 1e-3
     assert est.lower_bound == 0.0 and est.upper_bound == 0.0
+
+
+def test_omega_estimate_builds_the_unit_operator_once(quad_weight):
+    # the eigenvalue behind the bounds comes from the package's one unit
+    # weight, whose operator the grid keeps after the first call
+    grid = build_grid(5, 1.0, 300)
+    omega_estimate(quad_weight, quad_weight, grid)
+    built = len(grid._operators)
+    for _ in range(2):
+        omega_estimate(quad_weight, quad_weight, grid)
+        assert len(grid._operators) == built
+
+
+def test_sobolev_constant_and_omega_share_the_unit_operator(quad_weight):
+    grid = build_grid(5, 1.0, 300)
+    discrete_sobolev_constant(grid, FlowParams(max_iters=20))
+    omega_estimate(quad_weight, quad_weight, grid)
+    units = [w for w, _ in grid._operators.values()
+             if w == WeightProfile.constant(1.0)]
+    assert len(units) == 1
 
 
 def test_omega_quadratic_respects_tabulated_bounds(grid5):

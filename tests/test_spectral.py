@@ -115,6 +115,18 @@ def test_operator_is_built_once_and_read_only(grid5, quad_weight):
             assemble_operator(bad, grid5)
 
 
+def test_conductances_are_read_only_and_give_the_coupling(grid5, quad_weight, rng):
+    # the flow's energy sum c_f (u_{f+1} - u_f)^2 is the public gradient
+    # energy up to rounding
+    op = assemble_operator(quad_weight, grid5)
+    with pytest.raises(ValueError):
+        op.c[0] = 1.0
+    assert np.array_equal(-op.c[:-1], op.off)
+    u = smooth_dirichlet_field(grid5, rng)
+    assert float(np.dot(op.c, np.diff(u[1:]) ** 2)) == pytest.approx(
+        weighted_gradient_energy(u, quad_weight, grid5), rel=1e-13, abs=0.0)
+
+
 def test_each_weight_is_sampled_and_factored_once(monkeypatch, rng):
     # the eigen-solve, a sweep's flows and pool, the energy and the residual
     # all share one operator per (weight, grid)
