@@ -1,6 +1,6 @@
 """Descent-flow cost of two source trees, timed interleaved, written to --out.
 
-    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_4.json
+    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_5.json
 
 Times `critvar.descend` from two source trees: `--parent` and `--change`
 (default: this checkout's `src`).  Each tree is imported by its own worker
@@ -37,7 +37,9 @@ and its iteration count:
 - sweep-9.0446: a = b = 1 + r^2 at coupling 9.0446, the first (cold) flow of
   the `existence-sweep` benchmark workload at seed 11 (one row);
 - gap-4:        a = 1 + r^2, b = 1 + r^4 at coupling 4, the two-row point of
-  the acceptance suite's energy-gap criterion (two rows).
+  the acceptance suite's energy-gap criterion (two rows);
+- gap-8:        a = b = 1 + r^2 at coupling 8, the quadratic-both point of
+  the same criterion (one row).
 
 The file records the median and quartiles of each case for both trees and
 the change/parent ratio of the medians.
@@ -90,6 +92,7 @@ def _cases(critvar):
     quartic = critvar.WeightProfile.pure_power(1.0, 4.0, 1.0)
     cases["sweep-9.0446"] = ((quad, b_same, 9.0446, graded, sweep), False)
     cases["gap-4"] = ((quad, quartic, 4.0, graded, sweep), False)
+    cases["gap-8"] = ((quad, b_same, 8.0, graded, sweep), False)
     return cases
 
 
@@ -183,7 +186,7 @@ def main(argv=None) -> int:
                  f"(0 for symmetric-0), iteration cap {ITERS}. conc-0: seconds per "
                  "iteration of the concentration workload's flow (coupling 0, "
                  "3000 geometric cells), stopped by the concentration detector. "
-                 "To-tolerance cases (sweep-9.0446, gap-4): "
+                 "To-tolerance cases (sweep-9.0446, gap-4, gap-8): "
                  "seconds per converged call, N = 5 geometric grid of 1500 cells, "
                  f"grad_tol 1e-5. Median and quartiles of {REPEATS} runs each."),
         "machine": {"python": platform.python_version(),

@@ -10,8 +10,9 @@ once.  Every CSV is then compared byte for byte below its timestamp line,
 the one line a run may change; a run that raises is compared by its error
 type and message.  For each table that differs, the first differing cells
 are printed, and at the end the largest relative difference of each
-(workload, table, column) that differs anywhere.  Exits 0 when every table
-is identical and 1 otherwise.
+(workload, table, column) that differs anywhere, and the total of
+`minimize.csv`'s `iterations` column per workload on each tree.  Exits 0
+when every table is identical and 1 otherwise.
 
 Nothing under `perfbench/` is written: `workloads.py` is read with
 `runpy`, which leaves no bytecode cache behind.
@@ -27,6 +28,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -92,6 +94,15 @@ def _differing_cells(parent: str, change: str) -> list[tuple[str, float, str]]:
     return cells or [("(text)", math.inf, "  (differs outside the cells)")]
 
 
+def _total_iterations(root: Path) -> Counter:
+    """{workload: sum of the iterations column over its minimize.csv files}."""
+    totals = Counter()
+    for path in root.glob("*/*/minimize.csv"):
+        rows = csv.DictReader(_body(path).splitlines())
+        totals[path.parts[-3]] += sum(int(row["iterations"]) for row in rows)
+    return totals
+
+
 def compare(parent: Path, change: Path) -> tuple[int, int]:
     """Print every differing table and the per-column summary; return how
     many tables there are and how many of them differ."""
@@ -119,6 +130,11 @@ def compare(parent: Path, change: Path) -> tuple[int, int]:
         print("largest relative difference per (workload, table, column):")
     for (workload, table, col), (r, tables, cells) in sorted(largest.items()):
         print(f"  {workload} {table} {col}: {r:.3g} ({len(tables)} tables, {cells} cells)")
+    totals_p, totals_c = _total_iterations(parent), _total_iterations(change)
+    if totals_p or totals_c:
+        print("minimize.csv iterations per workload, parent -> change:")
+    for workload in sorted(totals_p.keys() | totals_c.keys()):
+        print(f"  {workload}: {totals_p[workload]:,} -> {totals_c[workload]:,}")
     return len(files_p | files_c), differ
 
 

@@ -21,10 +21,11 @@ Stationary points of the discrete flow solve the discrete coupled system
 with the multipliers L1 = int a|grad u|^2 - lam int uv (and the v-analog),
 so the flow's convergence test and the system residual are the same norm.
 
-The flow converges only linearly, so once its residual first falls to
-_NEWTON_SWITCH, inside the basin of a minimizer, descend tries once to
-finish with Newton's method on this system, bordered by the normalization
-constraints; concentrating flows never get that far (see descend).
+The flow converges only linearly, so once its residual falls to
+_NEWTON_SWITCH descend tries to finish with Newton's method on this system,
+bordered by the normalization constraints, and after a failed attempt
+tries again a decade further down; concentrating flows never get that far
+(see descend).
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .weights import UNIT_WEIGHT, WeightProfile
 _CONC_DELTA_FRACTION = 0.1      # concentration detector: inside radius R/10
 _CONC_MASS = 0.99               # lies this fraction of the critical-norm mass
 _CONC_SUP_FACTOR = 1e2          # and the sup norm has grown this much
-_NEWTON_SWITCH = 1e-2           # polish once the flow's residual falls to this
+_NEWTON_SWITCH = 0.3            # polish once the flow's residual falls to this
+_NEWTON_REARM = 10.0            # after a failed polish at res, try again at res / this
 _NEWTON_STEPS = 5               # Newton steps the polish may take to reach grad_tol
 
 
@@ -261,16 +263,20 @@ def descend(
     sum_f c_f (x_{f+1} - x_f)^2 over the operator's face conductances;
     at lam == 0 the coupling products are skipped.
 
-    The first time the system residual falls to _NEWTON_SWITCH (but not to
-    grad_tol), the flow's rows are handed to _newton_polish, which takes
-    at most _NEWTON_STEPS Newton steps on the same rows.  Its result is
-    accepted, and the flow ends "converged", only if the renormalized rows
-    pass the grad_tol test with an energy at most the flow's current one
-    (with the flow's 1e-14 relative slack); the reported iterations then
-    count the Newton steps too.  A failed linear solve, a non-finite value
-    or a result that misses either test discards the attempt, and the flow
-    goes on bit for bit as without it.  A non-finite residual raises
-    NumericFault.
+    When the system residual falls to _NEWTON_SWITCH (but not to grad_tol),
+    the flow's rows are handed to _newton_polish, which takes at most
+    _NEWTON_STEPS Newton steps on the same rows.  Its result is accepted,
+    and the flow ends "converged", only if the renormalized rows pass the
+    grad_tol test with an energy at most the flow's current one (with the
+    flow's 1e-14 relative slack); the reported iterations then count the
+    Newton steps too.  A failed linear solve, a non-finite value or a
+    result that misses either test discards the attempt, and the flow goes
+    on bit for bit as without it; an attempt at residual res re-arms the
+    polish at res / _NEWTON_REARM, so a flow makes at most about
+    log10(_NEWTON_SWITCH / grad_tol) + 1 attempts.  The concentrating flows
+    measured (the concentration benchmark, acceptance criterion 12) bottom
+    out above residual 0.6 and never attempt one.  A non-finite residual
+    raises NumericFault.
     """
     if not np.isfinite(lam):
         raise NumericFault(f"coupling must be finite, got {lam}")
@@ -335,7 +341,7 @@ def descend(
     tau = params.step
     status = "stalled"                    # unless a test below ends the flow
     last_improve = it = 0
-    polish_tried = False
+    polish_at = _NEWTON_SWITCH
 
     for it in range(1, params.max_iters + 1):
         res = gradient(x, h, g, p, d)
@@ -343,8 +349,8 @@ def descend(
             raise NumericFault("non-finite residual during descent")
         if res <= params.grad_tol:
             status = "converged"
-        elif not polish_tried and res <= _NEWTON_SWITCH:
-            polish_tried = True
+        elif res <= polish_at:
+            polish_at = res / _NEWTON_REARM
             polished = _newton_polish(x, h, ops, lam, grid, normalize, gradient,
                                       total_energy, params.grad_tol,
                                       e_now + 1e-14 * abs(e_now))

@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critvar import (FieldPair, FlowParams, WeightProfile, build_grid,
                      concentration_diagnostic, descend, dirichlet_field,
                      discrete_sobolev_constant, el_residual, energy,
-                     existence_verdict, lagrange_multipliers, lq_norm,
-                     sign_normalize, sweep_minimize)
+                     existence_verdict, lagrange_multipliers, lambda_tilde,
+                     lq_norm, sign_normalize, sweep_minimize)
 from critvar import minimizer
 from critvar.errors import BadSpectrum, DegeneratePair, NumericFault
 from critvar.spectral import TridiagonalOperator
@@ -197,6 +198,64 @@ def test_newton_polish_agrees_with_flow(request, monkeypatch, grid5,
                                                         rel=1e-10, abs=0.0)
 
 
+def test_early_polish_agrees_with_flow_at_the_two_row_gap_point(monkeypatch):
+    # the quadratic-first point of the energy-gap criterion, whose flow
+    # reaches the switch far from grad_tol; the polish must land on the
+    # flow's minimizer, not on a sign-changing critical point
+    grid = build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
+    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    b = WeightProfile.pure_power(1.0, 4.0, 1.0)
+    params = FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
+    accepted = []
+    polish = minimizer._newton_polish
+
+    def kept(*args):
+        out = polish(*args)
+        if out is not None:
+            accepted.append([row.copy() for row in out[0]])
+        return out
+
+    monkeypatch.setattr(minimizer, "_newton_polish", kept)
+    polished = descend(a, b, 4.0, grid, params)
+    monkeypatch.setattr(minimizer, "_NEWTON_SWITCH", 0.0)
+    flow = descend(a, b, 4.0, grid, params)
+    assert polished.status == flow.status == "converged"
+    assert polished.q_lambda == pytest.approx(flow.q_lambda, rel=1e-10, abs=0.0)
+    # the split of the energy between the multipliers moves to first order
+    # with the residual: the flow stops at grad_tol, 3e-8 relative away
+    for name in ("multiplier_u", "multiplier_v"):
+        assert getattr(polished, name) == pytest.approx(getattr(flow, name),
+                                                        rel=1e-7, abs=0.0)
+    assert 3 * polished.iterations < flow.iterations
+    [rows] = accepted
+    assert len(rows) == 2 and all(np.all(row[:-1] > 0.0) for row in rows)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(k=st.sampled_from([2.0, 3.0, 4.0]), l=st.sampled_from([2.0, 3.0, 4.0]),
+       frac=st.floats(0.15, 0.9),
+       init=st.sampled_from(["bubble", "eigenfunction", "random"]))
+def test_polish_agrees_with_flow_inside_the_existence_interval(k, l, frac, init):
+    # a coupling between the gap threshold and lambda_tilde, on a coarse grid
+    grid = build_grid(5, 1.0, 400)
+    a = WeightProfile.pure_power(1.0, k, 1.0)
+    b = WeightProfile.pure_power(1.0, l, 1.0)
+    gap, _ = minimizer._gap_threshold(5, k, l, 1.0, 1.0)
+    lam = gap + frac * (lambda_tilde(a, b, grid).value - gap)
+    params = FlowParams(max_iters=8000, grad_tol=1e-7, stall_window=1500,
+                        init=init, seed=3)
+    polished = descend(a, b, lam, grid, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimizer, "_NEWTON_SWITCH", 0.0)
+        flow = descend(a, b, lam, grid, params)
+    assert polished.status == flow.status
+    if flow.status == "converged":
+        assert polished.q_lambda == pytest.approx(flow.q_lambda, rel=1e-10, abs=0.0)
+        for name in ("multiplier_u", "multiplier_v"):
+            assert getattr(polished, name) == pytest.approx(
+                getattr(flow, name), rel=1e-7, abs=0.0)
+
+
 def _raise_lin_alg_error(*args, **kwargs):
     raise np.linalg.LinAlgError("singular")
 
@@ -211,15 +270,26 @@ def test_failed_polish_leaves_the_flow_bitwise(request, monkeypatch, grid5,
                                                quartic_weight, b_name, solve):
     b = request.getfixturevalue(b_name)
     params = FlowParams(max_iters=8000, grad_tol=1e-9, stall_window=1500)
-    calls = []
+    solves = []                         # solve_banded calls, one entry per attempt
+    polish = minimizer._newton_polish
+
+    def attempt(*args):
+        solves.append(0)
+        return polish(*args)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        solves[-1] += 1
         return solve(*args, **kwargs)
 
+    monkeypatch.setattr(minimizer, "_newton_polish", attempt)
     monkeypatch.setattr(minimizer, "solve_banded", counted)
     failed = descend(quartic_weight, b, 10.0, grid5, params)
-    assert calls == [1]                 # one attempt, abandoned at its first solve
+    # a failed attempt at residual res re-arms the polish at res / _NEWTON_REARM,
+    # so the attempts are at least a decade apart between the switch and grad_tol
+    most = math.ceil(math.log(minimizer._NEWTON_SWITCH / params.grad_tol,
+                              minimizer._NEWTON_REARM)) + 1
+    assert 1 < len(solves) <= most
+    assert solves == [1] * len(solves)  # each abandoned at its first solve
     monkeypatch.setattr(minimizer, "_NEWTON_SWITCH", 0.0)
     flow = descend(quartic_weight, b, 10.0, grid5, params)
     for x, y in zip(_result_fields(failed), _result_fields(flow)):
