@@ -1,12 +1,13 @@
 """Descent-flow cost of two source trees, timed interleaved, written to --out.
 
-    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_5.json
+    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_6.json
 
-Times `critvar.descend` from two source trees: `--parent` and `--change`
-(default: this checkout's `src`).  Each tree is imported by its own worker
-interpreter; the script asks the two workers for one run at a time, in
-alternating order, so that drift of a shared machine's speed falls on both
-trees alike instead of landing on their ratio.
+Times `critvar.descend` and `critvar.sweep_minimize` from two source
+trees: `--parent` and `--change` (default: this checkout's `src`).  Each
+tree is imported by its own worker interpreter; the script asks the two
+workers for one run at a time, in alternating order, so that drift of a
+shared machine's speed falls on both trees alike instead of landing on
+their ratio.
 
 Per-iteration cases, on the N = 5 uniform grid at n = 800 and n = 3000
 cells, each with a tolerance it cannot reach, so that it stops at the
@@ -41,6 +42,13 @@ and its iteration count:
 - gap-8:        a = b = 1 + r^2 at coupling 8, the quadratic-both point of
   the same criterion (one row).
 
+One more to-tolerance case times a whole coupling sweep on the same grid
+and flow:
+
+- sweep: `sweep_minimize` over the eight couplings of the `existence-sweep`
+  benchmark workload at seed 11 (a = b = 1 + r^2); it reports seconds per
+  sweep and the total flow iterations of its eight flows.
+
 The file records the median and quartiles of each case for both trees and
 the change/parent ratio of the medians.
 """
@@ -56,6 +64,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 REPO = Path(__file__).resolve().parent.parent
 SIZES = (800, 3000)
@@ -63,10 +72,27 @@ STARTS = ("symmetric", "symmetric-0", "random", "distinct")
 LAMBDA = 9.0
 ITERS = 300
 REPEATS = 15
+SWEEP_LAMS = (9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
+              21.7696, 23.922903)
 
 
 def _cases(critvar):
-    """{name: (descend arguments, per_iteration)}."""
+    """{name: (run, per_iteration)}; run() returns a result with the fields
+    iterations, status, el_residual and q_lambda."""
+
+    def descend(*args):
+        return lambda: critvar.descend(*args)
+
+    def sweep_minimize(*args):
+        def run():
+            rows = [row.result for row in critvar.sweep_minimize(*args)]
+            return SimpleNamespace(
+                iterations=sum(r.iterations for r in rows),
+                status="/".join(sorted({r.status for r in rows})),
+                el_residual=max(r.el_residual for r in rows),
+                q_lambda=[r.q_lambda for r in rows])
+        return run
+
     flow = critvar.FlowParams(max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS)
     quad = critvar.WeightProfile.pure_power(1.0, 2.0, 1.0)
     b_same = critvar.WeightProfile.pure_power(1.0, 2.0, 1.0)
@@ -83,16 +109,17 @@ def _cases(critvar):
         grid = critvar.build_grid(5, 1.0, n)
         for start in STARTS:
             b, lam, params = starts[start]
-            cases[f"n{n}/{start}"] = ((quad, b, lam, grid, params), True)
+            cases[f"n{n}/{start}"] = (descend(quad, b, lam, grid, params), True)
     graded3000 = critvar.build_grid(5, 1.0, 3000, grading="geometric", ratio=1.004)
     conc = critvar.FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
-    cases["conc-0"] = ((quad, b_same, 0.0, graded3000, conc), True)
+    cases["conc-0"] = (descend(quad, b_same, 0.0, graded3000, conc), True)
     graded = critvar.build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
-    sweep = critvar.FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
+    to_tol = critvar.FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
     quartic = critvar.WeightProfile.pure_power(1.0, 4.0, 1.0)
-    cases["sweep-9.0446"] = ((quad, b_same, 9.0446, graded, sweep), False)
-    cases["gap-4"] = ((quad, quartic, 4.0, graded, sweep), False)
-    cases["gap-8"] = ((quad, b_same, 8.0, graded, sweep), False)
+    cases["sweep-9.0446"] = (descend(quad, b_same, 9.0446, graded, to_tol), False)
+    cases["gap-4"] = (descend(quad, quartic, 4.0, graded, to_tol), False)
+    cases["gap-8"] = (descend(quad, b_same, 8.0, graded, to_tol), False)
+    cases["sweep"] = (sweep_minimize(SWEEP_LAMS, quad, b_same, graded, to_tol), False)
     return cases
 
 
@@ -104,13 +131,13 @@ def worker(src: Path) -> int:
     if Path(critvar.__file__).resolve().parent != (src / "critvar").resolve():
         raise SystemExit(f"critvar was not imported from {src}")
     cases = _cases(critvar)
-    for args, _ in cases.values():               # warm caches and lazy set-up
-        critvar.descend(*args)
+    for run, _ in cases.values():                # warm caches and lazy set-up
+        run()
     print(json.dumps({name: kind for name, (_, kind) in cases.items()}), flush=True)
     for line in sys.stdin:
-        args, _ = cases[line.strip()]
+        run, _ = cases[line.strip()]
         t0 = time.perf_counter()
-        res = critvar.descend(*args)
+        res = run()
         seconds = time.perf_counter() - t0
         print(json.dumps({"seconds": seconds, "iterations": res.iterations,
                           "status": res.status, "el_residual": res.el_residual,
@@ -188,7 +215,10 @@ def main(argv=None) -> int:
                  "3000 geometric cells), stopped by the concentration detector. "
                  "To-tolerance cases (sweep-9.0446, gap-4, gap-8): "
                  "seconds per converged call, N = 5 geometric grid of 1500 cells, "
-                 f"grad_tol 1e-5. Median and quartiles of {REPEATS} runs each."),
+                 "grad_tol 1e-5. sweep: seconds per sweep_minimize call over the "
+                 "eight existence-sweep seed-11 couplings on the same grid, with "
+                 "the total iterations of its flows. "
+                 f"Median and quartiles of {REPEATS} runs each."),
         "machine": {"python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__,
                     "cpus": os.cpu_count(), "machine": platform.machine()},

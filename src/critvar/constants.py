@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate as _sci_integrate
 from scipy import special as _sci_special
 
 from .errors import DivergentIntegral, LogScaledRegime
@@ -35,13 +34,16 @@ def radial_moment_quadrature(s: float, p: float) -> float:
     into sin^s(t) cos^(2p - s - 2)(t), bounded whenever the integral
     converges.
     """
+    # imported here: scipy.integrate is most of `import critvar`'s time
+    from scipy import integrate
+
     if p <= (s + 1.0) / 2.0:
         raise DivergentIntegral(f"I({s}, {p}) diverges: need p > (s+1)/2")
 
     def f(t):
         return math.sin(t) ** s * math.cos(t) ** (2.0 * p - s - 2.0)
 
-    val, _err = _sci_integrate.quad(f, 0.0, 0.5 * math.pi, limit=200)
+    val, _err = integrate.quad(f, 0.0, 0.5 * math.pi, limit=200)
     return val
 
 

@@ -25,7 +25,12 @@ The flow converges only linearly, so once its residual falls to
 _NEWTON_SWITCH descend tries to finish with Newton's method on this system,
 bordered by the normalization constraints, and after a failed attempt
 tries again a decade further down; concentrating flows never get that far
-(see descend).
+(see descend).  A warm-started flow tries Newton from its first iteration.
+
+A coupling sweep is a predictor-corrector continuation along the branch of
+minimizers: the same bordered Jacobian gives the branch's tangent dx/dlam
+at a converged pair, from which the next coupling's flow starts (see
+sweep_minimize).
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ _CONC_SUP_FACTOR = 1e2          # and the sup norm has grown this much
 _NEWTON_SWITCH = 0.3            # polish once the flow's residual falls to this
 _NEWTON_REARM = 10.0            # after a failed polish at res, try again at res / this
 _NEWTON_STEPS = 5               # Newton steps the polish may take to reach grad_tol
+_PREDICTOR_TRIES = 3            # tangent steps of 1, 1/2, 1/4 times the coupling step
 
 
 @dataclass(frozen=True)
@@ -181,54 +187,79 @@ def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
     return np.array_equal(op_a.c, op_b.c) and np.array_equal(u, v)
 
 
-def _newton_polish(x, h, ops, lam, grid, normalize, gradient, total_energy,
-                   grad_tol, e_max):
-    """Newton's method on the bordered discrete Euler-Lagrange system from the
-    flow's rows x and their power rows h, which it leaves untouched.
+def _bordered_step(rows, mults, rhs0, ops, lam, m, q):
+    """Solve the discrete Euler-Lagrange system's Jacobian at the R distinct
+    rows, bordered by the normalization constraints, for the right-hand
+    side rhs0 (one dof array per row); returns each row's dof correction.
 
-    Unknowns are the R distinct rows, interleaved at R*i + k, and their
-    multipliers L_k.  Row k's block is K_k - (q-1) L_k M|x_k|^(q-2), with -lam M
+    Unknowns are the rows, interleaved at R*i + k, and their multipliers
+    L_k = mults[k].  Row k's block is K_k - (q-1) L_k M|x_k|^(q-2), with -lam M
     to its partner row -1 - k (on the diagonal when R = 1), so the matrix is
-    banded (R, R); the multipliers are eliminated by an R x R Schur complement
-    on the linearized constraints sum m|x_k|^q = 1.  Each step renormalizes
-    the rows as the flow does; L_k and the residual come from the flow's own
-    gradient code.  Returns (rows, energy, steps) once the rows pass the
-    flow's convergence test with energy <= e_max, else None.
+    banded (R, R); the multipliers are eliminated by an R x R Schur
+    complement on the linearized constraints f_k . dx_k = 0, where
+    f_k = M|x_k|^(q-2) x_k.  The correction dx solves J dx - sum_k f_k dL_k =
+    -rhs0: a Newton step for rhs0 = F, the system's residual, and the
+    tangent dx/dlam of its solution branch for rhs0 = dF/dlam = -M x_partner.
     """
-    r, m, q = len(x), grid.masses[1:-1], critical_exponent(grid.dimension)
-    n = m.size
-    y, hy = [xk.copy() for xk in x], [hk.copy() for hk in h]
-    d = [np.empty(n) for _ in x]
+    r, n = len(rows), m.size
     ab = np.zeros((2 * r + 1, r * n))
     rhs = np.zeros((r * n, r + 1))
+    for k, (xk, lk, op, bk) in enumerate(zip(rows, mults, ops, rhs0)):
+        xi = xk[1:-1]
+        w = m * np.abs(xi) ** (q - 2.0)
+        ab[r, k::r] = op.diag - (q - 1.0) * lk * w
+        ab[0, r + k::r] = op.off
+        ab[2 * r, k:r * (n - 1):r] = op.off
+        rhs[k::r, 0] = bk
+        rhs[k::r, 1 + k] = w * xi
+    if r == 1:
+        ab[1] -= lam * m
+    else:
+        ab[1, 1::2] = ab[3, 0::2] = -lam * m
+    sol = solve_banded((r, r), ab, rhs, check_finite=False)
+    # dx = -J^-1 rhs0 + sum_k J^-1 f_k dL_k, with f_j . dx_j = 0 for each row j
+    f = [rhs[j::r, 1 + j] for j in range(r)]
+    schur = np.array([[f[j] @ sol[j::r, 1 + k] for k in range(r)]
+                      for j in range(r)])
+    dl = np.linalg.solve(schur, [f[j] @ sol[j::r, 0] for j in range(r)])
+    dx = sol[:, 1:] @ dl - sol[:, 0]
+    return [dx[k::r] for k in range(r)]
+
+
+def _newton_polish(x, h, ops, lam, grid, normalize, gradient, total_energy,
+                   grad_tol, e_max):
+    """Newton's method on the bordered discrete Euler-Lagrange system (see
+    _bordered_step) from the flow's rows x and their power rows h, which it
+    leaves untouched.
+
+    Each step's multipliers L_k and residual come from the flow's own
+    gradient code, and each step renormalizes the rows as the flow does.
+    The first step may raise the residual (Newton overshoots from outside
+    its quadratic region); after that the attempt goes on only while the
+    residual falls, for at most _NEWTON_STEPS steps.  Returns (rows,
+    energy, steps) once the rows pass the flow's convergence test with
+    energy <= e_max and each row of one sign in the interior, else None.
+    """
+    m, q = grid.masses[1:-1], critical_exponent(grid.dimension)
+    y, hy = [xk.copy() for xk in x], [hk.copy() for hk in h]
+    d = [np.empty(m.size) for _ in x]
+    last = math.inf
     try:
         for step in range(_NEWTON_STEPS + 1):
             e, g, p = total_energy(y)
-            if gradient(y, hy, g, p, d) <= grad_tol:
-                return (y, e, step) if e <= e_max else None
-            if step == _NEWTON_STEPS:
+            res = gradient(y, hy, g, p, d)
+            if res <= grad_tol:
+                # Newton may also land on a critical point whose row changes
+                # sign; a minimizer's rows each keep one sign
+                one_sign = all(np.all(yk[:-1] > 0.0) or np.all(yk[:-1] < 0.0)
+                               for yk in y)
+                return (y, e, step) if e <= e_max and one_sign else None
+            if step == _NEWTON_STEPS or (step > 1 and not res < last):
                 return None
-            for k, (yk, op, dk) in enumerate(zip(y, ops, d)):
-                yi = yk[1:-1]
-                w = m * np.abs(yi) ** (q - 2.0)
-                ab[r, k::r] = op.diag - (q - 1.0) * (g[k] - lam * p) * w
-                ab[0, r + k::r] = op.off
-                ab[2 * r, k:r * (n - 1):r] = op.off
-                rhs[k::r, 0] = dk
-                rhs[k::r, 1 + k] = w * yi
-            if r == 1:
-                ab[1] -= lam * m
-            else:
-                ab[1, 1::2] = ab[3, 0::2] = -lam * m
-            sol = solve_banded((r, r), ab, rhs)
-            # dx = -J^-1 F + sum_k J^-1 f_k dL_k, with f_j . dx_j = 0 for each row j
-            f = [rhs[j::r, 1 + j] for j in range(r)]
-            schur = np.array([[f[j] @ sol[j::r, 1 + k] for k in range(r)]
-                              for j in range(r)])
-            dl = np.linalg.solve(schur, [f[j] @ sol[j::r, 0] for j in range(r)])
-            dx = sol[:, 1:] @ dl - sol[:, 0]
-            for k, (yk, hk) in enumerate(zip(y, hy)):
-                yk[1:-1] += dx[k::r]
+            last = res
+            dx = _bordered_step(y, [gk - lam * p for gk in g], d, ops, lam, m, q)
+            for yk, hk, dxk in zip(y, hy, dx):
+                yk[1:-1] += dxk
                 yk[0] = yk[1]
                 normalize(yk, hk)
     except (LinAlgError, ValueError, FloatingPointError, DegeneratePair):
@@ -264,22 +295,27 @@ def descend(
     at lam == 0 the coupling products are skipped.
 
     When the system residual falls to _NEWTON_SWITCH (but not to grad_tol),
-    the flow's rows are handed to _newton_polish, which takes at most
-    _NEWTON_STEPS Newton steps on the same rows.  Its result is accepted,
-    and the flow ends "converged", only if the renormalized rows pass the
-    grad_tol test with an energy at most the flow's current one (with the
-    flow's 1e-14 relative slack); the reported iterations then count the
-    Newton steps too.  A failed linear solve, a non-finite value or a
-    result that misses either test discards the attempt, and the flow goes
-    on bit for bit as without it; an attempt at residual res re-arms the
-    polish at res / _NEWTON_REARM, so a flow makes at most about
-    log10(_NEWTON_SWITCH / grad_tol) + 1 attempts.  The concentrating flows
-    measured (the concentration benchmark, acceptance criterion 12) bottom
-    out above residual 0.6 and never attempt one.  A non-finite residual
-    raises NumericFault.
+    or at the first iteration when init_pair is given (a warm start, which
+    may already lie in Newton's basin), the flow's rows are handed to
+    _newton_polish, which takes at most _NEWTON_STEPS Newton steps on the
+    same rows and stops early once a step after the first does not lower the
+    residual (the first may overshoot).  Its result is accepted, and the
+    flow ends "converged", only if the renormalized rows pass the grad_tol
+    test with an energy at most the flow's current one (with the flow's
+    1e-14 relative slack) and each row of one sign in the interior; the
+    reported iterations then count the Newton steps too.  A failed linear
+    solve, a non-finite value or a result that misses any of these tests
+    discards the attempt, and the flow goes on bit for bit as without it; an
+    attempt at residual res re-arms the polish at res / _NEWTON_REARM, so a
+    flow makes at most about log10(res_1 / grad_tol) + 1 attempts, res_1 the
+    residual of its first attempt (at most _NEWTON_SWITCH from a cold
+    start).  The concentrating flows measured (the concentration benchmark,
+    acceptance criterion 12) bottom out above residual 0.6 and never attempt
+    one.  A non-finite residual raises NumericFault.
     """
     if not np.isfinite(lam):
         raise NumericFault(f"coupling must be finite, got {lam}")
+    polish_at = _NEWTON_SWITCH if init_pair is None else math.inf
     if init_pair is None:
         init_pair = _initial_pair(a, b, grid, params)
     ops = (assemble_operator(a, grid), assemble_operator(b, grid))
@@ -341,7 +377,6 @@ def descend(
     tau = params.step
     status = "stalled"                    # unless a test below ends the flow
     last_improve = it = 0
-    polish_at = _NEWTON_SWITCH
 
     for it in range(1, params.max_iters + 1):
         res = gradient(x, h, g, p, d)
@@ -440,6 +475,54 @@ def discrete_sobolev_constant(grid: RadialGrid,
 # ---------------------------------------------------------------------------
 
 
+def _tangent(flow: MinimizeResult, a: WeightProfile, b: WeightProfile,
+             lam: float, grid: RadialGrid):
+    """(rows, d rows / d lam) at a converged flow's pair: the distinct rows
+    of the pair, as in descend, and the dof derivative of each along the
+    branch of discrete Euler-Lagrange solutions through it (see
+    _bordered_step; dF_k/dlam = -M x_partner)."""
+    ops = (assemble_operator(a, grid), assemble_operator(b, grid))
+    x = (flow.pair.u, flow.pair.v)
+    mults = (flow.multiplier_u, flow.multiplier_v)
+    if _one_row(ops, x):
+        x, ops, mults = x[:1], ops[:1], mults[:1]
+    m = grid.masses[1:-1]
+    rhs0 = [-m * x[-1 - k][1:-1] for k in range(len(x))]
+    return x, _bordered_step(x, mults, rhs0, ops, lam, m,
+                             critical_exponent(grid.dimension))
+
+
+def _next_start(flow: MinimizeResult, a: WeightProfile, b: WeightProfile,
+                lam: float, new_lam: float, grid: RadialGrid) -> FieldPair:
+    """The start of the sweep's flow at new_lam after its flow at lam.
+
+    From a converged pair this is the tangent predictor x + step dx/dlam
+    with step = new_lam - lam, halved while the predicted start's energy at
+    new_lam is above the pair's own, for _PREDICTOR_TRIES steps in all.  If
+    every step is above, if the tangent cannot be computed, or if the flow
+    did not converge, it is the pair itself.
+    """
+    if flow.status != "converged":
+        return flow.pair
+    try:
+        rows, tangent = _tangent(flow, a, b, lam, grid)
+        e_warm = energy(flow.pair, a, b, new_lam, grid).value
+        step = new_lam - lam
+        for _ in range(_PREDICTOR_TRIES):
+            start = [xk.copy() for xk in rows]
+            for sk, tk in zip(start, tangent):
+                sk[1:-1] += step * tk
+                sk[0] = sk[1]
+            pred = FieldPair(u=start[0], v=start[-1].copy())
+            if energy(pred, a, b, new_lam, grid).value <= e_warm:
+                return pred
+            step *= 0.5
+    except (LinAlgError, ValueError, FloatingPointError, DegeneratePair,
+            NumericFault):
+        pass
+    return flow.pair
+
+
 @dataclass(frozen=True)
 class SweepRow:
     lam: float
@@ -455,8 +538,14 @@ def sweep_minimize(
 ) -> list[SweepRow]:
     """Run the flow for each coupling and cross-evaluate the found pairs.
 
-    The flows run in increasing coupling, each warm-started from the previous
-    pair.  Every pair discovered anywhere in the sweep is an admissible
+    The flows run in increasing coupling, as a predictor-corrector
+    continuation: after a converged flow the next one starts from a tangent
+    step along the branch of minimizers, never above the plain warm start
+    (see _next_start), and after any other flow from that flow's pair.
+    Every such flow is warm-started, so descend tries Newton from its
+    first iteration (the corrector).
+
+    Every pair discovered anywhere in the sweep is an admissible
     candidate at every coupling; the reported value per coupling is the
     minimum over the pool.  With sign-normalized candidates the per-candidate
     energy is affine and nonincreasing in the coupling, so the pooled
@@ -469,10 +558,12 @@ def sweep_minimize(
     lams = [float(x) for x in lams]
     flows: dict[float, MinimizeResult] = {}
     pool = []   # (source flow, grad_a_raw, grad_b_raw, coupling_raw, pair)
-    warm = None
+    warm = prev = None
     for lam in sorted(set(lams)):
+        if prev is not None:
+            warm = _next_start(flows[prev], a, b, prev, lam, grid)
         res = flows[lam] = descend(a, b, lam, grid, params, init_pair=warm)
-        warm = res.pair
+        prev = lam
         pr = sign_normalize(res.pair)
         ga = 0.5 * weighted_gradient_energy(pr.u, a, grid)
         gb = 0.5 * weighted_gradient_energy(pr.v, b, grid)

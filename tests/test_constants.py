@@ -1,9 +1,14 @@
 """Closed-form profile moments, derived constants, and thresholds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import critvar
 from critvar import (bubble_constants, correction_constant, radial_moment,
                      radial_moment_quadrature, slope_factor, thresholds)
 from critvar.errors import DivergentIntegral, LogScaledRegime
@@ -23,6 +28,18 @@ def test_moment_exact_half_integer():
 def test_moment_quadrature_cross_check(s, p):
     assert radial_moment_quadrature(s, p) == pytest.approx(
         radial_moment(s, p), rel=1e-10)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the quadrature route needs scipy.integrate, and importing it is
+    # most of a fresh `import critvar`; a fresh interpreter must not load it
+    src = str(Path(critvar.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, critvar; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_moment_divergence_guard():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from critvar import (FieldPair, FlowParams, WeightProfile, build_grid,
                      concentration_diagnostic, descend, dirichlet_field,
@@ -299,6 +300,50 @@ def test_failed_polish_leaves_the_flow_bitwise(request, monkeypatch, grid5,
             assert x == y
 
 
+@pytest.mark.parametrize("residuals, solves, accepted", [
+    ([0.3, 0.7, 0.02, 2e-4, 3e-7], 4, True),    # one overshoot, then quadratic
+    ([0.3, 0.7, 0.02, 0.03], 3, False),         # the third step raises it
+    ([0.3, 0.7, 0.7], 2, False),                # the second step does not lower it
+    ([0.3, 0.2, 0.1, 0.05, 0.02, 0.01], 5, False),   # _NEWTON_STEPS reached
+])
+def test_polish_steps_only_while_the_residual_falls(monkeypatch, grid5, quad_weight,
+                                                    residuals, solves, accepted):
+    # a scripted residual per step; the Newton steps themselves are real
+    assert minimizer._NEWTON_STEPS == 5
+    script = iter(residuals)
+    solved = []
+
+    def counted(*args, **kwargs):
+        solved.append(1)
+        return solve_banded(*args, **kwargs)
+
+    def gradient(y, hy, g, p, d):
+        for dk in d:
+            dk.fill(0.0)
+        return next(script)
+
+    monkeypatch.setattr(minimizer, "solve_banded", counted)
+    x = dirichlet_field(1.0 - grid5.nodes ** 2, grid5)
+    ops = (minimizer.assemble_operator(quad_weight, grid5),)
+    out = minimizer._newton_polish(
+        [x], [x.copy()], ops, 9.0, grid5, lambda t, h: t, gradient,
+        lambda y: (1.0, [1.0], 0.0), 1e-6, 2.0)
+    assert len(solved) == solves
+    assert (out is not None) == accepted
+
+
+@pytest.mark.parametrize("modes, accepted", [(1, True), (3, False)])
+def test_polish_rejects_rows_that_change_sign(grid5, quad_weight, modes,
+                                              accepted):
+    # rows already at grad_tol: cos((2j - 1) pi r / 2) changes sign for j > 1
+    x = dirichlet_field(np.cos((2 * modes - 1) * np.pi * grid5.nodes / 2.0), grid5)
+    ops = (minimizer.assemble_operator(quad_weight, grid5),)
+    out = minimizer._newton_polish(
+        [x], [x.copy()], ops, 9.0, grid5, lambda t, h: t,
+        lambda *args: 1e-7, lambda y: (1.0, [1.0], 0.0), 1e-6, 2.0)
+    assert (out is not None) == accepted
+
+
 def test_non_finite_gradient_is_numeric_fault(monkeypatch, grid5, quad_weight):
     def nan_apply(self, x, out, tmp):
         out.fill(math.nan)
@@ -428,12 +473,138 @@ def test_sweep_row_never_won_by_its_own_pair():
     params = FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
     rows = sweep_minimize(lams, w, w, grid, params)
     warm = None
-    for row in rows:                # no pair from another coupling wins here
+    for row, new_lam in zip(rows, lams[1:] + [None]):
+        # the replay starts each flow where the sweep does; no pair from
+        # another coupling wins here
         flow = descend(w, w, row.lam, grid, params, init_pair=warm)
-        warm = flow.pair
+        if new_lam is not None:
+            warm = minimizer._next_start(flow, w, w, row.lam, new_lam, grid)
         assert np.array_equal(row.result.pair.u, flow.pair.u)
         assert row.result.q_lambda == flow.q_lambda
         assert row.result.status == flow.status
+
+
+# --- continuation along the sweep -------------------------------------------
+
+# the existence-sweep benchmark workload at seed 11
+SWEEP_LAMS = [9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
+              21.7696, 23.922903]
+SWEEP_FLOW = FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
+
+
+@pytest.fixture(scope="module")
+def sweep_grid():
+    return build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
+
+
+def _recorded_sweep(monkeypatch, lams, a, b, grid, params):
+    """sweep_minimize's rows and, in order, each flow's (coupling, start, result)."""
+    flows = []
+    flow = minimizer.descend
+
+    def recorded(a, b, lam, grid, params, init_pair=None):
+        res = flow(a, b, lam, grid, params, init_pair=init_pair)
+        flows.append((lam, init_pair, res))
+        return res
+
+    monkeypatch.setattr(minimizer, "descend", recorded)
+    return sweep_minimize(lams, a, b, grid, params), flows
+
+
+def _recorded_tangents(monkeypatch):
+    """(coupling, rows) of every tangent the sweep computes, in order."""
+    calls = []
+    tangent = minimizer._tangent
+
+    def recorded(flow, a, b, lam, grid):
+        out = tangent(flow, a, b, lam, grid)
+        calls.append((lam, len(out[0])))
+        return out
+
+    monkeypatch.setattr(minimizer, "_tangent", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("b_name, rows", [("quad_weight", 1),
+                                          ("quartic_weight", 2)])
+def test_tangent_is_the_derivative_of_the_branch(request, grid5, quad_weight,
+                                                 b_name, rows):
+    # central differences of converged pairs at lam +- 1e-3 agree with the
+    # bordered solve to their own O(1e-6) truncation error
+    b = request.getfixturevalue(b_name)
+    params = FlowParams(max_iters=8000, grad_tol=1e-9, stall_window=1500)
+    lam, dlam = 10.0, 1e-3
+    at = descend(quad_weight, b, lam, grid5, params)
+    up = descend(quad_weight, b, lam + dlam, grid5, params, init_pair=at.pair)
+    down = descend(quad_weight, b, lam - dlam, grid5, params, init_pair=at.pair)
+    assert at.status == up.status == down.status == "converged"
+    x, tangent = minimizer._tangent(at, quad_weight, b, lam, grid5)
+    assert len(x) == len(tangent) == rows
+    for k, tk in enumerate(tangent):
+        fd = ((up.pair.u, up.pair.v)[k] - (down.pair.u, down.pair.v)[k])[1:-1]
+        fd /= 2.0 * dlam
+        assert np.max(np.abs(fd - tk)) <= 1e-5 * np.max(np.abs(tk))
+
+
+def test_continuation_sweep_converges_in_few_iterations(monkeypatch, sweep_grid):
+    w = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    rows = sweep_minimize(SWEEP_LAMS, w, w, sweep_grid, SWEEP_FLOW)
+    assert all(r.result.status == "converged" for r in rows)
+    assert sum(r.result.iterations for r in rows) <= 150
+    # each flow from the plain warm start (the polish still armed at once)
+    # reaches the same minimizers
+    monkeypatch.setattr(minimizer, "_PREDICTOR_TRIES", 0)
+    plain = sweep_minimize(SWEEP_LAMS, w, w, sweep_grid, SWEEP_FLOW)
+    assert sum(r.result.iterations for r in plain) > 150
+    for row, ref in zip(rows, plain):
+        assert ref.result.status == "converged"
+        assert row.result.q_lambda == pytest.approx(ref.result.q_lambda,
+                                                    rel=1e-12, abs=0.0)
+
+
+def test_predicted_start_is_never_above_the_warm_start(monkeypatch, sweep_grid):
+    w = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    _, flows = _recorded_sweep(monkeypatch, SWEEP_LAMS, w, w, sweep_grid,
+                               SWEEP_FLOW)
+    for (lam0, _, prev), (lam, start, _) in zip(flows, flows[1:]):
+        assert start is not prev.pair            # the predictor is used
+        assert (energy(start, w, w, lam, sweep_grid).value
+                <= energy(prev.pair, w, w, lam, sweep_grid).value)
+    # from the first coupling the full tangent step overshoots; the start
+    # is a shorter step along it
+    (lam0, _, first), (lam1, start, _) = flows[:2]
+    [x], [tangent] = minimizer._tangent(first, w, w, lam0, sweep_grid)
+    full = x.copy()
+    full[1:-1] += (lam1 - lam0) * tangent
+    full[0] = full[1]
+    assert (energy(FieldPair(u=full, v=full), w, w, lam1, sweep_grid).value
+            > energy(first.pair, w, w, lam1, sweep_grid).value)
+
+
+def test_no_prediction_after_a_flow_that_did_not_converge(monkeypatch, grid5,
+                                                          quad_weight, quick_flow):
+    # the sweep of test_sweep_monotone_and_pooled, whose lam = 2 flow
+    # concentrates: the lam = 5 flow starts from that flow's own pair
+    tangents = _recorded_tangents(monkeypatch)
+    _, flows = _recorded_sweep(monkeypatch, [2.0, 5.0, 8.0, 11.0, 14.0],
+                               quad_weight, quad_weight, grid5, quick_flow)
+    (_, _, conc), (_, start, _) = flows[:2]
+    assert conc.status == "concentrating"
+    assert start is conc.pair
+    assert [res.status for _, _, res in flows[1:]] == ["converged"] * 4
+    assert tangents == [(5.0, 1), (8.0, 1), (11.0, 1)]
+
+
+def test_two_row_sweep_uses_the_predictor(monkeypatch, grid5, quad_weight,
+                                          quartic_weight, quick_flow):
+    tangents = _recorded_tangents(monkeypatch)
+    rows, flows = _recorded_sweep(monkeypatch, [8.0, 10.0, 12.0], quad_weight,
+                                  quartic_weight, grid5, quick_flow)
+    assert tangents == [(8.0, 2), (10.0, 2)]
+    assert all(r.result.status == "converged" for r in rows)
+    for (_, _, prev), (_, start, _) in zip(flows, flows[1:]):
+        assert start is not prev.pair
+        assert not np.array_equal(start.u, start.v)
 
 
 # --- verdict dispatch -------------------------------------------------------
