@@ -4,10 +4,15 @@
 
 Times `critvar.descend` and `critvar.sweep_minimize` from two source
 trees: `--parent` and `--change` (default: this checkout's `src`).  Each
-tree is imported by its own worker interpreter; the script asks the two
-workers for one run at a time, in alternating order, so that drift of a
-shared machine's speed falls on both trees alike instead of landing on
-their ratio.
+case runs in ROUNDS fresh pairs of worker interpreters, one per tree, that
+build and time that case alone, so that no case inherits the heap left by
+the cases before it, and so that whatever makes one worker faster than
+another (two workers of the same tree have read 9% apart on conc-0) is
+averaged over several workers; the script asks the two workers of a pair for one run
+at a time, in alternating order, so that drift of a shared machine's speed
+falls on both trees alike instead of landing on their ratio.  With
+`--parent` and `--change` naming the same tree (an A/A run) every ratio
+should read about x1.00.
 
 Per-iteration cases, on the N = 5 uniform grid at n = 800 and n = 3000
 cells, each with a tolerance it cannot reach, so that it stops at the
@@ -50,7 +55,8 @@ and flow:
   sweep and the total flow iterations of its eight flows.
 
 The file records the median and quartiles of each case for both trees and
-the change/parent ratio of the medians.
+the change/parent ratio: the median over the runs of the change's run
+divided by the parent's run next to it in time.
 """
 
 from __future__ import annotations
@@ -71,13 +77,20 @@ SIZES = (800, 3000)
 STARTS = ("symmetric", "symmetric-0", "random", "distinct")
 LAMBDA = 9.0
 ITERS = 300
-REPEATS = 15
+ROUNDS = 8              # fresh worker pairs per case
+REPEATS = 3             # runs per worker
 SWEEP_LAMS = (9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
               21.7696, 23.922903)
 
 
-def _cases(critvar):
-    """{name: (run, per_iteration)}; run() returns a result with the fields
+# every case, and whether it is timed per iteration (else per call)
+CASES = {**{f"n{n}/{start}": True for n in SIZES for start in STARTS},
+         "conc-0": True, "sweep-9.0446": False, "gap-4": False, "gap-8": False,
+         "sweep": False}
+
+
+def _case(critvar, name):
+    """run() for the named case, which returns a result with the fields
     iterations, status, el_residual and q_lambda."""
 
     def descend(*args):
@@ -104,38 +117,37 @@ def _cases(critvar):
             max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS, init="random")),
         "distinct": (b_other, LAMBDA, flow),
     }
-    cases = {}
-    for n in SIZES:
-        grid = critvar.build_grid(5, 1.0, n)
-        for start in STARTS:
-            b, lam, params = starts[start]
-            cases[f"n{n}/{start}"] = (descend(quad, b, lam, grid, params), True)
-    graded3000 = critvar.build_grid(5, 1.0, 3000, grading="geometric", ratio=1.004)
-    conc = critvar.FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
-    cases["conc-0"] = (descend(quad, b_same, 0.0, graded3000, conc), True)
+    if name.startswith("n"):
+        size, start = name[1:].split("/")
+        b, lam, params = starts[start]
+        return descend(quad, b, lam, critvar.build_grid(5, 1.0, int(size)), params)
+    if name == "conc-0":
+        graded3000 = critvar.build_grid(5, 1.0, 3000, grading="geometric", ratio=1.004)
+        conc = critvar.FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
+        return descend(quad, b_same, 0.0, graded3000, conc)
     graded = critvar.build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
     to_tol = critvar.FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
     quartic = critvar.WeightProfile.pure_power(1.0, 4.0, 1.0)
-    cases["sweep-9.0446"] = (descend(quad, b_same, 9.0446, graded, to_tol), False)
-    cases["gap-4"] = (descend(quad, quartic, 4.0, graded, to_tol), False)
-    cases["gap-8"] = (descend(quad, b_same, 8.0, graded, to_tol), False)
-    cases["sweep"] = (sweep_minimize(SWEEP_LAMS, quad, b_same, graded, to_tol), False)
-    return cases
+    return {
+        "sweep-9.0446": descend(quad, b_same, 9.0446, graded, to_tol),
+        "gap-4": descend(quad, quartic, 4.0, graded, to_tol),
+        "gap-8": descend(quad, b_same, 8.0, graded, to_tol),
+        "sweep": sweep_minimize(SWEEP_LAMS, quad, b_same, graded, to_tol),
+    }[name]
 
 
-def worker(src: Path) -> int:
-    """Serve timed runs of one tree: read a case name per line, answer JSON."""
+def worker(src: Path, name: str) -> int:
+    """Serve timed runs of one case of one tree: answer each input line
+    with one run's JSON."""
     sys.path.insert(0, str(src.resolve()))
     import critvar
 
     if Path(critvar.__file__).resolve().parent != (src / "critvar").resolve():
         raise SystemExit(f"critvar was not imported from {src}")
-    cases = _cases(critvar)
-    for run, _ in cases.values():                # warm caches and lazy set-up
-        run()
-    print(json.dumps({name: kind for name, (_, kind) in cases.items()}), flush=True)
-    for line in sys.stdin:
-        run, _ = cases[line.strip()]
+    run = _case(critvar, name)
+    run()                                        # warm caches and lazy set-up
+    print("ready", flush=True)
+    for _ in sys.stdin:
         t0 = time.perf_counter()
         res = run()
         seconds = time.perf_counter() - t0
@@ -145,10 +157,14 @@ def worker(src: Path) -> int:
     return 0
 
 
+def _values(samples, per_iteration: bool) -> list:
+    return [s["seconds"] / s["iterations"] if per_iteration else s["seconds"]
+            for s in samples]
+
+
 def _summary(samples, per_iteration: bool) -> dict:
     key = "s_per_iter" if per_iteration else "seconds"
-    xs = [s["seconds"] / s["iterations"] if per_iteration else s["seconds"]
-          for s in samples]
+    xs = _values(samples, per_iteration)
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     last = samples[-1]
     out = {f"{key}_median": med, f"{key}_q1": q1, f"{key}_q3": q3,
@@ -159,34 +175,52 @@ def _summary(samples, per_iteration: bool) -> dict:
     return out
 
 
-def measure(trees: dict) -> dict:
-    """{label: {case: summary}}, with the trees' runs interleaved."""
+def _interleaved(trees: dict, name: str, flip: bool) -> dict:
+    """{label: [run JSON] * REPEATS} of one case, from a fresh worker per
+    tree, the trees' runs interleaved; flip starts with the second tree."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
     procs = {label: subprocess.Popen(
-        [sys.executable, __file__, "--worker", str(src)], stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE, text=True, env=env) for label, src in trees.items()}
+        [sys.executable, __file__, "--worker", str(src), "--case", name],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+        for label, src in trees.items()}
     try:
-        kinds = [json.loads(p.stdout.readline()) for p in procs.values()]
-        per_iteration = kinds[0]
-        if any(k != per_iteration for k in kinds):
-            raise SystemExit("the two trees disagree on the case list")
-        cases = list(per_iteration)
-        samples = {label: {name: [] for name in cases} for label in procs}
-        order = list(procs)
+        for p in procs.values():
+            if p.stdout.readline().strip() != "ready":
+                raise SystemExit(f"a worker failed to set up case {name}")
+        samples = {label: [] for label in procs}
+        order = list(procs)[::-1] if flip else list(procs)
         for rep in range(REPEATS):
-            for name in cases:
-                for label in (order if rep % 2 == 0 else order[::-1]):
-                    p = procs[label]
-                    p.stdin.write(name + "\n")
-                    p.stdin.flush()
-                    samples[label][name].append(json.loads(p.stdout.readline()))
+            for label in (order if rep % 2 == 0 else order[::-1]):
+                p = procs[label]
+                p.stdin.write("run\n")
+                p.stdin.flush()
+                samples[label].append(json.loads(p.stdout.readline()))
     finally:
         for p in procs.values():
             p.stdin.close()
             p.wait(timeout=60)
-    return {label: {name: _summary(xs, per_iteration[name]) for name, xs in runs.items()}
-            for label, runs in samples.items()}
+    return samples
+
+
+def measure(parent: Path, change: Path) -> tuple[dict, dict]:
+    """({label: {case: summary}}, {case: change/parent}), each case in ROUNDS
+    fresh worker pairs.  The ratio is the median over the runs of change's
+    run over the parent's run next to it in time, which cancels drift slower
+    than one run pair."""
+    trees = {"parent": parent, "change": change}
+    runs, ratios = {label: {} for label in trees}, {}
+    for name, per_iteration in CASES.items():
+        samples = {label: [] for label in trees}
+        for rnd in range(ROUNDS):
+            for label, xs in _interleaved(trees, name, rnd % 2 == 1).items():
+                samples[label] += xs
+        for label, xs in samples.items():
+            runs[label][name] = _summary(xs, per_iteration)
+        ratios[name] = statistics.median(
+            c / p for p, c in zip(_values(samples["parent"], per_iteration),
+                                  _values(samples["change"], per_iteration)))
+    return runs, ratios
 
 
 def main(argv=None) -> int:
@@ -196,19 +230,21 @@ def main(argv=None) -> int:
                    help="source tree of the change (default: this checkout's src)")
     p.add_argument("--out", type=Path, help="JSON file to write")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    p.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker is not None:
-        return worker(args.worker)
+        return worker(args.worker, args.case)
     if args.parent is None or args.out is None:
         p.error("--parent and --out are required")
 
     import numpy
     import scipy
 
-    runs = measure({"parent": args.parent, "change": args.change})
+    runs, ratios = measure(args.parent, args.change)
     doc = {
         "what": ("descend cost of the parent and the change, timed interleaved "
-                 "in two worker interpreters. Per-iteration cases (n<cells>/<start>): "
+                 f"in {ROUNDS} fresh pairs of worker interpreters per case. "
+                 "Per-iteration cases (n<cells>/<start>): "
                  f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA} "
                  f"(0 for symmetric-0), iteration cap {ITERS}. conc-0: seconds per "
                  "iteration of the concentration workload's flow (coupling 0, "
@@ -218,16 +254,16 @@ def main(argv=None) -> int:
                  "grad_tol 1e-5. sweep: seconds per sweep_minimize call over the "
                  "eight existence-sweep seed-11 couplings on the same grid, with "
                  "the total iterations of its flows. "
-                 f"Median and quartiles of {REPEATS} runs each."),
+                 f"Median and quartiles of {ROUNDS * REPEATS} runs each, "
+                 f"{REPEATS} per worker. change_over_parent: the median over "
+                 "the runs of the change's run divided by the parent's run "
+                 "next to it in time."),
         "machine": {"python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__,
                     "cpus": os.cpu_count(), "machine": platform.machine()},
         "runs": runs,
-        "change_over_parent": {},
+        "change_over_parent": ratios,
     }
-    for name, r in runs["change"].items():
-        key = next(k for k in r if k.endswith("_median"))
-        doc["change_over_parent"][name] = r[key] / runs["parent"][name][key]
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     for label, cases in runs.items():
         for name, r in cases.items():

@@ -4,7 +4,8 @@ Everything here reduces to moments of the standard profile 1/(1+r^2):
 
     I(s, p) = int_0^inf r^s (1 + r^2)^(-p) dr = (1/2) B((s+1)/2, p-(s+1)/2),
 
-computed through the Beta function and cross-checked by adaptive
+computed through the Beta function (as log-Gammas from `math`, so that
+importing critvar does not load scipy.special) and cross-checked by adaptive
 quadrature on the compactified variable r = tan(theta) (no cutoff
 truncation; tail exponents vary too much across (s, p) for that).
 """
@@ -13,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import special as _sci_special
 
 from .errors import DivergentIntegral, LogScaledRegime
 from .grid import unit_sphere_area
@@ -25,7 +24,7 @@ def radial_moment(s: float, p: float) -> float:
     if p <= (s + 1.0) / 2.0:
         raise DivergentIntegral(f"I({s}, {p}) diverges: need p > (s+1)/2")
     x = (s + 1.0) / 2.0
-    return 0.5 * math.exp(_sci_special.betaln(x, p - x))
+    return 0.5 * math.exp(math.lgamma(x) + math.lgamma(p - x) - math.lgamma(p))
 
 def radial_moment_quadrature(s: float, p: float) -> float:
     """Independent route for I(s, p): adaptive quadrature after r = tan(t).

@@ -226,11 +226,39 @@ def _bordered_step(rows, mults, rhs0, ops, lam, m, q):
     return [dx[k::r] for k in range(r)]
 
 
+def _normalizer(grid: RadialGrid):
+    """normalize(t, h) for the flow on this grid: divides row t in place by
+    its critical norm and leaves h = m|t|^(q-2) t of the result, m the node
+    masses.  At N = 5, |t|^(q-2) = |t|^(4/3) is taken as cbrt(t) t, half the
+    cost of the power pass that every other N runs."""
+    m, q = grid.masses, critical_exponent(grid.dimension)
+    cube = grid.dimension == 5
+
+    def normalize(t, h):
+        if cube:
+            np.cbrt(t, out=h)                   # sign(t)|t|^(1/3), so h t = |t|^(4/3)
+            h *= t
+        else:
+            np.abs(t, out=h)
+            h **= q - 2.0
+        h *= m
+        h *= t
+        s = float(np.dot(h, t))                 # sum m|t|^q
+        if s == 0.0 or not math.isfinite(s):
+            raise DegeneratePair("flow component collapsed to zero")
+        n = s ** (1.0 / q)
+        t /= n
+        h *= n ** (1.0 - q)
+        return t
+
+    return normalize
+
+
 def _newton_polish(x, h, ops, lam, grid, normalize, gradient, total_energy,
                    grad_tol, e_max):
     """Newton's method on the bordered discrete Euler-Lagrange system (see
     _bordered_step) from the flow's rows x and their power rows h, which it
-    leaves untouched.
+    leaves untouched; the rows' face fluxes go to buffers of its own.
 
     Each step's multipliers L_k and residual come from the flow's own
     gradient code, and each step renormalizes the rows as the flow does.
@@ -243,11 +271,12 @@ def _newton_polish(x, h, ops, lam, grid, normalize, gradient, total_energy,
     m, q = grid.masses[1:-1], critical_exponent(grid.dimension)
     y, hy = [xk.copy() for xk in x], [hk.copy() for hk in h]
     d = [np.empty(m.size) for _ in x]
+    fy = [np.zeros(m.size + 1) for _ in x]
     last = math.inf
     try:
         for step in range(_NEWTON_STEPS + 1):
-            e, g, p = total_energy(y)
-            res = gradient(y, hy, g, p, d)
+            e, g, p = total_energy(y, fy)
+            res = gradient(y, hy, fy, g, p, d)
             if res <= grad_tol:
                 # Newton may also land on a critical point whose row changes
                 # sign; a minimizer's rows each keep one sign
@@ -290,9 +319,13 @@ def descend(
     normalization of a trial row t writes h = m|t|^(q-2) t, takes the norm
     from h.t = sum m|t|^q and rescales h with t, so that h holds the
     m|x|^(q-2) x term of the next gradient and the mass density h.x the
-    concentration detector reads.  The flow's energy is the sum of squares
-    sum_f c_f (x_{f+1} - x_f)^2 over the operator's face conductances;
-    at lam == 0 the coupling products are skipped.
+    concentration detector reads.  At N = 5 the power is a cube root
+    (see _normalizer).  The flow's energy is sum_f f_f (x_{f+1} - x_f) over
+    the face fluxes f_f = c_f (x_{f+1} - x_f), which it keeps per row, and
+    the next gradient reads K x as their difference
+    (TridiagonalOperator._flux_difference) instead of applying K; at
+    lam == 0 the coupling products are skipped.  The best rows are held by
+    reference and copied only when a trial row is about to overwrite them.
 
     When the system residual falls to _NEWTON_SWITCH (but not to grad_tol),
     or at the first iteration when init_pair is given (a warm start, which
@@ -323,24 +356,10 @@ def descend(
     m_dof = m[1:-1]
     inv_m = 1.0 / m_dof
     lam_m = lam * m_dof
-    q = critical_exponent(grid.dimension)
     delta = _CONC_DELTA_FRACTION * grid.radius
     inside = int(np.searchsorted(grid.nodes, delta, side="right"))   # r <= delta
-    node, dof, off = np.empty(m.size), np.empty(m_dof.size), np.empty(m_dof.size - 1)
-
-    def normalize(t, h):
-        """Divide row t in place by its critical norm; h = m|t|^(q-2) t after."""
-        np.abs(t, out=h)
-        h **= q - 2.0
-        h *= m
-        h *= t
-        s = float(np.dot(h, t))                 # sum m|t|^q
-        if s == 0.0 or not math.isfinite(s):
-            raise DegeneratePair("flow component collapsed to zero")
-        n = s ** (1.0 / q)
-        t /= n
-        h *= n ** (1.0 - q)
-        return t
+    node, dof = np.empty(m.size), np.empty(m_dof.size)
+    normalize = _normalizer(grid)
 
     # each row x[k] comes with its power row h[k]
     h = (np.empty(m.size), np.empty(m.size))
@@ -349,37 +368,42 @@ def descend(
     if _one_row(ops, x):
         x, h, ops = x[:1], h[:1], ops[:1]
     sup0 = max(np.max(np.abs(xk)) for xk in x)
-    # trial rows swap with x when accepted (as copies their boundary node is 0);
-    # d holds each row's raw gradient
+    # trial rows swap with x when accepted (as copies their boundary node is 0),
+    # and so do their power rows h and face fluxes f; d holds each row's raw
+    # gradient
     x_try, h_try = [xk.copy() for xk in x], [np.empty(m.size) for _ in x]
+    f, f_try = ([np.zeros(m_dof.size + 1) for _ in x] for _ in range(2))
     d = [np.empty(m_dof.size) for _ in x]
 
-    def total_energy(xs):
-        g = [float(np.dot(op.c, np.square(np.subtract(xk[2:], xk[1:-1], out=dof),
-                                          out=dof)))
-             for xk, op in zip(xs, ops)]
+    def total_energy(xs, fs):
+        """Energy of the rows xs, leaving each row's face fluxes in fs[k][1:]
+        (fs[k][0] is the origin face's, always 0)."""
+        g = [float(np.dot(np.multiply(op.c, np.subtract(xk[2:], xk[1:-1], out=dof),
+                                      out=fk[1:]), dof))
+             for xk, op, fk in zip(xs, ops, fs)]
         p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node))) if lam else 0.0
         return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
 
-    def gradient(xs, hs, g, p, d):
-        """Each row's raw gradient into d; returns the system residual."""
-        for k, (xk, hk, op, dk) in enumerate(zip(xs, hs, ops, d)):
-            op._apply(xk[1:-1], dk, off)
+    def gradient(xs, hs, fs, g, p, d):
+        """Each row's raw gradient into d, from the face fluxes fs that
+        total_energy left for xs; returns the system residual."""
+        for k, (hk, fk, op, dk) in enumerate(zip(hs, fs, ops, d)):
+            op._flux_difference(fk, dk)
             if lam:
                 dk -= np.multiply(lam_m, xs[-1 - k][1:-1], out=dof)
             dk -= np.multiply(hk[1:-1], g[k] - lam * p, out=dof)
         r2 = [np.dot(np.multiply(dk, dk, out=dof), inv_m) for dk in d]
         return np.sqrt(r2[0] + r2[-1])
 
-    e_now, g, p = total_energy(x)
-    best_e, best = e_now, tuple(xk.copy() for xk in x)
+    e_now, g, p = total_energy(x, f)
+    best_e, best = e_now, x
     trace = [best_e]
     tau = params.step
     status = "stalled"                    # unless a test below ends the flow
     last_improve = it = 0
 
     for it in range(1, params.max_iters + 1):
-        res = gradient(x, h, g, p, d)
+        res = gradient(x, h, f, g, p, d)
         if not math.isfinite(res):
             raise NumericFault("non-finite residual during descent")
         if res <= params.grad_tol:
@@ -395,9 +419,11 @@ def descend(
                 status = "converged"
         if status == "converged":
             if e_now <= best_e + 1e-12 * abs(best_e):
-                best_e, best = e_now, tuple(xk.copy() for xk in x)
+                best_e, best = e_now, x
             break
 
+        if best is x_try:               # the trial rows would overwrite the best
+            best = tuple(xk.copy() for xk in best)
         s = [op._solve(dk) for op, dk in zip(ops, d)]
         accepted = False
         for _ in range(40):
@@ -406,7 +432,7 @@ def descend(
                 t[0] = t[1]
             try:
                 e_try, g_t, p_t = total_energy([normalize(t, ht)
-                                                for t, ht in zip(x_try, h_try)])
+                                                for t, ht in zip(x_try, h_try)], f_try)
             except (DegeneratePair, FloatingPointError):
                 tau *= 0.5
                 continue
@@ -419,12 +445,12 @@ def descend(
         if not accepted:
             status = "stalled"
             break
-        x, x_try, h, h_try = x_try, x, h_try, h
+        x, x_try, h, h_try, f, f_try = x_try, x, h_try, h, f_try, f
         e_now, g, p = e_try, g_t, p_t
         tau = min(tau * 1.3, params.step)
 
         if e_now < best_e - 1e-14 * abs(best_e):
-            best_e, best = e_now, tuple(xk.copy() for xk in x)
+            best_e, best = e_now, x
             last_improve = it
         trace.append(best_e)
 

@@ -15,7 +15,9 @@ assemble_operator is the one place a weight is sampled on a grid: it
 builds one read-only operator per (weight, grid), factored once and kept
 on the grid, which carries the gradient energy's face flux from the same
 face samples as its conductances c, and c itself: the descent flow takes
-its energy as sum c (x_{i+1} - x_i)^2.  The descent flow, the eigen-solve,
+its energy as sum f (x_{i+1} - x_i) from the face fluxes f = c (x_{i+1} -
+x_i), and K x as the difference of those same fluxes (_flux_difference), so
+one pass over the faces serves both.  The descent flow, the eigen-solve,
 the Euler-Lagrange residual and the gradient energy all share it.
 """
 
@@ -57,14 +59,19 @@ class TridiagonalOperator:
         return self.diag.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x, np.empty(self.size), np.empty(self.size - 1))
-
-    def _apply(self, x, out, tmp):
-        """K x into `out`; `tmp` (one value per off-diagonal) is overwritten."""
-        np.multiply(self.diag, x, out=out)
-        out[:-1] += np.multiply(self.off, x[1:], out=tmp)
-        out[1:] += np.multiply(self.off, x[:-1], out=tmp)
+        out = self.diag * x
+        out[:-1] += self.off * x[1:]
+        out[1:] += self.off * x[:-1]
         return out
+
+    @staticmethod
+    def _flux_difference(f, out):
+        """K x into `out` from the face fluxes f of x, one value longer
+        than x: f[0] = 0 through the origin face and f[j+1] = c[j] (x[j+1]
+        - x[j]), with x[size] = 0 the Dirichlet node; out[j] = f[j] -
+        f[j+1], which is K x because diag[0] = c[0] and diag[j] = c[j-1]
+        + c[j]."""
+        return np.subtract(f[:-1], f[1:], out=out)
 
     def quadratic_form(self, x: np.ndarray) -> float:
         return float(np.dot(x, self.apply(x)))

@@ -32,14 +32,17 @@ def test_moment_quadrature_cross_check(s, p):
 
 def test_import_leaves_scipy_integrate_unloaded():
     # only the quadrature route needs scipy.integrate, and importing it is
-    # most of a fresh `import critvar`; a fresh interpreter must not load it
+    # most of a fresh `import critvar`; the Beta closed form takes its
+    # log-Gammas from math, so scipy.special (which pulls in numpy.f2py)
+    # is not needed either; a fresh interpreter must load neither
     src = str(Path(critvar.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, critvar; print('scipy.integrate' in sys.modules)"],
+         "import sys, critvar; "
+         "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_moment_divergence_guard():

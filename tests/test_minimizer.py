@@ -317,7 +317,7 @@ def test_polish_steps_only_while_the_residual_falls(monkeypatch, grid5, quad_wei
         solved.append(1)
         return solve_banded(*args, **kwargs)
 
-    def gradient(y, hy, g, p, d):
+    def gradient(y, hy, fy, g, p, d):
         for dk in d:
             dk.fill(0.0)
         return next(script)
@@ -327,7 +327,7 @@ def test_polish_steps_only_while_the_residual_falls(monkeypatch, grid5, quad_wei
     ops = (minimizer.assemble_operator(quad_weight, grid5),)
     out = minimizer._newton_polish(
         [x], [x.copy()], ops, 9.0, grid5, lambda t, h: t, gradient,
-        lambda y: (1.0, [1.0], 0.0), 1e-6, 2.0)
+        lambda y, fy: (1.0, [1.0], 0.0), 1e-6, 2.0)
     assert len(solved) == solves
     assert (out is not None) == accepted
 
@@ -340,18 +340,33 @@ def test_polish_rejects_rows_that_change_sign(grid5, quad_weight, modes,
     ops = (minimizer.assemble_operator(quad_weight, grid5),)
     out = minimizer._newton_polish(
         [x], [x.copy()], ops, 9.0, grid5, lambda t, h: t,
-        lambda *args: 1e-7, lambda y: (1.0, [1.0], 0.0), 1e-6, 2.0)
+        lambda *args: 1e-7, lambda y, fy: (1.0, [1.0], 0.0), 1e-6, 2.0)
     assert (out is not None) == accepted
 
 
 def test_non_finite_gradient_is_numeric_fault(monkeypatch, grid5, quad_weight):
-    def nan_apply(self, x, out, tmp):
+    def nan_flux_difference(f, out):
         out.fill(math.nan)
         return out
 
-    monkeypatch.setattr(TridiagonalOperator, "_apply", nan_apply)
+    monkeypatch.setattr(TridiagonalOperator, "_flux_difference",
+                        staticmethod(nan_flux_difference))
     with pytest.raises(NumericFault):
         descend(quad_weight, quad_weight, 5.0, grid5, FlowParams(max_iters=5))
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_normalize_power_row_is_the_power(dim, rng):
+    # N = 5 takes |t|^(4/3) as cbrt(t) t, every other N the power pass
+    grid = build_grid(dim, 1.0, 800)
+    t = dirichlet_field(rng.standard_normal(grid.nodes.size), grid)
+    h = np.empty_like(t)
+    minimizer._normalizer(grid)(t, h)
+    assert lq_norm(t, grid) == pytest.approx(1.0, rel=1e-14)
+    # in extended precision, with the exact exponent q - 2 = 4 / (N - 2)
+    tl = t.astype(np.longdouble)
+    ref = grid.masses * np.abs(tl) ** (np.longdouble(4) / (dim - 2)) * tl
+    assert np.all(np.abs(h - ref) <= 4.0 * np.spacing(np.abs(ref).astype(float)))
 
 
 @pytest.mark.parametrize("grid_name, b_name, lam, max_iters", [

@@ -36,14 +36,27 @@ def test_apply_solve_roundtrip(grid5, unit_weight, rng):
 
 def test_apply_matches_reference_exactly(grid5_geo, quad_weight, rng):
     op = assemble_operator(quad_weight, grid5_geo)
-    out, tmp = np.full(op.size, np.nan), np.full(op.size - 1, np.nan)
     for scale in (1e-6, 1.0, 1e6):
         x = scale * rng.standard_normal(op.size)
         ref = op.diag * x
         ref[:-1] += op.off * x[1:]
         ref[1:] += op.off * x[:-1]
         assert np.array_equal(op.apply(x), ref)
-        assert np.array_equal(op._apply(x, out, tmp), ref)  # reused buffers
+
+
+@pytest.mark.parametrize("grid_name", ["grid5", "grid5_geo"])
+def test_flux_difference_is_the_operator(request, grid_name, quad_weight, rng):
+    # K x from the face fluxes f = c (x_{i+1} - x_i), f = 0 through the origin
+    grid = request.getfixturevalue(grid_name)
+    op = assemble_operator(quad_weight, grid)
+    for scale in (1e-6, 1.0, 1e6):
+        x = scale * rng.standard_normal(op.size)
+        f = np.zeros(op.size + 1)
+        f[1:] = op.c * np.diff(np.append(x, 0.0))
+        kx = op.apply(x)
+        out = np.full(op.size, np.nan)
+        assert op._flux_difference(f, out) is out
+        assert np.max(np.abs(out - kx)) <= 4.0 * np.spacing(np.max(np.abs(kx)))
 
 
 @pytest.mark.parametrize("dim", [4, 5])
