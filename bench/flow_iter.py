@@ -1,6 +1,6 @@
 """Descent-flow cost of two source trees, timed interleaved, written to --out.
 
-    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_6.json
+    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_9.json
 
 Times `critvar.descend` and `critvar.sweep_minimize` from two source
 trees: `--parent` and `--change` (default: this checkout's `src`).  Each
@@ -10,7 +10,9 @@ the cases before it, and so that whatever makes one worker faster than
 another (two workers of the same tree have read 9% apart on conc-0) is
 averaged over several workers; the script asks the two workers of a pair for one run
 at a time, in alternating order, so that drift of a shared machine's speed
-falls on both trees alike instead of landing on their ratio.  With
+falls on both trees alike instead of landing on their ratio.  A run is the
+fastest of BEST_OF back-to-back calls, so that a noise burst shorter than
+a call's time lands on one discarded call instead of on the run.  With
 `--parent` and `--change` naming the same tree (an A/A run) every ratio
 should read about x1.00.
 
@@ -22,23 +24,25 @@ divided by its iteration count:
 - symmetric:   a = b = 1 + r^2 at coupling 9 with the bubble start (u == v,
                one row);
 - symmetric-0: the same at coupling 0, where the flow skips the coupling
-               products;
+               products, capped at ITERS_0 iterations: the concentration
+               detector's mass test first passes at iteration 150 (n = 800)
+               and 160 (n = 3000), where the flow's dilation move starts;
 - random:      a = b = 1 + r^2 at coupling 9 with the random start (u0 != v0,
                two rows);
 - distinct:    a = 1 + r^2, b = 1 + 2 r^2 at coupling 9 with the bubble start
                (two rows).
 
-One more per-iteration case runs until the concentration detector stops it:
+Whole-call cases report seconds per call and its iteration count.  One
+runs until the concentration detector stops it:
 
 - conc-0: the flow of the `concentration` benchmark workload, a = b = 1 + r^2
   at coupling 0 on the N = 5 geometric grid of 3,000 cells (ratio 1.004),
-  grad_tol 1e-12, at most 20000 iterations (one row, about 6,100
-  iterations).
+  grad_tol 1e-12, at most 20000 iterations (one row; 170 iterations with
+  the dilation move, 6,130 without).
 
-To-tolerance cases, on the N = 5 geometric grid of 1,500 cells (ratio
+The to-tolerance cases run on the N = 5 geometric grid of 1,500 cells (ratio
 1.004) with the acceptance suite's sweep flow (grad_tol 1e-5, at most 8000
-iterations), from the bubble start; each reports seconds per converged call
-and its iteration count:
+iterations), from the bubble start:
 
 - sweep-9.0446: a = b = 1 + r^2 at coupling 9.0446, the first (cold) flow of
   the `existence-sweep` benchmark workload at seed 11 (one row);
@@ -63,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -77,15 +82,17 @@ SIZES = (800, 3000)
 STARTS = ("symmetric", "symmetric-0", "random", "distinct")
 LAMBDA = 9.0
 ITERS = 300
+ITERS_0 = 140           # symmetric-0: stops before the mass test first passes
 ROUNDS = 8              # fresh worker pairs per case
 REPEATS = 3             # runs per worker
+BEST_OF = 3             # calls per run; the run reports the fastest
 SWEEP_LAMS = (9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
               21.7696, 23.922903)
 
 
 # every case, and whether it is timed per iteration (else per call)
 CASES = {**{f"n{n}/{start}": True for n in SIZES for start in STARTS},
-         "conc-0": True, "sweep-9.0446": False, "gap-4": False, "gap-8": False,
+         "conc-0": False, "sweep-9.0446": False, "gap-4": False, "gap-8": False,
          "sweep": False}
 
 
@@ -112,7 +119,8 @@ def _case(critvar, name):
     b_other = critvar.WeightProfile.pure_power(1.0, 2.0, 2.0)
     starts = {
         "symmetric": (b_same, LAMBDA, flow),
-        "symmetric-0": (b_same, 0.0, flow),
+        "symmetric-0": (b_same, 0.0, critvar.FlowParams(
+            max_iters=ITERS_0, grad_tol=1e-14, stall_window=ITERS_0)),
         "random": (b_same, LAMBDA, critvar.FlowParams(
             max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS, init="random")),
         "distinct": (b_other, LAMBDA, flow),
@@ -148,9 +156,11 @@ def worker(src: Path, name: str) -> int:
     run()                                        # warm caches and lazy set-up
     print("ready", flush=True)
     for _ in sys.stdin:
-        t0 = time.perf_counter()
-        res = run()
-        seconds = time.perf_counter() - t0
+        seconds = math.inf
+        for _ in range(BEST_OF):
+            t0 = time.perf_counter()
+            res = run()
+            seconds = min(seconds, time.perf_counter() - t0)
         print(json.dumps({"seconds": seconds, "iterations": res.iterations,
                           "status": res.status, "el_residual": res.el_residual,
                           "q_lambda": res.q_lambda}), flush=True)
@@ -246,16 +256,18 @@ def main(argv=None) -> int:
                  f"in {ROUNDS} fresh pairs of worker interpreters per case. "
                  "Per-iteration cases (n<cells>/<start>): "
                  f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA} "
-                 f"(0 for symmetric-0), iteration cap {ITERS}. conc-0: seconds per "
-                 "iteration of the concentration workload's flow (coupling 0, "
-                 "3000 geometric cells), stopped by the concentration detector. "
+                 f"(0 for symmetric-0), iteration cap {ITERS} ({ITERS_0} for "
+                 "symmetric-0). conc-0: seconds per call of the concentration "
+                 "workload's flow (coupling 0, 3000 geometric cells), stopped "
+                 "by the concentration detector. "
                  "To-tolerance cases (sweep-9.0446, gap-4, gap-8): "
                  "seconds per converged call, N = 5 geometric grid of 1500 cells, "
                  "grad_tol 1e-5. sweep: seconds per sweep_minimize call over the "
                  "eight existence-sweep seed-11 couplings on the same grid, with "
                  "the total iterations of its flows. "
                  f"Median and quartiles of {ROUNDS * REPEATS} runs each, "
-                 f"{REPEATS} per worker. change_over_parent: the median over "
+                 f"{REPEATS} per worker, each the fastest of {BEST_OF} calls. "
+                 "change_over_parent: the median over "
                  "the runs of the change's run divided by the parent's run "
                  "next to it in time."),
         "machine": {"python": platform.python_version(),

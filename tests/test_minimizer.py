@@ -138,8 +138,9 @@ def test_first_energy_is_the_public_energy_of_the_start(grid5, quad_weight,
         energy(start, quad_weight, b, lam, grid5).value, rel=1e-13, abs=0.0)
 
 
-# at the default sup factor the sup test is the last to pass (720 iterations
-# at lam = 0, the mass test at about 150); at 2 the mass test is
+# at the default sup factor the sup test is the last to pass (at lam = 0 the
+# mass test first passes at 150, and the detector fires at 160 after a
+# dilation move, at 720 without one); at 2 the mass test is
 @pytest.mark.parametrize("sup_factor", [minimizer._CONC_SUP_FACTOR, 2.0])
 @pytest.mark.parametrize("lam", [0.0, 2.0])
 def test_detector_fires_at_the_first_checkpoint_the_public_tests_pass(
@@ -620,6 +621,135 @@ def test_two_row_sweep_uses_the_predictor(monkeypatch, grid5, quad_weight,
     for (_, _, prev), (_, start, _) in zip(flows, flows[1:]):
         assert start is not prev.pair
         assert not np.array_equal(start.u, start.v)
+
+
+# --- dilation move of a concentrating flow ----------------------------------
+
+
+def test_criterion_12_flow_reaches_the_detector_by_the_move(grid5_geo,
+                                                            quad_weight):
+    params = FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
+    res = descend(quad_weight, quad_weight, 0.0, grid5_geo, params)
+    assert res.status == "concentrating" and res.iterations <= 300
+    # 14.81399836: the same flow without the move, which the detector
+    # stopped after 6,130 iterations
+    assert res.q_lambda == pytest.approx(14.81399836, rel=1e-5, abs=0.0)
+    # cut at the checkpoint of its one move, the flow reports the moved rows
+    # (at the detector's sup bound, the origin node tied to its neighbour),
+    # and best_trace ends at their energy
+    cut = descend(quad_weight, quad_weight, 0.0, grid5_geo,
+                  replace(params, max_iters=res.iterations - 10))
+    start = minimizer._initial_pair(quad_weight, quad_weight, grid5_geo, params).u
+    bound = minimizer._CONC_SUP_FACTOR * np.max(np.abs(start)) / lq_norm(start, grid5_geo)
+    assert 0.99 * bound < np.max(np.abs(cut.pair.u)) <= bound
+    assert cut.pair.u[0] == cut.pair.u[1]
+    assert cut.best_trace[-1] < cut.best_trace[-2]
+    assert cut.q_lambda == pytest.approx(cut.best_trace[-1], rel=1e-12, abs=0.0)
+
+
+def _move_forbidden(*args):
+    raise AssertionError("a converging flow must never try the dilation move")
+
+
+@pytest.mark.parametrize("grid_name, b_name, lams, params", [
+    ("sweep_grid", "quad_weight", SWEEP_LAMS, SWEEP_FLOW),   # one row
+    ("grid5", "quartic_weight", [8.0, 10.0, 12.0], None),    # two rows
+])
+def test_converging_sweep_never_moves(request, monkeypatch, quad_weight,
+                                      quick_flow, grid_name, b_name, lams,
+                                      params):
+    monkeypatch.setattr(minimizer, "_dilate", _move_forbidden)
+    grid = request.getfixturevalue(grid_name)
+    b = request.getfixturevalue(b_name)
+    rows = sweep_minimize(lams, quad_weight, b, grid, params or quick_flow)
+    assert all(r.result.status == "converged" for r in rows)
+
+
+@pytest.mark.parametrize("b_name, lam", [("quad_weight", 2.0),      # one row
+                                         ("quartic_weight", 0.0)])  # two rows
+def test_losing_move_leaves_the_flow_bitwise(request, monkeypatch, grid5,
+                                             quad_weight, quick_flow, b_name,
+                                             lam):
+    # stand-ins for the move at every checkpoint where it is tried: one
+    # writes nothing (the flow without the move), one writes rows of the
+    # same sup but far higher energy, and two write rows whose normalized
+    # sup exceeds the detector's bound: a spike, and a dilation past it
+    b = request.getfixturevalue(b_name)
+    calls = []
+
+    def nothing(xs, s, nodes, out):
+        calls.append("nothing")
+        raise DegeneratePair("no move")
+
+    def higher(xs, s, nodes, out):
+        calls.append("higher")
+        for t, xk in zip(out, xs):
+            t[:] = xk
+            t[1:-1:2] *= -1.0
+        return out
+
+    def spike(xs, s, nodes, out):
+        calls.append("spike")
+        for t, xk in zip(out, xs):
+            t[:] = xk
+            t[:3] *= 1e4
+        return out
+
+    def past(xs, s, nodes, out):
+        calls.append("past")
+        return dilate(xs, 2.0 * s, nodes, out)
+
+    dilate = minimizer._dilate
+    results = []
+    for move in (nothing, higher, spike, past):
+        monkeypatch.setattr(minimizer, "_dilate", move)
+        results.append(descend(quad_weight, b, lam, grid5, quick_flow))
+    tries = calls.count("nothing")
+    assert tries > 0
+    assert calls.count("higher") == calls.count("spike") == calls.count("past") == tries
+    without = results[0]
+    assert without.status == "concentrating"
+    for res in results[1:]:
+        for x, y in zip(_result_fields(without), _result_fields(res)):
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y)
+            else:
+                assert x == y
+
+
+# on the uniform grid the shrunken profile is below the grid's resolution,
+# and interpolating it at the nodes clips its peak (0.886 of the bound)
+@pytest.mark.parametrize("grid_name, b_name, lam, reach", [
+    ("grid5_geo", "quad_weight", 0.0, 0.99),    # criterion 12's flow
+    ("grid5", "quad_weight", 2.0, 0.85),
+    ("grid5_geo", "quartic_weight", 2.0, 0.99),     # two rows
+])
+def test_moved_rows_stay_at_the_detectors_sup_bound(request, monkeypatch,
+                                                    quad_weight, grid_name,
+                                                    b_name, lam, reach):
+    # a moved row never passes the sup test by itself: the detector fires
+    # only on rows the flow has relaxed
+    grid = request.getfixturevalue(grid_name)
+    b = request.getfixturevalue(b_name)
+    params = FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
+    start = minimizer._initial_pair(quad_weight, b, grid, params).u
+    bound = minimizer._CONC_SUP_FACTOR * np.max(np.abs(start)) / lq_norm(start, grid)
+    normalize = minimizer._normalizer(grid)
+    sups = []
+    dilate = minimizer._dilate
+
+    def recorded(xs, s, nodes, out):
+        dilate(xs, s, nodes, out)
+        sups.append(max(np.max(np.abs(normalize(t.copy(), np.empty_like(t))))
+                        for t in out))
+        return out
+
+    monkeypatch.setattr(minimizer, "_dilate", recorded)
+    res = descend(quad_weight, b, lam, grid, params)
+    assert res.status == "concentrating"
+    assert sups and max(sups) <= bound
+    assert sups[0] > reach * bound              # the first move reaches it
+    assert np.all(np.diff(res.best_trace) <= 0.0)
 
 
 # --- verdict dispatch -------------------------------------------------------
