@@ -14,8 +14,17 @@ are printed, and at the end the largest relative difference of each
 `minimize.csv`'s `iterations` column per workload on each tree.  Exits 0
 when every table is identical and 1 otherwise.
 
-Nothing under `perfbench/` is written: `workloads.py` is read with
-`runpy`, which leaves no bytecode cache behind.
+Each differing cell also gets a verdict from the benchmark's snapshot
+check (`perfbench/checks.py`), with the parent's table as the reference:
+`inside` or `OUTSIDE` the check's tolerance for its column,
+`EXACT-DIFFERS` for a column the check compares as text (`status`,
+`case_id`, `verdict`, `family_points`, ...), `unchecked` for a column it
+skips, and `not comparable` for a change of shape or a file only one tree
+writes.  The summary counts each column's verdicts, and a closing line
+counts the columns with any verdict other than `inside` or `unchecked`.
+
+Nothing under `perfbench/` is written: `workloads.py` and `checks.py` are
+read with `runpy`, which leaves no bytecode cache behind.
 """
 
 from __future__ import annotations
@@ -33,7 +42,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = REPO / "perfbench" / "workloads.py"
+CHECKS = REPO / "perfbench" / "checks.py"
 SHOWN_CELLS = 5          # differing cells printed per table
+NOT_COMPARABLE = "not comparable"   # verdict of a cell the snapshot check cannot judge
 
 
 def worker(src: Path, out: Path) -> int:
@@ -75,23 +86,50 @@ def _relative(vp: str, vc: str) -> float:
     return rel if math.isfinite(rel) else math.inf
 
 
-def _differing_cells(parent: str, change: str) -> list[tuple[str, float, str]]:
-    """(column, relative difference, printable line) of each differing cell
-    of two CSV texts."""
+def _differing_cells(parent: str, change: str, verdict
+                     ) -> list[tuple[str, float, str, str]]:
+    """(column, relative difference, verdict(column, parent value, change
+    value), printable line) of each differing cell of two CSV texts."""
     rows_p = list(csv.reader(parent.splitlines()))
     rows_c = list(csv.reader(change.splitlines()))
     if len(rows_p) != len(rows_c) or rows_p[:1] != rows_c[:1]:
-        return [("(shape)", math.inf,
+        return [("(shape)", math.inf, NOT_COMPARABLE,
                  f"  header or row count: {rows_p[:1]} x {len(rows_p)} "
                  f"vs {rows_c[:1]} x {len(rows_c)}")]
     header, cells = rows_p[0], []
     for i, (rp, rc) in enumerate(zip(rows_p[1:], rows_c[1:]), start=1):
         for col, vp, vc in zip(header, rp, rc):
             if vp != vc:
-                cells.append((col, _relative(vp, vc), f"  row {i} {col}: {vp} -> {vc}"))
+                cells.append((col, _relative(vp, vc), verdict(col, vp, vc),
+                              f"  row {i} {col}: {vp} -> {vc}"))
         if len(rp) != len(rc):
-            cells.append(("(shape)", math.inf, f"  row {i}: {len(rp)} -> {len(rc)} fields"))
-    return cells or [("(text)", math.inf, "  (differs outside the cells)")]
+            cells.append(("(shape)", math.inf, NOT_COMPARABLE,
+                          f"  row {i}: {len(rp)} -> {len(rc)} fields"))
+    return cells or [("(text)", math.inf, NOT_COMPARABLE, "  (differs outside the cells)")]
+
+
+def _snapshot_check(checks: dict, workload: str, table: str, parent: str):
+    """verdict(column, parent value, change value) of one differing cell of
+    `table` by checks.py's snapshot test, with the parent's table as the
+    reference: `inside rtol ...`, `OUTSIDE rtol ...`, `EXACT-DIFFERS`,
+    `unchecked`, or NOT_COMPARABLE for a table the check does not know."""
+    if table not in checks["_COLUMN_RTOL"]:
+        return lambda col, vp, vc: NOT_COMPARABLE
+    rtols = {**checks["_COLUMN_RTOL"][table],
+             **checks["_WORKLOAD_RTOL"].get(workload, {}).get(table, {})}
+    scales = checks["_column_scales"](list(csv.DictReader(parent.splitlines())))
+    number = checks["_number"]
+
+    def verdict(col, vp, vc):
+        rtol = rtols.get(col, checks["_DEFAULT_RTOL"])
+        if rtol is None:
+            return "unchecked"
+        if rtol == checks["EXACT"]:
+            return "EXACT-DIFFERS"
+        ok = checks["_close"](number(vc), number(vp), rtol, scales.get(col, 0.0))
+        return f"{'inside' if ok else 'OUTSIDE'} rtol {rtol:g}"
+
+    return verdict
 
 
 def _total_iterations(root: Path) -> Counter:
@@ -108,28 +146,40 @@ def compare(parent: Path, change: Path) -> tuple[int, int]:
     many tables there are and how many of them differ."""
     files_p = {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
     files_c = {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
+    checks = runpy.run_path(str(CHECKS))
     differ = 0
-    largest = {}        # (workload, table, column) -> [relative, tables, cells]
+    largest = {}        # (workload, table, column) -> [relative, tables, cells, verdicts]
     for rel in sorted(files_p ^ files_c):
         differ += 1
         print(f"{rel}: written by the {'parent' if rel in files_p else 'change'} only")
-        largest[(rel.parts[0], rel.name, "(file)")] = [math.inf, {rel}, 0]
+        largest[(rel.parts[0], rel.name, "(file)")] = [
+            math.inf, {rel}, 1, Counter([NOT_COMPARABLE])]
     for rel in sorted(files_p & files_c):
         body_p, body_c = _body(parent / rel), _body(change / rel)
         if body_p != body_c:
             differ += 1
-            cells = _differing_cells(body_p, body_c)
+            verdict = _snapshot_check(checks, rel.parts[0], rel.stem, body_p)
+            cells = _differing_cells(body_p, body_c, verdict)
             print(f"{rel}: {len(cells)} differing cells")
-            print("\n".join(line for _, _, line in cells[:SHOWN_CELLS]))
-            for col, r, _ in cells:
-                entry = largest.setdefault((rel.parts[0], rel.name, col), [0.0, set(), 0])
+            print("\n".join(line for *_, line in cells[:SHOWN_CELLS]))
+            for col, r, v, _ in cells:
+                entry = largest.setdefault((rel.parts[0], rel.name, col),
+                                           [0.0, set(), 0, Counter()])
                 entry[0] = max(entry[0], r)
                 entry[1].add(rel)
                 entry[2] += 1
+                entry[3][v] += 1
     if largest:
-        print("largest relative difference per (workload, table, column):")
-    for (workload, table, col), (r, tables, cells) in sorted(largest.items()):
-        print(f"  {workload} {table} {col}: {r:.3g} ({len(tables)} tables, {cells} cells)")
+        print("largest relative difference per (workload, table, column), and the"
+              " verdicts of its cells against the perfbench snapshot check:")
+    flagged = 0
+    for (workload, table, col), (r, tables, cells, verdicts) in sorted(largest.items()):
+        flagged += any(not v.startswith(("inside", "unchecked")) for v in verdicts)
+        summary = "; ".join(f"{v} ({n} cells)" for v, n in sorted(verdicts.items()))
+        print(f"  {workload} {table} {col}: {r:.3g} ({len(tables)} tables): {summary}")
+    if largest:
+        print(f"{flagged} differing columns outside the snapshot tolerances, "
+              f"compared exactly, or not comparable")
     totals_p, totals_c = _total_iterations(parent), _total_iterations(change)
     if totals_p or totals_c:
         print("minimize.csv iterations per workload, parent -> change:")

@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 from .asymptotics import (BubbleParams, ExpansionFit, ExpansionPrediction,
                           blowup_rescale, bubble_field, default_eps_ladder,
-                          energy_curve, energy_curves, expansion_prediction,
-                          fit_expansion)
+                          energy_curves, expansion_prediction, fit_expansion)
 from .constants import (BubbleConstants, Thresholds, bubble_constants,
                         correction_constant, radial_moment,
                         radial_moment_quadrature, slope_factor, thresholds)
@@ -32,8 +31,7 @@ from .harness import (RunReport, Scenario, emit_csv, emit_plot,
                       parse_scenario, run, serialize_scenario, write_report)
 from .minimizer import (ExistenceVerdict, FlowParams, MinimizeResult,
                         SweepRow, concentration_diagnostic, descend,
-                        discrete_sobolev_constant, el_residual,
-                        existence_verdict, lagrange_multipliers,
+                        el_residual, existence_verdict, lagrange_multipliers,
                         sign_normalize, sweep_minimize)
 from .nonexistence import (OmegaEstimate, PohozaevReport, hardy_check,
                            omega_bounds, omega_estimate,

@@ -137,13 +137,6 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
     return [[(eps, _energy_report(t, lam, q)) for eps, t in terms] for lam in lams]
 
 
-def energy_curve(lam: float, a: WeightProfile, b: WeightProfile, eps_list,
-                 grid: RadialGrid, cutoff_radius: float | None = None
-                 ) -> list[tuple[float, EnergyReport]]:
-    """The (eps, report) curve of one coupling; see `energy_curves`."""
-    return energy_curves([lam], a, b, eps_list, grid, cutoff_radius)[0]
-
-
 # ---------------------------------------------------------------------------
 # regime dispatch and least-squares extraction
 # ---------------------------------------------------------------------------

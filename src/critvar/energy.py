@@ -6,11 +6,10 @@ The objective is, for Dirichlet fields u, v on the ball,
             + (1/2) int b |grad v|^2 / |v|_q^2
             - lam * int u v / (|u|_q |v|_q),
 
-with q = 2N/(N-2).  Gradient energies are computed from cell-face
-differences weighted by the face flux of the weight's operator
-(spectral.assemble_operator), the same face samples its conductances are
-built from, so the quadratic form agrees with that operator by
-construction.
+with q = 2N/(N-2).  Gradient energies are sums over cell faces of the
+weight operator's conductance times the squared face difference
+(spectral.assemble_operator), the same sum the descent flow takes, so
+they agree with that operator's quadratic form by construction.
 """
 
 from __future__ import annotations
@@ -72,17 +71,12 @@ def weighted_gradient_energy(u: np.ndarray, w: WeightProfile, grid: RadialGrid) 
     u = grid.check_shape(u)
     if not np.all(np.isfinite(u)):
         raise NumericFault("non-finite field samples")
-    # Face differences, not x.K.x: near a smooth minimizer x.K.x cancels large
+    # Sum c_f (du_f)^2, not x.K.x: near a smooth minimizer x.K.x cancels large
     # terms of opposite sign, and the flow fed it stalled at 7 of 8
     # existence-sweep couplings (lambda = 9: 2,454 iterations, residual 6e-5;
     # with a sum of squares it converges in 946).
-    h = grid.spacings[1:]
-    out = np.subtract(u[2:], u[1:-1])       # one buffer, updated in place
-    out /= h
-    out **= 2
-    out *= assemble_operator(w, grid).flux
-    out *= h
-    return float(grid.surface_factor * out.sum())
+    d = np.subtract(u[2:], u[1:-1])
+    return float(np.dot(np.multiply(assemble_operator(w, grid).c, d), d))
 
 
 def lq_norm(u: np.ndarray, grid: RadialGrid) -> float:

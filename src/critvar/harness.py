@@ -348,7 +348,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
             "unbounded_below": est.unbounded_below,
             "lower_bound": math.nan if est.lower_bound is None else est.lower_bound,
             "upper_bound": math.nan if est.upper_bound is None else est.upper_bound,
-            "family_points": 0 if est.family_values is None else len(est.family_values),
+            "family_points": len(est.family_values),
         })
 
     minimize_rows = []

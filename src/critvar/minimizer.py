@@ -55,7 +55,7 @@ from .energy import (FieldPair, critical_exponent, dirichlet_field, energy,
 from .errors import BadSpectrum, DegeneratePair, NumericFault
 from .grid import RadialGrid, integrate
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
-from .weights import UNIT_WEIGHT, WeightProfile
+from .weights import WeightProfile
 
 _CONC_DELTA_FRACTION = 0.1      # concentration detector: inside radius R/10
 _CONC_MASS = 0.99               # lies this fraction of the critical-norm mass
@@ -535,22 +535,6 @@ def descend(
         iterations=it,
         best_trace=np.asarray(trace),
     )
-
-
-def discrete_sobolev_constant(grid: RadialGrid,
-                              params: FlowParams = FlowParams()) -> float:
-    """The lowest energy of the unit-weight flow on this grid before it stops.
-
-    The flow is decoupled (unit weights, zero coupling) with a symmetric
-    start, so its energy is exactly the single-field gradient quotient; it
-    keeps u == v and so advances a single row.  The quotient's infimum is
-    not attained: the flow concentrates, and what it returns depends on
-    where it stops (the concentration detector, a stall or params.max_iters),
-    not only on the grid.  On the N = 5 geometric grid of 3,000 cells
-    (ratio 1.004) it stops on the detector after about 2,640 iterations at
-    14.811819, 6.3e-6 relative below the continuum S_5 = 14.811912.
-    """
-    return descend(UNIT_WEIGHT, UNIT_WEIGHT, 0.0, grid, params).q_lambda
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ class OmegaEstimate:
     lower_bound: float | None
     upper_bound: float | None
     pair: FieldPair | None
-    family_values: np.ndarray = field(repr=False, default=None)
+    family_values: np.ndarray = field(repr=False)
 
     @property
     def unbounded_below(self) -> bool:
@@ -146,14 +146,6 @@ def _central_bump(width: float, grid: RadialGrid) -> np.ndarray:
     return u
 
 
-def _offset_bump(center: float, width: float, grid: RadialGrid) -> np.ndarray:
-    r = grid.nodes
-    t = np.abs(r - center) / width
-    u = np.where(t < 1.0, np.cos(0.5 * np.pi * t) ** 2, 0.0)
-    u[-1] = 0.0
-    return u
-
-
 def omega_estimate(
     a: WeightProfile,
     b: WeightProfile,
@@ -163,46 +155,24 @@ def omega_estimate(
 ) -> OmegaEstimate:
     """Estimate inf phi over radial pairs.
 
-    If the combined tilt a~ + b~ is negative anywhere inside, the quotient
-    is unbounded below: a family of bumps shrinking onto the negative spot
-    confirms the divergence and the -inf flag is returned.  Otherwise phi
-    is minimized over a family of concentric bumps of shrinking width
-    (with the optimal relative scaling applied in closed form), and the
-    closed-form power-regime bounds are attached when both weights are pure
-    powers.
+    The -inf flag is a sign test: if the combined tilt a~ + b~ is negative
+    at an interior node, bumps shrinking onto that node drive the quotient
+    to -inf, so -inf is returned with no pair and an empty family.
+    Otherwise phi is minimized over a family of concentric bumps of
+    shrinking width (with the optimal relative scaling applied in closed
+    form), and the closed-form power-regime bounds are attached when both
+    weights are pure powers.
     """
-    r_in = grid.nodes[1:-1]
     combined = tilde_weight(a, grid)[1:-1] + tilde_weight(b, grid)[1:-1]
     tol = 1e-12 * max(1.0, float(np.max(np.abs(combined))))
-    values = []
-
     if float(np.min(combined)) < -tol:
-        z0 = float(r_in[int(np.argmin(combined))])
-        width = min(z0, grid.radius - z0) / 2.0
-        pair_snapshot = None
-        for _ in range(60):
-            u = _offset_bump(z0, width, grid)
-            if np.count_nonzero(u) < 4:
-                break
-            pr = FieldPair(u=u, v=u.copy())
-            try:
-                val = phi_quotient(pr, a, b, grid)
-            except DegenerateDenominator:
-                break
-            values.append(val)
-            pair_snapshot = pr
-            if val < -1e6:
-                break
-            width /= 2.0
-        return OmegaEstimate(
-            value=-math.inf, lower_bound=None, upper_bound=None,
-            pair=pair_snapshot, family_values=np.asarray(values),
-        )
+        return OmegaEstimate(value=-math.inf, lower_bound=None, upper_bound=None,
+                             pair=None, family_values=np.empty(0))
 
     # nonnegative combined tilt: concentric shrinking bumps
     min_width = grid.nodes[min_width_cells]
     widths = np.geomspace(grid.radius * 0.9, min_width, n_widths)
-    best_val, best_pair = math.inf, None
+    best_val, best_pair, values = math.inf, None, []
     for s in widths:
         pr = FieldPair(u=_central_bump(s, grid), v=_central_bump(s, grid))
         val = phi_quotient(pr, a, b, grid)

@@ -13,12 +13,12 @@ origin carries zero flux (radial regularity); the boundary is Dirichlet.
 
 assemble_operator is the one place a weight is sampled on a grid: it
 builds one read-only operator per (weight, grid), factored once and kept
-on the grid, which carries the gradient energy's face flux from the same
-face samples as its conductances c, and c itself: the descent flow takes
-its energy as sum f (x_{i+1} - x_i) from the face fluxes f = c (x_{i+1} -
-x_i), and K x as the difference of those same fluxes (_flux_difference), so
-one pass over the faces serves both.  The descent flow, the eigen-solve,
-the Euler-Lagrange residual and the gradient energy all share it.
+on the grid, with its conductances c.  The gradient energy is
+sum c (x_{i+1} - x_i)^2; the descent flow takes it as sum f (x_{i+1} - x_i)
+from the face fluxes f = c (x_{i+1} - x_i), and K x as the difference of
+those same fluxes (_flux_difference), so one pass over the faces serves
+both.  The descent flow, the eigen-solve, the Euler-Lagrange residual and
+the gradient energy all share it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class TridiagonalOperator:
 
     diag: np.ndarray       # K_ii
     off: np.ndarray        # K_{i,i+1} = K_{i+1,i}, length len(diag)-1
-    flux: np.ndarray       # w(r_{i+1/2}) r_{i+1/2}^(N-1) on faces 1..n-1
     c: np.ndarray          # conductances c_{i+1/2} on faces 1..n-1; off = -c[:-1]
     _factor: tuple = field(init=False, repr=False, compare=False)
 
@@ -51,7 +50,7 @@ class TridiagonalOperator:
         if info != 0:
             raise IndefiniteWeight("stiffness operator is not positive definite")
         object.__setattr__(self, "_factor", (d, e))
-        for arr in (self.diag, self.off, self.flux, self.c, d, e):
+        for arr in (self.diag, self.off, self.c, d, e):
             arr.flags.writeable = False
 
     @property
@@ -72,9 +71,6 @@ class TridiagonalOperator:
         f[j+1], which is K x because diag[0] = c[0] and diag[j] = c[j-1]
         + c[j]."""
         return np.subtract(f[:-1], f[1:], out=out)
-
-    def quadratic_form(self, x: np.ndarray) -> float:
-        return float(np.dot(x, self.apply(x)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """K x = rhs from the factor built once per operator; raises
@@ -113,7 +109,7 @@ def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator
     diag[0] = c[0]                                # zero flux through the origin face
     diag[1:] = c[:-1] + c[1:]
     off = -c[:-1]                                 # couples nodes i, i+1 for i < n-1
-    op = TridiagonalOperator(diag=diag, off=off, flux=wf * area, c=c)
+    op = TridiagonalOperator(diag=diag, off=off, c=c)
     # holding w keeps its id from naming another weight
     grid._operators[id(w)] = (w, op)
     return op
@@ -149,8 +145,7 @@ def first_eigenpair(
     m = grid.masses[1:-1]
     x = np.ones(op.size)
     x /= np.sqrt(np.dot(m, x * x))
-    rho_old = np.inf
-    rho = op.quadratic_form(x)
+    rho = rho_old = np.inf
     for it in range(1, max_iters + 1):
         y = op.solve(m * x)
         x = y / np.sqrt(np.dot(m, y * y))

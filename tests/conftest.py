@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from critvar import (FlowParams, WeightProfile, build_grid,
-                     discrete_sobolev_constant)
+from critvar import FlowParams, WeightProfile, build_grid
 
 
 @pytest.fixture(scope="session")
@@ -27,13 +26,6 @@ def grid4():
 def grid5_geo():
     """Geometrically graded N=5 grid resolving deep concentration scales."""
     return build_grid(5, 1.0, 3000, grading="geometric", ratio=1.004)
-
-
-@pytest.fixture(scope="session")
-def grid5_geo_sobolev(grid5_geo):
-    """Discrete Sobolev constant of grid5_geo (acceptance criteria 06, 12)."""
-    return discrete_sobolev_constant(
-        grid5_geo, FlowParams(max_iters=20000, grad_tol=1e-6))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import pytest
 from critvar import (FieldPair, FlowParams, WeightProfile, bubble_constants,
                      build_grid, correction_constant, coupling_threshold,
                      descend, dirichlet_field, eigenfunction_pair_energy,
-                     energy, energy_curve, existence_verdict, first_eigenpair,
+                     energy, energy_curves, existence_verdict, first_eigenpair,
                      fit_expansion, hardy_check, lagrange_multipliers,
                      lambda_tilde, lq_norm, omega_bounds, omega_estimate,
                      pohozaev_report, radial_moment_quadrature, slope_factor,
@@ -43,11 +43,11 @@ def sweeps(grid5):
 @pytest.fixture(scope="module")
 def gap_data(grid5_geo):
     """Pooled-minimum energies at two resolutions, for existence-regime
-    points; the grid embedding constant is `grid5_geo_sobolev`.
+    points; criterion 06 measures their gap below the concentration level
+    gamma0 * S_5 = `bubble_constants(5).s` (gamma0 = 1).
 
-    Graded grids keep the center well resolved; on a uniform grid the
-    embedding constant is biased low by an under-resolved grid-scale
-    concentration profile, which would contaminate the gap.
+    Graded grids keep the center well resolved, so the two resolutions
+    differ by a small grid bias.
     """
     coarse = build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
     points = [("supercritical-powers", QUARTIC, QUARTIC, 10.0),
@@ -127,7 +127,7 @@ def test_criterion_05_expansion_sign_law(grid5_geo):
     coeffs = {}
     for lam in (4.0, 8.0, 10.0):
         start = time.perf_counter()
-        curve = energy_curve(lam, QUAD, QUAD, ladder, grid5_geo)
+        curve = energy_curves([lam], QUAD, QUAD, ladder, grid5_geo)[0]
         fit = fit_expansion(curve, "eps")
         predicted = -(lam - 105.0 / 16.0) * c.k3 / c.k2
         assert fit.leading_coeff == pytest.approx(predicted, rel=0.05)
@@ -137,11 +137,11 @@ def test_criterion_05_expansion_sign_law(grid5_geo):
     assert coeffs[10.0] < coeffs[8.0]
 
 
-def test_criterion_06_energy_gap_beats_grid_bias(gap_data, grid5_geo_sobolev):
-    s_grid = grid5_geo_sobolev
+def test_criterion_06_energy_gap_beats_grid_bias(gap_data):
+    s = bubble_constants(5).s
     for name, lam, q_coarse, q_fine in gap_data:
         bias = abs(q_coarse - q_fine)
-        gap = s_grid - q_fine                  # gamma0 = 1
+        gap = s - q_fine                       # gamma0 = 1
         assert gap > 2.0 * bias, (name, lam, gap, bias)
 
 
@@ -237,16 +237,15 @@ def test_criterion_11_hardy_property(grid5, grid4, rng):
             assert lhs >= rhs * (1.0 - 1e-9)
 
 
-def test_criterion_12_concentration_at_zero_coupling(grid5_geo, grid5_geo_sobolev):
+def test_criterion_12_concentration_at_zero_coupling(grid5_geo):
     params = FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
     res = descend(QUAD, QUAD, 0.0, grid5_geo, params)
     assert res.status == "concentrating"
     assert res.concentration > 0.99
-    s_grid = grid5_geo_sobolev
-    assert abs(res.q_lambda - s_grid) / s_grid < 0.03   # gamma0 = 1
+    s = bubble_constants(5).s
+    assert abs(res.q_lambda - s) / s < 0.03             # gamma0 = 1
     # reported, not asserted: the limiting value itself
-    print(f"concentration energy {res.q_lambda:.6f} vs grid constant "
-          f"{s_grid:.6f}")
+    print(f"concentration energy {res.q_lambda:.6f} vs S_5 {s:.6f}")
 
 
 def test_criterion_13_sweep_monotonicity(sweeps):

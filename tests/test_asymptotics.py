@@ -8,7 +8,7 @@ import pytest
 import critvar.asymptotics
 from critvar import (BubbleParams, FieldPair, WeightProfile, blowup_rescale,
                      bubble_constants, bubble_field, correction_constant,
-                     default_eps_ladder, energy, energy_curve, energy_curves,
+                     default_eps_ladder, energy, energy_curves,
                      expansion_prediction, fit_expansion, lq_norm, slope_factor,
                      unit_sphere_area, weighted_gradient_energy)
 from critvar.errors import (FitFailure, NumericFault, OutsideTable,
@@ -92,7 +92,7 @@ def test_energy_curve_flat_for_constant_weights(grid5_geo):
     gamma0 = 2.0
     w = WeightProfile.constant(gamma0)
     ladder = [1e-3 / 2 ** j for j in range(5)]
-    curve = energy_curve(0.0, w, w, ladder, grid5_geo)
+    curve = energy_curves([0.0], w, w, ladder, grid5_geo)[0]
     s = bubble_constants(5).s
     vals = [rep.value for _, rep in curve]
     assert all(v == pytest.approx(gamma0 * s, rel=1e-2) for v in vals)
@@ -100,10 +100,8 @@ def test_energy_curve_flat_for_constant_weights(grid5_geo):
 
 
 def test_energy_curve_validates_ladder(grid5_geo, unit_weight):
-    # empty, non-decreasing and non-positive ladders, through both entry points
+    # empty, non-decreasing and non-positive ladders
     for ladder in ([], [1e-3, 1e-3], [1e-3, 2e-3], [1e-3, 0.0], [-1e-3]):
-        with pytest.raises(ValueError):
-            energy_curve(0.0, unit_weight, unit_weight, ladder, grid5_geo)
         with pytest.raises(ValueError):
             energy_curves([0.0, 1.0], unit_weight, unit_weight, ladder, grid5_geo)
 
@@ -130,8 +128,8 @@ def test_energy_curves_match_one_shot_energy(dim, quad_weight, quartic_weight):
             ref = energy(FieldPair(u=u, v=u.copy()), quad_weight, quartic_weight,
                          lam, g)
             assert rep == ref
-    assert energy_curve(9.875, quad_weight, quartic_weight, ladder, g, 0.5) \
-        == curves[-1]
+    assert energy_curves([9.875], quad_weight, quartic_weight, ladder, g, 0.5) \
+        == curves[-1:]
 
 
 def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, monkeypatch):
@@ -221,7 +219,7 @@ def test_dim4_model_selection(grid4):
     g = critvar.build_grid(4, 1.0, 3000, grading="geometric", ratio=1.004)
     a = WeightProfile.pure_power(1.0, 2.0, 1.0)
     ladder = [1e-2 / 2 ** j for j in range(9)]
-    curve = energy_curve(10.0, a, a, ladder, g)
+    curve = energy_curves([10.0], a, a, ladder, g)[0]
     fit_log = fit_expansion(curve, "eps_log_eps", half_order_correction=False)
     fit_lin = fit_expansion(curve, "eps", half_order_correction=False)
     assert fit_log.r_squared > fit_lin.r_squared

@@ -10,9 +10,9 @@ from scipy.linalg import solve_banded
 
 from critvar import (FieldPair, FlowParams, WeightProfile, build_grid,
                      concentration_diagnostic, descend, dirichlet_field,
-                     discrete_sobolev_constant, el_residual, energy,
-                     existence_verdict, lagrange_multipliers, lambda_tilde,
-                     lq_norm, sign_normalize, sweep_minimize)
+                     el_residual, energy, existence_verdict,
+                     lagrange_multipliers, lambda_tilde, lq_norm,
+                     sign_normalize, sweep_minimize)
 from critvar import minimizer
 from critvar.errors import BadSpectrum, DegeneratePair, NumericFault
 from critvar.spectral import TridiagonalOperator
@@ -447,11 +447,12 @@ def test_custom_init(grid5, quad_weight):
     assert res.iterations > 0
 
 
-def test_discrete_sobolev_constant_close_to_continuum(grid5_fine):
+def test_unit_weight_flow_close_to_continuum(grid5_fine):
     from critvar import bubble_constants
+    from critvar.weights import UNIT_WEIGHT
 
-    s_grid = discrete_sobolev_constant(
-        grid5_fine, FlowParams(max_iters=20000, grad_tol=1e-7))
+    s_grid = descend(UNIT_WEIGHT, UNIT_WEIGHT, 0.0, grid5_fine,
+                     FlowParams(max_iters=20000, grad_tol=1e-7)).q_lambda
     # the discrete minimum sits slightly below the continuum constant
     assert s_grid == pytest.approx(bubble_constants(5).s, rel=1e-2)
     assert s_grid < bubble_constants(5).s

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from critvar import (FieldPair, FlowParams, WeightProfile, build_grid,
-                     dirichlet_field, discrete_sobolev_constant, hardy_check,
-                     integrate, omega_bounds, omega_estimate,
+from critvar import (FieldPair, WeightProfile, build_grid, dirichlet_field,
+                     hardy_check, integrate, omega_bounds, omega_estimate,
                      optimal_scaling_value, phi_quotient, pohozaev_report,
                      tilde_weight, unit_sphere_area)
 from critvar.errors import DegenerateDenominator, OutsideTable
@@ -135,7 +134,19 @@ def test_omega_minus_inf_flag(grid5, unit_weight):
     est = omega_estimate(w, unit_weight, grid5)
     assert est.unbounded_below
     assert est.value == -math.inf
-    assert np.all(np.diff(est.family_values) < 0.0)
+    assert est.pair is None and est.family_values.size == 0
+    # the flag is a sign test; behind it, bumps shrinking onto the most
+    # negative node of the combined tilt drive phi to -inf
+    combined = tilde_weight(w, grid5) + tilde_weight(unit_weight, grid5)
+    z0 = grid5.nodes[1 + int(np.argmin(combined[1:-1]))]
+    values = []
+    for j in range(7):                   # widths 0.25 down to 7 nodes
+        t = np.abs(grid5.nodes - z0) / (0.25 / 2 ** j)
+        u = dirichlet_field(np.where(t < 1.0, np.cos(0.5 * np.pi * t) ** 2, 0.0),
+                            grid5)
+        values.append(phi_quotient(FieldPair(u=u, v=u.copy()), w, unit_weight, grid5))
+    assert np.all(np.diff(values) < 0.0)
+    assert values[-1] < -1e3
 
 
 def test_omega_no_flag_for_upward_tilt(grid5, quad_weight):
@@ -160,15 +171,6 @@ def test_omega_estimate_builds_the_unit_operator_once(quad_weight):
     for _ in range(2):
         omega_estimate(quad_weight, quad_weight, grid)
         assert len(grid._operators) == built
-
-
-def test_sobolev_constant_and_omega_share_the_unit_operator(quad_weight):
-    grid = build_grid(5, 1.0, 300)
-    discrete_sobolev_constant(grid, FlowParams(max_iters=20))
-    omega_estimate(quad_weight, quad_weight, grid)
-    units = [w for w, _ in grid._operators.values()
-             if w == WeightProfile.constant(1.0)]
-    assert len(units) == 1
 
 
 def test_omega_quadratic_respects_tabulated_bounds(grid5):

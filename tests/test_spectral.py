@@ -20,10 +20,10 @@ from conftest import smooth_dirichlet_field
 BESSEL_ZERO = {4: 3.8317059702075123, 5: 4.493409457909064}
 
 
-def test_quadratic_form_matches_gradient_energy(grid5, quad_weight, rng):
+def test_operator_form_matches_gradient_energy(grid5, quad_weight, rng):
     u = smooth_dirichlet_field(grid5, rng)
     op = assemble_operator(quad_weight, grid5)
-    form = op.quadratic_form(u[1:-1])
+    form = np.dot(u[1:-1], op.apply(u[1:-1]))
     direct = weighted_gradient_energy(u, quad_weight, grid5)
     assert form == pytest.approx(direct, rel=1e-12)
 
@@ -119,7 +119,7 @@ def test_solve_matches_banded_solver_bitwise(grid5_geo, quad_weight, rng):
 def test_operator_is_built_once_and_read_only(grid5, quad_weight):
     op = assemble_operator(quad_weight, grid5)
     assert assemble_operator(quad_weight, grid5) is op
-    for arr in (op.diag, op.off, op.flux, *op._factor):
+    for arr in (op.diag, op.off, op.c, *op._factor):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     bad = WeightProfile(gamma0=1.0, extra=lambda r: -2.0 * r)
