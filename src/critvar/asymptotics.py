@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import bubble_constants, correction_constant, slope_factor
+from .constants import (bubble_constants, correction_constant, quadratic_part,
+                        thresholds)
 from .energy import (EnergyReport, _energy_report, _pair_terms,
                      critical_exponent)
 from .errors import FitFailure, OutsideTable, UnderResolvedBubble
-from .grid import RadialGrid, unit_sphere_area
+from .grid import RadialGrid
 from .weights import WeightProfile
 
 
@@ -168,31 +169,19 @@ def expansion_prediction(
     exponents sub-quadratic in dimension 4, are outside the table.
     """
     const = bubble_constants(dim)
-    if dim >= 5:
-        if k < 2 or l < 2:
-            raise OutsideTable(
-                f"no expansion row for N = {dim} with exponent below 2"
-            )
-        shift = 0.0
-        if k == 2:
-            shift += slope_factor(dim) * a_k
-        if l == 2:
-            shift += slope_factor(dim) * b_l
-        coeff = -(lam - shift) * const.k3 / const.k2
-        return ExpansionPrediction(
-            scale=SCALE_EPS, power=1.0, coeff=coeff,
-            regime=f"dim>=5,k{'=' if k == 2 else '>'}2,l{'=' if l == 2 else '>'}2",
-        )
-
-    # dimension 4: the L2 mass of the profile carries a logarithm
-    omega4 = unit_sphere_area(4)
     if k >= 2 and l >= 2:
-        shift = (a_k if k == 2 else 0.0) + (b_l if l == 2 else 0.0)
-        coeff = -(lam - shift) * omega4 / const.k2
-        return ExpansionPrediction(
-            scale=SCALE_EPS_LOG, power=1.0, coeff=coeff,
-            regime=f"dim=4,k{'=' if k == 2 else '>'}2,l{'=' if l == 2 else '>'}2",
-        )
+        shift = thresholds(dim, quadratic_part(k, a_k), quadratic_part(l, b_l)).gamma_n
+        kl = f"k{'=' if k == 2 else '>'}2,l{'=' if l == 2 else '>'}2"
+        if dim >= 5:
+            return ExpansionPrediction(scale=SCALE_EPS, power=1.0,
+                                       coeff=-(lam - shift) * const.k3 / const.k2,
+                                       regime="dim>=5," + kl)
+        # dimension 4: the L2 mass of the profile carries a logarithm
+        return ExpansionPrediction(scale=SCALE_EPS_LOG, power=1.0,
+                                   coeff=-(lam - shift) * const.sigma / const.k2,
+                                   regime="dim=4," + kl)
+    if dim >= 5:
+        raise OutsideTable(f"no expansion row for N = {dim} with exponent below 2")
     if k < 2 and l < 2:
         raise OutsideTable("no expansion row for N = 4 with both exponents below 2")
     # one sub-quadratic exponent dominates with scale eps^(power/2); the

@@ -95,6 +95,12 @@ def correction_constant(dim: int, coeff: float, exponent: float) -> float:
     return (dim - 2) ** 2 * coeff * sigma * radial_moment(dim + exponent + 1, dim)
 
 
+def quadratic_part(exponent: float, coeff: float) -> float:
+    """r^2 coefficient of the growth coeff * r^exponent: coeff at exponent 2,
+    else 0."""
+    return coeff if exponent == 2 else 0.0
+
+
 def slope_factor(dim: int) -> float:
     """m_N = N(N-2)(N+2) / (8(N-1)), the quadratic-weight threshold factor."""
     return dim * (dim - 2) * (dim + 2) / (8.0 * (dim - 1))

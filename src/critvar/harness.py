@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (default_eps_ladder, energy_curves,
                           expansion_prediction, fit_expansion)
-from .constants import bubble_constants, slope_factor, thresholds
+from .constants import bubble_constants, quadratic_part, slope_factor, thresholds
 from .errors import (ConfigError, EmptyReport, IoError, LogScaledRegime,
                      OutsideTable, UnderResolvedBubble)
 from .grid import RadialGrid, build_grid
@@ -39,6 +39,7 @@ from .weights import WeightProfile
 
 ANALYSES = ("constants", "eig", "minimize", "asymptotics", "pohozaev", "omega")
 _NEED_COUPLINGS = {"minimize", "asymptotics", "pohozaev"}
+_BELOW_N4 = {"eig", "omega"}        # the others need closed forms defined for N >= 4
 SCHEMA_VERSION = 1
 
 _DOMAIN_KEYS = {"schema", "dimension", "radius", "cells", "grading", "ratio", "mode"}
@@ -260,12 +261,7 @@ def serialize_scenario(s: Scenario) -> str:
 class RunReport:
     scenario: Scenario
     provenance: dict
-    constants_rows: list
-    eig_rows: list
-    minimize_rows: list
-    asymptotics_rows: list
-    omega_rows: list
-    pohozaev_rows: list
+    tables: dict                    # analysis name -> CSV rows, for each of ANALYSES
     failures: list
     minimize_results: dict          # lam -> MinimizeResult, for callers
 
@@ -291,22 +287,24 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
         wanted.add("minimize")
     if not (wanted if scenario.lambdas else wanted - _NEED_COUPLINGS):
         raise ConfigError("no analysis to run: none requested, or all need [sweep] couplings")
+    if scenario.dimension < 4 and wanted - _BELOW_N4:
+        raise ConfigError(f"below N = 4 only eig and omega run; "
+                          f"{' '.join(sorted(wanted - _BELOW_N4))} need N >= 4")
     grid = scenario.build_grid()
     a, b = scenario.weight_a, scenario.weight_b
     k, a_k = _exponent_regime(a)
     l, b_l = _exponent_regime(b)
     failures: list[str] = []
+    tables = {name: [] for name in ANALYSES}
 
-    constants_rows = []
     if "constants" in wanted:
         const = bubble_constants(scenario.dimension)
         try:
             k3 = const.k3
         except LogScaledRegime:
             k3 = float("nan")
-        thr = thresholds(scenario.dimension,
-                         a_k if k == 2 else 0.0, b_l if l == 2 else 0.0)
-        constants_rows.append({
+        thr = thresholds(scenario.dimension, quadratic_part(k, a_k), quadratic_part(l, b_l))
+        tables["constants"].append({
             "dimension": scenario.dimension,
             "k1": const.k1, "k2": const.k2, "k3": k3,
             "sobolev_s": const.s, "sphere_area": const.sigma,
@@ -319,9 +317,8 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
     # eigenpairs are needed by minimize verdicts even when not requested
     need_eig = bool({"eig", "minimize"} & wanted)
     spec = lambda_tilde(a, b, grid) if need_eig else None
-    eig_rows = []
     if "eig" in wanted:
-        eig_rows.append({
+        tables["eig"].append({
             "lambda_tilde": spec.value,
             "lambda1_a": spec.first_a.lambda1,
             "lambda1_b": spec.first_b.lambda1,
@@ -331,19 +328,14 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
             "residual_b": spec.first_b.residual,
         })
 
-    omega_rows = []
     omega_value = None
     omega_certified = None        # only a certified lower bound may rule out
     #                               minimizers; the radial estimate is an
     #                               upper estimate of the quotient infimum
     if "omega" in wanted:
         est = omega_estimate(a, b, grid)
-        omega_value = est.value
-        if est.unbounded_below:
-            omega_certified = -math.inf
-        elif est.lower_bound is not None:
-            omega_certified = est.lower_bound
-        omega_rows.append({
+        omega_value, omega_certified = est.value, est.lower_bound
+        tables["omega"].append({
             "value": est.value,
             "unbounded_below": est.unbounded_below,
             "lower_bound": math.nan if est.lower_bound is None else est.lower_bound,
@@ -351,23 +343,15 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
             "family_points": len(est.family_values),
         })
 
-    minimize_rows = []
     results: dict = {}
     if "minimize" in wanted and scenario.lambdas:
-        rows = sweep_minimize(scenario.lambdas, a, b, grid, scenario.flow)
-        for row in rows:
+        for row in sweep_minimize(scenario.lambdas, a, b, grid, scenario.flow):
             res = row.result
             results[row.lam] = res
-            try:
-                verdict = existence_verdict(
-                    scenario.dimension, k, l, a_k, b_l, row.lam,
-                    spec.value, omega_estimate=omega_certified,
-                )
-                case_id, verdict_name = verdict.case_id, verdict.verdict
-                gap_thr = verdict.thresholds_used["gap_threshold"]
-            except OutsideTable:
-                case_id, verdict_name, gap_thr = "outside", "outside_theory", None
-            minimize_rows.append({
+            verdict = existence_verdict(scenario.dimension, k, l, a_k, b_l, row.lam,
+                                        spec.value, omega_estimate=omega_certified)
+            gap_thr = verdict.thresholds_used["gap_threshold"]
+            tables["minimize"].append({
                 "lambda": row.lam,
                 "q_lambda": res.q_lambda,
                 "status": res.status,
@@ -376,14 +360,13 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                 "multiplier_u": res.multiplier_u,
                 "multiplier_v": res.multiplier_v,
                 "concentration": res.concentration,
-                "case_id": case_id,
-                "verdict": verdict_name,
+                "case_id": verdict.case_id,
+                "verdict": verdict.verdict,
                 "lambda_tilde": spec.value,
                 "gap_threshold": math.nan if gap_thr is None else gap_thr,
                 "omega": math.nan if omega_value is None else omega_value,
             })
 
-    asymptotics_rows = []
     if "asymptotics" in wanted and scenario.lambdas:
         cutoff = grid.radius / 2.0
         try:
@@ -404,7 +387,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                           if fitted else ())
             for lam, pred in preds:
                 if isinstance(pred, OutsideTable):
-                    asymptotics_rows.append({
+                    tables["asymptotics"].append({
                         "lambda": lam, "scale": "outside_table", "power": math.nan,
                         "predicted_coeff": math.nan, "fitted_coeff": math.nan,
                         "intercept": math.nan, "r_squared": math.nan,
@@ -412,7 +395,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                     })
                     continue
                 fit = fit_expansion(next(curves), pred.scale, pred.power, pred.regime)
-                asymptotics_rows.append({
+                tables["asymptotics"].append({
                     "lambda": lam, "scale": pred.scale, "power": pred.power,
                     "predicted_coeff": math.nan if pred.coeff is None else pred.coeff,
                     "fitted_coeff": fit.leading_coeff,
@@ -420,23 +403,13 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                     "regime": pred.regime,
                 })
 
-    pohozaev_rows = []
     if "pohozaev" in wanted:
         for lam, res in sorted(results.items()):
-            if res.status != "converged":
-                continue
-            rep = pohozaev_report(res.pair, res.multiplier_u, res.multiplier_v,
-                                  lam, a, b, grid)
-            pohozaev_rows.append({
-                "lambda": lam,
-                "coupling_term": rep.coupling_term,
-                "interior_a": rep.interior_a,
-                "interior_b": rep.interior_b,
-                "boundary_a": rep.boundary_a,
-                "boundary_b": rep.boundary_b,
-                "residual": rep.residual,
-            })
-        if not pohozaev_rows:
+            if res.status == "converged":
+                rep = pohozaev_report(res.pair, res.multiplier_u, res.multiplier_v,
+                                      lam, a, b, grid)
+                tables["pohozaev"].append({"lambda": lam, **asdict(rep)})
+        if not tables["pohozaev"]:
             failures.append("pohozaev: no coupling converged")
 
     provenance = {
@@ -447,10 +420,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
         "version": __version__,
     }
     return RunReport(
-        scenario=scenario, provenance=provenance,
-        constants_rows=constants_rows, eig_rows=eig_rows,
-        minimize_rows=minimize_rows, asymptotics_rows=asymptotics_rows,
-        omega_rows=omega_rows, pohozaev_rows=pohozaev_rows,
+        scenario=scenario, provenance=provenance, tables=tables,
         failures=failures, minimize_results=results,
     )
 
@@ -529,31 +499,24 @@ def write_report(report: RunReport, out_dir=None, plots: bool | None = None) -> 
     if plots is None:
         plots = report.scenario.plots
     written = []
-    tables = {
-        "constants": report.constants_rows,
-        "eig": report.eig_rows,
-        "minimize": report.minimize_rows,
-        "asymptotics": report.asymptotics_rows,
-        "omega": report.omega_rows,
-        "pohozaev": report.pohozaev_rows,
-    }
-    for name, rows in tables.items():
-        if rows:
+    for name in ANALYSES:
+        if report.tables[name]:
             path = out / f"{name}.csv"
-            emit_csv(rows, path)
+            emit_csv(report.tables[name], path)
             written.append(path)
     prow = dict(report.provenance)
     emit_csv([prow], out / "provenance.csv", timestamp=False)
     written.append(out / "provenance.csv")
 
-    if plots and report.minimize_rows:
-        lams = np.array([r["lambda"] for r in report.minimize_rows])
-        qs = np.array([r["q_lambda"] for r in report.minimize_rows])
+    rows = report.tables["minimize"]
+    if plots and rows:
+        lams = np.array([r["lambda"] for r in rows])
+        qs = np.array([r["q_lambda"] for r in rows])
         verticals = {}
-        gap = report.minimize_rows[0]["gap_threshold"]
+        gap = rows[0]["gap_threshold"]
         if math.isfinite(gap):
             verticals["gap threshold"] = gap
-        verticals["lambda_tilde"] = report.minimize_rows[0]["lambda_tilde"]
+        verticals["lambda_tilde"] = rows[0]["lambda_tilde"]
         path = out / "minimize.svg"
         emit_plot([("Q(lambda)", lams, qs)], path,
                   xlabel="lambda", ylabel="Q", verticals=verticals)

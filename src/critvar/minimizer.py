@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
-from .constants import thresholds
+from .constants import quadratic_part, thresholds
 from .energy import (FieldPair, critical_exponent, dirichlet_field, energy,
                      weighted_gradient_energy)
 from .errors import BadSpectrum, DegeneratePair, NumericFault
@@ -371,11 +371,9 @@ def descend(
     step, only when the moved rows' sup is at most that bound and their
     energy is below the current one; otherwise the flow goes on bit for bit
     as without it.  So the detector fires only on rows the flow has relaxed
-    since a move.  Criterion 12's flow moves once at iteration 160 (s about
-    6.8) and stops at 170, where it ran 6,130 iterations without the move;
-    it stops at residual about 2.5, so the residual of a concentrating row
-    measures no convergence, and it never attempts a polish.  Converging
-    flows never pass the mass test and never try the move.
+    since a move.  The residual of a concentrating row measures no
+    convergence.  Converging flows never pass the mass test and never try
+    the move.
     """
     if not np.isfinite(lam):
         raise NumericFault(f"coupling must be finite, got {lam}")
@@ -672,19 +670,18 @@ class ExistenceVerdict:
     thresholds_used: dict
 
 
+_CASES = {(True, True): "quadratic-both", (True, False): "quadratic-first",
+          (False, True): "quadratic-second", (False, False): "supercritical-powers"}
+
+
 def _gap_threshold(dim, k, l, a_k, b_l):
-    """Coupling above which the concentration-test energy certifies a gap
-    below gamma0 * S; None where the case table gives no such threshold."""
-    if k > 2 and l > 2:
-        return 0.0, "gap.supercritical-powers"
+    """(threshold, case name): the coupling above which the
+    concentration-test energy certifies a gap below gamma0 * S, and the
+    case table's row; (None, None) where the table has no row."""
     if k < 2 or l < 2:
         return None, None
-    thr = thresholds(dim, a_k if k == 2 else 0.0, b_l if l == 2 else 0.0)
-    if k == 2 and l == 2:
-        return thr.gamma_n, "gap.quadratic-both"
-    if k == 2:
-        return thr.gamma_tilde_a, "gap.quadratic-first"
-    return thr.gamma_tilde_b, "gap.quadratic-second"
+    thr = thresholds(dim, quadratic_part(k, a_k), quadratic_part(l, b_l))
+    return thr.gamma_n, _CASES[k == 2, l == 2]
 
 
 def existence_verdict(
@@ -705,7 +702,7 @@ def existence_verdict(
     """
     if lam_tilde <= 0.0 or not np.isfinite(lam_tilde):
         raise BadSpectrum(f"first eigenvalue must be positive, got {lam_tilde}")
-    gap_thr, gap_case = _gap_threshold(dim, k, l, a_k, b_l)
+    gap_thr, name = _gap_threshold(dim, k, l, a_k, b_l)
     used = {
         "lambda_tilde": lam_tilde,
         "gap_threshold": gap_thr,
@@ -715,19 +712,11 @@ def existence_verdict(
     if omega_estimate is not None and lam <= omega_estimate:
         return ExistenceVerdict("nonexistence.coupling-below-omega",
                                 "no_minimizer_by_theorem", used)
-
-    achieved = None
-    if k > 2 and l > 2 and 0.0 < lam < lam_tilde:
-        achieved = "existence.supercritical-powers"
-    elif dim >= 5 and k == 2 and l == 2 and gap_thr < lam < lam_tilde:
-        achieved = "existence.quadratic-both"
-    elif dim >= 5 and k == 2 and l > 2 and gap_thr < lam < lam_tilde:
-        achieved = "existence.quadratic-first"
-    elif dim >= 5 and k > 2 and l == 2 and gap_thr < lam < lam_tilde:
-        achieved = "existence.quadratic-second"
-    if achieved is not None:
-        return ExistenceVerdict(achieved, "achieved_by_theorem", used)
-
-    if gap_thr is not None and lam > gap_thr:
-        return ExistenceVerdict(gap_case, "energy_gap_only", used)
+    if name is None:
+        return ExistenceVerdict("outside", "outside_theory", used)
+    # at N = 4 only the supercritical case's existence is proved
+    if (dim >= 5 or name == "supercritical-powers") and gap_thr < lam < lam_tilde:
+        return ExistenceVerdict("existence." + name, "achieved_by_theorem", used)
+    if lam > gap_thr:
+        return ExistenceVerdict("gap." + name, "energy_gap_only", used)
     return ExistenceVerdict("outside", "outside_theory", used)

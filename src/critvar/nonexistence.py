@@ -25,10 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import FieldPair
-from .errors import DegenerateDenominator, OutsideTable
+from .errors import DegenerateDenominator, GridTooCoarse, OutsideTable
 from .grid import RadialGrid, integrate
 from .spectral import first_eigenpair
 from .weights import UNIT_WEIGHT, WeightProfile
+
+
+_N_WIDTHS = 12              # omega's bump family: widths from 0.9 R
+_MIN_WIDTH_CELLS = 20       # down to the radius of this node
 
 
 def tilde_weight(w: WeightProfile, grid: RadialGrid) -> np.ndarray:
@@ -150,8 +154,6 @@ def omega_estimate(
     a: WeightProfile,
     b: WeightProfile,
     grid: RadialGrid,
-    n_widths: int = 12,
-    min_width_cells: int = 20,
 ) -> OmegaEstimate:
     """Estimate inf phi over radial pairs.
 
@@ -163,6 +165,9 @@ def omega_estimate(
     form), and the closed-form power-regime bounds are attached when both
     weights are pure powers.
     """
+    if grid.nodes.size <= _MIN_WIDTH_CELLS:
+        raise GridTooCoarse(f"omega needs at least {_MIN_WIDTH_CELLS} cells, "
+                            f"got {grid.nodes.size - 1}")
     combined = tilde_weight(a, grid)[1:-1] + tilde_weight(b, grid)[1:-1]
     tol = 1e-12 * max(1.0, float(np.max(np.abs(combined))))
     if float(np.min(combined)) < -tol:
@@ -170,8 +175,7 @@ def omega_estimate(
                              pair=None, family_values=np.empty(0))
 
     # nonnegative combined tilt: concentric shrinking bumps
-    min_width = grid.nodes[min_width_cells]
-    widths = np.geomspace(grid.radius * 0.9, min_width, n_widths)
+    widths = np.geomspace(grid.radius * 0.9, grid.nodes[_MIN_WIDTH_CELLS], _N_WIDTHS)
     best_val, best_pair, values = math.inf, None, []
     for s in widths:
         pr = FieldPair(u=_central_bump(s, grid), v=_central_bump(s, grid))

@@ -32,6 +32,8 @@ from .errors import IndefiniteWeight, SpectralStall, ThresholdNotReached
 from .grid import RadialGrid, integrate
 from .weights import WeightProfile
 
+_EIG_TOL = 1e-11            # inverse iteration: relative Rayleigh change (residual: 100x)
+
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
@@ -132,7 +134,6 @@ def _extrapolate_origin(phi: np.ndarray, grid: RadialGrid) -> float:
 def first_eigenpair(
     w: WeightProfile,
     grid: RadialGrid,
-    tol: float = 1e-11,
     max_iters: int = 500,
 ) -> SpectralResult:
     """Smallest eigenvalue of K x = lambda M x by inverse iteration.
@@ -153,7 +154,8 @@ def first_eigenpair(
         rho = float(np.dot(x, kx))           # x is M-normalized
         res = kx - rho * m * x
         res_norm = float(np.sqrt(np.dot(res * res, 1.0 / m)))
-        if abs(rho - rho_old) <= tol * abs(rho) and res_norm <= 100.0 * tol * abs(rho):
+        if (abs(rho - rho_old) <= _EIG_TOL * abs(rho)
+                and res_norm <= 100.0 * _EIG_TOL * abs(rho)):
             break
         rho_old = rho
     else:
@@ -181,10 +183,10 @@ class WeightedSpectrum:
     first_b: SpectralResult
 
 
-def lambda_tilde(a: WeightProfile, b: WeightProfile, grid: RadialGrid,
-                 tol: float = 1e-11) -> WeightedSpectrum:
-    ra = first_eigenpair(a, grid, tol=tol)
-    rb = first_eigenpair(b, grid, tol=tol)
+def lambda_tilde(a: WeightProfile, b: WeightProfile,
+                 grid: RadialGrid) -> WeightedSpectrum:
+    ra = first_eigenpair(a, grid)
+    rb = first_eigenpair(b, grid)
     return WeightedSpectrum(value=min(ra.lambda1, rb.lambda1), first_a=ra, first_b=rb)
 
 

@@ -131,21 +131,21 @@ def test_constants_only_run():
 
     s = replace(s, analyses=("constants",))
     rep = run(s)
-    assert len(rep.constants_rows) == 1
-    assert rep.minimize_rows == [] and rep.eig_rows == []
-    row = rep.constants_rows[0]
+    assert len(rep.tables["constants"]) == 1
+    assert rep.tables["minimize"] == [] and rep.tables["eig"] == []
+    row = rep.tables["constants"][0]
     assert row["slope_factor"] == pytest.approx(105.0 / 32.0)
 
 
 def test_full_run_and_dependencies(tmp_path):
     s = parse_scenario(SWEEP)
     rep = run(s)
-    assert len(rep.minimize_rows) == 2
-    converged = {r["lambda"] for r in rep.minimize_rows
+    assert len(rep.tables["minimize"]) == 2
+    converged = {r["lambda"] for r in rep.tables["minimize"]
                  if r["status"] == "converged"}
-    poh = {r["lambda"] for r in rep.pohozaev_rows}
+    poh = {r["lambda"] for r in rep.tables["pohozaev"]}
     assert poh == converged                     # dependency correctness
-    for row in rep.minimize_rows:
+    for row in rep.tables["minimize"]:
         assert row["verdict"] in ("achieved_by_theorem", "energy_gap_only",
                                   "no_minimizer_by_theorem", "outside_theory")
         assert row["case_id"]
@@ -297,6 +297,44 @@ def test_run_with_nothing_to_do_is_config_error(tmp_path, output, sweep):
     out = tmp_path / "out"
     assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def _machinery_config(tmp_path, dim):
+    cfg = tmp_path / "low.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", f"dimension = {dim}\n"
+                                   "mode = machinery\ncells = 100")
+                   + "\n[flow]\nmax_iters = 20\n\n[sweep]\nlambdas = 1\n")
+    return cfg
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("command", ["all", "constants", "minimize",
+                                     "asymptotics", "pohozaev"])
+def test_machinery_below_n4_rejects_closed_form_analyses(tmp_path, capsys,
+                                                         dim, command):
+    # constants, thresholds and the critical exponent are defined for N >= 4
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(_machinery_config(tmp_path, dim)),
+                     "--out", str(out)]) == 2
+    assert "N >= 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("command", ["eig", "omega"])
+def test_machinery_below_n4_runs_eig_and_omega(tmp_path, dim, command):
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(_machinery_config(tmp_path, dim)),
+                     "--out", str(out)]) == 0
+    assert (out / f"{command}.csv").exists()
+
+
+def test_cli_omega_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 16"))
+    assert cli_main(["omega", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "20 cells" in capsys.readouterr().err
 
 
 def test_cli_missing_file(tmp_path):

@@ -9,7 +9,7 @@ from critvar import (FieldPair, WeightProfile, build_grid, dirichlet_field,
                      hardy_check, integrate, omega_bounds, omega_estimate,
                      optimal_scaling_value, phi_quotient, pohozaev_report,
                      tilde_weight, unit_sphere_area)
-from critvar.errors import DegenerateDenominator, OutsideTable
+from critvar.errors import DegenerateDenominator, GridTooCoarse, OutsideTable
 from conftest import smooth_dirichlet_field
 
 
@@ -171,6 +171,16 @@ def test_omega_estimate_builds_the_unit_operator_once(quad_weight):
     for _ in range(2):
         omega_estimate(quad_weight, quad_weight, grid)
         assert len(grid._operators) == built
+
+
+@pytest.mark.parametrize("cells", [16, 19])
+def test_omega_estimate_on_too_coarse_a_grid_is_grid_too_coarse(quad_weight, cells):
+    # build_grid accepts 16 cells; the bump family's narrowest width is the
+    # radius of node 20
+    with pytest.raises(GridTooCoarse, match="20 cells"):
+        omega_estimate(quad_weight, quad_weight, build_grid(5, 1.0, cells))
+    assert math.isfinite(omega_estimate(quad_weight, quad_weight,
+                                        build_grid(5, 1.0, 20)).value)
 
 
 def test_omega_quadratic_respects_tabulated_bounds(grid5):
