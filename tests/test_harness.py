@@ -339,3 +339,40 @@ def test_cli_omega_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
 
 def test_cli_missing_file(tmp_path):
     assert cli_main(["constants", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+def test_outside_table_rows_carry_the_message(tmp_path):
+    # N = 5 with an exponent below 2 has no expansion row: one NaN row per
+    # coupling, labelled outside_table, with the OutsideTable message
+    cfg = tmp_path / "outside.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 600")
+                   .replace("gamma0 = 1.0\ncoefficient", "gamma0 = 1.0\n"
+                            "exponent = 1.5\ncoefficient", 1)
+                   + "\n[sweep]\nlambdas = 1 2.5\n")
+    out = tmp_path / "out"
+    assert cli_main(["asymptotics", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = _csv_rows(out / "asymptotics.csv")
+    assert [r["lambda"] for r in rows] == ["1", "2.5"]
+    for row in rows:
+        assert row["scale"] == "outside_table"
+        assert row["regime"] == "no expansion row for N = 5 with exponent below 2"
+        for key in ("power", "predicted_coeff", "fitted_coeff", "intercept",
+                    "r_squared"):
+            assert math.isnan(float(row[key]))
+
+
+def _assert_asymptotics_failure_keeps_other_csvs(tmp_path, capsys, cells):
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", f"dimension = 5\ncells = {cells}")
+                   + "\n[sweep]\nlambdas = 1\n\n"
+                   "[output]\nanalyses = constants eig asymptotics omega\n")
+    out = tmp_path / "out"
+    assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "invariant failure: asymptotics: " in capsys.readouterr().err
+    assert not (out / "asymptotics.csv").exists()
+    for name in ("constants", "eig", "omega", "provenance"):
+        assert (out / f"{name}.csv").exists()
+
+
+def test_grid_too_coarse_for_any_ladder_records_a_failure(tmp_path, capsys):
+    _assert_asymptotics_failure_keeps_other_csvs(tmp_path, capsys, 100)
