@@ -1,11 +1,11 @@
-"""Descent-flow cost of two source trees, timed interleaved, written to --out.
+"""Flow and whole-run cost of two source trees, timed interleaved, written to --out.
 
-    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_9.json
+    python bench/flow_iter.py --parent <checkout of the parent>/src --out BENCH_10.json
 
-Times `critvar.descend` and `critvar.sweep_minimize` from two source
-trees: `--parent` and `--change` (default: this checkout's `src`).  Each
-case runs in ROUNDS fresh pairs of worker interpreters, one per tree, that
-build and time that case alone, so that no case inherits the heap left by
+Times `critvar.descend`, `critvar.sweep_minimize` and `critvar.harness.run`
+from two source trees: `--parent` and `--change` (default: this checkout's
+`src`).  Each case runs in ROUNDS fresh pairs of worker interpreters, one
+per tree, that build and time that case alone, so that no case inherits the heap left by
 the cases before it, and so that whatever makes one worker faster than
 another (two workers of the same tree have read 9% apart on conc-0) is
 averaged over several workers; the script asks the two workers of a pair for one run
@@ -58,6 +58,17 @@ and flow:
   benchmark workload at seed 11 (a = b = 1 + r^2); it reports seconds per
   sweep and the total flow iterations of its eight flows.
 
+Whole-run cases time `critvar.harness.run` in process on the seed-11
+scenario of each benchmark workload, read from `perfbench/workloads.py`
+with `runpy` (which writes no bytecode there); the INI is parsed once,
+outside the timing, and no CSV is written.  A fresh `critvar all` process
+spends about 95% of its time importing, so these cases are the ones that
+see a change to the analyses themselves:
+
+- run/existence-sweep, run/concentration, run/diagnostics-n4: seconds per
+  `run` call, with the total flow iterations of its `minimize.csv` rows
+  (0 where the workload runs no flow).
+
 The file records the median and quartiles of each case for both trees and
 the change/parent ratio: the median over the runs of the change's run
 divided by the parent's run next to it in time.
@@ -70,6 +81,7 @@ import json
 import math
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -86,6 +98,8 @@ ITERS_0 = 140           # symmetric-0: stops before the mass test first passes
 ROUNDS = 8              # fresh worker pairs per case
 REPEATS = 3             # runs per worker
 BEST_OF = 3             # calls per run; the run reports the fastest
+RUN_SEED = 11           # run/<workload>: the benchmark seed whose scenario is timed
+RUN_WORKLOADS = ("existence-sweep", "concentration", "diagnostics-n4")
 SWEEP_LAMS = (9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
               21.7696, 23.922903)
 
@@ -93,7 +107,7 @@ SWEEP_LAMS = (9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
 # every case, and whether it is timed per iteration (else per call)
 CASES = {**{f"n{n}/{start}": True for n in SIZES for start in STARTS},
          "conc-0": False, "sweep-9.0446": False, "gap-4": False, "gap-8": False,
-         "sweep": False}
+         "sweep": False, **{f"run/{w}": False for w in RUN_WORKLOADS}}
 
 
 def _case(critvar, name):
@@ -112,6 +126,21 @@ def _case(critvar, name):
                 el_residual=max(r.el_residual for r in rows),
                 q_lambda=[r.q_lambda for r in rows])
         return run
+
+    if name.startswith("run/"):
+        gen = runpy.run_path(str(REPO / "perfbench" / "workloads.py"))
+        scenario = critvar.harness.parse_scenario(
+            gen["scenario_ini"](name[len("run/"):], RUN_SEED))
+
+        def whole_run():
+            report = critvar.harness.run(scenario)
+            rows = report.tables["minimize"]
+            return SimpleNamespace(
+                iterations=sum(r["iterations"] for r in rows),
+                status="; ".join(report.failures) or "ok",
+                el_residual=max((r["el_residual"] for r in rows), default=math.nan),
+                q_lambda=[r["q_lambda"] for r in rows])
+        return whole_run
 
     flow = critvar.FlowParams(max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS)
     quad = critvar.WeightProfile.pure_power(1.0, 2.0, 1.0)
@@ -252,8 +281,8 @@ def main(argv=None) -> int:
 
     runs, ratios = measure(args.parent, args.change)
     doc = {
-        "what": ("descend cost of the parent and the change, timed interleaved "
-                 f"in {ROUNDS} fresh pairs of worker interpreters per case. "
+        "what": ("descend, sweep and run cost of the parent and the change, "
+                 f"timed interleaved in {ROUNDS} fresh pairs of worker interpreters per case. "
                  "Per-iteration cases (n<cells>/<start>): "
                  f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA} "
                  f"(0 for symmetric-0), iteration cap {ITERS} ({ITERS_0} for "
@@ -264,7 +293,10 @@ def main(argv=None) -> int:
                  "seconds per converged call, N = 5 geometric grid of 1500 cells, "
                  "grad_tol 1e-5. sweep: seconds per sweep_minimize call over the "
                  "eight existence-sweep seed-11 couplings on the same grid, with "
-                 "the total iterations of its flows. "
+                 "the total iterations of its flows. run/<workload>: seconds "
+                 f"per in-process critvar.harness.run call on the seed-{RUN_SEED} "
+                 "scenario of that benchmark workload, with the total flow "
+                 "iterations of its minimize rows. "
                  f"Median and quartiles of {ROUNDS * REPEATS} runs each, "
                  f"{REPEATS} per worker, each the fastest of {BEST_OF} calls. "
                  "change_over_parent: the median over "

@@ -16,8 +16,8 @@ achieved.
 __version__ = "0.1.0"
 
 from .asymptotics import (BubbleParams, ExpansionFit, ExpansionPrediction,
-                          blowup_rescale, bubble_field, default_eps_ladder,
-                          energy_curves, expansion_prediction, fit_expansion)
+                          bubble_field, default_eps_ladder, energy_curves,
+                          expansion_prediction, fit_expansion)
 from .constants import (BubbleConstants, Thresholds, bubble_constants,
                         correction_constant, radial_moment,
                         radial_moment_quadrature, slope_factor, thresholds)

@@ -8,9 +8,9 @@ used for both components of the pair.  As eps -> 0 the normalized energy
 approaches gamma0 * S from a direction governed by the weight exponents:
 the correction is of order eps for N >= 5, of order eps|log eps| for
 N = 4, and of order eps^(k/2) when a sub-quadratic power dominates.  This
-module evaluates the curve, dispatches the (dimension, exponent) regime
-to its predicted scale and coefficient, and extracts the observed
-coefficient by linear least squares.
+module evaluates the curves of many couplings as one table, dispatches
+the (dimension, exponent) regime to its predicted scale and coefficient,
+and extracts each curve's observed coefficient by linear least squares.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 from .constants import (bubble_constants, correction_constant, quadratic_part,
                         thresholds)
-from .energy import (EnergyReport, _energy_report, _pair_terms,
-                     critical_exponent)
-from .errors import FitFailure, OutsideTable, UnderResolvedBubble
+from .energy import _pair_terms
+from .errors import (FitFailure, NumericFault, OutsideTable,
+                     UnderResolvedBubble)
 from .grid import RadialGrid
 from .weights import WeightProfile
 
@@ -70,59 +70,44 @@ def bubble_field(params: BubbleParams, grid: RadialGrid) -> np.ndarray:
     return u
 
 
-def blowup_rescale(u: np.ndarray, eps: float, grid: RadialGrid):
-    """Zoom in by 1/eps: returns (dilated grid, w) with
-    u(r) = eps^(-(N-2)/2) * w(r / eps).
-
-    The critical norm is preserved exactly, including by the discrete
-    quadrature (masses scale by eps^-N, |w|^q by eps^N).
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    u = grid.check_shape(u)
-    nodes = grid.nodes / eps
-    dilated = RadialGrid(
-        dimension=grid.dimension,
-        radius=float(nodes[-1]),
-        nodes=nodes,
-        quad_weights=grid.quad_weights / eps,
-        surface_factor=grid.surface_factor,
-        grading=grid.grading,
-        grading_ratio=grid.grading_ratio,
-    )
-    w = eps ** ((grid.dimension - 2) / 2.0) * u
-    return dilated, w
-
-
 # ---------------------------------------------------------------------------
 # energy curves along an eps-ladder
 # ---------------------------------------------------------------------------
 
 
+# fewest ladder rungs a fit of the expansion takes: its four regressors
+# and at least one degree of freedom
+_MIN_CURVE_POINTS = 5
+
+
 def default_eps_ladder(grid: RadialGrid, cutoff_radius: float) -> list[float]:
     """Geometric ladder (ratio 2, decreasing) with sqrt(eps) confined to
     [8 * innermost spacing, cutoff / 8]: resolved but deep in the
-    asymptotic regime."""
-    top = (cutoff_radius / 8.0) ** 2
+    asymptotic regime.  Raises UnderResolvedBubble when the grid leaves
+    fewer rungs than a fit takes."""
     floor = (8.0 * grid.spacings[0]) ** 2
-    if top <= floor:
-        raise UnderResolvedBubble("grid too coarse for any admissible eps")
     ladder = []
-    eps = top
+    eps = (cutoff_radius / 8.0) ** 2
     while eps >= floor:
         ladder.append(eps)
         eps /= 2.0
+    if len(ladder) < _MIN_CURVE_POINTS:
+        raise UnderResolvedBubble(
+            f"grid too coarse for an eps-ladder: {len(ladder)} admissible eps, "
+            f"a fit needs {_MIN_CURVE_POINTS}")
     return ladder
 
 
 def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
                   grid: RadialGrid, cutoff_radius: float | None = None
-                  ) -> list[list[tuple[float, EnergyReport]]]:
-    """Normalized coupled energy of the symmetric concentration pair: one
-    (eps, report) curve per coupling in lams, in order.  eps_list must be
-    positive and decreasing.  The coupling enters only through the affine
-    term -lam int uv / (|u|_q |v|_q), so each eps's field, norms, gradient
-    energies and int uv are computed once and shared by all couplings."""
+                  ) -> np.ndarray:
+    """Normalized coupled energy of the symmetric concentration pair, as
+    an array of shape (len(lams), len(eps_list)): row i is the curve of
+    coupling lams[i] along eps_list, which must be positive and
+    decreasing.  The coupling enters only through the affine term
+    -lam int uv / (|u|_q |v|_q), so each eps's field, norms, gradient
+    energies and int uv are computed once and shared by all couplings;
+    every entry equals the one-shot `energy(...).value` of its pair."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(e <= 0.0 for e in eps_list):
         raise ValueError("eps_list must be positive")
@@ -130,12 +115,15 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
         raise ValueError("eps_list must be decreasing")
     if cutoff_radius is None:
         cutoff_radius = 0.9 * grid.radius
-    q = critical_exponent(grid.dimension)
-    terms = []
-    for eps in eps_list:
-        u = bubble_field(BubbleParams(epsilon=eps, cutoff_radius=cutoff_radius), grid)
-        terms.append((eps, _pair_terms(u, u, a, b, grid)))
-    return [[(eps, _energy_report(t, lam, q)) for eps, t in terms] for lam in lams]
+    bubbles = (bubble_field(BubbleParams(epsilon=eps, cutoff_radius=cutoff_radius), grid)
+               for eps in eps_list)
+    grad_a, grad_b, uv, nu, nv = np.array(
+        [_pair_terms(u, u, a, b, grid) for u in bubbles]).T
+    lams = np.asarray(lams, dtype=float)
+    values = grad_a + grad_b - np.multiply.outer(lams, uv) / (nu * nv)
+    if not np.all(np.isfinite(values)):
+        raise NumericFault("non-finite energy")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +184,9 @@ def expansion_prediction(
 
 @dataclass(frozen=True)
 class ExpansionFit:
-    scale: str
-    power: float
     leading_coeff: float
     intercept: float          # estimate of the flat level gamma0 * S
     r_squared: float
-    regime: str
 
 
 def scale_variable(eps: np.ndarray, scale: str, power: float = 1.0) -> np.ndarray:
@@ -216,26 +201,26 @@ def scale_variable(eps: np.ndarray, scale: str, power: float = 1.0) -> np.ndarra
 
 
 def fit_expansion(
-    curve,
+    eps,
+    values,
     scale: str,
     power: float = 1.0,
-    regime: str = "",
     half_order_correction: bool = True,
 ) -> ExpansionFit:
-    """Least squares of E = intercept + coeff * x through the curve, with
-    x the chosen scale variable.
+    """Least squares of E = intercept + coeff * x through one energy curve,
+    the values at the ladder eps (a row of `energy_curves`), with x the
+    chosen scale variable of eps.
 
     The neglected remainder starts at relative order sqrt(eps) with
     cutoff-dependent constants much larger than the leading coefficient,
     so by default two nuisance regressors (x^(3/2) and x^2) absorb the
     curvature; only the intercept and the coefficient on x are reported.
     """
-    eps = np.array([e for e, _ in curve], dtype=float)
-    vals = np.array(
-        [rep.value if isinstance(rep, EnergyReport) else float(rep) for _, rep in curve]
-    )
-    if eps.size < 5:
-        raise FitFailure(f"need at least 5 curve points, got {eps.size}")
+    eps = np.asarray(eps, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if eps.size < _MIN_CURVE_POINTS:
+        raise FitFailure(
+            f"need at least {_MIN_CURVE_POINTS} curve points, got {eps.size}")
     x = scale_variable(eps, scale, power)
     if np.ptp(x) == 0.0:
         raise FitFailure("degenerate design matrix: constant scale variable")
@@ -250,11 +235,5 @@ def fit_expansion(
     ss_res = float(np.sum((vals - fitted) ** 2))
     ss_tot = float(np.sum((vals - np.mean(vals)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return ExpansionFit(
-        scale=scale,
-        power=power,
-        leading_coeff=float(coefs[1]),
-        intercept=float(coefs[0]),
-        r_squared=r2,
-        regime=regime,
-    )
+    return ExpansionFit(leading_coeff=float(coefs[1]), intercept=float(coefs[0]),
+                        r_squared=r2)

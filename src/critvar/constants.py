@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergentIntegral, LogScaledRegime
+from .errors import BadDomain, DivergentIntegral, LogScaledRegime
 from .grid import unit_sphere_area
 
 
@@ -72,7 +72,7 @@ class BubbleConstants:
 def bubble_constants(dim: int) -> BubbleConstants:
     """Constants for dimension N >= 4; the L2 constant exists for N >= 5."""
     if dim < 4:
-        raise ValueError(f"constants are defined for N >= 4, got {dim}")
+        raise BadDomain(f"constants are defined for N >= 4, got {dim}")
     sigma = unit_sphere_area(dim)
     k1 = (dim - 2) ** 2 * sigma * radial_moment(dim + 1, dim)
     k2 = (sigma * radial_moment(dim - 1, dim)) ** ((dim - 2) / dim)
@@ -122,7 +122,7 @@ def thresholds(dim: int, a2: float, b2: float) -> Thresholds:
     """Thresholds for dimension N >= 4; the N = 4 case replaces the factor
     m_N by 1 (the eps*|ln eps| balance there)."""
     if dim < 4:
-        raise ValueError(f"thresholds are defined for N >= 4, got {dim}")
+        raise BadDomain(f"thresholds are defined for N >= 4, got {dim}")
     if a2 < 0.0 or b2 < 0.0:
         raise ValueError("quadratic coefficients must be nonnegative")
     m_n = slope_factor(dim)

@@ -89,15 +89,12 @@ def lq_norm(u: np.ndarray, grid: RadialGrid) -> float:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """The three normalized terms of the coupled energy."""
+    """The three normalized terms of the coupled energy and their total."""
 
     grad_a: float
     grad_b: float
     coupling: float
     value: float
-    norm_u: float
-    norm_v: float
-    q: float
 
 
 def _pair_terms(u, v, a: WeightProfile, b: WeightProfile, grid: RadialGrid):
@@ -111,16 +108,6 @@ def _pair_terms(u, v, a: WeightProfile, b: WeightProfile, grid: RadialGrid):
     return grad_a, grad_b, integrate(u * v, grid), nu, nv
 
 
-def _energy_report(terms, lam: float, q: float) -> EnergyReport:
-    """The energy at coupling lam, which enters `_pair_terms` affinely."""
-    grad_a, grad_b, uv, nu, nv = terms
-    coupling = lam * uv / (nu * nv)
-    value = grad_a + grad_b - coupling
-    if not np.isfinite(value):
-        raise NumericFault("non-finite energy")
-    return EnergyReport(grad_a, grad_b, coupling, value, nu, nv, q)
-
-
 def energy(
     pair: FieldPair,
     a: WeightProfile,
@@ -129,5 +116,9 @@ def energy(
     grid: RadialGrid,
 ) -> EnergyReport:
     """Evaluate the normalized coupled energy; scale-invariant per component."""
-    return _energy_report(_pair_terms(pair.u, pair.v, a, b, grid), lam,
-                          critical_exponent(grid.dimension))
+    grad_a, grad_b, uv, nu, nv = _pair_terms(pair.u, pair.v, a, b, grid)
+    coupling = lam * uv / (nu * nv)
+    value = grad_a + grad_b - coupling
+    if not np.isfinite(value):
+        raise NumericFault("non-finite energy")
+    return EnergyReport(grad_a, grad_b, coupling, value)

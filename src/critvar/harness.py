@@ -368,33 +368,25 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
             })
 
     if "asymptotics" in wanted and scenario.lambdas:
+        # whether the table has a row depends on (N, k, l) alone, so the
+        # first coupling's prediction decides it for every coupling
         cutoff = grid.radius / 2.0
         try:
             ladder = default_eps_ladder(grid, cutoff)
+            preds = [expansion_prediction(scenario.dimension, k, l, a_k, b_l, lam)
+                     for lam in scenario.lambdas]
         except UnderResolvedBubble as exc:
             failures.append(f"asymptotics: {exc}")
-            ladder = None
-        if ladder is not None:
-            preds = []
-            for lam in scenario.lambdas:
-                try:
-                    preds.append((lam, expansion_prediction(
-                        scenario.dimension, k, l, a_k, b_l, lam)))
-                except OutsideTable as exc:
-                    preds.append((lam, exc))
-            fitted = [lam for lam, p in preds if not isinstance(p, OutsideTable)]
-            curves = iter(energy_curves(fitted, a, b, ladder, grid, cutoff)
-                          if fitted else ())
-            for lam, pred in preds:
-                if isinstance(pred, OutsideTable):
-                    tables["asymptotics"].append({
-                        "lambda": lam, "scale": "outside_table", "power": math.nan,
-                        "predicted_coeff": math.nan, "fitted_coeff": math.nan,
-                        "intercept": math.nan, "r_squared": math.nan,
-                        "regime": str(pred),
-                    })
-                    continue
-                fit = fit_expansion(next(curves), pred.scale, pred.power, pred.regime)
+        except OutsideTable as exc:
+            tables["asymptotics"] = [{
+                "lambda": lam, "scale": "outside_table", "power": math.nan,
+                "predicted_coeff": math.nan, "fitted_coeff": math.nan,
+                "intercept": math.nan, "r_squared": math.nan, "regime": str(exc),
+            } for lam in scenario.lambdas]
+        else:
+            curves = energy_curves(scenario.lambdas, a, b, ladder, grid, cutoff)
+            for lam, pred, curve in zip(scenario.lambdas, preds, curves):
+                fit = fit_expansion(ladder, curve, pred.scale, pred.power)
                 tables["asymptotics"].append({
                     "lambda": lam, "scale": pred.scale, "power": pred.power,
                     "predicted_coeff": math.nan if pred.coeff is None else pred.coeff,

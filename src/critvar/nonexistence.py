@@ -160,10 +160,10 @@ def omega_estimate(
     The -inf flag is a sign test: if the combined tilt a~ + b~ is negative
     at an interior node, bumps shrinking onto that node drive the quotient
     to -inf, so -inf is returned with no pair and an empty family.
-    Otherwise phi is minimized over a family of concentric bumps of
-    shrinking width (with the optimal relative scaling applied in closed
-    form), and the closed-form power-regime bounds are attached when both
-    weights are pure powers.
+    Otherwise phi is evaluated at u = v, with no relative scaling of the
+    two components, on a family of concentric bumps of shrinking width;
+    the smallest value is kept, and the closed-form power-regime bounds
+    are attached when both weights are pure powers.
     """
     if grid.nodes.size <= _MIN_WIDTH_CELLS:
         raise GridTooCoarse(f"omega needs at least {_MIN_WIDTH_CELLS} cells, "

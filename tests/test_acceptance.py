@@ -128,7 +128,7 @@ def test_criterion_05_expansion_sign_law(grid5_geo):
     for lam in (4.0, 8.0, 10.0):
         start = time.perf_counter()
         curve = energy_curves([lam], QUAD, QUAD, ladder, grid5_geo)[0]
-        fit = fit_expansion(curve, "eps")
+        fit = fit_expansion(ladder, curve, "eps")
         predicted = -(lam - 105.0 / 16.0) * c.k3 / c.k2
         assert fit.leading_coeff == pytest.approx(predicted, rel=0.05)
         coeffs[lam] = fit.leading_coeff

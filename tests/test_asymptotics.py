@@ -1,4 +1,4 @@
-"""Concentration bubbles, rescaling, expansion table, and fits."""
+"""Concentration bubbles, energy curves, expansion table, and fits."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import critvar.asymptotics
-from critvar import (BubbleParams, FieldPair, WeightProfile, blowup_rescale,
+from critvar import (BubbleParams, FieldPair, WeightProfile,
                      bubble_constants, bubble_field, correction_constant,
                      default_eps_ladder, energy, energy_curves,
                      expansion_prediction, fit_expansion, lq_norm, slope_factor,
@@ -49,35 +49,14 @@ def test_gradient_energy_approaches_k1(grid5_geo, unit_weight):
     assert errs[0] < 0.01 and errs[1] < errs[0] and errs[2] < errs[1]
 
 
-def test_blowup_identity(grid5, rng):
-    from conftest import smooth_dirichlet_field
-
-    u = smooth_dirichlet_field(grid5, rng)
-    g2, w = blowup_rescale(u, 1.0, grid5)
-    assert np.array_equal(w, u)
-    assert np.array_equal(g2.nodes, grid5.nodes)
-
-
-def test_blowup_preserves_critical_norm(grid5_geo):
-    u = bubble_field(BubbleParams(1e-3, 0.9), grid5_geo)
-    g2, w = blowup_rescale(u, 0.02, grid5_geo)
-    assert lq_norm(w, g2) == pytest.approx(lq_norm(u, grid5_geo), rel=1e-13)
-
-
-def test_blowup_matched_profile(grid5_geo):
+def test_bubble_matched_profile(grid5_geo):
+    # on the cutoff's plateau, eps^(3/4) u_eps(sqrt(eps) y) = (1 + y^2)^(-3/2)
     eps = 1e-4
     u = bubble_field(BubbleParams(eps, 0.9), grid5_geo)
-    g2, w = blowup_rescale(u, math.sqrt(eps), grid5_geo)
-    target = (1.0 + g2.nodes ** 2) ** (-1.5)
-    inside = g2.nodes < 1.0
-    assert np.max(np.abs(w[inside] - target[inside])) < 1e-6
-
-
-def test_blowup_round_trip(grid5_geo):
-    u = bubble_field(BubbleParams(1e-3, 0.9), grid5_geo)
-    g2, w = blowup_rescale(u, 0.01, grid5_geo)
-    _, back = blowup_rescale(w, 100.0, g2)
-    assert np.max(np.abs(back - u)) < 1e-12 * np.max(np.abs(u))
+    y = grid5_geo.nodes / math.sqrt(eps)
+    inside = y < 1.0
+    target = (1.0 + y[inside] ** 2) ** (-1.5)
+    assert np.max(np.abs(eps ** 0.75 * u[inside] - target)) < 1e-6
 
 
 def test_default_ladder_shape(grid5_fine):
@@ -92,9 +71,8 @@ def test_energy_curve_flat_for_constant_weights(grid5_geo):
     gamma0 = 2.0
     w = WeightProfile.constant(gamma0)
     ladder = [1e-3 / 2 ** j for j in range(5)]
-    curve = energy_curves([0.0], w, w, ladder, grid5_geo)[0]
+    vals = energy_curves([0.0], w, w, ladder, grid5_geo)[0]
     s = bubble_constants(5).s
-    vals = [rep.value for _, rep in curve]
     assert all(v == pytest.approx(gamma0 * s, rel=1e-2) for v in vals)
     assert (max(vals) - min(vals)) / (gamma0 * s) < 0.01
 
@@ -114,22 +92,23 @@ def test_energy_curves_non_finite_coupling(grid5_geo, unit_weight):
 
 @pytest.mark.parametrize("dim", [4, 5])
 def test_energy_curves_match_one_shot_energy(dim, quad_weight, quartic_weight):
-    # the shared per-eps terms give every coupling exactly the report of a
+    # the shared per-eps terms give every coupling exactly the value of a
     # one-shot energy() call on the symmetric pair
     g = critvar.build_grid(dim, 1.0, 1500, grading="geometric", ratio=1.004)
     ladder = [2e-3 / 2 ** j for j in range(4)]
     lams = [0.0, 7.25, 12.5, 9.875]
-    curves = energy_curves(lams, quad_weight, quartic_weight, ladder, g, 0.5)
-    assert len(curves) == len(lams)
-    for lam, curve in zip(lams, curves):
-        assert [eps for eps, _ in curve] == ladder
-        for eps, rep in curve:
+    values = energy_curves(lams, quad_weight, quartic_weight, ladder, g, 0.5)
+    assert isinstance(values, np.ndarray)
+    assert values.shape == (len(lams), len(ladder))
+    for i, lam in enumerate(lams):
+        for j, eps in enumerate(ladder):
             u = bubble_field(BubbleParams(eps, 0.5), g)
             ref = energy(FieldPair(u=u, v=u.copy()), quad_weight, quartic_weight,
                          lam, g)
-            assert rep == ref
-    assert energy_curves([9.875], quad_weight, quartic_weight, ladder, g, 0.5) \
-        == curves[-1:]
+            assert values[i, j] == ref.value
+    assert np.array_equal(
+        energy_curves([9.875], quad_weight, quartic_weight, ladder, g, 0.5),
+        values[-1:])
 
 
 def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, monkeypatch):
@@ -198,8 +177,7 @@ def test_prediction_outside_table():
 
 def test_fit_exact_linear_data():
     eps = [1e-2 / 2 ** j for j in range(6)]
-    curve = [(e, 3.0 - 2.0 * e) for e in eps]
-    fit = fit_expansion(curve, "eps")
+    fit = fit_expansion(eps, [3.0 - 2.0 * e for e in eps], "eps")
     assert fit.intercept == pytest.approx(3.0, rel=1e-10)
     assert fit.leading_coeff == pytest.approx(-2.0, rel=1e-8)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -207,9 +185,9 @@ def test_fit_exact_linear_data():
 
 def test_fit_needs_points_and_spread():
     with pytest.raises(FitFailure):
-        fit_expansion([(1e-3, 1.0)] * 3, "eps")
+        fit_expansion([1e-3] * 3, [1.0] * 3, "eps")
     with pytest.raises(FitFailure):
-        fit_expansion([(1e-3, 1.0)] * 6, "eps")   # zero spread
+        fit_expansion([1e-3] * 6, [1.0] * 6, "eps")   # zero spread
 
 
 def test_dim4_model_selection(grid4):
@@ -220,7 +198,7 @@ def test_dim4_model_selection(grid4):
     a = WeightProfile.pure_power(1.0, 2.0, 1.0)
     ladder = [1e-2 / 2 ** j for j in range(9)]
     curve = energy_curves([10.0], a, a, ladder, g)[0]
-    fit_log = fit_expansion(curve, "eps_log_eps", half_order_correction=False)
-    fit_lin = fit_expansion(curve, "eps", half_order_correction=False)
+    fit_log = fit_expansion(ladder, curve, "eps_log_eps", half_order_correction=False)
+    fit_lin = fit_expansion(ladder, curve, "eps", half_order_correction=False)
     assert fit_log.r_squared > fit_lin.r_squared
     assert fit_log.leading_coeff < 0.0  # lam above the dim-4 log-scale threshold

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from critvar import existence_verdict, expansion_prediction
-from critvar.errors import OutsideTable
+from critvar.errors import BadDomain, OutsideTable
 
 INF = math.inf
 A_K, B_L = 0.75, 1.25
@@ -172,3 +172,12 @@ def test_expansion_prediction_row(dim, k, l):
         pred = expansion_prediction(dim, k, l, a_k, b_l, lam)
         assert (pred.scale, pred.power, pred.regime) == (scale, power, regime)
         assert pred.coeff == pytest.approx(coeff, rel=1e-13, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_below_n4_both_tables_raise_bad_domain(dim):
+    # the constants and thresholds behind both tables are defined for N >= 4
+    with pytest.raises(BadDomain):
+        existence_verdict(dim, 3.0, 3.0, 0.75, 1.25, 1.0, LAMBDA_TILDE)
+    with pytest.raises(BadDomain):
+        expansion_prediction(dim, 2.0, 2.0, 1.0, 1.0, 1.0)

@@ -11,7 +11,7 @@ import pytest
 import critvar
 from critvar import (bubble_constants, correction_constant, radial_moment,
                      radial_moment_quadrature, slope_factor, thresholds)
-from critvar.errors import DivergentIntegral, LogScaledRegime
+from critvar.errors import BadDomain, DivergentIntegral, LogScaledRegime
 
 
 def test_moment_exact_rational():
@@ -111,7 +111,7 @@ def test_thresholds_dim4_unit_factor():
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadDomain):
         thresholds(3, 1.0, 1.0)
     with pytest.raises(ValueError):
         thresholds(5, -1.0, 0.0)

@@ -136,7 +136,6 @@ def test_energy_term_decomposition(grid5, unit_weight, rng):
                                       abs=1e-14)
     assert rep.coupling == pytest.approx(
         1.5 * integrate(u * v, grid5) / (nu * nv), rel=1e-14)
-    assert rep.q == pytest.approx(10.0 / 3.0, rel=1e-15)
 
 
 def test_degenerate_pair_raises(grid5, unit_weight):

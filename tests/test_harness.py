@@ -361,7 +361,10 @@ def test_outside_table_rows_carry_the_message(tmp_path):
             assert math.isnan(float(row[key]))
 
 
-def _assert_asymptotics_failure_keeps_other_csvs(tmp_path, capsys, cells):
+@pytest.mark.parametrize("cells", [100, 300])
+def test_grid_too_coarse_for_a_ladder_records_a_failure(tmp_path, capsys, cells):
+    # at N = 5, 100 uniform cells leave no ladder rung and 300 leave 3,
+    # short of the 5 a fit takes
     cfg = tmp_path / "coarse.ini"
     cfg.write_text(MINIMAL.replace("dimension = 5", f"dimension = 5\ncells = {cells}")
                    + "\n[sweep]\nlambdas = 1\n\n"
@@ -372,7 +375,3 @@ def _assert_asymptotics_failure_keeps_other_csvs(tmp_path, capsys, cells):
     assert not (out / "asymptotics.csv").exists()
     for name in ("constants", "eig", "omega", "provenance"):
         assert (out / f"{name}.csv").exists()
-
-
-def test_grid_too_coarse_for_any_ladder_records_a_failure(tmp_path, capsys):
-    _assert_asymptotics_failure_keeps_other_csvs(tmp_path, capsys, 100)
