@@ -2,16 +2,19 @@
 
     python bench/end_to_end.py --parent <checkout of the parent>/src --out BENCH_8.json
 
-Times, in a fresh interpreter per run, a bare `import critvar` and
-`critvar all` on the seed-11 scenario INI of each benchmark workload
+Times, in a fresh interpreter per run, a bare `import critvar`, and for
+the seed-11 scenario INI of each benchmark workload
 (`perfbench/workloads.py`: existence-sweep, concentration and
-diagnostics-n4), for two source trees: `--parent` and `--change` (default:
-this checkout's `src`).  Each run is the wall time of the whole child
-process, interpreter start-up included.  The two trees' runs alternate, and
-the order flips every round, so that drift of a shared machine's speed
-falls on both trees alike instead of landing on their ratio; one untimed
-round first warms the file cache.  Every `critvar all` run must exit 0;
-its CSVs go to a temporary directory.
+diagnostics-n4) its set-up and `critvar all` on it, for two source trees:
+`--parent` and `--change` (default: this checkout's `src`).  The set-up
+case (setup/<workload>) does what the benchmark's set-up probe
+(`perfbench/probe.py`, the `setup_s` metric) does: import
+`critvar.harness`, parse the INI and build its grid.  Each run is the
+wall time of the whole child process, interpreter start-up included.  The
+two trees' runs alternate, and the order flips every round, so that drift
+of a shared machine's speed falls on both trees alike instead of landing
+on their ratio; one untimed round first warms the file cache.  Every run
+must exit 0; the CSVs of `critvar all` go to a temporary directory.
 
 The file records the median and quartiles of each case for both trees and
 the change/parent ratio of the medians.  Nothing under `perfbench/` is
@@ -37,6 +40,9 @@ REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = REPO / "perfbench" / "workloads.py"
 SEED = 11
 REPEATS = 10
+SETUP = ("import sys; from pathlib import Path; "
+         "from critvar.harness import parse_scenario; "
+         "parse_scenario(Path(sys.argv[1]).read_text()).build_grid()")
 
 
 def _commands(ini_dir: Path, out_dir: Path) -> dict:
@@ -46,6 +52,7 @@ def _commands(ini_dir: Path, out_dir: Path) -> dict:
     for workload in gen["WORKLOADS"]:
         ini = ini_dir / f"{workload}.ini"
         ini.write_text(gen["scenario_ini"](workload, SEED))
+        cases[f"setup/{workload}"] = [sys.executable, "-c", SETUP, str(ini)]
         cases[f"all/{workload}"] = [sys.executable, "-m", "critvar.cli", "all",
                                     "--config", str(ini), "--out", str(out_dir)]
     return cases
@@ -109,9 +116,11 @@ def main(argv=None) -> int:
             for label, cases in samples.items()}
     doc = {
         "what": ("wall time of a fresh interpreter per run, parent and change "
-                 "interleaved: `import critvar` (import), and `critvar all` on "
-                 f"the seed-{SEED} scenario INI of each benchmark workload "
-                 "(all/<workload>), interpreter start-up included. Median and "
+                 "interleaved: `import critvar` (import), and for the "
+                 f"seed-{SEED} scenario INI of each benchmark workload the "
+                 "set-up probe's import critvar.harness, parse and build_grid "
+                 "(setup/<workload>) and `critvar all` (all/<workload>), "
+                 "interpreter start-up included. Median and "
                  f"quartiles of {args.repeats} runs each."),
         "machine": {"python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__,

@@ -74,10 +74,6 @@ class RadialGrid:
         object.__setattr__(self, "masses", masses)
 
     @property
-    def n_cells(self) -> int:
-        return self.nodes.size - 1
-
-    @property
     def volume(self) -> float:
         return float(np.sum(self.masses))
 

@@ -9,7 +9,7 @@ with the weighted stiffness operator; an unpreconditioned explicit step
 would be CFL-limited by the smallest cell of a graded grid.  When u == v
 holds bit for bit, as with equal weights and a symmetric start, the flow
 advances that one row and pays for one component per iteration.  Each
-trial row costs one banded solve and one fractional power pass: the
+trial row costs two running sums and one fractional power pass: the
 normalization writes m|x|^(q-2) x, from which it takes the critical norm
 and which the next gradient and the concentration detector reuse.
 
@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from numpy.linalg import LinAlgError
 
 from .constants import quadratic_part, thresholds
 from .energy import (FieldPair, critical_exponent, dirichlet_field, energy,
@@ -64,6 +64,12 @@ _NEWTON_SWITCH = 0.3            # polish once the flow's residual falls to this
 _NEWTON_REARM = 10.0            # after a failed polish at res, try again at res / this
 _NEWTON_STEPS = 5               # Newton steps the polish may take to reach grad_tol
 _PREDICTOR_TRIES = 3            # tangent steps of 1, 1/2, 1/4 times the coupling step
+
+
+def solve_banded(*args, **kwargs):
+    """scipy.linalg.solve_banded, imported on first call: only a Newton step needs it."""
+    from scipy.linalg import solve_banded as solve
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -187,7 +193,7 @@ def _initial_pair(a: WeightProfile, b: WeightProfile, grid: RadialGrid,
 def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
              x: tuple[np.ndarray, np.ndarray]) -> bool:
     """True when the flow from x = (u, v) keeps u == v bit for bit: operators
-    with identical face conductances c (from which assemble_operator derives
+    with identical face conductances c (from which the operator derives
     every other array the flow reads) and an identical start.  Compares
     arrays, not weights: weights with array tables or callables do not
     compare by value, and equal weights are often distinct objects."""
@@ -332,7 +338,7 @@ def descend(
     assemble to identical arrays and the normalized start has u == v (the
     flow then keeps u == v exactly), two otherwise.  Row k's coupling
     partner is row -1 - k, so both cases run the same arithmetic.  An
-    iteration costs per row one banded solve, one fractional power pass and
+    iteration costs per row two running sums, one fractional power pass and
     O(n) in-place updates in a workspace allocated once per call: the
     normalization of a trial row t writes h = m|t|^(q-2) t, takes the norm
     from h.t = sum m|t|^q and rescales h with t, so that h holds the

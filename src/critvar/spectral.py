@@ -12,13 +12,18 @@ discrete operator coincide exactly with quadrature energy ratios.  The
 origin carries zero flux (radial regularity); the boundary is Dirichlet.
 
 assemble_operator is the one place a weight is sampled on a grid: it
-builds one read-only operator per (weight, grid), factored once and kept
-on the grid, with its conductances c.  The gradient energy is
-sum c (x_{i+1} - x_i)^2; the descent flow takes it as sum f (x_{i+1} - x_i)
-from the face fluxes f = c (x_{i+1} - x_i), and K x as the difference of
-those same fluxes (_flux_difference), so one pass over the faces serves
-both.  The descent flow, the eigen-solve, the Euler-Lagrange residual and
-the gradient energy all share it.
+builds one read-only operator per (weight, grid) from its conductances c,
+kept on the grid and shared by the descent flow, the eigen-solve, the
+Euler-Lagrange residual and the gradient energy.  With x_0..x_{n-1} the
+interior values, x_n = 0 and the face fluxes F_0 = 0, F_{j+1} = c_j
+(x_{j+1} - x_j), (K x)_j = F_j - F_{j+1}.  So K x = b needs no
+factorization: F_{j+1} = -sum_{i<=j} b_i and x_j = sum_{k>=j} (sum_{i<=k}
+b_i) / c_k, two running sums.  In exact arithmetic this is K's LDL^T
+factor with l = -1 and d = c, which an LDL^T routine only rounds its way
+to through (c_{j-1} + c_j) - c_{j-1}.  The gradient energy is sum c
+(x_{j+1} - x_j)^2; the descent flow takes it as sum F_{j+1} (x_{j+1} -
+x_j), and K x as the difference of those same fluxes (_flux_difference),
+so one pass over the faces serves both.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import IndefiniteWeight, SpectralStall, ThresholdNotReached
 from .grid import RadialGrid, integrate
@@ -37,27 +41,28 @@ _EIG_TOL = 1e-11            # inverse iteration: relative Rayleigh change (resid
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Symmetric positive-definite flux operator on interior nodes 1..n-1;
+    """Symmetric positive-definite flux operator on interior nodes 1..n-1 from
+    its face conductances c, solved by the module docstring's running sums;
     its arrays are read-only, as every caller shares it."""
 
-    diag: np.ndarray       # K_ii
-    off: np.ndarray        # K_{i,i+1} = K_{i+1,i}, length len(diag)-1
-    c: np.ndarray          # conductances c_{i+1/2} on faces 1..n-1; off = -c[:-1]
-    _factor: tuple = field(init=False, repr=False, compare=False)
+    c: np.ndarray                               # c_{i+1/2} on faces 1..n-1
+    diag: np.ndarray = field(init=False)        # K_ii: c[0], then c[i-1] + c[i]
+    off: np.ndarray = field(init=False)         # K_{i,i+1} = K_{i+1,i} = -c[i]
+    _inv_c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # LDL^T factor by LAPACK ?pttrf, the first half of the ?ptsv that
-        # solveh_banded runs on every call, so each solve is bitwise the same.
-        d, e, info = dpttrf(self.diag, self.off)
-        if info != 0:
-            raise IndefiniteWeight("stiffness operator is not positive definite")
-        object.__setattr__(self, "_factor", (d, e))
-        for arr in (self.diag, self.off, self.c, d, e):
+        c = self.c
+        if not np.all(np.isfinite(c) & (c > 0.0)):
+            raise IndefiniteWeight("conductances (weight at cell faces) must be finite and > 0")
+        diag = c.copy()                         # zero flux through the origin face
+        diag[1:] += c[:-1]
+        for name, arr in (("c", c), ("diag", diag), ("off", -c[:-1]), ("_inv_c", 1.0 / c)):
             arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
-        return self.diag.size
+        return self.c.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = self.diag * x
@@ -67,24 +72,24 @@ class TridiagonalOperator:
 
     @staticmethod
     def _flux_difference(f, out):
-        """K x into `out` from the face fluxes f of x, one value longer
-        than x: f[0] = 0 through the origin face and f[j+1] = c[j] (x[j+1]
-        - x[j]), with x[size] = 0 the Dirichlet node; out[j] = f[j] -
-        f[j+1], which is K x because diag[0] = c[0] and diag[j] = c[j-1]
-        + c[j]."""
+        """K x into `out` from the face fluxes f of x (F of the module
+        docstring, one value longer than x): out[j] = f[j] - f[j+1]."""
         return np.subtract(f[:-1], f[1:], out=out)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """K x = rhs from the factor built once per operator; raises
-        ValueError for a non-finite or wrongly sized rhs."""
+        """K x = rhs; raises ValueError unless rhs is a finite vector of size n-1."""
         rhs = np.asarray_chkfinite(rhs)
-        if rhs.shape[0] != self.size:
+        if rhs.shape != (self.size,):
             raise ValueError("shapes of operator and rhs are not compatible")
         return self._solve(rhs)
 
     def _solve(self, rhs):
-        """Unchecked kernel of solve: rhs must be finite and of the operator's size."""
-        return dpttrs(*self._factor, rhs)[0]
+        """Unchecked solve: rhs must be finite and of the operator's size;
+        the sum over k >= j runs in place on the reversed view."""
+        x = np.add.accumulate(rhs)
+        x *= self._inv_c
+        np.add.accumulate(x[::-1], out=x[::-1])
+        return x
 
 
 def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator:
@@ -102,16 +107,9 @@ def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator
     if not np.all(np.isfinite(nodes_w) & (nodes_w > 0.0)):
         raise IndefiniteWeight("weight must be finite and strictly positive on the grid")
     faces = grid.faces[1:]                        # r_{i+1/2}, i = 1..n-1
-    wf = np.asarray(w(faces), dtype=float)
-    if not np.all(np.isfinite(wf) & (wf > 0.0)):
-        raise IndefiniteWeight("weight must be finite and strictly positive at cell faces")
-    area = faces ** (grid.dimension - 1)
-    c = grid.surface_factor * wf * area / grid.spacings[1:]
-    diag = np.empty(grid.n_cells - 1)
-    diag[0] = c[0]                                # zero flux through the origin face
-    diag[1:] = c[:-1] + c[1:]
-    off = -c[:-1]                                 # couples nodes i, i+1 for i < n-1
-    op = TridiagonalOperator(diag=diag, off=off, c=c)
+    wf = np.asarray(w(faces), dtype=float)        # checked by the operator, via c
+    op = TridiagonalOperator(grid.surface_factor * wf * faces ** (grid.dimension - 1)
+                             / grid.spacings[1:])
     # holding w keeps its id from naming another weight
     grid._operators[id(w)] = (w, op)
     return op

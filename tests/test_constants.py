@@ -30,19 +30,46 @@ def test_moment_quadrature_cross_check(s, p):
         radial_moment(s, p), rel=1e-10)
 
 
+def _scenario(dim, b_exponent, lambdas, analyses):
+    return (f"[domain]\ndimension = {dim}\ncells = 400\n"
+            "grading = geometric\nratio = 1.01\n"
+            "[weights.a]\ngamma0 = 1.0\ncoefficient = 1.0\n"
+            f"[weights.b]\ngamma0 = 1.0\nexponent = {b_exponent}\n"
+            "coefficient = 1.0\n"
+            f"[sweep]\nlambdas = {lambdas}\n[output]\nanalyses = {analyses}\n")
+
+
 def test_import_leaves_scipy_integrate_unloaded():
-    # only the quadrature route needs scipy.integrate, and importing it is
-    # most of a fresh `import critvar`; the Beta closed form takes its
-    # log-Gammas from math, so scipy.special (which pulls in numpy.f2py)
-    # is not needed either; a fresh interpreter must load neither
+    # importing scipy is most of a fresh `import critvar`: only the quadrature
+    # cross-check needs scipy.integrate, the Beta closed form takes its
+    # log-Gammas from math (scipy.special would pull in numpy.f2py), and the
+    # stiffness solve is two running sums, so only a Newton step (polish or
+    # sweep tangent) loads scipy.linalg; each case runs in a fresh interpreter
     src = str(Path(critvar.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, critvar; "
-         "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    report = ("import sys; from critvar import parse_scenario, run; "
+              "rep = run(parse_scenario(sys.stdin.read())); "
+              "print(not rep.failures, 'scipy.linalg' in sys.modules)")
+    cases = {
+        "import": ("import sys, critvar; "
+                   "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+                   "", "False"),
+        "minimize at lambda 0": (report, _scenario(5, 2.0, "0", "minimize"),
+                                 "True False"),
+        "N = 4 diagnostics": (report, _scenario(4, 4.0, "2 6",
+                                                "eig asymptotics omega"),
+                              "True False"),
+        "converging sweep": (report, _scenario(5, 2.0, "8 12", "minimize"),
+                             "True True"),
+    }
+    procs = {name: subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for name, (code, _, _) in cases.items()}
+    for name, (_, ini, expected) in cases.items():
+        out, err = procs[name].communicate(ini)
+        assert procs[name].returncode == 0, err
+        assert out.strip() == expected, name
 
 
 def test_moment_divergence_guard():

@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
 
 from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
                      build_grid, coupling_threshold, dirichlet_field,
                      eigenfunction_pair_energy, el_residual, energy,
                      first_eigenpair, integrate, lambda_tilde, sweep_minimize,
                      weighted_gradient_energy)
-from critvar import spectral
+from critvar.spectral import TridiagonalOperator
 from critvar.errors import IndefiniteWeight, SpectralStall, ThresholdNotReached
 from conftest import smooth_dirichlet_field
 
@@ -101,16 +100,18 @@ def test_indefinite_weight_rejected(grid5):
         assemble_operator(w, grid5)
 
 
-def test_solve_matches_banded_solver_bitwise(grid5_geo, quad_weight, rng):
-    # the factor is computed once per operator; every solve must still be
-    # exactly what a full banded solve of the same band gives
+def test_solve_matches_long_double_running_sums(grid5_geo, quad_weight, rng):
+    # x_j = sum_{k>=j} (sum_{i<=k} rhs_i) / c_k, in long double on the same c;
+    # on these mass-weighted right-hand sides an LDL^T solve (LAPACK dpttrs)
+    # is off by 1e-12 relative, the running sums by a few 1e-15
     op = assemble_operator(quad_weight, grid5_geo)
-    ab = np.zeros((2, op.size))
-    ab[0, 1:] = op.off
-    ab[1] = op.diag
+    m = grid5_geo.masses[1:-1]
     for scale in (1e-6, 1.0, 1e6):
-        rhs = scale * rng.standard_normal(op.size)
-        assert np.array_equal(op.solve(rhs), solveh_banded(ab, rhs))
+        rhs = scale * m * rng.standard_normal(op.size)
+        ref = np.cumsum(rhs.astype(np.longdouble)) / op.c.astype(np.longdouble)
+        ref = np.cumsum(ref[::-1])[::-1]
+        err = np.max(np.abs(op.solve(rhs) - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-13
     rhs[7] = math.nan
     with pytest.raises(ValueError):
         op.solve(rhs)
@@ -119,13 +120,25 @@ def test_solve_matches_banded_solver_bitwise(grid5_geo, quad_weight, rng):
 def test_operator_is_built_once_and_read_only(grid5, quad_weight):
     op = assemble_operator(quad_weight, grid5)
     assert assemble_operator(quad_weight, grid5) is op
-    for arr in (op.diag, op.off, op.c, *op._factor):
+    arrays = list(vars(op).values())
+    assert len(arrays) == 4 and any(arr is op.c for arr in arrays)
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
     bad = WeightProfile(gamma0=1.0, extra=lambda r: -2.0 * r)
     for _ in range(2):                  # a failure is not cached
         with pytest.raises(IndefiniteWeight):
             assemble_operator(bad, grid5)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, -1.0, math.nan])
+def test_operator_rejects_a_conductance_that_is_not_finite_and_positive(bad):
+    c = np.array([1.0, 2.0, bad, 3.0])
+    with pytest.raises(IndefiniteWeight):
+        TridiagonalOperator(c)
+    op = TridiagonalOperator(np.array([1.0, 2.0, 4.0, 3.0]))
+    assert np.array_equal(op.diag, [1.0, 3.0, 6.0, 7.0])
+    assert np.array_equal(op.off, [-1.0, -2.0, -4.0])
 
 
 def test_conductances_are_read_only_and_give_the_coupling(grid5, quad_weight, rng):
@@ -146,20 +159,20 @@ def test_each_weight_is_sampled_and_factored_once(monkeypatch, rng):
     grid = build_grid(5, 1.0, 200)
     a = WeightProfile.pure_power(1.0, 2.0, 1.0)
     b = WeightProfile.pure_power(1.0, 4.0, 1.0)
-    at_faces, factored = [], []
-    call, dpttrf = WeightProfile.__call__, spectral.dpttrf
+    at_faces, built = [], []
+    call, post_init = WeightProfile.__call__, TridiagonalOperator.__post_init__
 
     def sampled(self, r):
         if np.shape(r) == grid.faces[1:].shape and np.array_equal(r, grid.faces[1:]):
             at_faces.append(self)
         return call(self, r)
 
-    def counted(*args):
-        factored.append(1)
-        return dpttrf(*args)
+    def counted(self):
+        built.append(1)
+        return post_init(self)
 
     monkeypatch.setattr(WeightProfile, "__call__", sampled)
-    monkeypatch.setattr(spectral, "dpttrf", counted)
+    monkeypatch.setattr(TridiagonalOperator, "__post_init__", counted)
     lambda_tilde(a, b, grid)
     sweep_minimize([8.0, 10.0, 12.0], a, b, grid,
                    FlowParams(max_iters=200, grad_tol=1e-6))
@@ -168,7 +181,7 @@ def test_each_weight_is_sampled_and_factored_once(monkeypatch, rng):
     energy(pair, a, b, 9.0, grid)
     el_residual(pair, 1.0, 1.0, a, b, 9.0, grid)
     assert len(at_faces) == 2 and at_faces[0] is a and at_faces[1] is b
-    assert len(factored) == 2
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
