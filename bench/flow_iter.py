@@ -69,6 +69,16 @@ see a change to the analyses themselves:
   `run` call, with the total flow iterations of its `minimize.csv` rows
   (0 where the workload runs no flow).
 
+Per-analysis cases time the same call on the seed-11 `diagnostics-n4`
+scenario with its `analyses` cut to one analysis, so that the layers
+under each are timed apart on any tree whose `Scenario` has that field:
+
+- analysis/eig:         the two weights' eigen-solves;
+- analysis/omega:       the bump family and the bounds (with the unit
+                        weight's eigen-solve where the bound reads it);
+- analysis/asymptotics: the eps-ladder energy table, its fits and their
+                        predictions.
+
 The file records the median and quartiles of each case for both trees and
 the change/parent ratio: the median over the runs of the change's run
 divided by the parent's run next to it in time.
@@ -77,6 +87,7 @@ divided by the parent's run next to it in time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -100,6 +111,7 @@ REPEATS = 3             # runs per worker
 BEST_OF = 3             # calls per run; the run reports the fastest
 RUN_SEED = 11           # run/<workload>: the benchmark seed whose scenario is timed
 RUN_WORKLOADS = ("existence-sweep", "concentration", "diagnostics-n4")
+ANALYSES = ("eig", "omega", "asymptotics")     # analysis/<name>: diagnostics-n4
 SWEEP_LAMS = (9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
               21.7696, 23.922903)
 
@@ -107,7 +119,8 @@ SWEEP_LAMS = (9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
 # every case, and whether it is timed per iteration (else per call)
 CASES = {**{f"n{n}/{start}": True for n in SIZES for start in STARTS},
          "conc-0": False, "sweep-9.0446": False, "gap-4": False, "gap-8": False,
-         "sweep": False, **{f"run/{w}": False for w in RUN_WORKLOADS}}
+         "sweep": False, **{f"run/{w}": False for w in RUN_WORKLOADS},
+         **{f"analysis/{a}": False for a in ANALYSES}}
 
 
 def _case(critvar, name):
@@ -127,10 +140,13 @@ def _case(critvar, name):
                 q_lambda=[r.q_lambda for r in rows])
         return run
 
-    if name.startswith("run/"):
+    if name.startswith(("run/", "analysis/")):
         gen = runpy.run_path(str(REPO / "perfbench" / "workloads.py"))
-        scenario = critvar.harness.parse_scenario(
-            gen["scenario_ini"](name[len("run/"):], RUN_SEED))
+        kind, _, what = name.partition("/")
+        scenario = critvar.harness.parse_scenario(gen["scenario_ini"](
+            what if kind == "run" else "diagnostics-n4", RUN_SEED))
+        if kind == "analysis":
+            scenario = dataclasses.replace(scenario, analyses=(what,))
 
         def whole_run():
             report = critvar.harness.run(scenario)
@@ -296,7 +312,8 @@ def main(argv=None) -> int:
                  "the total iterations of its flows. run/<workload>: seconds "
                  f"per in-process critvar.harness.run call on the seed-{RUN_SEED} "
                  "scenario of that benchmark workload, with the total flow "
-                 "iterations of its minimize rows. "
+                 "iterations of its minimize rows. analysis/<name>: the same "
+                 "call on the diagnostics-n4 scenario with only that analysis. "
                  f"Median and quartiles of {ROUNDS * REPEATS} runs each, "
                  f"{REPEATS} per worker, each the fastest of {BEST_OF} calls. "
                  "change_over_parent: the median over "
@@ -314,11 +331,11 @@ def main(argv=None) -> int:
             key = next(k for k in r if k.endswith("_median"))
             unit = "us/iter" if key.startswith("s_per_iter") else "us/call"
             q = key[:-len("median")]
-            print(f"{label:7s} {name:16s} {1e6 * r[key]:10.1f} {unit}"
+            print(f"{label:7s} {name:20s} {1e6 * r[key]:10.1f} {unit}"
                   f"  (IQR {1e6 * r[q + 'q1']:.1f}-{1e6 * r[q + 'q3']:.1f},"
                   f" {r['runs']} runs of {r['iterations']} iterations)")
     for name, ratio in doc["change_over_parent"].items():
-        print(f"change/parent {name:16s} x{ratio:.3f}")
+        print(f"change/parent {name:20s} x{ratio:.3f}")
     return 0
 
 

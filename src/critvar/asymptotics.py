@@ -56,8 +56,10 @@ class BubbleParams:
         return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def bubble_field(params: BubbleParams, grid: RadialGrid) -> np.ndarray:
-    """Nodal samples of the cutoff concentration profile, Dirichlet at R."""
+def bubble_field(params: BubbleParams, grid: RadialGrid,
+                 zeta: np.ndarray | None = None) -> np.ndarray:
+    """Nodal samples of the cutoff concentration profile, Dirichlet at R;
+    zeta, if given, is params.cutoff(grid.nodes), which a ladder shares."""
     if params.cutoff_radius >= grid.radius:
         raise ValueError("cutoff must lie strictly inside the domain")
     core = math.sqrt(params.epsilon)
@@ -65,7 +67,9 @@ def bubble_field(params: BubbleParams, grid: RadialGrid) -> np.ndarray:
         raise UnderResolvedBubble(
             f"fewer than 8 nodes inside r < sqrt(eps) = {core:.3e}"
         )
-    u = params.cutoff(grid.nodes) * params.profile(grid.nodes, grid.dimension)
+    if zeta is None:
+        zeta = params.cutoff(grid.nodes)
+    u = zeta * params.profile(grid.nodes, grid.dimension)
     u[-1] = 0.0
     return u
 
@@ -106,7 +110,8 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
     coupling lams[i] along eps_list, which must be positive and
     decreasing.  The coupling enters only through the affine term
     -lam int uv / (|u|_q |v|_q), so each eps's field, norms, gradient
-    energies and int uv are computed once and shared by all couplings;
+    energies and int uv are computed once and shared by all couplings, and
+    the cutoff zeta, the same at every eps, is sampled once per call;
     every entry equals the one-shot `energy(...).value` of its pair."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(e <= 0.0 for e in eps_list):
@@ -115,8 +120,9 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
         raise ValueError("eps_list must be decreasing")
     if cutoff_radius is None:
         cutoff_radius = 0.9 * grid.radius
-    bubbles = (bubble_field(BubbleParams(epsilon=eps, cutoff_radius=cutoff_radius), grid)
-               for eps in eps_list)
+    params = [BubbleParams(epsilon=eps, cutoff_radius=cutoff_radius) for eps in eps_list]
+    zeta = params[0].cutoff(grid.nodes)
+    bubbles = (bubble_field(p, grid, zeta) for p in params)
     grad_a, grad_b, uv, nu, nv = np.array(
         [_pair_terms(u, u, a, b, grid) for u in bubbles]).T
     lams = np.asarray(lams, dtype=float)
@@ -206,10 +212,11 @@ def fit_expansion(
     scale: str,
     power: float = 1.0,
     half_order_correction: bool = True,
-) -> ExpansionFit:
-    """Least squares of E = intercept + coeff * x through one energy curve,
-    the values at the ladder eps (a row of `energy_curves`), with x the
-    chosen scale variable of eps.
+) -> ExpansionFit | list[ExpansionFit]:
+    """Least squares of E = intercept + coeff * x through energy curves at
+    the ladder eps, with x the chosen scale variable of eps: one curve (a
+    row of `energy_curves`) gives one fit, and a 2-D table a list of one
+    fit per row, all from one solve, as every row shares the design matrix.
 
     The neglected remainder starts at relative order sqrt(eps) with
     cutoff-dependent constants much larger than the leading coefficient,
@@ -228,12 +235,14 @@ def fit_expansion(
     if half_order_correction:
         cols += [x ** 1.5, x ** 2]
     design = np.column_stack(cols)
-    coefs, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
+    rows = np.atleast_2d(vals)                      # one curve per row
+    coefs, _, rank, _ = np.linalg.lstsq(design, rows.T, rcond=None)
     if rank < len(cols):
         raise FitFailure("degenerate design matrix")
-    fitted = design @ coefs
-    ss_res = float(np.sum((vals - fitted) ** 2))
-    ss_tot = float(np.sum((vals - np.mean(vals)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return ExpansionFit(leading_coeff=float(coefs[1]), intercept=float(coefs[0]),
-                        r_squared=r2)
+    ss_res = np.sum((rows - (design @ coefs).T) ** 2, axis=1)
+    ss_tot = np.sum((rows - np.mean(rows, axis=1, keepdims=True)) ** 2, axis=1)
+    r2 = [1.0 if tot == 0.0 else float(max(0.0, min(1.0, 1.0 - res / tot)))
+          for res, tot in zip(ss_res, ss_tot)]
+    fits = [ExpansionFit(leading_coeff=float(c[1]), intercept=float(c[0]), r_squared=r)
+            for c, r in zip(coefs.T, r2)]
+    return fits if vals.ndim == 2 else fits[0]

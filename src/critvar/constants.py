@@ -12,6 +12,7 @@ truncation; tail exponents vary too much across (s, p) for that).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,8 +70,10 @@ class BubbleConstants:
         return self._k3
 
 
+@functools.cache
 def bubble_constants(dim: int) -> BubbleConstants:
-    """Constants for dimension N >= 4; the L2 constant exists for N >= 5."""
+    """Constants for dimension N >= 4, computed once per N (they depend on
+    N alone); the L2 constant exists for N >= 5."""
     if dim < 4:
         raise BadDomain(f"constants are defined for N >= 4, got {dim}")
     sigma = unit_sphere_area(dim)

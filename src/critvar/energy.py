@@ -46,9 +46,10 @@ class FieldPair:
         object.__setattr__(self, "v", v)
 
     def derivatives(self, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Nodal derivative arrays (central differences, u'(0) = 0)."""
+        """Nodal derivative arrays (central differences, u'(0) = 0); one
+        array serves both when v is u."""
         du = np.gradient(self.u, grid.nodes, edge_order=2)
-        dv = np.gradient(self.v, grid.nodes, edge_order=2)
+        dv = du if self.v is self.u else np.gradient(self.v, grid.nodes, edge_order=2)
         du[0] = 0.0
         dv[0] = 0.0
         return du, dv

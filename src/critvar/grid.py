@@ -59,8 +59,12 @@ class RadialGrid:
     masses: np.ndarray = field(init=False, repr=False)
     spacings: np.ndarray = field(init=False, repr=False)
     faces: np.ndarray = field(init=False, repr=False)
-    # id(w) -> (w, the weight's operator), filled by spectral.assemble_operator
+    # a run's derived data (a run builds its own grid), filled by
+    # spectral.assemble_operator: id(w) -> (w, operator); first_eigenpair:
+    # (c bytes, max_iters) -> result; nonexistence.tilde_weight: id(w) -> (w, tilt)
     _operators: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _spectra: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _tilts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         r = self.nodes

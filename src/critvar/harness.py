@@ -384,9 +384,10 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                 "intercept": math.nan, "r_squared": math.nan, "regime": str(exc),
             } for lam in scenario.lambdas]
         else:
+            # so is the scale: one least-squares solve fits every curve
             curves = energy_curves(scenario.lambdas, a, b, ladder, grid, cutoff)
-            for lam, pred, curve in zip(scenario.lambdas, preds, curves):
-                fit = fit_expansion(ladder, curve, pred.scale, pred.power)
+            fits = fit_expansion(ladder, curves, preds[0].scale, preds[0].power)
+            for lam, pred, fit in zip(scenario.lambdas, preds, fits):
                 tables["asymptotics"].append({
                     "lambda": lam, "scale": pred.scale, "power": pred.power,
                     "predicted_coeff": math.nan if pred.coeff is None else pred.coeff,

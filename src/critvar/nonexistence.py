@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,8 +37,13 @@ _MIN_WIDTH_CELLS = 20       # down to the radius of this node
 
 
 def tilde_weight(w: WeightProfile, grid: RadialGrid) -> np.ndarray:
-    """Nodal samples of the radial tilt r * w'(r)."""
-    return np.asarray(w.radial_tilt(grid.nodes), dtype=float)
+    """Nodal samples of the radial tilt r * w'(r), taken once per (weight,
+    grid) and kept read-only on the grid (omega and Pohozaev share them)."""
+    entry = grid._tilts.get(id(w))
+    if entry is None:       # holding w keeps its id from naming another weight
+        entry = grid._tilts[id(w)] = (w, np.asarray(w.radial_tilt(grid.nodes), dtype=float))
+        entry[1].flags.writeable = False
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +107,8 @@ def pohozaev_report(
 
 def _tilt_energies(pair: FieldPair, a: WeightProfile, b: WeightProfile,
                    grid: RadialGrid) -> tuple[float, float, float]:
+    """phi's integrals (int a~ |u'|^2, int b~ |v'|^2, int uv), the one place
+    they are formed; a pair with v is u is differentiated once."""
     du, dv = pair.derivatives(grid)
     alpha = integrate(tilde_weight(a, grid) * du * du, grid)
     beta = integrate(tilde_weight(b, grid) * dv * dv, grid)
@@ -164,6 +172,8 @@ def omega_estimate(
     two components, on a family of concentric bumps of shrinking width;
     the smallest value is kept, and the closed-form power-regime bounds
     are attached when both weights are pure powers.
+    Each bump is built and differentiated once, and the unit-weight
+    eigenvalue is computed only in the regimes whose upper bound reads it.
     """
     if grid.nodes.size <= _MIN_WIDTH_CELLS:
         raise GridTooCoarse(f"omega needs at least {_MIN_WIDTH_CELLS} cells, "
@@ -178,7 +188,8 @@ def omega_estimate(
     widths = np.geomspace(grid.radius * 0.9, grid.nodes[_MIN_WIDTH_CELLS], _N_WIDTHS)
     best_val, best_pair, values = math.inf, None, []
     for s in widths:
-        pr = FieldPair(u=_central_bump(s, grid), v=_central_bump(s, grid))
+        bump = _central_bump(s, grid)
+        pr = FieldPair(u=bump, v=bump)
         val = phi_quotient(pr, a, b, grid)
         values.append(val)
         if val < best_val:
@@ -190,10 +201,10 @@ def omega_estimate(
             and a.coefficient > 0.0 and b.coefficient > 0.0)
     if pure:
         try:
-            lam1 = first_eigenpair(UNIT_WEIGHT, grid).lambda1
             lower, upper = omega_bounds(
                 grid.dimension, a.exponent, b.exponent,
-                a.coefficient, b.coefficient, 2.0 * grid.radius, lam1,
+                a.coefficient, b.coefficient, 2.0 * grid.radius,
+                lambda: first_eigenpair(UNIT_WEIGHT, grid).lambda1,
             )
         except OutsideTable:
             pass
@@ -210,10 +221,13 @@ def omega_bounds(
     a_k: float,
     b_l: float,
     diam: float,
-    lambda1_unweighted: float,
+    lambda1_unweighted: float | Callable[[], float],
 ) -> tuple[float, float | None]:
     """Printed bounds on omega for pure power weights; upper bound only in
     the regimes that state one.
+
+    lambda1_unweighted, the unit weight's first eigenvalue, may be a
+    function of no arguments, then called only where an upper bound is.
 
     The quadratic/super-quadratic case and the both-at-most-quadratic case
     overlap at k = l = 2 with different closed-form lower bounds (factor on
@@ -227,14 +241,12 @@ def omega_bounds(
             k * a_k * diam ** (k - 2.0), l * b_l * diam ** (l - 2.0)
         )
         return lower, None
-    if k == 2.0 and l > 2.0:
-        lower = dim ** 2 / 16.0 * min(a_k, l * b_l * diam ** (l - 2.0))
-        upper = 0.5 * a_k * lambda1_unweighted * diam ** 2
-        return lower, upper
-    if l == 2.0 and k > 2.0:
-        lower = dim ** 2 / 16.0 * min(b_l, k * a_k * diam ** (k - 2.0))
-        upper = 0.5 * b_l * lambda1_unweighted * diam ** 2
-        return lower, upper
+    if (k == 2.0 and l > 2.0) or (l == 2.0 and k > 2.0):
+        # quad: the quadratic weight's coefficient; (e, c): the other's power
+        quad, e, c = (a_k, l, b_l) if k == 2.0 else (b_l, k, a_k)
+        lower = dim ** 2 / 16.0 * min(quad, e * c * diam ** (e - 2.0))
+        lam1 = lambda1_unweighted() if callable(lambda1_unweighted) else lambda1_unweighted
+        return lower, 0.5 * quad * lam1 * diam ** 2
     raise OutsideTable(
         f"no tabulated omega bounds for exponents ({k}, {l})"
     )

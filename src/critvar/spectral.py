@@ -28,6 +28,7 @@ so one pass over the faces serves both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +53,14 @@ class TridiagonalOperator:
 
     def __post_init__(self):
         c = self.c
-        if not np.all(np.isfinite(c) & (c > 0.0)):
-            raise IndefiniteWeight("conductances (weight at cell faces) must be finite and > 0")
+        with np.errstate(divide="ignore", over="ignore"):
+            inv_c = 1.0 / c                     # overflows for a subnormal c
+        if not np.all(np.isfinite(c) & (c > 0.0) & np.isfinite(inv_c)):
+            raise IndefiniteWeight("conductances (weight at cell faces) must be finite, "
+                                   "> 0 and not subnormal")
         diag = c.copy()                         # zero flux through the origin face
         diag[1:] += c[:-1]
-        for name, arr in (("c", c), ("diag", diag), ("off", -c[:-1]), ("_inv_c", 1.0 / c)):
+        for name, arr in (("c", c), ("diag", diag), ("off", -c[:-1]), ("_inv_c", inv_c)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -118,7 +122,7 @@ def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator
 @dataclass(frozen=True)
 class SpectralResult:
     lambda1: float
-    eigenfunction: np.ndarray   # full node array, positive, int phi^2 = 1
+    eigenfunction: np.ndarray   # full node array, positive, int phi^2 = 1; read-only
     iterations: int
     residual: float             # |K phi - lambda M phi| in the M^-1 norm
 
@@ -138,20 +142,46 @@ def first_eigenpair(
 
     Convergence is declared on the Rayleigh quotient together with the
     M^-1-norm eigen-residual; the eigenfunction is sign-fixed positive and
-    L2-normalized.
+    L2-normalized.  It runs once per distinct conductance array on a grid:
+    weights with bit-identical c share one read-only result.
     """
     op = assemble_operator(w, grid)
+    key = (op.c.tobytes(), max_iters)
+    result = grid._spectra.get(key)
+    if result is None:
+        result = grid._spectra[key] = _inverse_iteration(op, grid, max_iters)
+    return result
+
+
+def _rescale(v: np.ndarray, size: float) -> int:
+    """Divide v in place by 2**e, size = f 2**e with 1/2 <= |f| < 1, when
+    |e| >= 256 (so that v's squares stay finite and normal); returns e, else 0."""
+    e = math.frexp(size)[1]
+    if abs(e) < 256:
+        return 0
+    np.ldexp(v, -e, out=v)
+    return e
+
+
+def _inverse_iteration(op: TridiagonalOperator, grid: RadialGrid,
+                       max_iters: int) -> SpectralResult:
+    """first_eigenpair's iteration.  The (positive) iterate and the residual
+    are _rescale'd before their norms are taken, which gamma0 = 1e+-300
+    needs; a power of two is exact, so the norms round as unscaled ones."""
     m = grid.masses[1:-1]
+    inv_m = 1.0 / m
     x = np.ones(op.size)
     x /= np.sqrt(np.dot(m, x * x))
     rho = rho_old = np.inf
     for it in range(1, max_iters + 1):
         y = op.solve(m * x)
+        _rescale(y, y.max())
         x = y / np.sqrt(np.dot(m, y * y))
         kx = op.apply(x)
         rho = float(np.dot(x, kx))           # x is M-normalized
         res = kx - rho * m * x
-        res_norm = float(np.sqrt(np.dot(res * res, 1.0 / m)))
+        e = _rescale(res, rho)
+        res_norm = math.ldexp(float(np.sqrt(np.dot(res * res, inv_m))), e)
         if (abs(rho - rho_old) <= _EIG_TOL * abs(rho)
                 and res_norm <= 100.0 * _EIG_TOL * abs(rho)):
             break
@@ -167,6 +197,7 @@ def first_eigenpair(
     phi[1:-1] = x
     phi[0] = _extrapolate_origin(phi, grid)
     phi /= np.sqrt(integrate(phi * phi, grid))
+    phi.flags.writeable = False
     return SpectralResult(
         lambda1=float(rho), eigenfunction=phi, iterations=it, residual=res_norm
     )
@@ -183,6 +214,8 @@ class WeightedSpectrum:
 
 def lambda_tilde(a: WeightProfile, b: WeightProfile,
                  grid: RadialGrid) -> WeightedSpectrum:
+    """min(lambda_1(a), lambda_1(b)); with a and b assembling to identical
+    conductances, first_a and first_b are one result from one iteration."""
     ra = first_eigenpair(a, grid)
     rb = first_eigenpair(b, grid)
     return WeightedSpectrum(value=min(ra.lambda1, rb.lambda1), first_a=ra, first_b=rb)

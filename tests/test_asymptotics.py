@@ -112,18 +112,27 @@ def test_energy_curves_match_one_shot_energy(dim, quad_weight, quartic_weight):
 
 
 def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, monkeypatch):
-    calls = []
+    # one field per rung, and one sampling of the cutoff, which does not
+    # depend on eps, per call
+    calls, cutoffs = [], []
+    cutoff = BubbleParams.cutoff
 
-    def counting_bubble_field(params, grid):
+    def counting_bubble_field(params, grid, *args):
         calls.append(params.epsilon)
-        return bubble_field(params, grid)
+        return bubble_field(params, grid, *args)
+
+    def counting_cutoff(self, r):
+        cutoffs.append(self.cutoff_radius)
+        return cutoff(self, r)
 
     monkeypatch.setattr(critvar.asymptotics, "bubble_field", counting_bubble_field)
+    monkeypatch.setattr(BubbleParams, "cutoff", counting_cutoff)
     ladder = [1e-3 / 2 ** j for j in range(5)]
     curves = energy_curves([0.5 * j for j in range(12)], quad_weight, quad_weight,
                            ladder, grid5_geo)
     assert len(curves) == 12
     assert calls == ladder
+    assert cutoffs == [0.9 * grid5_geo.radius]
 
 
 # --- regime dispatch --------------------------------------------------------
@@ -181,6 +190,20 @@ def test_fit_exact_linear_data():
     assert fit.intercept == pytest.approx(3.0, rel=1e-10)
     assert fit.leading_coeff == pytest.approx(-2.0, rel=1e-8)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fit_of_a_table_matches_the_fit_of_each_row(grid4, quad_weight, quartic_weight):
+    # every row shares the design matrix, so one solve fits the table
+    ladder = default_eps_ladder(grid4, 0.5)
+    curves = energy_curves([0.5 * j for j in range(12)], quad_weight, quartic_weight,
+                           ladder, grid4, 0.5)
+    fits = fit_expansion(ladder, curves, "eps_log_eps")
+    assert len(fits) == len(curves)
+    for fit, curve in zip(fits, curves):
+        one = fit_expansion(ladder, curve, "eps_log_eps")
+        for field in ("leading_coeff", "intercept", "r_squared"):
+            assert getattr(fit, field) == pytest.approx(getattr(one, field),
+                                                        rel=1e-12, abs=0.0)
 
 
 def test_fit_needs_points_and_spread():

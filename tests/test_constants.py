@@ -88,6 +88,12 @@ def test_embedding_constant_two_routes(dim):
     assert k1 / k2 == pytest.approx(const.s, rel=1e-10)
 
 
+def test_bubble_constants_are_computed_once_per_dimension():
+    # they depend on N alone; the asymptotics analysis asks once per coupling
+    assert bubble_constants(4) is bubble_constants(4)
+    assert bubble_constants(5) is not bubble_constants(4)
+
+
 def test_l2_constant_missing_at_dim4():
     const = bubble_constants(4)
     assert not const.valid_k3

@@ -337,6 +337,52 @@ def test_cli_omega_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
     assert "20 cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma0, code", [(1e-300, 0), (1e300, 0), (1e-305, 2)])
+def test_cli_eig_at_extreme_gamma0(tmp_path, capsys, gamma0, code):
+    # constant weights gamma0: at 1e+-300 lambda_1 is gamma0 times the unit
+    # value; at 1e-305 the innermost conductances are subnormal, an
+    # IndefiniteWeight, not a raw traceback
+    constant = MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 200").replace(
+        "coefficient = 1.0", "coefficient = 0.0")
+    cfg = tmp_path / "scale.ini"
+    cfg.write_text(constant.replace("gamma0 = 1.0", f"gamma0 = {gamma0!r}"))
+    out = tmp_path / "out"
+    assert cli_main(["eig", "--config", str(cfg), "--out", str(out)]) == code
+    if code == 0:
+        with open(out / "eig.csv") as fh:
+            row = next(csv.DictReader(line for line in fh if not line.startswith("#")))
+        unit = run(parse_scenario(constant)).tables["eig"][0]
+        for side in ("a", "b"):
+            assert float(row[f"lambda1_{side}"]) == pytest.approx(
+                gamma0 * unit[f"lambda1_{side}"], rel=1e-9)
+    else:
+        assert "conductances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workload, eigen_solves", [
+    ("concentration", 1), ("existence-sweep", 1), ("diagnostics-n4", 3)])
+def test_benchmark_runs_solve_each_eigenproblem_once(monkeypatch, workload,
+                                                     eigen_solves):
+    # a = b solves once for lambda_tilde; omega reads the unit weight's
+    # eigenvalue only for an upper bound, here only at diagnostics-n4's (2, 4)
+    import runpy
+
+    import critvar.spectral
+
+    gen = runpy.run_path(str(Path(__file__).resolve().parent.parent
+                             / "perfbench" / "workloads.py"))
+    calls = []
+    iterate = critvar.spectral._inverse_iteration
+
+    def counted(*args):
+        calls.append(1)
+        return iterate(*args)
+
+    monkeypatch.setattr(critvar.spectral, "_inverse_iteration", counted)
+    run(parse_scenario(gen["scenario_ini"](workload, 11)))
+    assert len(calls) == eigen_solves
+
+
 def test_cli_missing_file(tmp_path):
     assert cli_main(["constants", "--config", str(tmp_path / "nope.ini")]) == 2
 

@@ -162,15 +162,66 @@ def test_omega_supercritical_goes_to_zero(grid5_geo, quartic_weight):
     assert est.lower_bound == 0.0 and est.upper_bound == 0.0
 
 
-def test_omega_estimate_builds_the_unit_operator_once(quad_weight):
-    # the eigenvalue behind the bounds comes from the package's one unit
-    # weight, whose operator the grid keeps after the first call
+def test_omega_estimate_builds_the_unit_operator_once(quad_weight, quartic_weight):
+    # the eigenvalue behind the (2, 4) upper bound comes from the package's
+    # one unit weight, whose operator the grid keeps after the first call
     grid = build_grid(5, 1.0, 300)
-    omega_estimate(quad_weight, quad_weight, grid)
+    omega_estimate(quad_weight, quartic_weight, grid)
     built = len(grid._operators)
     for _ in range(2):
-        omega_estimate(quad_weight, quad_weight, grid)
+        omega_estimate(quad_weight, quartic_weight, grid)
         assert len(grid._operators) == built
+
+
+@pytest.mark.parametrize("l, eigen_solves", [(2.0, 0), (4.0, 1)])
+def test_omega_estimate_reads_the_unit_eigenvalue_only_for_an_upper_bound(
+        monkeypatch, l, eigen_solves):
+    # at k = l = 2 omega_bounds states no upper bound, so nothing reads
+    # lambda_1 of the unit weight; at (2, 4) it is read once
+    import critvar.nonexistence
+
+    calls = []
+    first_eigenpair = critvar.nonexistence.first_eigenpair
+
+    def counted(w, grid):
+        calls.append(w)
+        return first_eigenpair(w, grid)
+
+    monkeypatch.setattr(critvar.nonexistence, "first_eigenpair", counted)
+    est = omega_estimate(WeightProfile.pure_power(1.0, 2.0, 1.0),
+                         WeightProfile.pure_power(1.0, l, 1.0), build_grid(5, 1.0, 300))
+    assert len(calls) == eigen_solves
+    assert (est.upper_bound is not None) == (eigen_solves == 1)
+
+
+def test_omega_family_is_phi_of_its_bumps_with_each_tilt_sampled_once(
+        monkeypatch, quad_weight, quartic_weight):
+    # the family shares one tilt sample per weight and one derivative per
+    # bump, and its values are phi_quotient's on the same bumps, bit for bit;
+    # the Pohozaev terms read the same tilt samples
+    from critvar.nonexistence import _MIN_WIDTH_CELLS, _N_WIDTHS, _central_bump
+
+    grid = build_grid(5, 1.0, 300)
+    tilts = []
+    radial_tilt = WeightProfile.radial_tilt
+
+    def counted(self, r):
+        tilts.append(self)
+        return radial_tilt(self, r)
+
+    monkeypatch.setattr(WeightProfile, "radial_tilt", counted)
+    est = omega_estimate(quad_weight, quartic_weight, grid)
+    u = dirichlet_field(1.0 - grid.nodes ** 2, grid)
+    pohozaev_report(FieldPair(u=u, v=u.copy()), 1.0, 1.0, 3.0,
+                    quad_weight, quartic_weight, grid)
+    assert tilts == [quad_weight, quartic_weight]
+    assert not tilde_weight(quad_weight, grid).flags.writeable
+    widths = np.geomspace(0.9 * grid.radius, grid.nodes[_MIN_WIDTH_CELLS], _N_WIDTHS)
+    bumps = [_central_bump(s, grid) for s in widths]
+    # on a fresh grid, so that phi_quotient samples the tilts anew
+    expected = [phi_quotient(FieldPair(u=v, v=v.copy()), quad_weight,
+                             quartic_weight, build_grid(5, 1.0, 300)) for v in bumps]
+    assert np.array_equal(est.family_values, expected)
 
 
 @pytest.mark.parametrize("cells", [16, 19])

@@ -131,8 +131,10 @@ def test_operator_is_built_once_and_read_only(grid5, quad_weight):
             assemble_operator(bad, grid5)
 
 
-@pytest.mark.parametrize("bad", [0.0, math.inf, -1.0, math.nan])
+@pytest.mark.parametrize("bad", [0.0, math.inf, -1.0, math.nan, 1e-310])
 def test_operator_rejects_a_conductance_that_is_not_finite_and_positive(bad):
+    # 1e-310 is subnormal: its reciprocal, which the solve multiplies by,
+    # overflows
     c = np.array([1.0, 2.0, bad, 3.0])
     with pytest.raises(IndefiniteWeight):
         TridiagonalOperator(c)
@@ -196,6 +198,49 @@ def test_non_finite_weight_rejected(bad):
     assert np.all(np.isfinite(at_faces(grid.nodes)))
     with pytest.raises(IndefiniteWeight):
         assemble_operator(at_faces, grid)
+
+
+@pytest.mark.parametrize("gamma0", [1e-300, 1e300])
+def test_eigenvalue_scales_with_gamma0_at_extreme_scales(gamma0):
+    # the iterate and the residual are near 1e+-300 there; squaring them
+    # must not over- or underflow
+    grid = build_grid(5, 1.0, 200)
+    unit = first_eigenpair(WeightProfile.constant(1.0), grid)
+    res = first_eigenpair(WeightProfile.constant(gamma0), grid)
+    assert res.lambda1 == pytest.approx(gamma0 * unit.lambda1, rel=1e-9)
+    assert np.allclose(res.eigenfunction, unit.eigenfunction, rtol=1e-8, atol=1e-8)
+
+
+def test_subnormal_conductance_is_an_indefinite_weight():
+    # gamma0 = 1e-305 puts the innermost conductances below the smallest
+    # normal number, where 1 / c overflows
+    with pytest.raises(IndefiniteWeight):
+        first_eigenpair(WeightProfile.constant(1e-305), build_grid(5, 1.0, 200))
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_lambda_tilde_runs_one_iteration_per_distinct_conductance(monkeypatch, same):
+    # equal weights that are distinct objects assemble to identical c and
+    # share one inverse iteration; distinct weights run one each
+    grid = build_grid(5, 1.0, 300)
+    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    b = WeightProfile.pure_power(1.0, 2.0, 1.0 if same else 2.0)
+    solves = []
+    solve = TridiagonalOperator.solve
+
+    def counted(self, rhs):
+        solves.append(self)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(TridiagonalOperator, "solve", counted)
+    spec = lambda_tilde(a, b, grid)
+    ra, rb = spec.first_a, spec.first_b
+    expected = ra.iterations if same else ra.iterations + rb.iterations
+    assert (ra is rb) == same
+    assert len(solves) == expected
+    assert not ra.eigenfunction.flags.writeable
+    assert lambda_tilde(a, b, grid).first_b is rb     # kept on the grid
+    assert len(solves) == expected
 
 
 def test_spectral_stall(unit_weight):
