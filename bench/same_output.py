@@ -61,7 +61,7 @@ def worker(src: Path, out: Path) -> int:
             target = out / workload / f"{variant:02d}"
             try:
                 scenario = critvar.parse_scenario(gen["scenario_ini"](workload, variant))
-                critvar.write_report(critvar.run(scenario), target, plots=False)
+                critvar.write_report(critvar.run(scenario), target)
             except CritvarError as exc:
                 target.mkdir(parents=True, exist_ok=True)
                 (target / "error.txt").write_text(f"{type(exc).__name__}: {exc}\n")

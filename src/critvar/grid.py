@@ -61,7 +61,7 @@ class RadialGrid:
     faces: np.ndarray = field(init=False, repr=False)
     # a run's derived data (a run builds its own grid), filled by
     # spectral.assemble_operator: id(w) -> (w, operator); first_eigenpair:
-    # (c bytes, max_iters) -> result; nonexistence.tilde_weight: id(w) -> (w, tilt)
+    # c bytes -> result; nonexistence.tilde_weight: id(w) -> (w, tilt)
     _operators: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _spectra: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _tilts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -109,9 +109,9 @@ def build_grid(
 ) -> RadialGrid:
     """Build a radial grid with n cells on [0, radius].
 
-    grading "uniform" gives equispaced nodes; "geometric" gives spacings in
-    constant ratio, clustering nodes near r = 0 for ratio > 1 (where the
-    concentration profiles live).
+    grading "uniform" gives equispaced nodes and takes no ratio; "geometric"
+    gives spacings in constant ratio, clustering nodes near r = 0 for
+    ratio > 1 (where the concentration profiles live).
     """
     if dim < 2:
         raise BadDomain(f"dimension must be >= 2, got {dim}")
@@ -121,8 +121,9 @@ def build_grid(
         raise GridTooCoarse(f"need at least {MIN_NODES} cells, got {n}")
 
     if grading == "uniform":
+        if ratio is not None:
+            raise BadDomain("uniform grading takes no ratio")
         nodes = np.linspace(0.0, radius, n + 1)
-        ratio = None
     elif grading == "geometric":
         if ratio is None:
             raise BadDomain("geometric grading requires a ratio")

@@ -18,8 +18,7 @@ import csv
 import hashlib
 import io
 import math
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,15 +40,6 @@ ANALYSES = ("constants", "eig", "minimize", "asymptotics", "pohozaev", "omega")
 _NEED_COUPLINGS = {"minimize", "asymptotics", "pohozaev"}
 _BELOW_N4 = {"eig", "omega"}        # the others need closed forms defined for N >= 4
 SCHEMA_VERSION = 1
-
-_DOMAIN_KEYS = {"schema", "dimension", "radius", "cells", "grading", "ratio", "mode"}
-_WEIGHT_KEYS = {"gamma0", "exponent", "coefficient",
-                "perturbation_r", "perturbation_theta"}
-_FLOW_KEYS = {f.name for f in fields(FlowParams)}
-# a [flow] value is converted by its FlowParams field's annotation (a string)
-_FLOW_TYPES = {"float": float, "int": int, "str": str, "float | None": float}
-_SWEEP_KEYS = {"lambdas", "start", "stop", "step"}
-_OUTPUT_KEYS = {"directory", "analyses", "plots"}
 
 
 @dataclass(frozen=True)
@@ -92,161 +82,145 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(parser, section: str, allowed: set):
-    if not parser.has_section(section):
-        return
-    for key in parser[section]:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split())
 
 
-@contextmanager
-def _values_of(section: str):
-    """Report a value the section's parsing rejects as a ConfigError."""
+def _words(text: str) -> tuple:
+    return tuple(text.split())
+
+
+def _boolean(text: str) -> bool:
     try:
-        yield
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# The scenario format, in the order serialize_scenario writes it:
+# section -> key -> (reader of the key's text, default).  MISSING marks a
+# required key; None an optional one, written only when set.  The two
+# weight sections share one row set; a [flow] key is read by its
+# FlowParams field's annotation (a string).
+_FLOW_TYPES = {"float": float, "int": int, "str": str, "float | None": float}
+_WEIGHT_FORMAT = {"gamma0": (float, MISSING), "exponent": (float, 2.0),
+                  "coefficient": (float, 0.0), "perturbation_r": (_floats, None),
+                  "perturbation_theta": (_floats, None)}
+_FORMAT = {
+    "domain": {"schema": (int, SCHEMA_VERSION), "dimension": (int, MISSING),
+               "radius": (float, 1.0), "cells": (int, 2000),
+               "grading": (str, "uniform"), "mode": (str, "theorem"),
+               "ratio": (float, None)},
+    "weights.a": _WEIGHT_FORMAT,
+    "weights.b": _WEIGHT_FORMAT,
+    "flow": {f.name: (_FLOW_TYPES[f.type], f.default) for f in fields(FlowParams)},
+    "sweep": {"lambdas": (_floats, None), "start": (float, None),
+              "stop": (float, None), "step": (float, None)},
+    "output": {"directory": (str, "out"), "analyses": (_words, ANALYSES),
+               "plots": (_boolean, False)},
+}
+
+
+def _section(parser, name: str, build=dict):
+    """build(**values) of section `name`, each key read by its reader or
+    given its default.  An unknown key, a bad value, a missing required key
+    and a ValueError from build are each a ConfigError naming the key or
+    the section."""
+    given = parser[name] if parser.has_section(name) else {}
+    for key in given:
+        if key not in _FORMAT[name]:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+    values = {}
+    for key, (read, default) in _FORMAT[name].items():
+        if key not in given and default is MISSING:
+            raise ConfigError(f"missing key {key!r} in section [{name}]")
+        try:
+            values[key] = read(given[key]) if key in given else default
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
+    try:
+        return build(**values)
     except ValueError as exc:
-        raise ConfigError(f"bad value in [{section}]: {exc}") from exc
+        raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _parse_weight(parser, section: str) -> WeightProfile:
-    if not parser.has_section(section):
-        raise ConfigError(f"missing section [{section}]")
-    _check_keys(parser, section, _WEIGHT_KEYS)
-    sec = parser[section]
-    with _values_of(section):
-        gamma0 = sec.getfloat("gamma0")
-        exponent = sec.getfloat("exponent", fallback=2.0)
-        coefficient = sec.getfloat("coefficient", fallback=0.0)
-        if gamma0 is None:
-            raise ConfigError(f"missing key 'gamma0' in section [{section}]")
-        perturbation = None
-        if "perturbation_r" in sec or "perturbation_theta" in sec:
-            if "perturbation_r" not in sec or "perturbation_theta" not in sec:
-                raise ConfigError(
-                    f"[{section}] needs both perturbation_r and perturbation_theta"
-                )
-            r_tab = tuple(float(x) for x in sec["perturbation_r"].split())
-            t_tab = tuple(float(x) for x in sec["perturbation_theta"].split())
-            if len(r_tab) != len(t_tab):
-                raise ConfigError(f"perturbation tables in [{section}] differ in length")
-            perturbation = (r_tab, t_tab)
-        return WeightProfile(gamma0=gamma0, exponent=exponent,
-                             coefficient=coefficient, perturbation=perturbation)
+def _weight(perturbation_r, perturbation_theta, **profile) -> WeightProfile:
+    """A weight section's profile; its two tables come together, of equal length."""
+    if (perturbation_r is None) != (perturbation_theta is None):
+        raise ValueError("needs both perturbation_r and perturbation_theta")
+    if perturbation_r is not None and len(perturbation_r) != len(perturbation_theta):
+        raise ValueError("perturbation tables differ in length")
+    table = None if perturbation_r is None else (perturbation_r, perturbation_theta)
+    return WeightProfile(perturbation=table, **profile)
+
+
+def _couplings(lambdas, start, stop, step) -> tuple:
+    """`lambdas`, or the range start, start + step, ... up to stop (with
+    rounding slack); a range needs all three keys."""
+    span = (start, stop, step)
+    if span == (None,) * 3:
+        return () if lambdas is None else lambdas
+    if lambdas is not None:
+        raise ValueError("takes either 'lambdas' or a range, not both")
+    if None in span or not all(map(math.isfinite, span)) or step <= 0.0:
+        raise ValueError("a range needs finite start, stop, and positive step")
+    count = int(math.floor((stop - start) / step + 1e-12)) + 1
+    return tuple(start + i * step for i in range(max(count, 0)))
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a config document; defaults are filled in."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    for section in parser.sections():
-        if section not in ("domain", "weights.a", "weights.b", "flow",
-                           "sweep", "output"):
-            raise ConfigError(f"unknown section [{section}]")
-    if not parser.has_section("domain"):
-        raise ConfigError("missing section [domain]")
-    _check_keys(parser, "domain", _DOMAIN_KEYS)
-    _check_keys(parser, "flow", _FLOW_KEYS)
-    _check_keys(parser, "sweep", _SWEEP_KEYS)
-    _check_keys(parser, "output", _OUTPUT_KEYS)
-
-    dom = parser["domain"]
-    with _values_of("domain"):
-        schema = dom.getint("schema", fallback=SCHEMA_VERSION)
-        if schema != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema version {schema}")
-        dimension = dom.getint("dimension")
-        if dimension is None:
-            raise ConfigError("missing key 'dimension' in section [domain]")
-        radius = dom.getfloat("radius", fallback=1.0)
-        cells = dom.getint("cells", fallback=2000)
-        ratio = dom.getfloat("ratio", fallback=None)
-    grading = dom.get("grading", fallback="uniform")
-    mode = dom.get("mode", fallback="theorem")
-    if mode not in ("theorem", "machinery"):
-        raise ConfigError(f"unknown mode {mode!r}")
-
-    weight_a = _parse_weight(parser, "weights.a")
-    weight_b = _parse_weight(parser, "weights.b")
-
-    flow = FlowParams()
-    if parser.has_section("flow"):
-        sec = parser["flow"]
-        with _values_of("flow"):
-            flow = FlowParams(**{f.name: _FLOW_TYPES[f.type](sec[f.name])
-                                 for f in fields(FlowParams) if f.name in sec})
-
-    lambdas: tuple = ()
-    if parser.has_section("sweep"):
-        sec = parser["sweep"]
-        if "lambdas" in sec:
-            if "start" in sec or "stop" in sec or "step" in sec:
-                raise ConfigError("[sweep] takes either 'lambdas' or a range, not both")
-            with _values_of("sweep"):
-                lambdas = tuple(float(x) for x in sec["lambdas"].split())
-        elif "start" in sec:
-            with _values_of("sweep"):
-                start = sec.getfloat("start")
-                stop = sec.getfloat("stop")
-                step = sec.getfloat("step")
-            if stop is None or step is None or step <= 0.0:
-                raise ConfigError("[sweep] range needs start, stop, and positive step")
-            count = int(math.floor((stop - start) / step + 1e-12)) + 1
-            lambdas = tuple(start + i * step for i in range(max(count, 0)))
-
-    out_dir = "out"
-    analyses = ANALYSES
-    plots = False
-    if parser.has_section("output"):
-        sec = parser["output"]
-        out_dir = sec.get("directory", fallback=out_dir)
-        if "analyses" in sec:
-            analyses = tuple(sec["analyses"].split())
-        with _values_of("output"):
-            plots = sec.getboolean("plots", fallback=False)
-
+    for name in parser.sections():
+        if name not in _FORMAT:
+            raise ConfigError(f"unknown section [{name}]")
+    dom = _section(parser, "domain")
+    if dom["schema"] != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema version {dom['schema']}")
+    if dom["mode"] not in ("theorem", "machinery"):
+        raise ConfigError(f"unknown mode {dom['mode']!r}")
+    out = _section(parser, "output")
     return Scenario(
-        dimension=dimension, radius=radius, cells=cells, grading=grading,
-        grading_ratio=ratio, mode=mode, weight_a=weight_a, weight_b=weight_b,
-        lambdas=lambdas, flow=flow, out_dir=out_dir, analyses=analyses,
-        plots=plots,
+        dimension=dom["dimension"], radius=dom["radius"], cells=dom["cells"],
+        grading=dom["grading"], grading_ratio=dom["ratio"], mode=dom["mode"],
+        weight_a=_section(parser, "weights.a", _weight),
+        weight_b=_section(parser, "weights.b", _weight),
+        lambdas=_section(parser, "sweep", _couplings),
+        flow=_section(parser, "flow", FlowParams),
+        out_dir=out["directory"], analyses=out["analyses"], plots=out["plots"],
     )
+
+
+def _text(value) -> str:
+    """A value as config text its key's reader reads back."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return " ".join(map(_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def serialize_scenario(s: Scenario) -> str:
     """Config text that parses back to an identical Scenario."""
-    parser = configparser.ConfigParser()
-    parser["domain"] = {
-        "schema": str(SCHEMA_VERSION),
-        "dimension": str(s.dimension),
-        "radius": repr(s.radius),
-        "cells": str(s.cells),
-        "grading": s.grading,
-        "mode": s.mode,
+    values = {
+        "domain": {"schema": SCHEMA_VERSION, "dimension": s.dimension,
+                   "radius": s.radius, "cells": s.cells, "grading": s.grading,
+                   "mode": s.mode, "ratio": s.grading_ratio},
+        "flow": asdict(s.flow),
+        "sweep": {"lambdas": s.lambdas},
+        "output": {"directory": s.out_dir, "analyses": s.analyses, "plots": s.plots},
     }
-    if s.grading_ratio is not None:
-        parser["domain"]["ratio"] = repr(s.grading_ratio)
     for name, w in (("weights.a", s.weight_a), ("weights.b", s.weight_b)):
-        parser[name] = {
-            "gamma0": repr(w.gamma0),
-            "exponent": repr(w.exponent),
-            "coefficient": repr(w.coefficient),
-        }
-        if w.perturbation is not None:
-            r_tab, t_tab = w.perturbation
-            parser[name]["perturbation_r"] = " ".join(repr(x) for x in r_tab)
-            parser[name]["perturbation_theta"] = " ".join(repr(x) for x in t_tab)
-    parser["flow"] = {k: repr(v) if isinstance(v, float) else str(v)
-                      for k, v in asdict(s.flow).items() if v is not None}
-    parser["sweep"] = {"lambdas": " ".join(repr(x) for x in s.lambdas)}
-    parser["output"] = {
-        "directory": s.out_dir,
-        "analyses": " ".join(s.analyses),
-        "plots": str(s.plots).lower(),
-    }
+        r_tab, t_tab = w.perturbation or (None, None)
+        values[name] = {**vars(w), "perturbation_r": r_tab, "perturbation_theta": t_tab}
+    parser = configparser.ConfigParser(interpolation=None)
+    for name, keys in _FORMAT.items():
+        parser[name] = {key: _text(values[name][key]) for key in keys
+                        if values[name].get(key) is not None}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -481,7 +455,7 @@ def emit_plot(series: list, path, xlabel: str, ylabel: str,
         plt.close(fig)
 
 
-def write_report(report: RunReport, out_dir=None, plots: bool | None = None) -> list:
+def write_report(report: RunReport, out_dir=None) -> list:
     """Write one CSV per populated analysis (plus provenance); returns the
     written paths."""
     out = Path(out_dir if out_dir is not None else report.scenario.out_dir)
@@ -489,8 +463,6 @@ def write_report(report: RunReport, out_dir=None, plots: bool | None = None) -> 
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out}: {exc}") from exc
-    if plots is None:
-        plots = report.scenario.plots
     written = []
     for name in ANALYSES:
         if report.tables[name]:
@@ -502,7 +474,7 @@ def write_report(report: RunReport, out_dir=None, plots: bool | None = None) -> 
     written.append(out / "provenance.csv")
 
     rows = report.tables["minimize"]
-    if plots and rows:
+    if report.scenario.plots and rows:
         lams = np.array([r["lambda"] for r in rows])
         qs = np.array([r["q_lambda"] for r in rows])
         verticals = {}

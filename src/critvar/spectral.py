@@ -38,6 +38,7 @@ from .grid import RadialGrid, integrate
 from .weights import WeightProfile
 
 _EIG_TOL = 1e-11            # inverse iteration: relative Rayleigh change (residual: 100x)
+_EIG_MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,7 @@ def _extrapolate_origin(phi: np.ndarray, grid: RadialGrid) -> float:
     return float((phi[1] * r2 ** 2 - phi[2] * r1 ** 2) / (r2 ** 2 - r1 ** 2))
 
 
-def first_eigenpair(
-    w: WeightProfile,
-    grid: RadialGrid,
-    max_iters: int = 500,
-) -> SpectralResult:
+def first_eigenpair(w: WeightProfile, grid: RadialGrid) -> SpectralResult:
     """Smallest eigenvalue of K x = lambda M x by inverse iteration.
 
     Convergence is declared on the Rayleigh quotient together with the
@@ -146,10 +143,10 @@ def first_eigenpair(
     weights with bit-identical c share one read-only result.
     """
     op = assemble_operator(w, grid)
-    key = (op.c.tobytes(), max_iters)
+    key = op.c.tobytes()
     result = grid._spectra.get(key)
     if result is None:
-        result = grid._spectra[key] = _inverse_iteration(op, grid, max_iters)
+        result = grid._spectra[key] = _inverse_iteration(op, grid)
     return result
 
 
@@ -163,8 +160,7 @@ def _rescale(v: np.ndarray, size: float) -> int:
     return e
 
 
-def _inverse_iteration(op: TridiagonalOperator, grid: RadialGrid,
-                       max_iters: int) -> SpectralResult:
+def _inverse_iteration(op: TridiagonalOperator, grid: RadialGrid) -> SpectralResult:
     """first_eigenpair's iteration.  The (positive) iterate and the residual
     are _rescale'd before their norms are taken, which gamma0 = 1e+-300
     needs; a power of two is exact, so the norms round as unscaled ones."""
@@ -173,7 +169,7 @@ def _inverse_iteration(op: TridiagonalOperator, grid: RadialGrid,
     x = np.ones(op.size)
     x /= np.sqrt(np.dot(m, x * x))
     rho = rho_old = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, _EIG_MAX_ITERS + 1):
         y = op.solve(m * x)
         _rescale(y, y.max())
         x = y / np.sqrt(np.dot(m, y * y))
@@ -188,7 +184,7 @@ def _inverse_iteration(op: TridiagonalOperator, grid: RadialGrid,
         rho_old = rho
     else:
         raise SpectralStall(
-            f"inverse iteration did not converge in {max_iters} iterations",
+            f"inverse iteration did not converge in {_EIG_MAX_ITERS} iterations",
             last_rayleigh=rho,
         )
     if np.sum(x) < 0.0:

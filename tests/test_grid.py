@@ -66,6 +66,12 @@ def test_masses_and_weights_consistent(grid5):
     assert grid5.masses[0] == 0.0  # origin node carries no quadrature mass
 
 
+def test_uniform_grading_takes_no_ratio():
+    # a ratio a uniform grid ignores would still change the run's config hash
+    with pytest.raises(BadDomain, match="ratio"):
+        build_grid(5, 1.0, 100, ratio=1.01)
+
+
 def test_bad_domain_errors():
     with pytest.raises(BadDomain):
         build_grid(1, 1.0, 100)

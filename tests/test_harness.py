@@ -1,7 +1,10 @@
 """Config parsing, orchestration, CSV emission, CLI."""
 
+import configparser
 import csv
 import math
+import re
+import runpy
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +15,9 @@ from critvar import (FlowParams, emit_csv, parse_scenario, run,
                      serialize_scenario, write_report)
 from critvar.cli import main as cli_main
 from critvar.errors import ConfigError, EmptyReport, IoError
-from critvar.harness import _FLOW_KEYS
+from critvar.harness import _FORMAT
+
+REPO = Path(__file__).resolve().parent.parent
 
 MINIMAL = """
 [domain]
@@ -108,19 +113,101 @@ def test_roundtrip_with_perturbation():
 
 def test_flow_params_are_the_flow_keys():
     # a FlowParams field no config can set is a knob nothing turns
-    assert {f.name for f in fields(FlowParams)} == _FLOW_KEYS
+    assert {f.name for f in fields(FlowParams)} == set(_FORMAT["flow"])
+
+
+_TABLE = "perturbation_r = 0.0 0.5 1.0\nperturbation_theta = 0.0 0.1 0.0\n"
+# every key at a value other than its default (schema has only one value);
+# [sweep] gives its couplings as a list here and as a range below; a "%" is
+# text like any other character
+EVERY_KEY = f"""
+[domain]
+schema = 1
+dimension = 6
+radius = 2.0
+cells = 300
+grading = geometric
+mode = machinery
+ratio = 1.01
+
+[weights.a]
+gamma0 = 2.0
+exponent = 3.0
+coefficient = 0.5
+{_TABLE}
+[weights.b]
+gamma0 = 2.0
+exponent = 4.0
+coefficient = 1.5
+{_TABLE}
+[flow]
+step = 0.25
+max_iters = 123
+grad_tol = 3e-07
+stall_window = 77
+init = random
+seed = 9
+init_eps = 0.002
+
+[sweep]
+lambdas = 1.5 3.0
+
+[output]
+directory = runs/100%
+analyses = eig omega
+plots = true
+"""
+RANGE = {"start": "0.5", "stop": "2.0", "step": "0.5"}
 
 
 def test_roundtrip_every_flow_key():
-    values = {"step": "0.25", "max_iters": "123", "grad_tol": "3e-07",
-              "stall_window": "77", "init": "random", "init_eps": "0.002",
-              "seed": "9"}
-    assert set(values) == _FLOW_KEYS
-    s = parse_scenario(MINIMAL + "\n[flow]\n"
-                       + "".join(f"{k} = {v}\n" for k, v in values.items()))
-    for key in values:
-        assert getattr(s.flow, key) != getattr(FlowParams(), key)
+    given = configparser.ConfigParser(interpolation=None)
+    given.read_string(EVERY_KEY)
+    expected = {name: set(keys) for name, keys in _FORMAT.items()}
+    expected["sweep"] -= set(RANGE)
+    assert {name: set(given[name]) for name in given.sections()} == expected
+    for name in given.sections():
+        for key, text in given[name].items():
+            read, default = _FORMAT[name][key]
+            assert read(text) != default or key == "schema"
+    s = parse_scenario(EVERY_KEY)
     assert parse_scenario(serialize_scenario(s)) == s
+    ranged = EVERY_KEY.replace("lambdas = 1.5 3.0", "".join(
+        f"{k} = {v}\n" for k, v in RANGE.items()))
+    s = parse_scenario(ranged)
+    assert s.lambdas == (0.5, 1.0, 1.5, 2.0)
+    assert parse_scenario(serialize_scenario(s)) == s
+
+
+def test_schema_doc_lists_every_key():
+    # docs/schema.md's config tables name the keys of the format, section by section
+    doc = (REPO / "docs" / "schema.md").read_text().split("\n## ")[1]
+    listed = {}
+    for part in doc.split("\n### ")[1:]:
+        heading, body = part.split("\n", 1)
+        keys = set(re.findall(r"^\| `(\w+)`", body, re.MULTILINE))
+        for name in re.findall(r"`\[([\w.]+)\]`", heading):
+            listed[name] = keys
+    assert listed == {name: set(keys) for name, keys in _FORMAT.items()}
+
+
+def _workloads() -> dict:
+    return runpy.run_path(str(REPO / "perfbench" / "workloads.py"))
+
+
+SEED_11_DIGESTS = {
+    "existence-sweep": "52afadbb4d7b34c79574dd5f93d6b82aa689b7bebaac3380642e8fb566d13c97",
+    "concentration": "080f02ee2958ae2de14b9d2a008dbdb3635874d3f24648b536ce6c3015703468",
+    "diagnostics-n4": "5a119c0378897e810db57f03f820255807fbeb84f803790a6d27326ad9c27a3d",
+}
+
+
+@pytest.mark.parametrize("workload", SEED_11_DIGESTS)
+def test_config_sha256_of_the_benchmark_scenarios(workload):
+    # the serialized scenario, and so its hash, does not depend on how the
+    # format is written down
+    rep = run(parse_scenario(_workloads()["scenario_ini"](workload, 11)))
+    assert rep.provenance["config_sha256"] == SEED_11_DIGESTS[workload]
 
 
 def test_constants_only_run():
@@ -267,13 +354,19 @@ def test_cli_bad_config(tmp_path):
     MINIMAL.replace("dimension = 5", "dimension = five"),
     MINIMAL + "\n[sweep]\nlambdas = 1 two\n",
     MINIMAL + "\n[sweep]\nstart = 1\nstop = x\nstep = 1\n",
+    # a partial or infinite range once gave no couplings, or a raw traceback
+    MINIMAL + "\n[sweep]\nstop = 5\nstep = 1\n",
+    MINIMAL + "\n[sweep]\nstep = 1\n",
+    MINIMAL + "\n[sweep]\nstart = 1\nstop = inf\nstep = 1\n",
+    MINIMAL + "\n[sweep]\nstart = 1\nstop = 5\nstep = nan\n",
     MINIMAL.replace("[weights.b]", "perturbation_r = 0 a\n"
                     "perturbation_theta = 0 0\n\n[weights.b]"),
     MINIMAL.replace("gamma0 = 1.0", "gamma0 = 0.0"),
     MINIMAL + "\n[output]\nplots = maybe\n",
 ], ids=["step-zero", "init-bogus", "init-custom", "grad-tol-text",
-        "init-eps-negative", "dimension-text", "lambdas-text", "stop-text", "perturbation-text",
-        "gamma0-zero", "plots-text"])
+        "init-eps-negative", "dimension-text", "lambdas-text", "stop-text",
+        "range-without-start", "range-step-only", "range-infinite", "range-nan",
+        "perturbation-text", "gamma0-zero", "plots-text"])
 def test_bad_value_is_config_error(tmp_path, text):
     with pytest.raises(ConfigError):
         parse_scenario(text)
@@ -297,6 +390,14 @@ def test_run_with_nothing_to_do_is_config_error(tmp_path, output, sweep):
     out = tmp_path / "out"
     assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_ratio_on_a_uniform_grid_exits_2(tmp_path, capsys):
+    # the grid ignored it while the config hash counted it
+    cfg = tmp_path / "uniform.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", "dimension = 5\nratio = 1.01"))
+    assert cli_main(["eig", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "ratio" in capsys.readouterr().err
 
 
 def _machinery_config(tmp_path, dim):
@@ -365,12 +466,8 @@ def test_benchmark_runs_solve_each_eigenproblem_once(monkeypatch, workload,
                                                      eigen_solves):
     # a = b solves once for lambda_tilde; omega reads the unit weight's
     # eigenvalue only for an upper bound, here only at diagnostics-n4's (2, 4)
-    import runpy
-
     import critvar.spectral
 
-    gen = runpy.run_path(str(Path(__file__).resolve().parent.parent
-                             / "perfbench" / "workloads.py"))
     calls = []
     iterate = critvar.spectral._inverse_iteration
 
@@ -379,7 +476,7 @@ def test_benchmark_runs_solve_each_eigenproblem_once(monkeypatch, workload,
         return iterate(*args)
 
     monkeypatch.setattr(critvar.spectral, "_inverse_iteration", counted)
-    run(parse_scenario(gen["scenario_ini"](workload, 11)))
+    run(parse_scenario(_workloads()["scenario_ini"](workload, 11)))
     assert len(calls) == eigen_solves
 
 

@@ -243,10 +243,11 @@ def test_lambda_tilde_runs_one_iteration_per_distinct_conductance(monkeypatch, s
     assert len(solves) == expected
 
 
-def test_spectral_stall(unit_weight):
+def test_spectral_stall(monkeypatch, unit_weight):
+    monkeypatch.setattr("critvar.spectral._EIG_MAX_ITERS", 1)
     grid = build_grid(5, 1.0, 100)
     with pytest.raises(SpectralStall) as err:
-        first_eigenpair(unit_weight, grid, max_iters=1)
+        first_eigenpair(unit_weight, grid)
     assert err.value.last_rayleigh is not None
 
 
