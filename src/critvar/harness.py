@@ -119,6 +119,9 @@ _FORMAT = {
     "output": {"directory": (str, "out"), "analyses": (_words, ANALYSES),
                "plots": (_boolean, False)},
 }
+# a [domain] or [output] key names the Scenario field of the same name,
+# except these; [domain]'s schema is a version check, not a field
+_FIELD = {"ratio": "grading_ratio", "directory": "out_dir"}
 
 
 def _section(parser, name: str, build=dict):
@@ -178,20 +181,18 @@ def parse_scenario(text: str) -> Scenario:
     for name in parser.sections():
         if name not in _FORMAT:
             raise ConfigError(f"unknown section [{name}]")
-    dom = _section(parser, "domain")
-    if dom["schema"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {dom['schema']}")
-    if dom["mode"] not in ("theorem", "machinery"):
-        raise ConfigError(f"unknown mode {dom['mode']!r}")
-    out = _section(parser, "output")
+    top = {**_section(parser, "domain"), **_section(parser, "output")}
+    schema = top.pop("schema")
+    if schema != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema version {schema}")
+    if top["mode"] not in ("theorem", "machinery"):
+        raise ConfigError(f"unknown mode {top['mode']!r}")
     return Scenario(
-        dimension=dom["dimension"], radius=dom["radius"], cells=dom["cells"],
-        grading=dom["grading"], grading_ratio=dom["ratio"], mode=dom["mode"],
+        **{_FIELD.get(key, key): value for key, value in top.items()},
         weight_a=_section(parser, "weights.a", _weight),
         weight_b=_section(parser, "weights.b", _weight),
         lambdas=_section(parser, "sweep", _couplings),
         flow=_section(parser, "flow", FlowParams),
-        out_dir=out["directory"], analyses=out["analyses"], plots=out["plots"],
     )
 
 
@@ -199,21 +200,18 @@ def _text(value) -> str:
     """A value as config text its key's reader reads back."""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, tuple):
+    if not isinstance(value, str) and hasattr(value, "__iter__"):
         return " ".join(map(_text, value))
     return repr(value) if isinstance(value, float) else str(value)
 
 
 def serialize_scenario(s: Scenario) -> str:
     """Config text that parses back to an identical Scenario."""
-    values = {
-        "domain": {"schema": SCHEMA_VERSION, "dimension": s.dimension,
-                   "radius": s.radius, "cells": s.cells, "grading": s.grading,
-                   "mode": s.mode, "ratio": s.grading_ratio},
-        "flow": asdict(s.flow),
-        "sweep": {"lambdas": s.lambdas},
-        "output": {"directory": s.out_dir, "analyses": s.analyses, "plots": s.plots},
-    }
+    values = {name: {key: getattr(s, _FIELD.get(key, key)) for key in _FORMAT[name]
+                     if key != "schema"} for name in ("domain", "output")}
+    values["domain"]["schema"] = SCHEMA_VERSION
+    values["flow"] = asdict(s.flow)
+    values["sweep"] = {"lambdas": s.lambdas}
     for name, w in (("weights.a", s.weight_a), ("weights.b", s.weight_b)):
         r_tab, t_tab = w.perturbation or (None, None)
         values[name] = {**vars(w), "perturbation_r": r_tab, "perturbation_theta": t_tab}

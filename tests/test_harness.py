@@ -5,7 +5,7 @@ import csv
 import math
 import re
 import runpy
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +170,31 @@ def test_roundtrip_every_flow_key():
         for key, text in given[name].items():
             read, default = _FORMAT[name][key]
             assert read(text) != default or key == "schema"
+    # the parsed scenario holds every given value: its serialization
+    # writes each key back as the same value
     s = parse_scenario(EVERY_KEY)
+    out = configparser.ConfigParser(interpolation=None)
+    out.read_string(serialize_scenario(s))
+    for name in given.sections():
+        for key, text in given[name].items():
+            read = _FORMAT[name][key][0]
+            assert read(out[name][key]) == read(text), (name, key)
     assert parse_scenario(serialize_scenario(s)) == s
     ranged = EVERY_KEY.replace("lambdas = 1.5 3.0", "".join(
         f"{k} = {v}\n" for k, v in RANGE.items()))
     s = parse_scenario(ranged)
     assert s.lambdas == (0.5, 1.0, 1.5, 2.0)
     assert parse_scenario(serialize_scenario(s)) == s
+
+
+def test_roundtrip_with_list_tables():
+    # a Scenario built in code may hold lists where parsing makes tuples
+    s = parse_scenario(EVERY_KEY)
+    table = ([0.0, 0.5, 1.0], [0.0, 0.1, 0.0])
+    listed = replace(s, lambdas=[1.5, 3.0], analyses=["eig", "omega"],
+                     weight_a=replace(s.weight_a, perturbation=table))
+    assert serialize_scenario(listed) == serialize_scenario(s)
+    assert parse_scenario(serialize_scenario(listed)) == s
 
 
 def test_schema_doc_lists_every_key():
@@ -214,8 +232,6 @@ def test_constants_only_run():
     s = parse_scenario(MINIMAL.replace(
         "[weights.b]", "[weights.b]").replace("dimension = 5",
                                               "dimension = 5\ncells = 100"))
-    from dataclasses import replace
-
     s = replace(s, analyses=("constants",))
     rep = run(s)
     assert len(rep.tables["constants"]) == 1
