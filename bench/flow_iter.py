@@ -32,6 +32,14 @@ divided by its iteration count:
 - distinct:    a = 1 + r^2, b = 1 + 2 r^2 at coupling 9 with the bubble start
                (two rows).
 
+One more per-iteration case times a kernel rather than a flow:
+
+- bordered/n1500: seconds per call of the one-row bordered Newton solve
+  (`critvar.minimizer._bordered_step`, R = 1, 1,499 unknowns) at the
+  converged pair of the sweep-9.0446 case below, with the right-hand side
+  of the branch tangent; a run is BORDERED_CALLS calls, counted as its
+  iterations.
+
 Whole-call cases report seconds per call and its iteration count.  One
 runs until the concentration detector stops it:
 
@@ -112,13 +120,15 @@ BEST_OF = 3             # calls per run; the run reports the fastest
 RUN_SEED = 11           # run/<workload>: the benchmark seed whose scenario is timed
 RUN_WORKLOADS = ("existence-sweep", "concentration", "diagnostics-n4")
 ANALYSES = ("eig", "omega", "asymptotics")     # analysis/<name>: diagnostics-n4
+BORDERED_CALLS = 100    # bordered/n1500: calls per run
 SWEEP_LAMS = (9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
               21.7696, 23.922903)
 
 
 # every case, and whether it is timed per iteration (else per call)
 CASES = {**{f"n{n}/{start}": True for n in SIZES for start in STARTS},
-         "conc-0": False, "sweep-9.0446": False, "gap-4": False, "gap-8": False,
+         "bordered/n1500": True, "conc-0": False, "sweep-9.0446": False,
+         "gap-4": False, "gap-8": False,
          "sweep": False, **{f"run/{w}": False for w in RUN_WORKLOADS},
          **{f"analysis/{a}": False for a in ANALYSES}}
 
@@ -180,6 +190,9 @@ def _case(critvar, name):
         return descend(quad, b_same, 0.0, graded3000, conc)
     graded = critvar.build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
     to_tol = critvar.FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
+    if name == "bordered/n1500":
+        return _bordered(critvar, quad, graded, critvar.descend(
+            quad, b_same, SWEEP_LAMS[0], graded, to_tol))
     quartic = critvar.WeightProfile.pure_power(1.0, 4.0, 1.0)
     return {
         "sweep-9.0446": descend(quad, b_same, 9.0446, graded, to_tol),
@@ -187,6 +200,24 @@ def _case(critvar, name):
         "gap-8": descend(quad, b_same, 8.0, graded, to_tol),
         "sweep": sweep_minimize(SWEEP_LAMS, quad, b_same, graded, to_tol),
     }[name]
+
+
+def _bordered(critvar, weight, grid, flow):
+    """run() for bordered/n1500: BORDERED_CALLS one-row bordered solves at
+    the converged pair of flow, as critvar.minimizer._tangent sets them up."""
+    minimizer = critvar.minimizer
+    ops = (minimizer.assemble_operator(weight, grid),)
+    m = grid.masses[1:-1]
+    rows, rhs0 = [flow.pair.u], [-m * flow.pair.u[1:-1]]
+    q = minimizer.critical_exponent(grid.dimension)
+
+    def run():
+        for _ in range(BORDERED_CALLS):
+            minimizer._bordered_step(rows, [flow.multiplier_u], rhs0, ops,
+                                     SWEEP_LAMS[0], m, q)
+        return SimpleNamespace(iterations=BORDERED_CALLS, status="ok",
+                               el_residual=math.nan, q_lambda=math.nan)
+    return run
 
 
 def worker(src: Path, name: str) -> int:
@@ -302,7 +333,10 @@ def main(argv=None) -> int:
                  "Per-iteration cases (n<cells>/<start>): "
                  f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA} "
                  f"(0 for symmetric-0), iteration cap {ITERS} ({ITERS_0} for "
-                 "symmetric-0). conc-0: seconds per call of the concentration "
+                 "symmetric-0). bordered/n1500: seconds per call of the one-row "
+                 "bordered Newton solve (1499 unknowns) at the converged pair of "
+                 f"sweep-9.0446, {BORDERED_CALLS} calls per run. "
+                 "conc-0: seconds per call of the concentration "
                  "workload's flow (coupling 0, 3000 geometric cells), stopped "
                  "by the concentration detector. "
                  "To-tolerance cases (sweep-9.0446, gap-4, gap-8): "

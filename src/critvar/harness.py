@@ -173,7 +173,8 @@ def _couplings(lambdas, start, stop, step) -> tuple:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a config document; defaults are filled in."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the default section: [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

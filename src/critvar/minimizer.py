@@ -22,10 +22,10 @@ with the multipliers L1 = int a|grad u|^2 - lam int uv (and the v-analog),
 so the flow's convergence test and the system residual are the same norm.
 
 The flow converges only linearly, so once its residual falls to
-_NEWTON_SWITCH descend tries to finish with Newton's method on this system,
-bordered by the normalization constraints, and after a failed attempt
-tries again a decade further down.  A warm-started flow tries Newton from
-its first iteration.
+_NEWTON_SWITCH descend hands its rows to a damped Newton's method on this
+system, bordered by the normalization constraints, which finishes a
+converging flow in a few steps; a failed attempt is retried a decade
+further down.  A warm-started flow tries Newton from its first iteration.
 
 At the critical exponent the energy of constant weights is invariant under
 the dilation x(r) -> s^((N-2)/2) x(s r), along which a preconditioned step
@@ -60,16 +60,25 @@ from .weights import WeightProfile
 _CONC_DELTA_FRACTION = 0.1      # concentration detector: inside radius R/10
 _CONC_MASS = 0.99               # lies this fraction of the critical-norm mass
 _CONC_SUP_FACTOR = 1e2          # and the sup norm has grown this much
-_NEWTON_SWITCH = 0.3            # polish once the flow's residual falls to this
+_NEWTON_SWITCH = 1.0            # polish once the flow's residual falls to this
 _NEWTON_REARM = 10.0            # after a failed polish at res, try again at res / this
-_NEWTON_STEPS = 5               # Newton steps the polish may take to reach grad_tol
+_NEWTON_STEPS = 12              # Newton steps the polish may take to reach grad_tol
+_NEWTON_HALVINGS = 3            # retries at 1/2, 1/4, 1/8 of a step that did not help
+_NEWTON_QUADRATIC = 100.0       # a step that cuts the residual this much is quadratic
 _PREDICTOR_TRIES = 3            # tangent steps of 1, 1/2, 1/4 times the coupling step
 
 
-def solve_banded(*args, **kwargs):
-    """scipy.linalg.solve_banded, imported on first call: only a Newton step needs it."""
-    from scipy.linalg import solve_banded as solve
-    return solve(*args, **kwargs)
+def solve_banded(l_and_u, ab, b, **kwargs):
+    """scipy.linalg.solve_banded, imported on first call (only a Newton step
+    needs it); a tridiagonal system goes to the LAPACK gtsv it calls,
+    without the wrapper's checks, and overwrites ab."""
+    from scipy.linalg import lapack, solve_banded as solve
+    if l_and_u != (1, 1):
+        return solve(l_and_u, ab, b, **kwargs)
+    *_, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, True, True, True)
+    if info:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 @dataclass(frozen=True)
@@ -209,15 +218,16 @@ def _bordered_step(rows, mults, rhs0, ops, lam, m, q):
     Unknowns are the rows, interleaved at R*i + k, and their multipliers
     L_k = mults[k].  Row k's block is K_k - (q-1) L_k M|x_k|^(q-2), with -lam M
     to its partner row -1 - k (on the diagonal when R = 1), so the matrix is
-    banded (R, R); the multipliers are eliminated by an R x R Schur
-    complement on the linearized constraints f_k . dx_k = 0, where
+    banded (R, R), tridiagonal at R = 1 (see solve_banded); the multipliers
+    are eliminated by an R x R Schur complement, a division at R = 1, on
+    the linearized constraints f_k . dx_k = 0, where
     f_k = M|x_k|^(q-2) x_k.  The correction dx solves J dx - sum_k f_k dL_k =
     -rhs0: a Newton step for rhs0 = F, the system's residual, and the
     tangent dx/dlam of its solution branch for rhs0 = dF/dlam = -M x_partner.
     """
     r, n = len(rows), m.size
     ab = np.zeros((2 * r + 1, r * n))
-    rhs = np.zeros((r * n, r + 1))
+    rhs = np.zeros((r * n, r + 1), order="F")      # LAPACK's layout: no copy
     for k, (xk, lk, op, bk) in enumerate(zip(rows, mults, ops, rhs0)):
         xi = xk[1:-1]
         w = m * np.abs(xi) ** (q - 2.0)
@@ -235,8 +245,9 @@ def _bordered_step(rows, mults, rhs0, ops, lam, m, q):
     f = [rhs[j::r, 1 + j] for j in range(r)]
     schur = np.array([[f[j] @ sol[j::r, 1 + k] for k in range(r)]
                       for j in range(r)])
-    dl = np.linalg.solve(schur, [f[j] @ sol[j::r, 0] for j in range(r)])
-    dx = sol[:, 1:] @ dl - sol[:, 0]
+    fb = np.array([f[j] @ sol[j::r, 0] for j in range(r)])
+    dl = fb / schur[0] if r == 1 else np.linalg.solve(schur, fb)
+    dx = sum(sol[:, 1 + k] * dl[k] for k in range(r)) - sol[:, 0]
     return [dx[k::r] for k in range(r)]
 
 
@@ -287,36 +298,56 @@ def _newton_polish(x, h, ops, lam, grid, normalize, gradient, total_energy,
     Each step's multipliers L_k and residual come from the flow's own
     gradient code, and each step renormalizes the rows as the flow does.
     The first step may raise the residual (Newton overshoots from outside
-    its quadratic region); after that the attempt goes on only while the
-    residual falls, for at most _NEWTON_STEPS steps.  Returns (rows,
-    energy, steps) once the rows pass the flow's convergence test with
-    energy <= e_max and each row of one sign in the interior, else None.
+    its quadratic region); a later one that does not lower it is retried at
+    1/2, 1/4, ... of its length (_NEWTON_HALVINGS halvings, no new solve).
+    Once a step has cut the residual _NEWTON_QUADRATIC-fold, Newton is in
+    its quadratic region, where each step cuts it at least as much; a step
+    that does not has met the bordered solve's rounding floor, and ends it.
+    Returns (rows, energy, steps) once, within _NEWTON_STEPS steps, the rows
+    pass the flow's convergence test with energy <= e_max and each row of
+    one sign in the interior.  Else returns (None, floor, steps), floor the
+    lowest residual if the attempt ended at the solve's floor, else inf.
     """
     m, q = grid.masses[1:-1], critical_exponent(grid.dimension)
-    y, hy = [xk.copy() for xk in x], [hk.copy() for hk in h]
-    d = [np.empty(m.size) for _ in x]
+    y, y0 = [xk.copy() for xk in x], [xk.copy() for xk in x]
+    hy, d = [hk.copy() for hk in h], [np.empty(m.size) for _ in x]
     fy = [np.zeros(m.size + 1) for _ in x]
-    last = math.inf
+    last, quadratic = math.inf, False
+
+    def advance(dx, t):             # y = the rows y0 advanced by t dx
+        for yk, hk, y0k, dxk in zip(y, hy, y0, dx):
+            np.add(y0k[1:-1], t * dxk, out=yk[1:-1])
+            yk[0] = yk[1]
+            normalize(yk, hk)
+
     try:
         for step in range(_NEWTON_STEPS + 1):
-            e, g, p = total_energy(y, fy)
-            res = gradient(y, hy, fy, g, p, d)
+            for halving in range(_NEWTON_HALVINGS + 1 if step > 1 else 1):
+                if halving:
+                    advance(dx, 0.5 ** halving)
+                e, g, p = total_energy(y, fy)
+                res = gradient(y, hy, fy, g, p, d)
+                if res < last:
+                    break
             if res <= grad_tol:
                 # Newton may also land on a critical point whose row changes
                 # sign; a minimizer's rows each keep one sign
-                one_sign = all(np.all(yk[:-1] > 0.0) or np.all(yk[:-1] < 0.0)
-                               for yk in y)
-                return (y, e, step) if e <= e_max and one_sign else None
+                if e <= e_max and all(np.all(yk[:-1] > 0.0) or np.all(yk[:-1] < 0.0)
+                                      for yk in y):
+                    return y, e, step
+                break
+            if quadratic and res * _NEWTON_QUADRATIC > last:
+                return None, min(res, last), step
             if step == _NEWTON_STEPS or (step > 1 and not res < last):
-                return None
+                break
+            quadratic = quadratic or (step > 0 and res * _NEWTON_QUADRATIC <= last)
             last = res
             dx = _bordered_step(y, [gk - lam * p for gk in g], d, ops, lam, m, q)
-            for yk, hk, dxk in zip(y, hy, dx):
-                yk[1:-1] += dxk
-                yk[0] = yk[1]
-                normalize(yk, hk)
+            y, y0 = y0, y                   # the step starts from these rows
+            advance(dx, 1.0)
     except (LinAlgError, ValueError, FloatingPointError, DegeneratePair):
-        return None
+        pass
+    return None, math.inf, step
 
 
 def descend(
@@ -354,19 +385,17 @@ def descend(
     When the system residual falls to _NEWTON_SWITCH (but not to grad_tol),
     or at the first iteration when init_pair is given (a warm start, which
     may already lie in Newton's basin), the flow's rows are handed to
-    _newton_polish, which takes at most _NEWTON_STEPS Newton steps on the
-    same rows and stops early once a step after the first does not lower the
-    residual (the first may overshoot).  Its result is accepted, and the
-    flow ends "converged", only if the renormalized rows pass the grad_tol
-    test with an energy at most the flow's current one (with the flow's
-    1e-14 relative slack) and each row of one sign in the interior; the
-    reported iterations then count the Newton steps too.  A failed linear
-    solve, a non-finite value or a result that misses any of these tests
-    discards the attempt, and the flow goes on bit for bit as without it; an
-    attempt at residual res re-arms the polish at res / _NEWTON_REARM, so a
-    flow makes at most about log10(res_1 / grad_tol) + 1 attempts, res_1 the
-    residual of its first attempt (at most _NEWTON_SWITCH from a cold
-    start).  A non-finite residual raises NumericFault.
+    _newton_polish.  Its result is accepted, and the flow ends "converged",
+    only if the renormalized rows pass the grad_tol test with an energy at
+    most the flow's current one (with the flow's 1e-14 relative slack) and
+    each row of one sign in the interior; the reported iterations then count
+    its Newton steps, but not its halvings.  A failed attempt leaves the
+    flow bit for bit as without it and re-arms the polish a decade
+    (_NEWTON_REARM) below its residual, or below the bordered solve's floor
+    if the attempt met it, so a flow makes at most about
+    log10(res_1 / grad_tol) + 1 attempts, res_1 the residual of its first
+    (at most _NEWTON_SWITCH from a cold start).  A non-finite residual
+    raises NumericFault.
 
     At every detector checkpoint (each 10th iteration) where the mass test
     passes but the sup test does not, the flow tries one dilation move:
@@ -444,14 +473,14 @@ def descend(
         if res <= params.grad_tol:
             status = "converged"
         elif res <= polish_at:
-            polish_at = res / _NEWTON_REARM
-            polished = _newton_polish(x, h, ops, lam, grid, normalize, gradient,
-                                      total_energy, params.grad_tol,
-                                      e_now + 1e-14 * abs(e_now))
-            if polished is not None:
-                x, e_now, steps = polished
+            polished, value, steps = _newton_polish(
+                x, h, ops, lam, grid, normalize, gradient, total_energy,
+                params.grad_tol, e_now + 1e-14 * abs(e_now))
+            if polished is None:
+                polish_at = min(res, value) / _NEWTON_REARM
+            else:
+                x, e_now, status = polished, value, "converged"
                 it += steps
-                status = "converged"
         if status == "converged":
             if e_now <= best_e + 1e-12 * abs(best_e):
                 best_e, best = e_now, x

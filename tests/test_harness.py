@@ -228,6 +228,24 @@ def test_config_sha256_of_the_benchmark_scenarios(workload):
     assert rep.provenance["config_sha256"] == SEED_11_DIGESTS[workload]
 
 
+def test_concentration_workload_never_polishes(monkeypatch):
+    # the concentrating flow's residual stays above 3, far above the
+    # polish's switch at 1, so it makes no Newton attempt
+    import critvar.minimizer
+
+    attempts = []
+    polish = critvar.minimizer._newton_polish
+
+    def counted(*args):
+        attempts.append(1)
+        return polish(*args)
+
+    monkeypatch.setattr(critvar.minimizer, "_newton_polish", counted)
+    rep = run(parse_scenario(_workloads()["scenario_ini"]("concentration", 11)))
+    assert [r["status"] for r in rep.tables["minimize"]] == ["concentrating"]
+    assert attempts == []
+
+
 def test_constants_only_run():
     s = parse_scenario(MINIMAL.replace(
         "[weights.b]", "[weights.b]").replace("dimension = 5",
@@ -406,6 +424,18 @@ def test_run_with_nothing_to_do_is_config_error(tmp_path, output, sweep):
     out = tmp_path / "out"
     assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("defaults", ["", "cells = 100\n", "gamma0 = 2\n"])
+def test_default_section_exits_2(tmp_path, capsys, defaults):
+    # configparser merges [DEFAULT] into every section, so its keys were
+    # reported as unknown in a section the file does not give them in
+    cfg = tmp_path / "default.ini"
+    cfg.write_text("[DEFAULT]\n" + defaults + MINIMAL)
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        parse_scenario(cfg.read_text())
+    assert cli_main(["eig", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
 
 
 def test_ratio_on_a_uniform_grid_exits_2(tmp_path, capsys):
