@@ -169,9 +169,9 @@ def _case(critvar, name):
         return whole_run
 
     flow = critvar.FlowParams(max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS)
-    quad = critvar.WeightProfile.pure_power(1.0, 2.0, 1.0)
-    b_same = critvar.WeightProfile.pure_power(1.0, 2.0, 1.0)
-    b_other = critvar.WeightProfile.pure_power(1.0, 2.0, 2.0)
+    quad = critvar.WeightProfile(1.0, 2.0, 1.0)
+    b_same = critvar.WeightProfile(1.0, 2.0, 1.0)
+    b_other = critvar.WeightProfile(1.0, 2.0, 2.0)
     starts = {
         "symmetric": (b_same, LAMBDA, flow),
         "symmetric-0": (b_same, 0.0, critvar.FlowParams(
@@ -193,7 +193,7 @@ def _case(critvar, name):
     if name == "bordered/n1500":
         return _bordered(critvar, quad, graded, critvar.descend(
             quad, b_same, SWEEP_LAMS[0], graded, to_tol))
-    quartic = critvar.WeightProfile.pure_power(1.0, 4.0, 1.0)
+    quartic = critvar.WeightProfile(1.0, 4.0, 1.0)
     return {
         "sweep-9.0446": descend(quad, b_same, 9.0446, graded, to_tol),
         "gap-4": descend(quad, quartic, 4.0, graded, to_tol),

@@ -59,12 +59,9 @@ class RadialGrid:
     masses: np.ndarray = field(init=False, repr=False)
     spacings: np.ndarray = field(init=False, repr=False)
     faces: np.ndarray = field(init=False, repr=False)
-    # a run's derived data (a run builds its own grid), filled by
-    # spectral.assemble_operator: id(w) -> (w, operator); first_eigenpair:
-    # c bytes -> result; nonexistence.tilde_weight: id(w) -> (w, tilt)
-    _operators: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _spectra: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _tilts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # a run's derived data, one memo (a run builds its own grid), keyed
+    # ("operator", w), ("tilt", w) and ("spectrum", conductance bytes)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         r = self.nodes

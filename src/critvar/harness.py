@@ -102,7 +102,7 @@ def _boolean(text: str) -> bool:
 # required key; None an optional one, written only when set.  The two
 # weight sections share one row set; a [flow] key is read by its
 # FlowParams field's annotation (a string).
-_FLOW_TYPES = {"float": float, "int": int, "str": str, "float | None": float}
+_FLOW_TYPES = {"float": float, "int": int, "str": str}
 _WEIGHT_FORMAT = {"gamma0": (float, MISSING), "exponent": (float, 2.0),
                   "coefficient": (float, 0.0), "perturbation_r": (_floats, None),
                   "perturbation_theta": (_floats, None)}
@@ -148,11 +148,9 @@ def _section(parser, name: str, build=dict):
 
 
 def _weight(perturbation_r, perturbation_theta, **profile) -> WeightProfile:
-    """A weight section's profile; its two tables come together, of equal length."""
+    """A weight section's profile; its two tables come together."""
     if (perturbation_r is None) != (perturbation_theta is None):
         raise ValueError("needs both perturbation_r and perturbation_theta")
-    if perturbation_r is not None and len(perturbation_r) != len(perturbation_theta):
-        raise ValueError("perturbation tables differ in length")
     table = None if perturbation_r is None else (perturbation_r, perturbation_theta)
     return WeightProfile(perturbation=table, **profile)
 

@@ -89,15 +89,12 @@ class FlowParams:
     stall_window: int = 250
     init: str = "bubble"            # bubble | eigenfunction | random
     seed: int = 0
-    init_eps: float | None = None   # bubble width; default radius^2 / 100
 
     def __post_init__(self):
         if self.step <= 0.0 or self.grad_tol <= 0.0:
             raise ValueError("step and grad_tol must be positive")
         if self.init not in ("bubble", "eigenfunction", "random"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.init_eps is not None and not self.init_eps > 0.0:
-            raise ValueError("init_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,8 @@ def _initial_pair(a: WeightProfile, b: WeightProfile, grid: RadialGrid,
     from .asymptotics import BubbleParams, bubble_field  # deferred, no cycle at import
 
     if params.init == "bubble":
-        eps = params.init_eps if params.init_eps is not None else grid.radius ** 2 / 100.0
-        u = bubble_field(BubbleParams(epsilon=eps, cutoff_radius=grid.radius / 2.0), grid)
+        u = bubble_field(BubbleParams(epsilon=grid.radius ** 2 / 100.0,
+                                      cutoff_radius=grid.radius / 2.0), grid)
         return FieldPair(u=u, v=u.copy())
     if params.init == "eigenfunction":
         ua = first_eigenpair(a, grid).eigenfunction
@@ -204,8 +201,8 @@ def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
     """True when the flow from x = (u, v) keeps u == v bit for bit: operators
     with identical face conductances c (from which the operator derives
     every other array the flow reads) and an identical start.  Compares
-    arrays, not weights: weights with array tables or callables do not
-    compare by value, and equal weights are often distinct objects."""
+    arrays, not weights: constant weights that differ only in an exponent
+    they never use assemble to the same c."""
     (op_a, op_b), (u, v) = ops, x
     return np.array_equal(op_a.c, op_b.c) and np.array_equal(u, v)
 

@@ -29,7 +29,7 @@ from .energy import FieldPair
 from .errors import DegenerateDenominator, GridTooCoarse, OutsideTable
 from .grid import RadialGrid, integrate
 from .spectral import first_eigenpair
-from .weights import UNIT_WEIGHT, WeightProfile
+from .weights import WeightProfile
 
 
 _N_WIDTHS = 12              # omega's bump family: widths from 0.9 R
@@ -39,11 +39,11 @@ _MIN_WIDTH_CELLS = 20       # down to the radius of this node
 def tilde_weight(w: WeightProfile, grid: RadialGrid) -> np.ndarray:
     """Nodal samples of the radial tilt r * w'(r), taken once per (weight,
     grid) and kept read-only on the grid (omega and Pohozaev share them)."""
-    entry = grid._tilts.get(id(w))
-    if entry is None:       # holding w keeps its id from naming another weight
-        entry = grid._tilts[id(w)] = (w, np.asarray(w.radial_tilt(grid.nodes), dtype=float))
-        entry[1].flags.writeable = False
-    return entry[1]
+    tilt = grid._memo.get(("tilt", w))
+    if tilt is None:
+        tilt = grid._memo["tilt", w] = np.asarray(w.radial_tilt(grid.nodes), dtype=float)
+        tilt.flags.writeable = False
+    return tilt
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +196,14 @@ def omega_estimate(
             best_val, best_pair = val, pr
 
     lower = upper = None
-    pure = (a.perturbation is None and a.extra is None
-            and b.perturbation is None and b.extra is None
+    pure = (a.perturbation is None and b.perturbation is None
             and a.coefficient > 0.0 and b.coefficient > 0.0)
     if pure:
         try:
             lower, upper = omega_bounds(
                 grid.dimension, a.exponent, b.exponent,
                 a.coefficient, b.coefficient, 2.0 * grid.radius,
-                lambda: first_eigenpair(UNIT_WEIGHT, grid).lambda1,
+                lambda: first_eigenpair(WeightProfile(1.0), grid).lambda1,
             )
         except OutsideTable:
             pass

@@ -105,9 +105,9 @@ def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator
     field extended by zero at the boundary.  Raises IndefiniteWeight (and
     caches nothing) unless w is finite and positive at the nodes and faces.
     """
-    entry = grid._operators.get(id(w))
-    if entry is not None:
-        return entry[1]
+    op = grid._memo.get(("operator", w))
+    if op is not None:
+        return op
     nodes_w = np.asarray(w(grid.nodes), dtype=float)
     if not np.all(np.isfinite(nodes_w) & (nodes_w > 0.0)):
         raise IndefiniteWeight("weight must be finite and strictly positive on the grid")
@@ -115,8 +115,7 @@ def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator
     wf = np.asarray(w(faces), dtype=float)        # checked by the operator, via c
     op = TridiagonalOperator(grid.surface_factor * wf * faces ** (grid.dimension - 1)
                              / grid.spacings[1:])
-    # holding w keeps its id from naming another weight
-    grid._operators[id(w)] = (w, op)
+    grid._memo["operator", w] = op
     return op
 
 
@@ -143,10 +142,10 @@ def first_eigenpair(w: WeightProfile, grid: RadialGrid) -> SpectralResult:
     weights with bit-identical c share one read-only result.
     """
     op = assemble_operator(w, grid)
-    key = op.c.tobytes()
-    result = grid._spectra.get(key)
+    key = ("spectrum", op.c.tobytes())
+    result = grid._memo.get(key)
     if result is None:
-        result = grid._spectra[key] = _inverse_iteration(op, grid)
+        result = grid._memo[key] = _inverse_iteration(op, grid)
     return result
 
 

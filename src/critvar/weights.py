@@ -3,16 +3,15 @@
 The two coefficients in the coupled energy share the same structure: a
 common positive minimum value gamma0 at the center, a power-law growth
 with exponent k (or l) and positive coefficient, and an optional
-perturbation theta with theta(r) -> 0 as r -> 0.  Profiles outside this
-model (used by the non-existence tests to produce weights whose radial
-derivative turns negative) are expressed through the `extra` term, an
-arbitrary additional radial function.
+perturbation theta with theta(r) -> 0 as r -> 0, given as a table.  A
+profile is a value: it compares and hashes by its fields, so the grid
+keeps one operator and one tilt per distinct weight.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,29 +20,21 @@ from .grid import RadialGrid
 _MONOTONICITY_ABS = 1e-8    # slack in the weight-derivative inequality
 
 
-def _as_callable(theta) -> Callable | None:
-    if theta is None or callable(theta):
-        return theta
-    r_tab, th_tab = theta
-    r_tab = np.asarray(r_tab, dtype=float)
-    th_tab = np.asarray(th_tab, dtype=float)
-    return lambda r: np.interp(r, r_tab, th_tab)
-
-
 @dataclass(frozen=True)
 class WeightProfile:
-    """Weight w(r) = gamma0 + coefficient * r^exponent + r^exponent * theta(r) + extra(r).
+    """Weight w(r) = gamma0 + coefficient * r^exponent + r^exponent * theta(r).
 
     coefficient = 0 degenerates to a constant weight (the "exponent
-    effectively infinite" situation).  `perturbation` may be a callable or
-    a (r_table, theta_table) pair, linearly interpolated; default theta = 0.
+    effectively infinite" situation).  `perturbation` is None (theta = 0)
+    or a (radii, theta values) table, linearly interpolated and held as
+    two tuples of floats: equally long, finite, strictly increasing radii,
+    and theta = 0 at r = 0.
     """
 
     gamma0: float
     exponent: float = 2.0
     coefficient: float = 0.0
-    perturbation: object = None
-    extra: Callable | None = None
+    perturbation: tuple | None = None
 
     def __post_init__(self):
         if self.gamma0 <= 0.0:
@@ -52,40 +43,39 @@ class WeightProfile:
             raise ValueError("exponent must be positive")
         if self.coefficient < 0.0:
             raise ValueError("coefficient must be nonnegative")
-        object.__setattr__(self, "_theta", _as_callable(self.perturbation))
+        if self.perturbation is None:
+            return
+        r_tab, th_tab = (tuple(map(float, t)) for t in self.perturbation)
+        if not 0 < len(r_tab) == len(th_tab) or not all(map(math.isfinite, r_tab + th_tab)):
+            raise ValueError("perturbation tables must be finite, nonempty, equally long")
+        if any(hi <= lo for lo, hi in zip(r_tab, r_tab[1:])):
+            raise ValueError("perturbation radii must be strictly increasing")
+        if np.interp(0.0, r_tab, th_tab) != 0.0:
+            raise ValueError("perturbation theta must vanish at r = 0")
+        object.__setattr__(self, "perturbation", (r_tab, th_tab))
 
-    # -- evaluation ---------------------------------------------------------
+    def _theta_term(self, r: np.ndarray) -> np.ndarray:
+        return r ** self.exponent * np.interp(r, *self.perturbation)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         w = self.gamma0 + self.coefficient * r ** self.exponent
-        if self._theta is not None:
-            w = w + r ** self.exponent * self._theta(r)
-        if self.extra is not None:
-            w = w + self.extra(r)
+        if self.perturbation is not None:
+            w = w + self._theta_term(r)
         return w if w.ndim else float(w)
 
     def derivative(self, r):
         """dw/dr; analytic for the power part, centered differences for the
-        perturbation and extra terms."""
+        perturbation term."""
         r = np.asarray(r, dtype=float)
         d = self.coefficient * self.exponent * r ** np.maximum(self.exponent - 1.0, 0.0)
         if self.exponent < 1.0:
             d = np.where(r > 0.0, self.coefficient * self.exponent * r ** (self.exponent - 1.0), 0.0)
-        if self._theta is not None or self.extra is not None:
+        if self.perturbation is not None:
             h = 1e-6 * (1.0 + np.abs(r))
             rm = np.maximum(r - h, 0.0)
             rp = r + h
-
-            def rest(x):
-                out = np.zeros_like(x)
-                if self._theta is not None:
-                    out = out + x ** self.exponent * self._theta(x)
-                if self.extra is not None:
-                    out = out + self.extra(x)
-                return out
-
-            d = d + (rest(rp) - rest(rm)) / (rp - rm)
+            d = d + (self._theta_term(rp) - self._theta_term(rm)) / (rp - rm)
         return d if d.ndim else float(d)
 
     def radial_tilt(self, r):
@@ -93,22 +83,6 @@ class WeightProfile:
         r = np.asarray(r, dtype=float)
         t = r * self.derivative(r)
         return t if t.ndim else float(t)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: float) -> "WeightProfile":
-        return cls(gamma0=value, exponent=2.0, coefficient=0.0)
-
-    @classmethod
-    def pure_power(cls, gamma0: float, exponent: float,
-                   coefficient: float) -> "WeightProfile":
-        return cls(gamma0=gamma0, exponent=exponent, coefficient=coefficient)
-
-
-# one unit weight for the whole package, so that its operator is built once
-# per grid (assemble_operator keys its memo on the weight object)
-UNIT_WEIGHT = WeightProfile.constant(1.0)
 
 
 @dataclass(frozen=True)

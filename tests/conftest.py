@@ -30,18 +30,18 @@ def grid5_geo():
 
 @pytest.fixture(scope="session")
 def unit_weight():
-    return WeightProfile.constant(1.0)
+    return WeightProfile(1.0)
 
 
 @pytest.fixture(scope="session")
 def quad_weight():
     """gamma0 = 1 with unit quadratic growth."""
-    return WeightProfile.pure_power(1.0, 2.0, 1.0)
+    return WeightProfile(1.0, 2.0, 1.0)
 
 
 @pytest.fixture(scope="session")
 def quartic_weight():
-    return WeightProfile.pure_power(1.0, 4.0, 1.0)
+    return WeightProfile(1.0, 4.0, 1.0)
 
 
 @pytest.fixture()

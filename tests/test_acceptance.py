@@ -22,8 +22,8 @@ from critvar import (FieldPair, FlowParams, WeightProfile, bubble_constants,
                      sweep_minimize, thresholds, unit_sphere_area)
 from conftest import smooth_dirichlet_field
 
-QUAD = WeightProfile.pure_power(1.0, 2.0, 1.0)     # gamma0 + r^2
-QUARTIC = WeightProfile.pure_power(1.0, 4.0, 1.0)  # gamma0 + r^4
+QUAD = WeightProfile(1.0, 2.0, 1.0)     # gamma0 + r^2
+QUARTIC = WeightProfile(1.0, 4.0, 1.0)  # gamma0 + r^4
 SWEEP_FLOW = FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
 
 
@@ -209,7 +209,7 @@ def test_criterion_09_dilation_identity(quad_weight, quartic_weight):
 
 def test_criterion_10_omega_indicator(grid5, grid5_geo, unit_weight):
     # (1) the unbounded-below flag fires exactly on a somewhere-negative tilt
-    dipped = WeightProfile(gamma0=1.0, extra=lambda r: (1.0 - r) ** 2)
+    dipped = WeightProfile(1.0, 2.0, 0.0, ((0.0, 1.0), (0.0, -0.5)))  # tilt -1.5 r^3
     est = omega_estimate(dipped, unit_weight, grid5)
     assert est.unbounded_below and est.value == -math.inf
     for wa, wb in ((QUAD, QUAD), (QUAD, QUARTIC), (unit_weight, QUARTIC)):

@@ -69,7 +69,7 @@ def test_default_ladder_shape(grid5_fine):
 def test_energy_curve_flat_for_constant_weights(grid5_geo):
     # a = b = gamma0, lam = 0: curve sits at gamma0 * S with sub-percent drift
     gamma0 = 2.0
-    w = WeightProfile.constant(gamma0)
+    w = WeightProfile(gamma0)
     ladder = [1e-3 / 2 ** j for j in range(5)]
     vals = energy_curves([0.0], w, w, ladder, grid5_geo)[0]
     s = bubble_constants(5).s
@@ -218,7 +218,7 @@ def test_dim4_model_selection(grid4):
     import critvar
 
     g = critvar.build_grid(4, 1.0, 3000, grading="geometric", ratio=1.004)
-    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    a = WeightProfile(1.0, 2.0, 1.0)
     ladder = [1e-2 / 2 ** j for j in range(9)]
     curve = energy_curves([10.0], a, a, ladder, g)[0]
     fit_log = fit_expansion(ladder, curve, "eps_log_eps", half_order_correction=False)

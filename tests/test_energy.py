@@ -35,7 +35,7 @@ def test_gradient_energy_parabola(grid5):
 
     u = dirichlet_field(1.0 - grid5.nodes ** 2, grid5)
     exact = 4.0 * unit_sphere_area(5) / 7.0
-    val = weighted_gradient_energy(u, WeightProfile.constant(1.0), grid5)
+    val = weighted_gradient_energy(u, WeightProfile(1.0), grid5)
     assert val == pytest.approx(exact, rel=1e-5)
 
 
@@ -61,8 +61,8 @@ def _gradient_energy_reference(u, w, grid):
 def test_gradient_energy_matches_reference_exactly(grid5, grid4, rng):
     # the face factors are kept per (weight, grid); the sums must stay
     # bitwise those of the reference, whatever order the calls come in
-    quad = WeightProfile.pure_power(1.0, 2.0, 1.0)
-    quartic = WeightProfile.pure_power(1.0, 4.0, 1.0)
+    quad = WeightProfile(1.0, 2.0, 1.0)
+    quartic = WeightProfile(1.0, 4.0, 1.0)
     u5 = smooth_dirichlet_field(grid5, rng)
     u4 = smooth_dirichlet_field(grid4, rng)
     for _ in range(2):
@@ -79,7 +79,7 @@ def test_gradient_energy_fresh_weights_never_stale(rng):
     # each round drops the previous weight; a new one, with equal or other
     # parameters, must never be served the face factors of an old one
     for coeff in (1.0, 1.0, 2.0, 1.0, 3.0):
-        w = WeightProfile.pure_power(1.0, 2.0, coeff)
+        w = WeightProfile(1.0, 2.0, coeff)
         assert weighted_gradient_energy(u, w, grid) == \
             _gradient_energy_reference(u, w, grid)
 
@@ -87,8 +87,11 @@ def test_gradient_energy_fresh_weights_never_stale(rng):
 @pytest.mark.parametrize("where", ["faces", "nodes"])
 def test_non_positive_weight_rejected(where, rng):
     grid = build_grid(5, 1.0, 200)
-    at = getattr(grid, where)
-    w = WeightProfile(1.0, 2.0, 1.0, extra=lambda r: np.where(np.isin(r, at), -5.0, 0.0))
+    # theta dips to -10 / x^2 in a spike narrower than a cell: w(x) < 0 at
+    # one face (or node) x, and w > 0 at every node (or face)
+    x, half = getattr(grid, where)[100], 0.25 * grid.spacings[100]
+    w = WeightProfile(1.0, 2.0, 1.0, ((0.0, x - half, x, x + half),
+                                      (0.0, 0.0, -10.0 / x ** 2, 0.0)))
     u = smooth_dirichlet_field(grid, rng)
     with pytest.raises(IndefiniteWeight):
         weighted_gradient_energy(u, w, grid)

@@ -147,7 +147,6 @@ grad_tol = 3e-07
 stall_window = 77
 init = random
 seed = 9
-init_eps = 0.002
 
 [sweep]
 lambdas = 1.5 3.0
@@ -384,7 +383,6 @@ def test_cli_bad_config(tmp_path):
     MINIMAL + "\n[flow]\ninit = bogus\n",
     MINIMAL + "\n[flow]\ninit = custom\n",
     MINIMAL + "\n[flow]\ngrad_tol = abc\n",
-    MINIMAL + "\n[flow]\ninit_eps = -1\n",
     MINIMAL.replace("dimension = 5", "dimension = five"),
     MINIMAL + "\n[sweep]\nlambdas = 1 two\n",
     MINIMAL + "\n[sweep]\nstart = 1\nstop = x\nstep = 1\n",
@@ -395,12 +393,23 @@ def test_cli_bad_config(tmp_path):
     MINIMAL + "\n[sweep]\nstart = 1\nstop = 5\nstep = nan\n",
     MINIMAL.replace("[weights.b]", "perturbation_r = 0 a\n"
                     "perturbation_theta = 0 0\n\n[weights.b]"),
+    # an unsorted table was read as theta = 0, and theta(0) != 0 as a
+    # weight whose r^2 coefficient the verdict did not see
+    MINIMAL.replace("[weights.b]", "perturbation_r = 1.0 0.5 0.0\n"
+                    "perturbation_theta = 0.0 0.5 0.0\n\n[weights.b]"),
+    MINIMAL.replace("[weights.b]", "perturbation_r = 0.0 1.0\n"
+                    "perturbation_theta = 0.5 0.5\n\n[weights.b]"),
+    MINIMAL.replace("[weights.b]", "perturbation_r = 0.0 1.0\n"
+                    "perturbation_theta = 0.0 nan\n\n[weights.b]"),
+    MINIMAL.replace("[weights.b]", "perturbation_r = 0.0 1.0\n"
+                    "perturbation_theta = 0.0\n\n[weights.b]"),
     MINIMAL.replace("gamma0 = 1.0", "gamma0 = 0.0"),
     MINIMAL + "\n[output]\nplots = maybe\n",
 ], ids=["step-zero", "init-bogus", "init-custom", "grad-tol-text",
-        "init-eps-negative", "dimension-text", "lambdas-text", "stop-text",
+        "dimension-text", "lambdas-text", "stop-text",
         "range-without-start", "range-step-only", "range-infinite", "range-nan",
-        "perturbation-text", "gamma0-zero", "plots-text"])
+        "perturbation-text", "perturbation-unsorted", "perturbation-theta0",
+        "perturbation-nan", "perturbation-lengths", "gamma0-zero", "plots-text"])
 def test_bad_value_is_config_error(tmp_path, text):
     with pytest.raises(ConfigError):
         parse_scenario(text)

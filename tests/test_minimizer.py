@@ -83,8 +83,8 @@ def test_one_row_flow_is_bitwise_two_row_flow(request, monkeypatch, grid_name,
                                               max_iters, lam):
     # two equal weights parsed apart, as the harness builds them
     grid = request.getfixturevalue(grid_name)
-    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
-    b = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    a = WeightProfile(1.0, 2.0, 1.0)
+    b = WeightProfile(1.0, 2.0, 1.0)
     params = FlowParams(max_iters=max_iters, grad_tol=1e-6, stall_window=1500)
     # the one- and two-row Newton solves differ in their last digits; the
     # polished results are compared in test_newton_polish_agrees_with_flow
@@ -114,8 +114,8 @@ def test_solves_per_iteration(grid5, monkeypatch, b_coeff, init, rows):
         return solve(self, rhs)
 
     monkeypatch.setattr(TridiagonalOperator, "_solve", counted)
-    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
-    b = WeightProfile.pure_power(1.0, 2.0, b_coeff)
+    a = WeightProfile(1.0, 2.0, 1.0)
+    b = WeightProfile(1.0, 2.0, b_coeff)
     res = descend(a, b, 9.0, grid5,
                   FlowParams(max_iters=20, grad_tol=1e-12, init=init))
     assert res.iterations == 20
@@ -206,8 +206,8 @@ def test_early_polish_agrees_with_flow_at_the_two_row_gap_point(monkeypatch):
     # reaches the switch far from grad_tol; the polish must land on the
     # flow's minimizer, not on a sign-changing critical point
     grid = build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
-    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
-    b = WeightProfile.pure_power(1.0, 4.0, 1.0)
+    a = WeightProfile(1.0, 2.0, 1.0)
+    b = WeightProfile(1.0, 4.0, 1.0)
     params = FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
     accepted = []
     polish = minimizer._newton_polish
@@ -242,8 +242,8 @@ def test_early_polish_agrees_with_flow_at_the_two_row_gap_point(monkeypatch):
 def test_polish_agrees_with_flow_inside_the_existence_interval(k, l, frac, init):
     # a coupling between the gap threshold and lambda_tilde, on a coarse grid
     grid = build_grid(5, 1.0, 400)
-    a = WeightProfile.pure_power(1.0, k, 1.0)
-    b = WeightProfile.pure_power(1.0, l, 1.0)
+    a = WeightProfile(1.0, k, 1.0)
+    b = WeightProfile(1.0, l, 1.0)
     gap, _ = minimizer._gap_threshold(5, k, l, 1.0, 1.0)
     lam = gap + frac * (lambda_tilde(a, b, grid).value - gap)
     params = FlowParams(max_iters=8000, grad_tol=1e-7, stall_window=1500,
@@ -483,9 +483,9 @@ def test_custom_init(grid5, quad_weight):
 
 def test_unit_weight_flow_close_to_continuum(grid5_fine):
     from critvar import bubble_constants
-    from critvar.weights import UNIT_WEIGHT
 
-    s_grid = descend(UNIT_WEIGHT, UNIT_WEIGHT, 0.0, grid5_fine,
+    unit = WeightProfile(1.0)
+    s_grid = descend(unit, unit, 0.0, grid5_fine,
                      FlowParams(max_iters=20000, grad_tol=1e-7)).q_lambda
     # the discrete minimum sits slightly below the continuum constant
     assert s_grid == pytest.approx(bubble_constants(5).s, rel=1e-2)
@@ -518,7 +518,7 @@ def test_sweep_row_never_won_by_its_own_pair():
     # existence-sweep geometry, where re-evaluating a flow's own pair lands
     # a few ulps below the flow's energy; such a row must report the flow
     grid = build_grid(5, 1.0, 1500, grading="geometric", ratio=1.004)
-    w = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    w = WeightProfile(1.0, 2.0, 1.0)
     lams = [9.082466, 11.1759, 13.217633, 15.421775, 17.602526, 19.782147,
             21.931874, 23.945944]
     params = FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
@@ -598,7 +598,7 @@ def test_tangent_is_the_derivative_of_the_branch(request, grid5, quad_weight,
 
 
 def test_continuation_sweep_converges_in_few_iterations(monkeypatch, sweep_grid):
-    w = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    w = WeightProfile(1.0, 2.0, 1.0)
     rows = sweep_minimize(SWEEP_LAMS, w, w, sweep_grid, SWEEP_FLOW)
     assert all(r.result.status == "converged" for r in rows)
     assert sum(r.result.iterations for r in rows) <= 150
@@ -630,7 +630,7 @@ def test_cold_flow_is_finished_by_newton(monkeypatch, sweep_grid, quad_weight):
 
 
 def test_predicted_start_is_never_above_the_warm_start(monkeypatch, sweep_grid):
-    w = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    w = WeightProfile(1.0, 2.0, 1.0)
     _, flows = _recorded_sweep(monkeypatch, SWEEP_LAMS, w, w, sweep_grid,
                                SWEEP_FLOW)
     for (lam0, _, prev), (lam, start, _) in zip(flows, flows[1:]):

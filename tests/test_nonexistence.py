@@ -14,7 +14,7 @@ from conftest import smooth_dirichlet_field
 
 
 def test_tilde_pure_power(grid5):
-    w = WeightProfile.pure_power(1.0, 3.0, 2.0)
+    w = WeightProfile(1.0, 3.0, 2.0)
     t = tilde_weight(w, grid5)
     assert np.allclose(t, 6.0 * grid5.nodes ** 3, rtol=1e-12)
 
@@ -24,13 +24,11 @@ def test_tilde_constant_zero(grid5, unit_weight):
 
 
 def test_tilde_negative_profile(grid5):
-    w = WeightProfile(gamma0=1.0, extra=lambda r: (1.0 - r) ** 2)
+    w = WeightProfile(1.0, 2.0, 0.0, ((0.0, 1.0), (0.0, -0.5)))   # 1 - 0.5 r^3
     t = tilde_weight(w, grid5)
     interior = (grid5.nodes > 0.01) & (grid5.nodes < 0.99)
     assert np.all(t[interior] < 0.0)
-    assert np.allclose(t[interior],
-                       -2.0 * grid5.nodes[interior] * (1.0 - grid5.nodes[interior]),
-                       atol=1e-5)
+    assert np.allclose(t[interior], -1.5 * grid5.nodes[interior] ** 3, atol=1e-5)
 
 
 # --- dilation identity ------------------------------------------------------
@@ -130,7 +128,9 @@ def test_optimal_scaling_matches_golden_section(grid5, quad_weight, rng):
 
 
 def test_omega_minus_inf_flag(grid5, unit_weight):
-    w = WeightProfile(gamma0=1.0, extra=lambda r: (1.0 - r) ** 2)
+    # 1 - r^2 sin(pi r), tabulated: its tilt is negative around r = 1/2
+    r_tab = np.linspace(0.0, 1.0, 201)
+    w = WeightProfile(1.0, 2.0, 0.0, (r_tab, -np.sin(np.pi * r_tab)))
     est = omega_estimate(w, unit_weight, grid5)
     assert est.unbounded_below
     assert est.value == -math.inf
@@ -163,14 +163,15 @@ def test_omega_supercritical_goes_to_zero(grid5_geo, quartic_weight):
 
 
 def test_omega_estimate_builds_the_unit_operator_once(quad_weight, quartic_weight):
-    # the eigenvalue behind the (2, 4) upper bound comes from the package's
-    # one unit weight, whose operator the grid keeps after the first call
+    # the eigenvalue behind the (2, 4) upper bound comes from a unit weight,
+    # whose operator the grid keeps after the first call
     grid = build_grid(5, 1.0, 300)
     omega_estimate(quad_weight, quartic_weight, grid)
-    built = len(grid._operators)
+    assert ("operator", WeightProfile(1.0)) in grid._memo
+    built = len(grid._memo)
     for _ in range(2):
         omega_estimate(quad_weight, quartic_weight, grid)
-        assert len(grid._operators) == built
+        assert len(grid._memo) == built
 
 
 @pytest.mark.parametrize("l, eigen_solves", [(2.0, 0), (4.0, 1)])
@@ -188,8 +189,8 @@ def test_omega_estimate_reads_the_unit_eigenvalue_only_for_an_upper_bound(
         return first_eigenpair(w, grid)
 
     monkeypatch.setattr(critvar.nonexistence, "first_eigenpair", counted)
-    est = omega_estimate(WeightProfile.pure_power(1.0, 2.0, 1.0),
-                         WeightProfile.pure_power(1.0, l, 1.0), build_grid(5, 1.0, 300))
+    est = omega_estimate(WeightProfile(1.0, 2.0, 1.0),
+                         WeightProfile(1.0, l, 1.0), build_grid(5, 1.0, 300))
     assert len(calls) == eigen_solves
     assert (est.upper_bound is not None) == (eigen_solves == 1)
 
@@ -235,8 +236,8 @@ def test_omega_estimate_on_too_coarse_a_grid_is_grid_too_coarse(quad_weight, cel
 
 
 def test_omega_quadratic_respects_tabulated_bounds(grid5):
-    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
-    b = WeightProfile.pure_power(1.0, 4.0, 1.0)
+    a = WeightProfile(1.0, 2.0, 1.0)
+    b = WeightProfile(1.0, 4.0, 1.0)
     est = omega_estimate(a, b, grid5)
     assert est.lower_bound is not None and est.upper_bound is not None
     assert est.lower_bound <= est.value <= est.upper_bound + 1e-8

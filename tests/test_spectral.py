@@ -9,7 +9,7 @@ from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
                      build_grid, coupling_threshold, dirichlet_field,
                      eigenfunction_pair_energy, el_residual, energy,
                      first_eigenpair, integrate, lambda_tilde, sweep_minimize,
-                     weighted_gradient_energy)
+                     tilde_weight, weighted_gradient_energy)
 from critvar.spectral import TridiagonalOperator
 from critvar.errors import IndefiniteWeight, SpectralStall, ThresholdNotReached
 from conftest import smooth_dirichlet_field
@@ -81,7 +81,7 @@ def test_weight_monotonicity_of_eigenvalue(grid5, unit_weight, quad_weight):
     lam_quad = first_eigenpair(quad_weight, grid5).lambda1
     assert lam_quad > lam_unit  # pointwise larger weight, larger eigenvalue
     # constant weight scales linearly
-    lam_scaled = first_eigenpair(WeightProfile.constant(2.0), grid5).lambda1
+    lam_scaled = first_eigenpair(WeightProfile(2.0), grid5).lambda1
     assert lam_scaled == pytest.approx(2.0 * lam_unit, rel=1e-9)
 
 
@@ -95,7 +95,7 @@ def test_rayleigh_quotient_bounds_eigenvalue(grid5, quad_weight, rng):
 
 
 def test_indefinite_weight_rejected(grid5):
-    w = WeightProfile(gamma0=1.0, extra=lambda r: -2.0 * r)   # negative outside
+    w = WeightProfile(1.0, 2.0, 0.0, ((0.0, 1.0), (0.0, -4.0)))   # 1 - 4 r^3 < 0 outside
     with pytest.raises(IndefiniteWeight):
         assemble_operator(w, grid5)
 
@@ -125,7 +125,7 @@ def test_operator_is_built_once_and_read_only(grid5, quad_weight):
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    bad = WeightProfile(gamma0=1.0, extra=lambda r: -2.0 * r)
+    bad = WeightProfile(1.0, 2.0, 0.0, ((0.0, 1.0), (0.0, -4.0)))
     for _ in range(2):                  # a failure is not cached
         with pytest.raises(IndefiniteWeight):
             assemble_operator(bad, grid5)
@@ -159,8 +159,8 @@ def test_each_weight_is_sampled_and_factored_once(monkeypatch, rng):
     # the eigen-solve, a sweep's flows and pool, the energy and the residual
     # all share one operator per (weight, grid)
     grid = build_grid(5, 1.0, 200)
-    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
-    b = WeightProfile.pure_power(1.0, 4.0, 1.0)
+    a = WeightProfile(1.0, 2.0, 1.0)
+    b = WeightProfile(1.0, 4.0, 1.0)
     at_faces, built = [], []
     call, post_init = WeightProfile.__call__, TridiagonalOperator.__post_init__
 
@@ -188,16 +188,26 @@ def test_each_weight_is_sampled_and_factored_once(monkeypatch, rng):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_weight_rejected(bad):
+    # on R = 2, 1e308 r^2 overflows to inf; theta = -1e308 r makes it inf - inf
+    grid = build_grid(5, 2.0, 200)
+    theta = ((0.0, 1.0), (0.0, -1e308 if math.isnan(bad) else 0.0))
+    outer = WeightProfile(1.0, 2.0, 1e308, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(outer(grid.nodes[-1:]), [bad], equal_nan=True)
+        with pytest.raises(IndefiniteWeight):
+            first_eigenpair(outer, grid)
+
+
+def test_equal_weights_share_one_operator_tilt_and_eigen_solve():
+    # a weight is a value: two built apart, one from lists, find one memo entry
     grid = build_grid(5, 1.0, 200)
-    at_nodes = WeightProfile(1.0, 2.0, 1.0,
-                             extra=lambda r: np.where(r > 0.5, bad, 0.0))
-    with pytest.raises(IndefiniteWeight):
-        first_eigenpair(at_nodes, grid)
-    at_faces = WeightProfile(1.0, 2.0, 1.0,
-                             extra=lambda r: np.where(np.isin(r, grid.faces), bad, 0.0))
-    assert np.all(np.isfinite(at_faces(grid.nodes)))
-    with pytest.raises(IndefiniteWeight):
-        assemble_operator(at_faces, grid)
+    table = ((0.0, 0.5, 1.0), (0.0, 0.1, 0.0))
+    a = WeightProfile(1.0, 2.0, 1.0, table)
+    b = WeightProfile(1.0, 2.0, 1.0, [list(t) for t in table])
+    assert a is not b
+    assert assemble_operator(a, grid) is assemble_operator(b, grid)
+    assert tilde_weight(a, grid) is tilde_weight(b, grid)
+    assert first_eigenpair(a, grid) is first_eigenpair(b, grid)
 
 
 @pytest.mark.parametrize("gamma0", [1e-300, 1e300])
@@ -205,8 +215,8 @@ def test_eigenvalue_scales_with_gamma0_at_extreme_scales(gamma0):
     # the iterate and the residual are near 1e+-300 there; squaring them
     # must not over- or underflow
     grid = build_grid(5, 1.0, 200)
-    unit = first_eigenpair(WeightProfile.constant(1.0), grid)
-    res = first_eigenpair(WeightProfile.constant(gamma0), grid)
+    unit = first_eigenpair(WeightProfile(1.0), grid)
+    res = first_eigenpair(WeightProfile(gamma0), grid)
     assert res.lambda1 == pytest.approx(gamma0 * unit.lambda1, rel=1e-9)
     assert np.allclose(res.eigenfunction, unit.eigenfunction, rtol=1e-8, atol=1e-8)
 
@@ -215,7 +225,7 @@ def test_subnormal_conductance_is_an_indefinite_weight():
     # gamma0 = 1e-305 puts the innermost conductances below the smallest
     # normal number, where 1 / c overflows
     with pytest.raises(IndefiniteWeight):
-        first_eigenpair(WeightProfile.constant(1e-305), build_grid(5, 1.0, 200))
+        first_eigenpair(WeightProfile(1e-305), build_grid(5, 1.0, 200))
 
 
 @pytest.mark.parametrize("same", [True, False])
@@ -223,8 +233,8 @@ def test_lambda_tilde_runs_one_iteration_per_distinct_conductance(monkeypatch, s
     # equal weights that are distinct objects assemble to identical c and
     # share one inverse iteration; distinct weights run one each
     grid = build_grid(5, 1.0, 300)
-    a = WeightProfile.pure_power(1.0, 2.0, 1.0)
-    b = WeightProfile.pure_power(1.0, 2.0, 1.0 if same else 2.0)
+    a = WeightProfile(1.0, 2.0, 1.0)
+    b = WeightProfile(1.0, 2.0, 1.0 if same else 2.0)
     solves = []
     solve = TridiagonalOperator.solve
 

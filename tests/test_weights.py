@@ -7,7 +7,7 @@ from critvar import WeightProfile, check_monotonicity_condition
 
 
 def test_pure_power_evaluation():
-    w = WeightProfile.pure_power(2.0, 3.0, 0.5)
+    w = WeightProfile(2.0, 3.0, 0.5)
     r = np.array([0.0, 0.5, 1.0])
     assert np.allclose(w(r), 2.0 + 0.5 * r ** 3, rtol=1e-15)
     assert w(0.0) == 2.0
@@ -15,7 +15,7 @@ def test_pure_power_evaluation():
 
 
 def test_constant_weight():
-    w = WeightProfile.constant(3.0)
+    w = WeightProfile(3.0)
     r = np.linspace(0.0, 2.0, 11)
     assert np.allclose(w(r), 3.0)
     assert np.allclose(w.derivative(r), 0.0)
@@ -23,7 +23,7 @@ def test_constant_weight():
 
 
 def test_power_derivative_exact():
-    w = WeightProfile.pure_power(1.0, 2.0, 4.0)
+    w = WeightProfile(1.0, 2.0, 4.0)
     r = np.linspace(0.0, 1.0, 21)
     assert np.allclose(w.derivative(r), 8.0 * r, rtol=1e-14)
     assert np.allclose(w.radial_tilt(r), 8.0 * r ** 2, rtol=1e-14)
@@ -37,19 +37,23 @@ def test_perturbation_table_interpolated():
     assert np.allclose(w(r), 1.0 + r ** 2 + 0.1 * r ** 3, rtol=1e-12)
 
 
-def test_perturbation_callable_derivative_fd():
-    w = WeightProfile(gamma0=1.0, exponent=2.0, coefficient=1.0,
-                      perturbation=lambda r: 0.1 * r)
+def test_perturbation_table_derivative_fd():
+    # theta(r) = 0.1 r, so w' = 2 r + 0.3 r^2
+    w = WeightProfile(1.0, 2.0, 1.0, ((0.0, 1.0), (0.0, 0.1)))
     r = np.linspace(0.1, 0.9, 9)
     exact = 2.0 * r + 0.3 * r ** 2
     assert np.allclose(w.derivative(r), exact, rtol=1e-8)
 
 
-def test_extra_term():
-    w = WeightProfile(gamma0=1.0, extra=lambda r: (1.0 - r) ** 2)
-    r = np.linspace(0.05, 0.95, 10)
-    assert np.allclose(w(r), 1.0 + (1.0 - r) ** 2, rtol=1e-14)
-    assert np.allclose(w.radial_tilt(r), -2.0 * r * (1.0 - r), rtol=1e-6)
+def test_weights_compare_by_value():
+    # lists, arrays and tuples of the same table make one hashable value
+    table = ((0.0, 0.5, 1.0), (0.0, 0.1, 0.0))
+    w = WeightProfile(1.0, 2.0, 1.0, table)
+    assert w.perturbation == table
+    for same in ([list(t) for t in table], np.array(table)):
+        v = WeightProfile(1.0, 2.0, 1.0, same)
+        assert v == w and hash(v) == hash(w)
+    assert WeightProfile(1.0, 2.0, 1.0, ((0.0, 1.0), (0.0, 0.1))) != w
 
 
 def test_validation():
@@ -61,8 +65,24 @@ def test_validation():
         WeightProfile(gamma0=1.0, coefficient=-1.0)
 
 
+@pytest.mark.parametrize("table", [
+    ((1.0, 0.5, 0.0), (0.0, 0.5, 0.0)),     # np.interp once read it as theta = 0
+    ((0.0, 0.5, 0.5), (0.0, 0.1, 0.2)),
+    ((0.0, 1.0), (0.5, 0.5)),               # theta(0) = 0.5: really 1 + 1.5 r^2
+    ((0.5, 1.0), (0.1, 0.0)),               # read as theta = 0.1 at r = 0
+    ((0.0, np.nan), (0.0, 0.1)),
+    ((0.0, 1.0), (0.0, np.inf)),
+    ((0.0, 1.0), (0.0,)),
+    ((), ()),
+], ids=["decreasing", "repeated", "theta0-nonzero", "theta0-clamped", "nan",
+        "inf", "lengths", "empty"])
+def test_bad_perturbation_table_rejected(table):
+    with pytest.raises(ValueError):
+        WeightProfile(1.0, 2.0, 1.0, table)
+
+
 def test_monotonicity_pure_power_holds(grid5):
-    w = WeightProfile.pure_power(1.0, 2.0, 1.0)
+    w = WeightProfile(1.0, 2.0, 1.0)
     rep = check_monotonicity_condition(w, grid5)
     assert rep.holds
     assert abs(rep.worst_gap) < 1e-10
@@ -70,8 +90,7 @@ def test_monotonicity_pure_power_holds(grid5):
 
 def test_monotonicity_fails_on_downward_tilt(grid5):
     # growth r^2 (1 - 0.9 r): tilt falls short of the power-law tilt
-    w = WeightProfile(gamma0=1.0, exponent=2.0, coefficient=1.0,
-                      perturbation=lambda r: -0.9 * r)
+    w = WeightProfile(1.0, 2.0, 1.0, ((0.0, 1.0), (0.0, -0.9)))
     rep = check_monotonicity_condition(w, grid5)
     assert not rep.holds
     assert rep.worst_gap > 0.0
