@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 from .asymptotics import (BubbleParams, ExpansionFit, ExpansionPrediction,
                           bubble_field, default_eps_ladder, energy_curves,
                           expansion_prediction, fit_expansion)
-from .constants import (BubbleConstants, Thresholds, bubble_constants,
+from .constants import (BubbleConstants, Case, bubble_constants, case_of,
                         correction_constant, radial_moment,
-                        radial_moment_quadrature, slope_factor, thresholds)
+                        radial_moment_quadrature, slope_factor)
 from .energy import (EnergyReport, FieldPair, critical_exponent,
                      dirichlet_field, energy, lq_norm,
                      weighted_gradient_energy)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (bubble_constants, correction_constant, quadratic_part,
-                        thresholds)
+from .constants import Case, bubble_constants, correction_constant
 from .energy import _pair_terms
 from .errors import (FitFailure, NumericFault, OutsideTable,
                      UnderResolvedBubble)
@@ -145,34 +144,28 @@ SCALE_EPS_POW = "eps_pow"
 class ExpansionPrediction:
     scale: str               # one of the SCALE_* labels
     power: float             # exponent of eps in the scale variable
-    coeff: float | None      # None when only the scale is predicted
+    coeff: float
     regime: str
 
 
-def expansion_prediction(
-    dim: int,
-    k: float,
-    l: float,
-    a_k: float,
-    b_l: float,
-    lam: float,
-) -> ExpansionPrediction:
-    """Predicted correction scale and signed coefficient per regime.
+def expansion_prediction(case: Case, lam: float) -> ExpansionPrediction:
+    """Predicted correction scale and signed coefficient of the case
+    table's row at coupling lam.
 
     Regimes with a sub-quadratic exponent in dimension >= 5, or with both
     exponents sub-quadratic in dimension 4, are outside the table.
     """
+    dim, k, l = case.dim, case.k, case.l
     const = bubble_constants(dim)
-    if k >= 2 and l >= 2:
-        shift = thresholds(dim, quadratic_part(k, a_k), quadratic_part(l, b_l)).gamma_n
+    if case.gap is not None:                    # both exponents >= 2
         kl = f"k{'=' if k == 2 else '>'}2,l{'=' if l == 2 else '>'}2"
         if dim >= 5:
             return ExpansionPrediction(scale=SCALE_EPS, power=1.0,
-                                       coeff=-(lam - shift) * const.k3 / const.k2,
+                                       coeff=-(lam - case.gap) * const.k3 / const.k2,
                                        regime="dim>=5," + kl)
         # dimension 4: the L2 mass of the profile carries a logarithm
         return ExpansionPrediction(scale=SCALE_EPS_LOG, power=1.0,
-                                   coeff=-(lam - shift) * const.sigma / const.k2,
+                                   coeff=-(lam - case.gap) * const.sigma / const.k2,
                                    regime="dim=4," + kl)
     if dim >= 5:
         raise OutsideTable(f"no expansion row for N = {dim} with exponent below 2")
@@ -180,7 +173,7 @@ def expansion_prediction(
         raise OutsideTable("no expansion row for N = 4 with both exponents below 2")
     # one sub-quadratic exponent dominates with scale eps^(power/2); the
     # coefficient row is used for scale detection only
-    p, coeff_w = (k, a_k) if k < 2 else (l, b_l)
+    p, coeff_w = (k, case.a_k) if k < 2 else (l, case.b_l)
     c_p = correction_constant(4, coeff_w, p)
     return ExpansionPrediction(
         scale=SCALE_EPS_POW, power=p / 2.0, coeff=c_p / const.k2,

@@ -1,4 +1,4 @@
-"""Closed-form constants of the concentration profile and their thresholds.
+"""Closed-form constants of the concentration profile, and the case table.
 
 Everything here reduces to moments of the standard profile 1/(1+r^2):
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import BadDomain, DivergentIntegral, LogScaledRegime
 from .grid import unit_sphere_area
+from .weights import WeightProfile
 
 
 def radial_moment(s: float, p: float) -> float:
@@ -98,42 +99,63 @@ def correction_constant(dim: int, coeff: float, exponent: float) -> float:
     return (dim - 2) ** 2 * coeff * sigma * radial_moment(dim + exponent + 1, dim)
 
 
-def quadratic_part(exponent: float, coeff: float) -> float:
-    """r^2 coefficient of the growth coeff * r^exponent: coeff at exponent 2,
-    else 0."""
-    return coeff if exponent == 2 else 0.0
-
-
 def slope_factor(dim: int) -> float:
     """m_N = N(N-2)(N+2) / (8(N-1)), the quadratic-weight threshold factor."""
     return dim * (dim - 2) * (dim + 2) / (8.0 * (dim - 1))
 
 
 @dataclass(frozen=True)
-class Thresholds:
-    """Coupling thresholds above which the concentration-test energy drops
-    below gamma0 * S, per weight-exponent regime."""
+class Case:
+    """One row of the case table: dimension N >= 4, each weight's growth
+    exponent (k, l) and r^k, r^l coefficient (a_k, b_l).  A constant weight
+    is exponent inf with coefficient 0 (see case_of), so two constant
+    weights give one row whatever their unused exponents."""
 
     dim: int
-    m_n: float
-    gamma_n: float          # both exponents = 2
-    gamma_tilde_a: float    # only the first exponent = 2
-    gamma_tilde_b: float    # only the second exponent = 2
+    k: float
+    l: float
+    a_k: float
+    b_l: float
+
+    def __post_init__(self):
+        if self.dim < 4:
+            raise BadDomain(f"the case table is defined for N >= 4, got {self.dim}")
+        if not (0.0 <= self.a_k < math.inf and 0.0 <= self.b_l < math.inf):
+            raise ValueError("growth coefficients must be nonnegative and finite")
+
+    @property
+    def _factor(self) -> float:
+        """m_N, or 1 at N = 4 (the eps*|ln eps| balance there)."""
+        return 1.0 if self.dim == 4 else slope_factor(self.dim)
+
+    # A2 and B2, each weight's r^2 coefficient: a_k at k = 2, else 0
+    _a2 = property(lambda self: self.a_k if self.k == 2 else 0.0)
+    _b2 = property(lambda self: self.b_l if self.l == 2 else 0.0)
+    # the coupling thresholds of constants.csv; above threshold_both the
+    # concentration-test energy drops below gamma0 * S
+    threshold_first = property(lambda self: self._factor * self._a2)
+    threshold_second = property(lambda self: self._factor * self._b2)
+    threshold_both = property(lambda self: self._factor * (self._a2 + self._b2))
+
+    @property
+    def name(self) -> str | None:
+        """The row's name; None where an exponent is below 2."""
+        if self.k < 2 or self.l < 2:
+            return None
+        if self.k == 2:
+            return "quadratic-both" if self.l == 2 else "quadratic-first"
+        return "quadratic-second" if self.l == 2 else "supercritical-powers"
+
+    @property
+    def gap(self) -> float | None:
+        """The coupling above which the concentration-test energy certifies
+        a gap below gamma0 * S; None outside the table."""
+        return None if self.name is None else self.threshold_both
 
 
-def thresholds(dim: int, a2: float, b2: float) -> Thresholds:
-    """Thresholds for dimension N >= 4; the N = 4 case replaces the factor
-    m_N by 1 (the eps*|ln eps| balance there)."""
-    if dim < 4:
-        raise BadDomain(f"thresholds are defined for N >= 4, got {dim}")
-    if a2 < 0.0 or b2 < 0.0:
-        raise ValueError("quadratic coefficients must be nonnegative")
-    m_n = slope_factor(dim)
-    factor = 1.0 if dim == 4 else m_n
-    return Thresholds(
-        dim=dim,
-        m_n=m_n,
-        gamma_n=factor * (a2 + b2),
-        gamma_tilde_a=factor * a2,
-        gamma_tilde_b=factor * b2,
-    )
+def case_of(dim: int, a: WeightProfile, b: WeightProfile) -> Case:
+    """The case-table row of the weights a and b in dimension dim; a constant
+    weight has no growth and acts as an arbitrarily large exponent."""
+    (k, a_k), (l, b_l) = ((math.inf, 0.0) if w.coefficient == 0.0
+                          else (w.exponent, w.coefficient) for w in (a, b))
+    return Case(dim, k, l, a_k, b_l)

@@ -88,8 +88,8 @@ class RadialGrid:
 
 
 def _geometric_nodes(radius: float, n: int, ratio: float) -> np.ndarray:
-    if ratio <= 0.0 or ratio == 1.0:
-        raise BadDomain("geometric grading needs a positive ratio != 1")
+    if not 0.0 < ratio < math.inf or ratio == 1.0:
+        raise BadDomain("geometric grading needs a positive finite ratio != 1")
     h0 = radius * (ratio - 1.0) / (ratio ** n - 1.0)
     spacings = h0 * ratio ** np.arange(n)
     nodes = np.concatenate(([0.0], np.cumsum(spacings)))
@@ -112,8 +112,8 @@ def build_grid(
     """
     if dim < 2:
         raise BadDomain(f"dimension must be >= 2, got {dim}")
-    if radius <= 0.0:
-        raise BadDomain(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise BadDomain(f"radius must be positive and finite, got {radius}")
     if n < MIN_NODES:
         raise GridTooCoarse(f"need at least {MIN_NODES} cells, got {n}")
 

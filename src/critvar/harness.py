@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (default_eps_ladder, energy_curves,
                           expansion_prediction, fit_expansion)
-from .constants import bubble_constants, quadratic_part, slope_factor, thresholds
+from .constants import bubble_constants, case_of, slope_factor
 from .errors import (ConfigError, EmptyReport, IoError, LogScaledRegime,
                      OutsideTable, UnderResolvedBubble)
 from .grid import RadialGrid, build_grid
@@ -82,8 +82,16 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    """A float key's reader: every number of the format is finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
+
+
 def _floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split())
+    return tuple(map(_finite, text.split()))
 
 
 def _words(text: str) -> tuple:
@@ -102,20 +110,20 @@ def _boolean(text: str) -> bool:
 # required key; None an optional one, written only when set.  The two
 # weight sections share one row set; a [flow] key is read by its
 # FlowParams field's annotation (a string).
-_FLOW_TYPES = {"float": float, "int": int, "str": str}
-_WEIGHT_FORMAT = {"gamma0": (float, MISSING), "exponent": (float, 2.0),
-                  "coefficient": (float, 0.0), "perturbation_r": (_floats, None),
+_FLOW_TYPES = {"float": _finite, "int": int, "str": str}
+_WEIGHT_FORMAT = {"gamma0": (_finite, MISSING), "exponent": (_finite, 2.0),
+                  "coefficient": (_finite, 0.0), "perturbation_r": (_floats, None),
                   "perturbation_theta": (_floats, None)}
 _FORMAT = {
     "domain": {"schema": (int, SCHEMA_VERSION), "dimension": (int, MISSING),
-               "radius": (float, 1.0), "cells": (int, 2000),
+               "radius": (_finite, 1.0), "cells": (int, 2000),
                "grading": (str, "uniform"), "mode": (str, "theorem"),
-               "ratio": (float, None)},
+               "ratio": (_finite, None)},
     "weights.a": _WEIGHT_FORMAT,
     "weights.b": _WEIGHT_FORMAT,
     "flow": {f.name: (_FLOW_TYPES[f.type], f.default) for f in fields(FlowParams)},
-    "sweep": {"lambdas": (_floats, None), "start": (float, None),
-              "stop": (float, None), "step": (float, None)},
+    "sweep": {"lambdas": (_floats, None), "start": (_finite, None),
+              "stop": (_finite, None), "step": (_finite, None)},
     "output": {"directory": (str, "out"), "analyses": (_words, ANALYSES),
                "plots": (_boolean, False)},
 }
@@ -163,8 +171,8 @@ def _couplings(lambdas, start, stop, step) -> tuple:
         return () if lambdas is None else lambdas
     if lambdas is not None:
         raise ValueError("takes either 'lambdas' or a range, not both")
-    if None in span or not all(map(math.isfinite, span)) or step <= 0.0:
-        raise ValueError("a range needs finite start, stop, and positive step")
+    if None in span or step <= 0.0:
+        raise ValueError("a range needs start, stop, and positive step")
     count = int(math.floor((stop - start) / step + 1e-12)) + 1
     return tuple(start + i * step for i in range(max(count, 0)))
 
@@ -237,14 +245,6 @@ class RunReport:
     minimize_results: dict          # lam -> MinimizeResult, for callers
 
 
-def _exponent_regime(w: WeightProfile) -> tuple[float, float]:
-    """(effective exponent, coefficient); a constant weight has no growth
-    and behaves like an arbitrarily large exponent."""
-    if w.coefficient == 0.0:
-        return math.inf, 0.0
-    return w.exponent, w.coefficient
-
-
 def run(scenario: Scenario, jobs: int = 1) -> RunReport:
     """Execute the requested analyses in dependency order.
 
@@ -263,8 +263,8 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                           f"{' '.join(sorted(wanted - _BELOW_N4))} need N >= 4")
     grid = scenario.build_grid()
     a, b = scenario.weight_a, scenario.weight_b
-    k, a_k = _exponent_regime(a)
-    l, b_l = _exponent_regime(b)
+    # the case table's row; below N = 4 only eig and omega run, and neither reads it
+    case = case_of(scenario.dimension, a, b) if scenario.dimension >= 4 else None
     failures: list[str] = []
     tables = {name: [] for name in ANALYSES}
 
@@ -274,15 +274,14 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
             k3 = const.k3
         except LogScaledRegime:
             k3 = float("nan")
-        thr = thresholds(scenario.dimension, quadratic_part(k, a_k), quadratic_part(l, b_l))
         tables["constants"].append({
             "dimension": scenario.dimension,
             "k1": const.k1, "k2": const.k2, "k3": k3,
             "sobolev_s": const.s, "sphere_area": const.sigma,
             "slope_factor": slope_factor(scenario.dimension),
-            "threshold_both": thr.gamma_n,
-            "threshold_first": thr.gamma_tilde_a,
-            "threshold_second": thr.gamma_tilde_b,
+            "threshold_both": case.threshold_both,
+            "threshold_first": case.threshold_first,
+            "threshold_second": case.threshold_second,
         })
 
     # eigenpairs are needed by minimize verdicts even when not requested
@@ -319,9 +318,8 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
         for row in sweep_minimize(scenario.lambdas, a, b, grid, scenario.flow):
             res = row.result
             results[row.lam] = res
-            verdict = existence_verdict(scenario.dimension, k, l, a_k, b_l, row.lam,
-                                        spec.value, omega_estimate=omega_certified)
-            gap_thr = verdict.thresholds_used["gap_threshold"]
+            verdict = existence_verdict(case, row.lam, spec.value,
+                                        omega_estimate=omega_certified)
             tables["minimize"].append({
                 "lambda": row.lam,
                 "q_lambda": res.q_lambda,
@@ -334,7 +332,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                 "case_id": verdict.case_id,
                 "verdict": verdict.verdict,
                 "lambda_tilde": spec.value,
-                "gap_threshold": math.nan if gap_thr is None else gap_thr,
+                "gap_threshold": math.nan if case.gap is None else case.gap,
                 "omega": math.nan if omega_value is None else omega_value,
             })
 
@@ -344,8 +342,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
         cutoff = grid.radius / 2.0
         try:
             ladder = default_eps_ladder(grid, cutoff)
-            preds = [expansion_prediction(scenario.dimension, k, l, a_k, b_l, lam)
-                     for lam in scenario.lambdas]
+            preds = [expansion_prediction(case, lam) for lam in scenario.lambdas]
         except UnderResolvedBubble as exc:
             failures.append(f"asymptotics: {exc}")
         except OutsideTable as exc:
@@ -361,7 +358,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
             for lam, pred, fit in zip(scenario.lambdas, preds, fits):
                 tables["asymptotics"].append({
                     "lambda": lam, "scale": pred.scale, "power": pred.power,
-                    "predicted_coeff": math.nan if pred.coeff is None else pred.coeff,
+                    "predicted_coeff": pred.coeff,
                     "fitted_coeff": fit.leading_coeff,
                     "intercept": fit.intercept, "r_squared": fit.r_squared,
                     "regime": pred.regime,

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .constants import quadratic_part, thresholds
+from .constants import Case
 from .energy import (FieldPair, critical_exponent, dirichlet_field, energy,
                      weighted_gradient_energy)
 from .errors import BadSpectrum, DegeneratePair, NumericFault
@@ -91,8 +91,12 @@ class FlowParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.grad_tol <= 0.0:
-            raise ValueError("step and grad_tol must be positive")
+        if not (0.0 < self.step < math.inf and 0.0 < self.grad_tol < math.inf):
+            raise ValueError("step and grad_tol must be positive and finite")
+        if self.max_iters < 1 or self.stall_window < 1:
+            raise ValueError("max_iters and stall_window must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.init not in ("bubble", "eigenfunction", "random"):
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -699,34 +703,11 @@ class ExistenceVerdict:
     case_id: str
     verdict: str               # achieved_by_theorem | energy_gap_only |
     #                            no_minimizer_by_theorem | outside_theory
-    thresholds_used: dict
 
 
-_CASES = {(True, True): "quadratic-both", (True, False): "quadratic-first",
-          (False, True): "quadratic-second", (False, False): "supercritical-powers"}
-
-
-def _gap_threshold(dim, k, l, a_k, b_l):
-    """(threshold, case name): the coupling above which the
-    concentration-test energy certifies a gap below gamma0 * S, and the
-    case table's row; (None, None) where the table has no row."""
-    if k < 2 or l < 2:
-        return None, None
-    thr = thresholds(dim, quadratic_part(k, a_k), quadratic_part(l, b_l))
-    return thr.gamma_n, _CASES[k == 2, l == 2]
-
-
-def existence_verdict(
-    dim: int,
-    k: float,
-    l: float,
-    a_k: float,
-    b_l: float,
-    lam: float,
-    lam_tilde: float,
-    omega_estimate: float | None = None,
-) -> ExistenceVerdict:
-    """Pure case dispatch of one parameter point against the case table.
+def existence_verdict(case: Case, lam: float, lam_tilde: float,
+                      omega_estimate: float | None = None) -> ExistenceVerdict:
+    """Pure dispatch of one coupling against the case table's row.
 
     omega_estimate, when given, must be a certified lower bound on the
     quotient infimum (couplings at or below it admit no minimizer); an
@@ -734,21 +715,15 @@ def existence_verdict(
     """
     if lam_tilde <= 0.0 or not np.isfinite(lam_tilde):
         raise BadSpectrum(f"first eigenvalue must be positive, got {lam_tilde}")
-    gap_thr, name = _gap_threshold(dim, k, l, a_k, b_l)
-    used = {
-        "lambda_tilde": lam_tilde,
-        "gap_threshold": gap_thr,
-        "omega": omega_estimate,
-    }
-
     if omega_estimate is not None and lam <= omega_estimate:
         return ExistenceVerdict("nonexistence.coupling-below-omega",
-                                "no_minimizer_by_theorem", used)
+                                "no_minimizer_by_theorem")
+    name, gap = case.name, case.gap
     if name is None:
-        return ExistenceVerdict("outside", "outside_theory", used)
+        return ExistenceVerdict("outside", "outside_theory")
     # at N = 4 only the supercritical case's existence is proved
-    if (dim >= 5 or name == "supercritical-powers") and gap_thr < lam < lam_tilde:
-        return ExistenceVerdict("existence." + name, "achieved_by_theorem", used)
-    if lam > gap_thr:
-        return ExistenceVerdict("gap." + name, "energy_gap_only", used)
-    return ExistenceVerdict("outside", "outside_theory", used)
+    if (case.dim >= 5 or name == "supercritical-powers") and gap < lam < lam_tilde:
+        return ExistenceVerdict("existence." + name, "achieved_by_theorem")
+    if lam > gap:
+        return ExistenceVerdict("gap." + name, "energy_gap_only")
+    return ExistenceVerdict("outside", "outside_theory")

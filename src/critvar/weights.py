@@ -24,11 +24,12 @@ _MONOTONICITY_ABS = 1e-8    # slack in the weight-derivative inequality
 class WeightProfile:
     """Weight w(r) = gamma0 + coefficient * r^exponent + r^exponent * theta(r).
 
-    coefficient = 0 degenerates to a constant weight (the "exponent
-    effectively infinite" situation).  `perturbation` is None (theta = 0)
-    or a (radii, theta values) table, linearly interpolated and held as
-    two tuples of floats: equally long, finite, strictly increasing radii,
-    and theta = 0 at r = 0.
+    gamma0 and exponent are positive and coefficient is nonnegative, all
+    finite; coefficient = 0 degenerates to a constant weight (the
+    "exponent effectively infinite" situation, see constants.case_of).
+    `perturbation` is None (theta = 0) or a (radii, theta values) table,
+    linearly interpolated and held as two tuples of floats: equally long,
+    finite, strictly increasing radii, and theta = 0 at r = 0.
     """
 
     gamma0: float
@@ -37,12 +38,12 @@ class WeightProfile:
     perturbation: tuple | None = None
 
     def __post_init__(self):
-        if self.gamma0 <= 0.0:
-            raise ValueError("gamma0 must be positive")
-        if self.exponent <= 0.0:
-            raise ValueError("exponent must be positive")
-        if self.coefficient < 0.0:
-            raise ValueError("coefficient must be nonnegative")
+        if not 0.0 < self.gamma0 < math.inf:
+            raise ValueError("gamma0 must be positive and finite")
+        if not 0.0 < self.exponent < math.inf:
+            raise ValueError("exponent must be positive and finite")
+        if not 0.0 <= self.coefficient < math.inf:
+            raise ValueError("coefficient must be nonnegative and finite")
         if self.perturbation is None:
             return
         r_tab, th_tab = (tuple(map(float, t)) for t in self.perturbation)

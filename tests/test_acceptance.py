@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from critvar import (FieldPair, FlowParams, WeightProfile, bubble_constants,
-                     build_grid, correction_constant, coupling_threshold,
-                     descend, dirichlet_field, eigenfunction_pair_energy,
-                     energy, energy_curves, existence_verdict, first_eigenpair,
-                     fit_expansion, hardy_check, lagrange_multipliers,
-                     lambda_tilde, lq_norm, omega_bounds, omega_estimate,
-                     pohozaev_report, radial_moment_quadrature, slope_factor,
-                     sweep_minimize, thresholds, unit_sphere_area)
+                     build_grid, case_of, correction_constant,
+                     coupling_threshold, descend, dirichlet_field,
+                     eigenfunction_pair_energy, energy, energy_curves,
+                     existence_verdict, first_eigenpair, fit_expansion,
+                     hardy_check, lagrange_multipliers, lambda_tilde, lq_norm,
+                     omega_bounds, omega_estimate, pohozaev_report,
+                     radial_moment_quadrature, slope_factor, sweep_minimize,
+                     unit_sphere_area)
 from conftest import smooth_dirichlet_field
 
 QUAD = WeightProfile(1.0, 2.0, 1.0)     # gamma0 + r^2
@@ -86,13 +87,12 @@ def test_criterion_02_threshold_factors():
         assert slope_factor(dim) == pytest.approx(m, rel=1e-15)
     # the both-quadratic threshold m_N (A2 + B2) is what the verdict uses
     a2, b2 = 1.5, 0.5
-    thr = thresholds(5, a2, b2)
-    assert thr.gamma_n == pytest.approx(105.0 / 32.0 * (a2 + b2), rel=1e-15)
-    v = existence_verdict(5, 2.0, 2.0, a2, b2, lam=thr.gamma_n + 0.1,
-                          lam_tilde=1e6)
+    case = case_of(5, WeightProfile(1.0, 2.0, a2), WeightProfile(1.0, 2.0, b2))
+    assert case.threshold_both == pytest.approx(105.0 / 32.0 * (a2 + b2), rel=1e-15)
+    v = existence_verdict(case, lam=case.threshold_both + 0.1, lam_tilde=1e6)
     assert v.verdict == "achieved_by_theorem"
-    assert v.thresholds_used["gap_threshold"] == pytest.approx(thr.gamma_n)
-    assert existence_verdict(5, 2.0, 2.0, a2, b2, lam=thr.gamma_n - 0.1,
+    assert case.gap == pytest.approx(case.threshold_both)
+    assert existence_verdict(case, lam=case.threshold_both - 0.1,
                              lam_tilde=1e6).verdict != "achieved_by_theorem"
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import critvar.asymptotics
-from critvar import (BubbleParams, FieldPair, WeightProfile,
+from critvar import (BubbleParams, Case, FieldPair, WeightProfile,
                      bubble_constants, bubble_field, correction_constant,
                      default_eps_ladder, energy, energy_curves,
                      expansion_prediction, fit_expansion, lq_norm, slope_factor,
@@ -140,7 +140,7 @@ def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, monkeypatch
 
 def test_prediction_quadratic_both_dim5():
     c = bubble_constants(5)
-    pred = expansion_prediction(5, 2.0, 2.0, 1.0, 1.0, 10.0)
+    pred = expansion_prediction(Case(5, 2.0, 2.0, 1.0, 1.0), 10.0)
     assert pred.scale == "eps"
     assert pred.coeff == pytest.approx(-(10.0 - 105.0 / 16.0) * c.k3 / c.k2,
                                        rel=1e-12)
@@ -148,26 +148,26 @@ def test_prediction_quadratic_both_dim5():
 
 def test_prediction_supercritical_dim5():
     c = bubble_constants(5)
-    pred = expansion_prediction(5, 4.0, 3.0, 1.0, 1.0, 7.0)
+    pred = expansion_prediction(Case(5, 4.0, 3.0, 1.0, 1.0), 7.0)
     assert pred.coeff == pytest.approx(-7.0 * c.k3 / c.k2, rel=1e-12)
 
 
 def test_prediction_mixed_dim5():
     c = bubble_constants(5)
     m5 = slope_factor(5)
-    pred = expansion_prediction(5, 2.0, 4.0, 2.0, 1.0, 10.0)
+    pred = expansion_prediction(Case(5, 2.0, 4.0, 2.0, 1.0), 10.0)
     assert pred.coeff == pytest.approx(-(10.0 - 2.0 * m5) * c.k3 / c.k2, rel=1e-12)
 
 
 def test_prediction_dim4_log_scale_sign():
-    pred_lo = expansion_prediction(4, 2.0, 4.0, 1.0, 1.0, 0.5)
-    pred_hi = expansion_prediction(4, 2.0, 4.0, 1.0, 1.0, 2.0)
+    pred_lo = expansion_prediction(Case(4, 2.0, 4.0, 1.0, 1.0), 0.5)
+    pred_hi = expansion_prediction(Case(4, 2.0, 4.0, 1.0, 1.0), 2.0)
     assert pred_lo.scale == "eps_log_eps" == pred_hi.scale
     assert pred_lo.coeff > 0.0 > pred_hi.coeff  # sign flips at lam = A2
 
 
 def test_prediction_dim4_subquadratic_scale_only():
-    pred = expansion_prediction(4, 1.5, 2.0, 1.0, 1.0, 3.0)
+    pred = expansion_prediction(Case(4, 1.5, 2.0, 1.0, 1.0), 3.0)
     assert pred.scale == "eps_pow"
     assert pred.power == pytest.approx(0.75)
     assert pred.coeff == pytest.approx(
@@ -176,9 +176,9 @@ def test_prediction_dim4_subquadratic_scale_only():
 
 def test_prediction_outside_table():
     with pytest.raises(OutsideTable):
-        expansion_prediction(5, 1.5, 2.0, 1.0, 1.0, 3.0)
+        expansion_prediction(Case(5, 1.5, 2.0, 1.0, 1.0), 3.0)
     with pytest.raises(OutsideTable):
-        expansion_prediction(4, 1.5, 1.0, 1.0, 1.0, 3.0)
+        expansion_prediction(Case(4, 1.5, 1.0, 1.0, 1.0), 3.0)
 
 
 # --- fitting ----------------------------------------------------------------

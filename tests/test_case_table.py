@@ -2,16 +2,19 @@
 
 Every (N, k, l) with N in {4, 5, 6} and exponents in {1.5, 2, 3, constant}
 is listed with what `existence_verdict` and `expansion_prediction` return
-for it.  A constant weight enters as exponent inf with coefficient 0, as
-the harness passes it; the first weight's r^k coefficient is 0.75 and the
-second's r^l coefficient is 1.25, so that the two quadratic parts differ.
+for it.  Each row is built by `case_of` from two weight profiles, as the
+harness builds it; an exponent of inf in a key stands for the constant
+weight `WeightProfile(1.0)`.  The first weight's r^k coefficient is 0.75
+and the second's r^l coefficient is 1.25, so that the two quadratic parts
+differ.
 """
 
 import math
 
 import pytest
 
-from critvar import existence_verdict, expansion_prediction
+from critvar import (Case, WeightProfile, case_of, existence_verdict,
+                     expansion_prediction)
 from critvar.errors import BadDomain, OutsideTable
 
 INF = math.inf
@@ -135,8 +138,11 @@ _VERDICT_CODES = {"e": "achieved_by_theorem", "g": "energy_gap_only",
                   "o": "outside_theory"}
 
 
-def _coefficients(k, l):
-    return 0.0 if k == INF else A_K, 0.0 if l == INF else B_L
+def _case(dim, k, l):
+    """The row of the key (N, k, l), an exponent inf a constant weight."""
+    a = WeightProfile(1.0) if k == INF else WeightProfile(1.0, k, A_K)
+    b = WeightProfile(1.0) if l == INF else WeightProfile(1.0, l, B_L)
+    return case_of(dim, a, b)
 
 
 def _couplings(gap):
@@ -149,35 +155,43 @@ def _couplings(gap):
 @pytest.mark.parametrize("dim,k,l", list(VERDICTS))
 def test_existence_verdict_row(dim, k, l):
     name, gap, codes = VERDICTS[dim, k, l]
-    a_k, b_l = _coefficients(k, l)
+    case = _case(dim, k, l)
+    assert (case.name, case.gap) == (name, gap)
     for lam, code in zip(_couplings(gap), codes):
-        v = existence_verdict(dim, k, l, a_k, b_l, lam, LAMBDA_TILDE)
+        v = existence_verdict(case, lam, LAMBDA_TILDE)
         verdict = _VERDICT_CODES[code]
         case_id = {"e": f"existence.{name}", "g": f"gap.{name}",
                    "o": "outside"}[code]
         assert (v.case_id, v.verdict) == (case_id, verdict), lam
-        assert v.thresholds_used["gap_threshold"] == gap
 
 
 @pytest.mark.parametrize("dim,k,l", list(EXPANSIONS))
 def test_expansion_prediction_row(dim, k, l):
     expected = EXPANSIONS[dim, k, l]
-    a_k, b_l = _coefficients(k, l)
+    case = _case(dim, k, l)
     if isinstance(expected, str):
         with pytest.raises(OutsideTable, match=f"^{expected}$"):
-            expansion_prediction(dim, k, l, a_k, b_l, 0.0)
+            expansion_prediction(case, 0.0)
         return
     scale, power, regime, coeff_0, coeff_10 = expected
     for lam, coeff in ((0.0, coeff_0), (10.0, coeff_10)):
-        pred = expansion_prediction(dim, k, l, a_k, b_l, lam)
+        pred = expansion_prediction(case, lam)
         assert (pred.scale, pred.power, pred.regime) == (scale, power, regime)
         assert pred.coeff == pytest.approx(coeff, rel=1e-13, abs=1e-12)
 
 
+def test_constant_weights_share_one_row():
+    # a constant weight's exponent is unused, so it does not enter the row
+    case = case_of(5, WeightProfile(1.0, 3.0), WeightProfile(1.0, 1.5))
+    assert case == case_of(5, WeightProfile(1.0), WeightProfile(1.0, 7.0))
+    assert case == Case(5, INF, INF, 0.0, 0.0)
+    assert hash(case) == hash(Case(5, INF, INF, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_below_n4_both_tables_raise_bad_domain(dim):
-    # the constants and thresholds behind both tables are defined for N >= 4
+    # the row both tables read is defined for N >= 4
     with pytest.raises(BadDomain):
-        existence_verdict(dim, 3.0, 3.0, 0.75, 1.25, 1.0, LAMBDA_TILDE)
+        case_of(dim, WeightProfile(1.0, 3.0, 0.75), WeightProfile(1.0, 3.0, 1.25))
     with pytest.raises(BadDomain):
-        expansion_prediction(dim, 2.0, 2.0, 1.0, 1.0, 1.0)
+        case_of(dim, WeightProfile(1.0, 2.0, 1.0), WeightProfile(1.0, 2.0, 1.0))

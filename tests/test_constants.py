@@ -1,4 +1,4 @@
-"""Closed-form profile moments, derived constants, and thresholds."""
+"""Closed-form profile moments, derived constants, and the case thresholds."""
 
 import math
 import os
@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import critvar
-from critvar import (bubble_constants, correction_constant, radial_moment,
-                     radial_moment_quadrature, slope_factor, thresholds)
+from critvar import (Case, bubble_constants, correction_constant,
+                     radial_moment, radial_moment_quadrature, slope_factor)
 from critvar.errors import BadDomain, DivergentIntegral, LogScaledRegime
 
 
@@ -129,22 +129,25 @@ def test_slope_factor_exact():
 
 
 def test_thresholds_wiring():
-    thr = thresholds(5, 1.0, 1.0)
-    assert thr.gamma_n == pytest.approx(105.0 / 16.0, rel=1e-15)
-    assert thr.gamma_tilde_a == pytest.approx(105.0 / 32.0, rel=1e-15)
-    assert thr.gamma_tilde_b == pytest.approx(105.0 / 32.0, rel=1e-15)
+    case = Case(5, 2.0, 2.0, 1.0, 1.0)
+    assert case.threshold_both == pytest.approx(105.0 / 16.0, rel=1e-15)
+    assert case.threshold_first == pytest.approx(105.0 / 32.0, rel=1e-15)
+    assert case.threshold_second == pytest.approx(105.0 / 32.0, rel=1e-15)
 
 
 def test_thresholds_dim4_unit_factor():
-    thr = thresholds(4, 1.0, 2.0)
-    assert thr.gamma_n == pytest.approx(3.0, rel=1e-15)
-    assert thr.gamma_tilde_a == pytest.approx(1.0, rel=1e-15)
-    assert thr.gamma_tilde_b == pytest.approx(2.0, rel=1e-15)
-    assert thr.m_n == 2.0
+    case = Case(4, 2.0, 2.0, 1.0, 2.0)
+    assert case.threshold_both == pytest.approx(3.0, rel=1e-15)
+    assert case.threshold_first == pytest.approx(1.0, rel=1e-15)
+    assert case.threshold_second == pytest.approx(2.0, rel=1e-15)
+    assert slope_factor(case.dim) == 2.0
 
 
 def test_threshold_validation():
     with pytest.raises(BadDomain):
-        thresholds(3, 1.0, 1.0)
+        Case(3, 2.0, 2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        thresholds(5, -1.0, 0.0)
+        Case(5, 2.0, 2.0, -1.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Case(5, 2.0, 2.0, 1.0, bad)

@@ -85,6 +85,16 @@ def test_bad_domain_errors():
         build_grid(5, 1.0, 8)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_radius_or_ratio_rejected(value):
+    # both once failed as "nodes must be strictly increasing", an infinite
+    # radius after a RuntimeWarning
+    with pytest.raises(BadDomain, match="radius"):
+        build_grid(5, value, 100)
+    with pytest.raises(BadDomain, match="ratio"):
+        build_grid(5, 1.0, 100, grading="geometric", ratio=value)
+
+
 def test_check_shape(grid5):
     with pytest.raises(ShapeMismatch):
         grid5.check_shape(np.zeros(3))

@@ -405,11 +405,20 @@ def test_cli_bad_config(tmp_path):
                     "perturbation_theta = 0.0\n\n[weights.b]"),
     MINIMAL.replace("gamma0 = 1.0", "gamma0 = 0.0"),
     MINIMAL + "\n[output]\nplots = maybe\n",
+    # each once ran: a flow of 0 iterations that reported its start, a
+    # stall window that ended it at once, numpy's ValueError on a negative
+    # seed, and a NaN coupling that failed only inside the flow
+    MINIMAL + "\n[flow]\nmax_iters = -5\n",
+    MINIMAL + "\n[flow]\nstall_window = -1\n",
+    MINIMAL + "\n[flow]\ninit = random\nseed = -1\n",
+    MINIMAL + "\n[sweep]\nlambdas = 1 nan\n",
 ], ids=["step-zero", "init-bogus", "init-custom", "grad-tol-text",
         "dimension-text", "lambdas-text", "stop-text",
         "range-without-start", "range-step-only", "range-infinite", "range-nan",
         "perturbation-text", "perturbation-unsorted", "perturbation-theta0",
-        "perturbation-nan", "perturbation-lengths", "gamma0-zero", "plots-text"])
+        "perturbation-nan", "perturbation-lengths", "gamma0-zero", "plots-text",
+        "max-iters-negative", "stall-window-negative", "seed-negative",
+        "lambdas-nan"])
 def test_bad_value_is_config_error(tmp_path, text):
     with pytest.raises(ConfigError):
         parse_scenario(text)
@@ -417,6 +426,61 @@ def test_bad_value_is_config_error(tmp_path, text):
     cfg.write_text(text)
     assert cli_main(["minimize", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def _is_number(read) -> bool:
+    """Whether a key's reader reads numbers: one, or a list of them."""
+    try:
+        value = read("1")
+    except ValueError:
+        return False
+    values = value if isinstance(value, tuple) else (value,)
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in values)
+
+
+def _number_cases():
+    """(section, key, entry) for every number of the config format: each
+    numeric key of _FORMAT (entry None), and each entry of a list-valued
+    one, at its place in EVERY_KEY or RANGE."""
+    given = configparser.ConfigParser(interpolation=None)
+    given.read_string(EVERY_KEY)
+    for name, keys in _FORMAT.items():
+        for key, (read, _) in keys.items():
+            if not _is_number(read):
+                continue
+            text = RANGE[key] if name == "sweep" and key in RANGE else given[name][key]
+            if isinstance(read(text), tuple):
+                for entry in range(len(text.split())):
+                    yield pytest.param(name, key, entry, id=f"{name}.{key}[{entry}]")
+            else:
+                yield pytest.param(name, key, None, id=f"{name}.{key}")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("name, key, entry", list(_number_cases()))
+def test_every_number_must_be_finite(tmp_path, capsys, name, key, entry, bad):
+    # gamma0 = nan was reported as unequal centers, exponent = inf ran to an
+    # asymptotics failure, step = nan ran a flow, lambdas = nan failed
+    # inside the flow, radius = nan as "nodes must be strictly increasing"
+    text = EVERY_KEY.replace("cells = 300", "cells = 40")
+    if name == "sweep" and key in RANGE:
+        text = text.replace("lambdas = 1.5 3.0", "".join(
+            f"{k} = {v}\n" for k, v in RANGE.items()))
+    parse_scenario(text)                        # valid but for the bad number
+    config = configparser.ConfigParser(interpolation=None)
+    config.read_string(text)
+    values = config[name][key].split()
+    values[entry or 0] = bad
+    config[name][key] = " ".join(values)
+    cfg = tmp_path / "bad.ini"
+    with cfg.open("w") as f:
+        config.write(f)
+    assert cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and f"'{key}'" in errors[0] and f"[{name}]" in errors[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("output, sweep", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from critvar import (FieldPair, FlowParams, WeightProfile, build_grid,
+from critvar import (Case, FieldPair, FlowParams, WeightProfile, build_grid,
                      concentration_diagnostic, descend, dirichlet_field,
                      el_residual, energy, existence_verdict,
                      lagrange_multipliers, lambda_tilde, lq_norm,
@@ -244,7 +244,7 @@ def test_polish_agrees_with_flow_inside_the_existence_interval(k, l, frac, init)
     grid = build_grid(5, 1.0, 400)
     a = WeightProfile(1.0, k, 1.0)
     b = WeightProfile(1.0, l, 1.0)
-    gap, _ = minimizer._gap_threshold(5, k, l, 1.0, 1.0)
+    gap = Case(5, k, l, 1.0, 1.0).gap
     lam = gap + frac * (lambda_tilde(a, b, grid).value - gap)
     params = FlowParams(max_iters=8000, grad_tol=1e-7, stall_window=1500,
                         init=init, seed=3)
@@ -496,6 +496,18 @@ def test_unit_weight_flow_close_to_continuum(grid5_fine):
 def test_non_finite_coupling_rejected(grid5, quad_weight, lam):
     with pytest.raises(NumericFault):
         descend(quad_weight, quad_weight, lam, grid5, FlowParams(max_iters=5))
+
+
+@pytest.mark.parametrize("setting", [
+    {"step": math.nan}, {"step": math.inf}, {"grad_tol": math.nan},
+    {"grad_tol": math.inf}, {"max_iters": -5}, {"max_iters": 0},
+    {"stall_window": -1}, {"stall_window": 0}, {"seed": -1},
+], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+def test_flow_settings_that_run_nothing_rejected(setting):
+    # each once ran a flow of 0 iterations or one that stalled at once, and a
+    # negative seed was numpy's ValueError in the middle of a random start
+    with pytest.raises(ValueError):
+        FlowParams(**setting)
 
 
 def test_sweep_monotone_and_pooled(grid5, quad_weight, quick_flow):
@@ -807,50 +819,51 @@ def test_moved_rows_stay_at_the_detectors_sup_bound(request, monkeypatch,
 
 
 def test_verdict_supercritical_powers():
-    v = existence_verdict(5, 4.0, 4.0, 1.0, 1.0, lam=5.0, lam_tilde=20.0)
+    v = existence_verdict(Case(5, 4.0, 4.0, 1.0, 1.0), lam=5.0, lam_tilde=20.0)
     assert v.verdict == "achieved_by_theorem"
     assert v.case_id == "existence.supercritical-powers"
 
 
 def test_verdict_quadratic_both_threshold():
-    below = existence_verdict(5, 2.0, 2.0, 1.0, 1.0, lam=6.5, lam_tilde=30.0)
-    above = existence_verdict(5, 2.0, 2.0, 1.0, 1.0, lam=6.6, lam_tilde=30.0)
+    case = Case(5, 2.0, 2.0, 1.0, 1.0)
+    below = existence_verdict(case, lam=6.5, lam_tilde=30.0)
+    above = existence_verdict(case, lam=6.6, lam_tilde=30.0)
     assert below.verdict == "outside_theory"
     assert above.verdict == "achieved_by_theorem"
     assert above.case_id == "existence.quadratic-both"
-    assert above.thresholds_used["gap_threshold"] == pytest.approx(105.0 / 16.0)
+    assert case.gap == pytest.approx(105.0 / 16.0)
 
 
 def test_verdict_mixed_quadratic():
-    v = existence_verdict(5, 2.0, 4.0, 1.0, 1.0, lam=4.0, lam_tilde=30.0)
+    v = existence_verdict(Case(5, 2.0, 4.0, 1.0, 1.0), lam=4.0, lam_tilde=30.0)
     assert v.verdict == "achieved_by_theorem"
     assert v.case_id == "existence.quadratic-first"
-    v2 = existence_verdict(5, 4.0, 2.0, 1.0, 1.0, lam=4.0, lam_tilde=30.0)
+    v2 = existence_verdict(Case(5, 4.0, 2.0, 1.0, 1.0), lam=4.0, lam_tilde=30.0)
     assert v2.case_id == "existence.quadratic-second"
 
 
 def test_verdict_gap_only_above_lambda_tilde():
-    v = existence_verdict(5, 4.0, 4.0, 1.0, 1.0, lam=25.0, lam_tilde=20.0)
+    v = existence_verdict(Case(5, 4.0, 4.0, 1.0, 1.0), lam=25.0, lam_tilde=20.0)
     assert v.verdict == "energy_gap_only"
 
 
 def test_verdict_dim4_quadratic_is_gap_only():
-    v = existence_verdict(4, 2.0, 2.0, 1.0, 1.0, lam=5.0, lam_tilde=30.0)
+    v = existence_verdict(Case(4, 2.0, 2.0, 1.0, 1.0), lam=5.0, lam_tilde=30.0)
     assert v.verdict == "energy_gap_only"
     assert v.case_id == "gap.quadratic-both"
 
 
 def test_verdict_nonexistence_from_certified_bound():
-    v = existence_verdict(5, 2.0, 2.0, 1.0, 1.0, lam=2.0, lam_tilde=30.0,
+    v = existence_verdict(Case(5, 2.0, 2.0, 1.0, 1.0), lam=2.0, lam_tilde=30.0,
                           omega_estimate=3.125)
     assert v.verdict == "no_minimizer_by_theorem"
 
 
 def test_verdict_subquadratic_outside():
-    v = existence_verdict(5, 1.5, 4.0, 1.0, 1.0, lam=5.0, lam_tilde=30.0)
+    v = existence_verdict(Case(5, 1.5, 4.0, 1.0, 1.0), lam=5.0, lam_tilde=30.0)
     assert v.verdict == "outside_theory"
 
 
 def test_verdict_bad_spectrum():
     with pytest.raises(BadSpectrum):
-        existence_verdict(5, 2.0, 2.0, 1.0, 1.0, lam=1.0, lam_tilde=0.0)
+        existence_verdict(Case(5, 2.0, 2.0, 1.0, 1.0), lam=1.0, lam_tilde=0.0)

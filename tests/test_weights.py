@@ -65,6 +65,15 @@ def test_validation():
         WeightProfile(gamma0=1.0, coefficient=-1.0)
 
 
+@pytest.mark.parametrize("field", ["gamma0", "exponent", "coefficient"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_parameter_rejected(field, value):
+    # nan <= 0 is False, so NaN and inf once passed: gamma0 = nan was
+    # reported as two unequal centers, exponent = inf as a coarse grid
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        WeightProfile(**{"gamma0": 1.0, "coefficient": 1.0, field: value})
+
+
 @pytest.mark.parametrize("table", [
     ((1.0, 0.5, 0.0), (0.0, 0.5, 0.0)),     # np.interp once read it as theta = 0
     ((0.0, 0.5, 0.5), (0.0, 0.1, 0.2)),
