@@ -27,8 +27,8 @@ from .energy import (EnergyReport, FieldPair, critical_exponent,
 from .errors import *  # noqa: F401,F403 -- the error taxonomy is the API
 from .grid import (RadialGrid, ball_volume, build_grid, integrate,
                    unit_sphere_area)
-from .harness import (RunReport, Scenario, emit_csv, emit_plot,
-                      parse_scenario, run, serialize_scenario, write_report)
+from .harness import (RunReport, Scenario, emit_csv, parse_scenario, run,
+                      serialize_scenario, write_report)
 from .minimizer import (ExistenceVerdict, FlowParams, MinimizeResult,
                         SweepRow, concentration_diagnostic, descend,
                         el_residual, existence_verdict, lagrange_multipliers,

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    critvar <subcommand> --config <file> [--out <dir>] [--plots]
+    critvar <subcommand> --config <file> [--out <dir>]
 
 The subcommand selects which analyses run (overriding the config's
 `analyses` list); `all` runs every analysis.  Exit status is 0 on
@@ -34,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario config file")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides the config)")
-        p.add_argument("--plots", action="store_true",
-                       help="also emit SVG plots")
     return parser
 
 
@@ -52,8 +50,6 @@ def main(argv=None) -> int:
             scenario = replace(scenario, analyses=(args.command,))
         if args.out is not None:
             scenario = replace(scenario, out_dir=str(args.out))
-        if args.plots:
-            scenario = replace(scenario, plots=True)
         report = run(scenario)
         written = write_report(report)
     except CritvarError as exc:

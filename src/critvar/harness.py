@@ -1,4 +1,4 @@
-"""Scenario configuration, orchestration, and CSV/plot emission.
+"""Scenario configuration, orchestration, and CSV emission.
 
 A scenario is described by a flat-sectioned key/value config document
 ([domain], [weights.a], [weights.b], [flow], [sweep], [output]) with a
@@ -6,9 +6,9 @@ A scenario is described by a flat-sectioned key/value config document
 analyses in dependency order — closed-form constants, first eigenpairs,
 the coupling sweep of the descent flow, concentration-curve fits, the
 scaling-quotient estimate, and dilation-identity reports for every
-converged coupling — and emits one CSV per analysis plus optional SVG
-plots.  Outputs are deterministic for a fixed (config, seed); the only
-non-reproducible byte is the timestamp comment above each CSV header.
+converged coupling — and emits one CSV per analysis.  Outputs are
+deterministic for a fixed (config, seed); the only non-reproducible byte
+is the timestamp comment above each CSV header.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .asymptotics import (default_eps_ladder, energy_curves,
@@ -56,9 +54,11 @@ class Scenario:
     flow: FlowParams
     out_dir: str
     analyses: tuple
-    plots: bool
+    plots: bool                     # must be False: kept so config_sha256 is unchanged
 
     def __post_init__(self):
+        if self.mode not in ("theorem", "machinery"):
+            raise ConfigError(f"unknown mode {self.mode!r}")
         lo = 4 if self.mode == "theorem" else 2
         if not lo <= self.dimension <= 8:
             raise ConfigError(
@@ -71,6 +71,10 @@ class Scenario:
         bad = [x for x in self.analyses if x not in ANALYSES]
         if bad:
             raise ConfigError(f"unknown analyses {bad}")
+        if not all(map(math.isfinite, self.lambdas)):
+            raise ConfigError(f"couplings must be finite, got {tuple(self.lambdas)}")
+        if self.plots:
+            raise ConfigError("plots must be false: a run writes only its CSV tables")
 
     def build_grid(self) -> RadialGrid:
         return build_grid(self.dimension, self.radius, self.cells,
@@ -192,8 +196,6 @@ def parse_scenario(text: str) -> Scenario:
     schema = top.pop("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema}")
-    if top["mode"] not in ("theorem", "machinery"):
-        raise ConfigError(f"unknown mode {top['mode']!r}")
     return Scenario(
         **{_FIELD.get(key, key): value for key, value in top.items()},
         weight_a=_section(parser, "weights.a", _weight),
@@ -421,34 +423,6 @@ def emit_csv(rows: list, path, timestamp: bool = True) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def emit_plot(series: list, path, xlabel: str, ylabel: str,
-              verticals: dict | None = None) -> None:
-    """Self-contained SVG line chart; series is a list of
-    (label, x array, y array)."""
-    try:
-        import matplotlib
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise IoError(f"plot emission needs matplotlib: {exc}") from exc
-    fig, ax = plt.subplots(figsize=(6.0, 4.0))
-    for label, x, y in series:
-        ax.plot(x, y, marker="o", markersize=3, label=label)
-    if verticals:
-        for label, x0 in verticals.items():
-            ax.axvline(x0, linestyle="--", linewidth=1.0, label=label)
-    ax.set_xlabel(xlabel)
-    ax.set_ylabel(ylabel)
-    ax.legend(fontsize=8)
-    fig.tight_layout()
-    try:
-        fig.savefig(path, format="svg")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    finally:
-        plt.close(fig)
-
-
 def write_report(report: RunReport, out_dir=None) -> list:
     """Write one CSV per populated analysis (plus provenance); returns the
     written paths."""
@@ -466,18 +440,4 @@ def write_report(report: RunReport, out_dir=None) -> list:
     prow = dict(report.provenance)
     emit_csv([prow], out / "provenance.csv", timestamp=False)
     written.append(out / "provenance.csv")
-
-    rows = report.tables["minimize"]
-    if report.scenario.plots and rows:
-        lams = np.array([r["lambda"] for r in rows])
-        qs = np.array([r["q_lambda"] for r in rows])
-        verticals = {}
-        gap = rows[0]["gap_threshold"]
-        if math.isfinite(gap):
-            verticals["gap threshold"] = gap
-        verticals["lambda_tilde"] = rows[0]["lambda_tilde"]
-        path = out / "minimize.svg"
-        emit_plot([("Q(lambda)", lams, qs)], path,
-                  xlabel="lambda", ylabel="Q", verticals=verticals)
-        written.append(path)
     return written

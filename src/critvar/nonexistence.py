@@ -142,7 +142,6 @@ class OmegaEstimate:
     value: float                       # -inf when unbounded below
     lower_bound: float | None
     upper_bound: float | None
-    pair: FieldPair | None
     family_values: np.ndarray = field(repr=False)
 
     @property
@@ -167,7 +166,7 @@ def omega_estimate(
 
     The -inf flag is a sign test: if the combined tilt a~ + b~ is negative
     at an interior node, bumps shrinking onto that node drive the quotient
-    to -inf, so -inf is returned with no pair and an empty family.
+    to -inf, so -inf is returned with an empty family.
     Otherwise phi is evaluated at u = v, with no relative scaling of the
     two components, on a family of concentric bumps of shrinking width;
     the smallest value is kept, and the closed-form power-regime bounds
@@ -182,18 +181,14 @@ def omega_estimate(
     tol = 1e-12 * max(1.0, float(np.max(np.abs(combined))))
     if float(np.min(combined)) < -tol:
         return OmegaEstimate(value=-math.inf, lower_bound=None, upper_bound=None,
-                             pair=None, family_values=np.empty(0))
+                             family_values=np.empty(0))
 
     # nonnegative combined tilt: concentric shrinking bumps
     widths = np.geomspace(grid.radius * 0.9, grid.nodes[_MIN_WIDTH_CELLS], _N_WIDTHS)
-    best_val, best_pair, values = math.inf, None, []
+    values = []
     for s in widths:
         bump = _central_bump(s, grid)
-        pr = FieldPair(u=bump, v=bump)
-        val = phi_quotient(pr, a, b, grid)
-        values.append(val)
-        if val < best_val:
-            best_val, best_pair = val, pr
+        values.append(phi_quotient(FieldPair(u=bump, v=bump), a, b, grid))
 
     lower = upper = None
     pure = (a.perturbation is None and b.perturbation is None
@@ -208,8 +203,8 @@ def omega_estimate(
         except OutsideTable:
             pass
     return OmegaEstimate(
-        value=best_val, lower_bound=lower, upper_bound=upper,
-        pair=best_pair, family_values=np.asarray(values),
+        value=min(values), lower_bound=lower, upper_bound=upper,
+        family_values=np.asarray(values),
     )
 
 

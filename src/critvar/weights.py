@@ -69,9 +69,10 @@ class WeightProfile:
         """dw/dr; analytic for the power part, centered differences for the
         perturbation term."""
         r = np.asarray(r, dtype=float)
-        d = self.coefficient * self.exponent * r ** np.maximum(self.exponent - 1.0, 0.0)
-        if self.exponent < 1.0:
-            d = np.where(r > 0.0, self.coefficient * self.exponent * r ** (self.exponent - 1.0), 0.0)
+        # r^(e - 1), taken as 0 at r = 0 when e < 1, where it is infinite
+        d = self.coefficient * self.exponent * np.power(
+            r, self.exponent - 1.0, out=np.zeros_like(r),
+            where=(r > 0.0) | (self.exponent >= 1.0))
         if self.perturbation is not None:
             h = 1e-6 * (1.0 + np.abs(r))
             rm = np.maximum(r - h, 0.0)

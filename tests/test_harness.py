@@ -117,7 +117,8 @@ def test_flow_params_are_the_flow_keys():
 
 
 _TABLE = "perturbation_r = 0.0 0.5 1.0\nperturbation_theta = 0.0 0.1 0.0\n"
-# every key at a value other than its default (schema has only one value);
+# every key at a value other than its default (schema and plots each have
+# only one value);
 # [sweep] gives its couplings as a list here and as a range below; a "%" is
 # text like any other character
 EVERY_KEY = f"""
@@ -154,7 +155,7 @@ lambdas = 1.5 3.0
 [output]
 directory = runs/100%
 analyses = eig omega
-plots = true
+plots = false
 """
 RANGE = {"start": "0.5", "stop": "2.0", "step": "0.5"}
 
@@ -168,7 +169,7 @@ def test_roundtrip_every_flow_key():
     for name in given.sections():
         for key, text in given[name].items():
             read, default = _FORMAT[name][key]
-            assert read(text) != default or key == "schema"
+            assert read(text) != default or key in ("schema", "plots")
     # the parsed scenario holds every given value: its serialization
     # writes each key back as the same value
     s = parse_scenario(EVERY_KEY)
@@ -338,6 +339,39 @@ def test_cli_has_no_jobs_option(tmp_path):
                   "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_has_no_plots_option(tmp_path):
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["all", "--plots", "--config", str(cfg),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_plots_true_exits_2_before_writing(tmp_path, capsys):
+    # the CSVs were written, then the plot failed for want of matplotlib
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(SWEEP + "plots = true\n")
+    out = tmp_path / "out"
+    assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "plots" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"lambdas": (1.0, math.nan)},
+    {"lambdas": (math.inf,)},
+    {"mode": "foo"},
+    {"plots": True},
+], ids=["lambda-nan", "lambda-inf", "mode-unknown", "plots"])
+def test_scenario_rejects_what_a_run_cannot_do(change):
+    # a NaN coupling failed inside the first flow, after constants, eig
+    # and omega had run; an unknown mode ran as machinery mode
+    with pytest.raises(ConfigError):
+        replace(parse_scenario(SWEEP), **change)
 
 
 def test_run_takes_only_one_job():

@@ -134,7 +134,7 @@ def test_omega_minus_inf_flag(grid5, unit_weight):
     est = omega_estimate(w, unit_weight, grid5)
     assert est.unbounded_below
     assert est.value == -math.inf
-    assert est.pair is None and est.family_values.size == 0
+    assert est.family_values.size == 0
     # the flag is a sign test; behind it, bumps shrinking onto the most
     # negative node of the combined tilt drive phi to -inf
     combined = tilde_weight(w, grid5) + tilde_weight(unit_weight, grid5)

@@ -1,5 +1,7 @@
 """Weight profiles: evaluation, derivatives, monotonicity check."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,17 @@ def test_power_derivative_exact():
     r = np.linspace(0.0, 1.0, 21)
     assert np.allclose(w.derivative(r), 8.0 * r, rtol=1e-14)
     assert np.allclose(w.radial_tilt(r), 8.0 * r ** 2, rtol=1e-14)
+
+
+def test_power_below_one_at_the_center_warns_nothing():
+    # r^(e - 1) is infinite at r = 0 for e < 1, where w' is taken as 0
+    w = WeightProfile(1.0, 0.5, 1.0)
+    r = np.array([0.0, 0.25, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tilt = w.radial_tilt(r)
+        assert w.derivative(0.0) == 0.0 and w.radial_tilt(0.0) == 0.0
+    assert np.allclose(tilt, 0.5 * r ** 0.5, rtol=1e-15)
 
 
 def test_perturbation_table_interpolated():
