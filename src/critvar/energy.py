@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, NumericFault, ShapeMismatch
-from .grid import RadialGrid, integrate
+from .grid import RadialGrid, integrate, nodal_derivative
 from .spectral import assemble_operator
 from .weights import WeightProfile
 
@@ -46,13 +46,12 @@ class FieldPair:
         object.__setattr__(self, "v", v)
 
     def derivatives(self, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Nodal derivative arrays (central differences, u'(0) = 0); one
-        array serves both when v is u."""
-        du = np.gradient(self.u, grid.nodes, edge_order=2)
-        dv = du if self.v is self.u else np.gradient(self.v, grid.nodes, edge_order=2)
-        du[0] = 0.0
-        dv[0] = 0.0
-        return du, dv
+        """Nodal derivative arrays (grid.nodal_derivative: central
+        differences, u'(0) = 0); one array serves both when v equals u."""
+        du = nodal_derivative(self.u, grid)
+        if self.v is self.u or np.array_equal(self.v, self.u):
+            return du, du
+        return du, nodal_derivative(self.v, grid)
 
 
 def dirichlet_field(values, grid: RadialGrid) -> np.ndarray:

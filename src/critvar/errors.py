@@ -39,7 +39,7 @@ class IndefiniteWeight(CritvarError):
 
 
 class SpectralStall(CritvarError):
-    """Eigen-solver failed to converge; carries the last Rayleigh quotient."""
+    """Eigen-solver failed to converge; carries its last eigenvalue estimate."""
 
     def __init__(self, message, last_rayleigh=None):
         super().__init__(message)

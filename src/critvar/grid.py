@@ -60,7 +60,8 @@ class RadialGrid:
     spacings: np.ndarray = field(init=False, repr=False)
     faces: np.ndarray = field(init=False, repr=False)
     # a run's derived data, one memo (a run builds its own grid), keyed
-    # ("operator", w), ("tilt", w) and ("spectrum", conductance bytes)
+    # ("operator", w), ("tilt", w), ("spectrum", conductance bytes) and
+    # "stencil" (nodal_derivative's weights)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -146,6 +147,47 @@ def build_grid(
         grading=grading,
         grading_ratio=ratio,
     )
+
+
+def _stencil(h: np.ndarray) -> tuple:
+    """nodal_derivative's weights on nodes with spacings h, np.gradient's
+    (edge_order=2): the interior rows (a, b, c), or (2h, None, None) for
+    equal spacings h, where np.gradient divides central differences by 2h;
+    and the one-sided row at R."""
+    if np.all(h == h[0]):
+        h = float(h[0])
+        return (2.0 * h, None, None), (0.5 / h, -2.0 / h, 1.5 / h)
+    h1, h2 = h[:-1], h[1:]
+    inner = (-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2)))
+    for arr in inner:
+        arr.flags.writeable = False
+    h1, h2 = float(h[-2]), float(h[-1])
+    return inner, (h2 / (h1 * (h1 + h2)), -(h2 + h1) / (h1 * h2),
+                   (2.0 * h2 + h1) / (h2 * (h1 + h2)))
+
+
+def nodal_derivative(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """f' at the nodes, f'(0) = 0: np.gradient(f, grid.nodes, edge_order=2)
+    bit for bit (second-order differences, one-sided at R), from weights
+    built once per grid."""
+    f = grid.check_shape(f)
+    st = grid._memo.get("stencil")
+    if st is None:
+        st = grid._memo["stencil"] = _stencil(grid.spacings)
+    (a, b, c), (la, lb, lc) = st
+    out = np.empty_like(f)
+    inner = out[1:-1]
+    if b is None:
+        np.subtract(f[2:], f[:-2], out=inner)
+        inner /= a
+    else:
+        np.multiply(a, f[:-2], out=inner)
+        t = b * f[1:-1]
+        inner += t
+        inner += np.multiply(c, f[2:], out=t)
+    out[0] = 0.0
+    out[-1] = la * f[-3] + lb * f[-2] + lc * f[-1]
+    return out
 
 
 def integrate(f: np.ndarray, grid: RadialGrid) -> float:

@@ -68,14 +68,20 @@ _NEWTON_QUADRATIC = 100.0       # a step that cuts the residual this much is qua
 _PREDICTOR_TRIES = 3            # tangent steps of 1, 1/2, 1/4 times the coupling step
 
 
-def solve_banded(l_and_u, ab, b, **kwargs):
-    """scipy.linalg.solve_banded, imported on first call (only a Newton step
-    needs it); a tridiagonal system goes to the LAPACK gtsv it calls,
-    without the wrapper's checks, and overwrites ab."""
-    from scipy.linalg import lapack, solve_banded as solve
-    if l_and_u != (1, 1):
-        return solve(l_and_u, ab, b, **kwargs)
-    *_, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, True, True, True)
+def solve_banded(l_and_u, ab, b):
+    """scipy.linalg.solve_banded for the bands (1, 1) and (2, 2) a Newton
+    step has, calling the LAPACK routine it calls (gtsv, and gbsv on ab
+    under l zero rows for the pivots' fill-in) without the wrapper's checks;
+    imported on first call, as only a Newton step needs it.  A tridiagonal
+    ab is overwritten; b is not."""
+    from scipy.linalg import lapack
+    l, u = l_and_u
+    if (l, u) == (1, 1):
+        *_, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, True, True, True)
+    else:
+        padded = np.zeros((2 * l + u + 1, ab.shape[1]), order="F")
+        padded[l:] = ab
+        *_, x, info = lapack.dgbsv(l, u, padded, b, overwrite_ab=True)
     if info:
         raise LinAlgError("singular matrix")
     return x
@@ -241,7 +247,7 @@ def _bordered_step(rows, mults, rhs0, ops, lam, m, q):
         ab[1] -= lam * m
     else:
         ab[1, 1::2] = ab[3, 0::2] = -lam * m
-    sol = solve_banded((r, r), ab, rhs, check_finite=False)
+    sol = solve_banded((r, r), ab, rhs)
     # dx = -J^-1 rhs0 + sum_k J^-1 f_k dL_k, with f_j . dx_j = 0 for each row j
     f = [rhs[j::r, 1 + j] for j in range(r)]
     schur = np.array([[f[j] @ sol[j::r, 1 + k] for k in range(r)]

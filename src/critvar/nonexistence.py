@@ -27,7 +27,7 @@ import numpy as np
 
 from .energy import FieldPair
 from .errors import DegenerateDenominator, GridTooCoarse, OutsideTable
-from .grid import RadialGrid, integrate
+from .grid import RadialGrid, integrate, nodal_derivative
 from .spectral import first_eigenpair
 from .weights import WeightProfile
 
@@ -250,8 +250,7 @@ def hardy_check(u: np.ndarray, grid: RadialGrid,
                 tol: float | None = None) -> tuple[float, float, bool]:
     """int r^2 |u'|^2 >= (N/2)^2 int u^2 for Dirichlet radial fields."""
     u = grid.check_shape(u)
-    du = np.gradient(u, grid.nodes, edge_order=2)
-    du[0] = 0.0
+    du = nodal_derivative(u, grid)
     lhs = integrate(grid.nodes ** 2 * du * du, grid)
     rhs = (grid.dimension / 2.0) ** 2 * integrate(u * u, grid)
     if tol is None:

@@ -24,6 +24,11 @@ to through (c_{j-1} + c_j) - c_{j-1}.  The gradient energy is sum c
 (x_{j+1} - x_j)^2; the descent flow takes it as sum F_{j+1} (x_{j+1} -
 x_j), and K x as the difference of those same fluxes (_flux_difference),
 so one pass over the faces serves both.
+
+first_eigenpair takes 1 / lambda_1 as the largest eigenvalue of K^-1 M,
+self-adjoint in the M inner product, by Lanczos: 8 to 10 running-sum
+solves, where plain inverse iteration, which gains lambda_1 / lambda_2 per
+solve, needs about 20.
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ from .errors import IndefiniteWeight, SpectralStall, ThresholdNotReached
 from .grid import RadialGrid, integrate
 from .weights import WeightProfile
 
-_EIG_TOL = 1e-11            # inverse iteration: relative Rayleigh change (residual: 100x)
-_EIG_MAX_ITERS = 500
+_EIG_TOL = 1e-11            # Lanczos: relative Ritz value change (residual: 100x)
+_EIG_MAX_ITERS = 500        # Lanczos steps, one solve each
+_RITZ_FROM = 6              # the first step whose Ritz pair may end the iteration
+_BASIS = 16                 # Lanczos vectors held at first; doubled when full
 
 
 @dataclass(frozen=True)
@@ -134,10 +141,12 @@ def _extrapolate_origin(phi: np.ndarray, grid: RadialGrid) -> float:
 
 
 def first_eigenpair(w: WeightProfile, grid: RadialGrid) -> SpectralResult:
-    """Smallest eigenvalue of K x = lambda M x by inverse iteration.
+    """Smallest eigenvalue of K x = lambda M x by Lanczos on K^-1 M, one
+    running-sum solve per step (_lanczos).
 
-    Convergence is declared on the Rayleigh quotient together with the
-    M^-1-norm eigen-residual; the eigenfunction is sign-fixed positive and
+    Convergence is declared on consecutive Ritz values together with the
+    Ritz vector's M^-1-norm eigen-residual; lambda1 is that vector's
+    Rayleigh quotient, and the eigenfunction is sign-fixed positive and
     L2-normalized.  It runs once per distinct conductance array on a grid:
     weights with bit-identical c share one read-only result.
     """
@@ -145,7 +154,7 @@ def first_eigenpair(w: WeightProfile, grid: RadialGrid) -> SpectralResult:
     key = ("spectrum", op.c.tobytes())
     result = grid._memo.get(key)
     if result is None:
-        result = grid._memo[key] = _inverse_iteration(op, grid)
+        result = grid._memo[key] = _lanczos(op, grid)
     return result
 
 
@@ -159,32 +168,64 @@ def _rescale(v: np.ndarray, size: float) -> int:
     return e
 
 
-def _inverse_iteration(op: TridiagonalOperator, grid: RadialGrid) -> SpectralResult:
-    """first_eigenpair's iteration.  The (positive) iterate and the residual
-    are _rescale'd before their norms are taken, which gamma0 = 1e+-300
-    needs; a power of two is exact, so the norms round as unscaled ones."""
+def _lanczos(op: TridiagonalOperator, grid: RadialGrid) -> SpectralResult:
+    """first_eigenpair's iteration: Lanczos on K^-1 M in the M inner product
+    from 1 - (r/R)^2, one solve and the three-term recurrence per step.
+    t, the projection of K^-1 M on the basis, is tridiagonal, and its
+    largest eigenvalue theta tends to 2^-e / lambda_1, 2^e being the power
+    of two that _rescale divides the first solve's output by, and every
+    later one's.  From step _RITZ_FROM on, once two consecutive theta agree
+    to _EIG_TOL, the Ritz vector x is formed, and the iteration ends if its
+    M^-1-norm residual |K x - rho M x|, rho = x.K.x, is at most 100 _EIG_TOL
+    rho.  The residual is _rescale'd before its norm is taken.
+    gamma0 = 1e+-300 needs both scalings; a power of two is exact, so the
+    norms round as unscaled ones."""
     m = grid.masses[1:-1]
     inv_m = 1.0 / m
-    x = np.ones(op.size)
-    x /= np.sqrt(np.dot(m, x * x))
-    rho = rho_old = np.inf
-    for it in range(1, _EIG_MAX_ITERS + 1):
-        y = op.solve(m * x)
-        _rescale(y, y.max())
-        x = y / np.sqrt(np.dot(m, y * y))
-        kx = op.apply(x)
-        rho = float(np.dot(x, kx))           # x is M-normalized
-        res = kx - rho * m * x
-        e = _rescale(res, rho)
-        res_norm = math.ldexp(float(np.sqrt(np.dot(res * res, inv_m))), e)
-        if (abs(rho - rho_old) <= _EIG_TOL * abs(rho)
-                and res_norm <= 100.0 * _EIG_TOL * abs(rho)):
-            break
-        rho_old = rho
+    basis = np.empty((_BASIS, op.size))         # M-orthonormal rows, grown when full
+    t = np.zeros((_BASIS, _BASIS))
+    # 1 - (r/R)^2 has no jump at R to resolve: a step fewer than a constant
+    q = 1.0 - (grid.nodes[1:-1] / grid.radius) ** 2
+    basis[0] = q / math.sqrt(float(np.dot(m, q * q)))
+    theta_old = math.inf
+    for k in range(1, _EIG_MAX_ITERS + 1):
+        mq = m * basis[k - 1]
+        w = op.solve(mq)
+        if k == 1:
+            e = _rescale(w, w.max())
+        elif e:
+            np.ldexp(w, -e, out=w)
+        t[k - 1, k - 1] = np.dot(mq, w)
+        lo = max(k - 2, 0)
+        w -= t[k - 1, lo:k] @ basis[lo:k]     # alpha_k q_k + beta_(k-1) q_(k-1)
+        beta = math.sqrt(float(np.dot(m, w * w)))
+        if k >= _RITZ_FROM - 1:
+            ritz, vectors = np.linalg.eigh(t[:k, :k])
+            theta = ritz[-1]
+            # beta |s_k| / theta, the Ritz pair's relative residual for K^-1 M,
+            # bounds x's for K below (to second order): x waits until it passes
+            if (k >= _RITZ_FROM and abs(theta - theta_old) <= _EIG_TOL * theta
+                    and beta * abs(vectors[-1, -1]) <= 100.0 * _EIG_TOL * theta):
+                x = vectors[:, -1] @ basis[:k]
+                x /= np.sqrt(np.dot(m, x * x))
+                kx = op.apply(x)
+                rho = float(np.dot(x, kx))       # x is M-normalized
+                res = kx - rho * m * x
+                er = _rescale(res, rho)
+                res_norm = math.ldexp(float(np.sqrt(np.dot(res * res, inv_m))), er)
+                if res_norm <= 100.0 * _EIG_TOL * abs(rho):
+                    break
+            theta_old = theta
+        if k == basis.shape[0]:
+            basis = np.concatenate((basis, np.empty_like(basis)))
+            t = np.pad(t, (0, k))
+        t[k - 1, k] = t[k, k - 1] = beta
+        np.divide(w, beta, out=basis[k])
     else:
+        theta = np.linalg.eigvalsh(t[:k, :k])[-1]
         raise SpectralStall(
-            f"inverse iteration did not converge in {_EIG_MAX_ITERS} iterations",
-            last_rayleigh=rho,
+            f"Lanczos iteration did not converge in {_EIG_MAX_ITERS} steps",
+            last_rayleigh=math.ldexp(1.0 / theta, -e),
         )
     if np.sum(x) < 0.0:
         x = -x
@@ -194,7 +235,7 @@ def _inverse_iteration(op: TridiagonalOperator, grid: RadialGrid) -> SpectralRes
     phi /= np.sqrt(integrate(phi * phi, grid))
     phi.flags.writeable = False
     return SpectralResult(
-        lambda1=float(rho), eigenfunction=phi, iterations=it, residual=res_norm
+        lambda1=float(rho), eigenfunction=phi, iterations=k, residual=res_norm
     )
 
 

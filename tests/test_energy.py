@@ -1,5 +1,6 @@
 """Field pairs, norms, and the normalized coupled energy."""
 
+import importlib
 import math
 
 import numpy as np
@@ -162,3 +163,21 @@ def test_derivatives_of_smooth_field(grid5):
     assert du[0] == 0.0 and dv[0] == 0.0
     interior = slice(1, -1)
     assert np.allclose(du[interior], -2.0 * grid5.nodes[interior], atol=1e-6)
+
+
+def test_equal_rows_are_differentiated_once(monkeypatch, grid5):
+    # a converged symmetric pair holds v as a copy of u
+    module = importlib.import_module("critvar.energy")   # critvar.energy is the function
+    calls = []
+    derivative = module.nodal_derivative
+
+    def counted(f, grid):
+        calls.append(1)
+        return derivative(f, grid)
+
+    monkeypatch.setattr(module, "nodal_derivative", counted)
+    u = dirichlet_field(1.0 - grid5.nodes ** 2, grid5)
+    du, dv = FieldPair(u=u, v=u.copy()).derivatives(grid5)
+    assert du is dv and len(calls) == 1
+    du, dv = FieldPair(u=u, v=0.5 * u).derivatives(grid5)
+    assert len(calls) == 3 and np.array_equal(dv, 0.5 * du)

@@ -7,6 +7,7 @@ import pytest
 
 from critvar import RadialGrid, ball_volume, build_grid, integrate, unit_sphere_area
 from critvar.errors import BadDomain, GridTooCoarse, ShapeMismatch
+from critvar.grid import nodal_derivative
 
 
 def test_unit_sphere_areas():
@@ -108,3 +109,44 @@ def test_nodes_must_start_at_zero():
         RadialGrid(dimension=5, radius=1.0, nodes=nodes,
                    quad_weights=np.ones_like(nodes),
                    surface_factor=unit_sphere_area(5), grading="uniform")
+
+
+@pytest.mark.parametrize("args", [
+    (5, 1.0, 16),                       # equal spacings: np.gradient's scalar branch
+    (5, 2.0, 1024),
+    (4, 1.0, 200),                      # linspace spacings that differ in the last bits
+    (5, 1.0, 300, "geometric", 1.01),
+    (5, 1.0, 3000, "geometric", 1.004),
+])
+def test_nodal_derivative_is_np_gradient_bit_for_bit(args, rng):
+    grid = build_grid(*args)
+    h = np.diff(grid.nodes)
+    assert np.all(h == h[0]) == (args[2] in (16, 1024))
+    for scale in (1e-6, 1.0, 1e6):
+        f = scale * rng.standard_normal(grid.nodes.size)
+        ref = np.gradient(f, grid.nodes, edge_order=2)
+        ref[0] = 0.0
+        assert np.array_equal(nodal_derivative(f, grid).view(np.int64), ref.view(np.int64))
+
+
+def test_derivative_stencil_is_built_once_and_read_only(monkeypatch, rng):
+    import critvar.grid
+
+    grid = build_grid(5, 1.0, 300, grading="geometric", ratio=1.01)
+    built = []
+    stencil = critvar.grid._stencil
+
+    def counted(h):
+        built.append(1)
+        return stencil(h)
+
+    monkeypatch.setattr(critvar.grid, "_stencil", counted)
+    for _ in range(3):
+        nodal_derivative(rng.standard_normal(grid.nodes.size), grid)
+    assert len(built) == 1
+    (a, b, c), _ = grid._memo["stencil"]
+    for arr in (a, b, c):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(ShapeMismatch):
+        nodal_derivative(np.zeros(grid.nodes.size - 1), grid)

@@ -264,6 +264,21 @@ def _raise_lin_alg_error(*args, **kwargs):
     raise np.linalg.LinAlgError("singular")
 
 
+@pytest.mark.parametrize("bands", [(1, 1), (2, 2)])
+def test_solve_banded_is_scipys_bit_for_bit(bands, rng):
+    # the one- and two-row Newton steps' bands, with three right-hand sides
+    # in LAPACK's column-major layout, which the solve leaves as they are
+    n = 3000
+    ab = rng.standard_normal((2 * bands[0] + 1, n))
+    ab[bands[0]] += 8.0
+    rhs = np.asfortranarray(rng.standard_normal((n, 3)))
+    before = rhs.copy()
+    ref = solve_banded(bands, ab.copy(), rhs)
+    x = minimizer.solve_banded(bands, ab.copy(), rhs)
+    assert np.array_equal(x.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(rhs, before)
+
+
 def _nan_solution(l_and_u, ab, b, **kwargs):
     return np.full(np.shape(b), math.nan)
 

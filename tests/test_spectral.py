@@ -58,6 +58,23 @@ def test_flux_difference_is_the_operator(request, grid_name, quad_weight, rng):
         assert np.max(np.abs(out - kx)) <= 4.0 * np.spacing(np.max(np.abs(kx)))
 
 
+@pytest.mark.parametrize("grid", [build_grid(5, 1.0, 200),
+                                  build_grid(5, 1.0, 300, "geometric", 1.01)])
+@pytest.mark.parametrize("weight", [WeightProfile(1.0), WeightProfile(1.0, 4.0, 1.0)])
+def test_first_eigenpair_matches_dense_eigh(grid, weight):
+    # the smallest eigenpair of M^(-1/2) K M^(-1/2), whose eigenvector z
+    # gives x = M^(-1/2) z, M-normalized as the eigenfunction's interior is
+    op = assemble_operator(weight, grid)
+    k = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+    s = 1.0 / np.sqrt(grid.masses[1:-1])
+    values, vectors = np.linalg.eigh(s[:, None] * k * s[None, :])
+    x = s * vectors[:, 0]
+    x *= np.sign(np.sum(x))
+    res = first_eigenpair(weight, grid)
+    assert res.lambda1 == pytest.approx(values[0], rel=1e-10)
+    assert np.max(np.abs(res.eigenfunction[1:-1] - x)) <= 1e-10 * np.max(np.abs(x))
+
+
 @pytest.mark.parametrize("dim", [4, 5])
 def test_unweighted_eigenvalue_benchmark(dim, unit_weight):
     grid = build_grid(dim, 1.0, 2000)
