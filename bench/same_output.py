@@ -11,8 +11,10 @@ the one line a run may change; a run that raises is compared by its error
 type and message.  For each table that differs, the first differing cells
 are printed, and at the end the largest relative difference of each
 (workload, table, column) that differs anywhere, and the total of
-`minimize.csv`'s `iterations` column per workload on each tree.  Exits 0
-when every table is identical and 1 otherwise.
+`minimize.csv`'s `iterations` column per workload on each tree.  Last
+it prints the line total of each tree's `critvar/*.py` (what `wc -l`
+reads), the package's size.  Exits 0 when every table is identical and 1
+otherwise.
 
 Each differing cell also gets a verdict from the benchmark's snapshot
 check (`perfbench/checks.py`), with the parent's table as the reference:
@@ -141,6 +143,11 @@ def _total_iterations(root: Path) -> Counter:
     return totals
 
 
+def source_lines(src: Path) -> int:
+    """Line total of src/critvar/*.py, counted as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "critvar").glob("*.py"))
+
+
 def compare(parent: Path, change: Path) -> tuple[int, int]:
     """Print every differing table and the per-column summary; return how
     many tables there are and how many of them differ."""
@@ -213,6 +220,8 @@ def main(argv=None) -> int:
             return 2
         tables, differ = compare(Path(tmp) / "parent", Path(tmp) / "change")
     print(f"{tables - differ} of {tables} tables identical below the timestamp line")
+    print(f"critvar/*.py lines, parent -> change: {source_lines(args.parent):,}"
+          f" -> {source_lines(args.change):,}")
     return 1 if differ else 0
 
 

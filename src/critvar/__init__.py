@@ -34,8 +34,7 @@ from .minimizer import (ExistenceVerdict, FlowParams, MinimizeResult,
                         el_residual, existence_verdict, lagrange_multipliers,
                         sign_normalize, sweep_minimize)
 from .nonexistence import (OmegaEstimate, PohozaevReport, hardy_check,
-                           omega_bounds, omega_estimate,
-                           optimal_scaling_value, phi_quotient,
+                           omega_bounds, omega_estimate, phi_quotient,
                            pohozaev_report, tilde_weight)
 from .spectral import (SpectralResult, WeightedSpectrum, assemble_operator,
                        coupling_threshold, eigenfunction_pair_energy,

@@ -8,9 +8,9 @@ is computed as
 with sigma = 2 pi^(N/2) / Gamma(N/2) the area of the unit (N-1)-sphere.
 The 1-D quadrature is a cell-based (finite-volume) rule: node i owns the
 cell between the midpoints of its adjacent intervals and the cell carries
-the exact mass of r^(N-1) dr.  The weights are stored in the form w_i so
-that the integral reads sigma * sum_i w_i r_i^(N-1) f_i; the origin node
-has zero weight in this form (its cell mass is O(h^N) and is dropped).
+the exact mass of r^(N-1) dr.  The grid holds these node masses m_i, so
+that the integral reads sum_i m_i f_i; the origin node has zero mass (its
+cell mass is O(h^N) and is dropped).
 """
 
 from __future__ import annotations
@@ -36,27 +36,22 @@ def ball_volume(dim: int, radius: float) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Radial grid on [0, R] with quadrature and flux geometry.
+    """Radial grid on [0, R]: nodes, their masses, and the flux geometry.
 
     Attributes:
         dimension: ambient dimension N >= 2.
         radius: ball radius R.
         nodes: strictly increasing array, nodes[0] = 0, nodes[-1] = R.
-        quad_weights: w_i with sigma * sum w_i r_i^(N-1) f_i ~ int f dx.
+        masses: m_i with sum m_i f_i ~ int f dx (the module docstring's).
         surface_factor: area of the unit (N-1)-sphere.
-        grading: "uniform" or "geometric".
-        grading_ratio: spacing ratio for geometric grading (None otherwise).
     """
 
     dimension: int
     radius: float
     nodes: np.ndarray
-    quad_weights: np.ndarray
+    masses: np.ndarray = field(repr=False)
     surface_factor: float
-    grading: str
-    grading_ratio: float | None = None
     # derived arrays, filled in __post_init__
-    masses: np.ndarray = field(init=False, repr=False)
     spacings: np.ndarray = field(init=False, repr=False)
     faces: np.ndarray = field(init=False, repr=False)
     # a run's derived data, one memo (a run builds its own grid), keyed
@@ -68,12 +63,8 @@ class RadialGrid:
         r = self.nodes
         if r.ndim != 1 or r.size < 2 or r[0] != 0.0 or not np.all(np.diff(r) > 0):
             raise BadDomain("nodes must be strictly increasing and start at 0")
-        h = np.diff(r)
-        faces = 0.5 * (r[:-1] + r[1:])
-        masses = self.surface_factor * self.quad_weights * r ** (self.dimension - 1)
-        object.__setattr__(self, "spacings", h)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "spacings", np.diff(r))
+        object.__setattr__(self, "faces", 0.5 * (r[:-1] + r[1:]))
 
     @property
     def volume(self) -> float:
@@ -129,24 +120,16 @@ def build_grid(
     else:
         raise BadDomain(f"unknown grading {grading!r}")
 
-    # Cell mass of r^(N-1) dr, exact per cell; folded into w_i r_i^(N-1).
+    # exact cell mass of r^(N-1) dr, formed as sigma * w_i * r_i^(N-1)
     faces = 0.5 * (nodes[:-1] + nodes[1:])
     upper = np.concatenate((faces, [radius]))          # r_{i+1/2}, last = R
     lower = np.concatenate(([0.0], faces))             # r_{i-1/2}, first = 0
     cell_mass = (upper ** dim - lower ** dim) / dim
-    weights = np.empty_like(nodes)
+    weights = np.zeros_like(nodes)                     # the origin's mass is 0
     weights[1:] = cell_mass[1:] / nodes[1:] ** (dim - 1)
-    weights[0] = 0.5 * (nodes[1] - nodes[0])  # times r^(N-1) = 0, kept for shape
-
-    return RadialGrid(
-        dimension=dim,
-        radius=radius,
-        nodes=nodes,
-        quad_weights=weights,
-        surface_factor=unit_sphere_area(dim),
-        grading=grading,
-        grading_ratio=ratio,
-    )
+    sigma = unit_sphere_area(dim)
+    return RadialGrid(dimension=dim, radius=radius, nodes=nodes,
+                      masses=sigma * weights * nodes ** (dim - 1), surface_factor=sigma)
 
 
 def _stencil(h: np.ndarray) -> tuple:

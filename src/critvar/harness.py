@@ -46,7 +46,7 @@ class Scenario:
     radius: float
     cells: int
     grading: str
-    grading_ratio: float | None
+    ratio: float | None
     mode: str                       # theorem | machinery
     weight_a: WeightProfile
     weight_b: WeightProfile
@@ -78,7 +78,7 @@ class Scenario:
 
     def build_grid(self) -> RadialGrid:
         return build_grid(self.dimension, self.radius, self.cells,
-                          grading=self.grading, ratio=self.grading_ratio)
+                          grading=self.grading, ratio=self.ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,8 @@ _FORMAT = {
                "plots": (_boolean, False)},
 }
 # a [domain] or [output] key names the Scenario field of the same name,
-# except these; [domain]'s schema is a version check, not a field
-_FIELD = {"ratio": "grading_ratio", "directory": "out_dir"}
+# except directory; [domain]'s schema is a version check, not a field
+_FIELD = {"directory": "out_dir"}
 
 
 def _section(parser, name: str, build=dict):
@@ -258,11 +258,13 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
     wanted = set(scenario.analyses)
     if "pohozaev" in wanted:    # its rows describe minimize's pairs
         wanted.add("minimize")
-    if not (wanted if scenario.lambdas else wanted - _NEED_COUPLINGS):
-        raise ConfigError("no analysis to run: none requested, or all need [sweep] couplings")
     if scenario.dimension < 4 and wanted - _BELOW_N4:
         raise ConfigError(f"below N = 4 only eig and omega run; "
                           f"{' '.join(sorted(wanted - _BELOW_N4))} need N >= 4")
+    if not scenario.lambdas:    # no coupling to run these on
+        wanted -= _NEED_COUPLINGS
+    if not wanted:
+        raise ConfigError("no analysis to run: none requested, or all need [sweep] couplings")
     grid = scenario.build_grid()
     a, b = scenario.weight_a, scenario.weight_b
     # the case table's row; below N = 4 only eig and omega run, and neither reads it
@@ -316,7 +318,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
         })
 
     results: dict = {}
-    if "minimize" in wanted and scenario.lambdas:
+    if "minimize" in wanted:
         for row in sweep_minimize(scenario.lambdas, a, b, grid, scenario.flow):
             res = row.result
             results[row.lam] = res
@@ -338,7 +340,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                 "omega": math.nan if omega_value is None else omega_value,
             })
 
-    if "asymptotics" in wanted and scenario.lambdas:
+    if "asymptotics" in wanted:
         # whether the table has a row depends on (N, k, l) alone, so the
         # first coupling's prediction decides it for every coupling
         cutoff = grid.radius / 2.0
@@ -369,8 +371,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
     if "pohozaev" in wanted:
         for lam, res in sorted(results.items()):
             if res.status == "converged":
-                rep = pohozaev_report(res.pair, res.multiplier_u, res.multiplier_v,
-                                      lam, a, b, grid)
+                rep = pohozaev_report(res.pair, lam, a, b, grid)
                 tables["pohozaev"].append({"lambda": lam, **asdict(rep)})
         if not tables["pohozaev"]:
             failures.append("pohozaev: no coupling converged")

@@ -238,9 +238,11 @@ def _bordered_step(rows, mults, rhs0, ops, lam, m, q):
     for k, (xk, lk, op, bk) in enumerate(zip(rows, mults, ops, rhs0)):
         xi = xk[1:-1]
         w = m * np.abs(xi) ** (q - 2.0)
-        ab[r, k::r] = op.diag - (q - 1.0) * lk * w
-        ab[0, r + k::r] = op.off
-        ab[2 * r, k:r * (n - 1):r] = op.off
+        d = ab[r, k::r]                         # K's diagonal: c_0, then c_(i-1) + c_i
+        d[0] = op.c[0]
+        np.add(op.c[:-1], op.c[1:], out=d[1:])
+        d -= (q - 1.0) * lk * w
+        ab[0, r + k::r] = ab[2 * r, k:r * (n - 1):r] = -op.c[:-1]
         rhs[k::r, 0] = bk
         rhs[k::r, 1 + k] = w * xi
     if r == 1:

@@ -12,9 +12,10 @@ weak enough relative to the quotient
     phi(u, v) = (1/4) int (a~ |grad u|^2 + b~ |grad v|^2) / int uv,
 
 no solution can exist; omega = inf phi is therefore the non-existence
-threshold.  This module evaluates the identity term by term, estimates
-omega over radial pairs (an upper estimate of the radial infimum), and
-checks the closed-form bounds and the Hardy-type inequality they rest on.
+threshold.  This module evaluates the identity term by term, its coupling
+and interior terms from phi's own integrals, estimates omega over radial
+pairs (an upper estimate of the radial infimum), and checks the
+closed-form bounds and the Hardy-type inequality they rest on.
 """
 
 from __future__ import annotations
@@ -61,30 +62,21 @@ class PohozaevReport:
     residual: float          # (coupling - interiors) - (boundaries)
 
 
-def pohozaev_report(
-    pair: FieldPair,
-    l1: float,
-    l2: float,
-    lam: float,
-    a: WeightProfile,
-    b: WeightProfile,
-    grid: RadialGrid,
-) -> PohozaevReport:
+def pohozaev_report(pair: FieldPair, lam: float, a: WeightProfile, b: WeightProfile,
+                    grid: RadialGrid) -> PohozaevReport:
     """Evaluate every term of the dilation identity by quadrature.
 
-    The multipliers are part of the solution data but cancel from the
-    identity at the critical exponent; they are accepted for provenance
-    and not used in any term.  The residual measures how far the supplied
-    pair is from satisfying the identity (zero for exact solutions, up to
-    discretization error).
+    The coupling and interior terms are 2 lam gamma, alpha / 2 and beta / 2
+    from phi's integrals (_tilt_energies); the boundary terms read the
+    same derivatives at R.  The Lagrange multipliers cancel from the
+    identity at the critical exponent, so no term reads them.  The
+    residual measures how far the supplied pair is from satisfying the
+    identity (zero for exact solutions, up to discretization error).
     """
-    del l1, l2  # cancel exactly at the critical exponent
-    du, dv = pair.derivatives(grid)
-    ta = tilde_weight(a, grid)
-    tb = tilde_weight(b, grid)
-    coupling = 2.0 * lam * integrate(pair.u * pair.v, grid)
-    interior_a = 0.5 * integrate(ta * du * du, grid)
-    interior_b = 0.5 * integrate(tb * dv * dv, grid)
+    (alpha, beta, gamma), (du, dv) = _tilt_energies(pair, a, b, grid)
+    coupling = 2.0 * lam * gamma
+    interior_a = 0.5 * alpha
+    interior_b = 0.5 * beta
     r_end = grid.radius
     area = grid.surface_factor * r_end ** (grid.dimension - 1)
     boundary_a = 0.5 * float(a(r_end)) * r_end * du[-1] ** 2 * area
@@ -106,35 +98,24 @@ def pohozaev_report(
 
 
 def _tilt_energies(pair: FieldPair, a: WeightProfile, b: WeightProfile,
-                   grid: RadialGrid) -> tuple[float, float, float]:
+                   grid: RadialGrid) -> tuple[tuple[float, float, float], tuple]:
     """phi's integrals (int a~ |u'|^2, int b~ |v'|^2, int uv), the one place
-    they are formed; a pair with v is u is differentiated once."""
+    they are formed, and the derivatives (u', v') they were formed from; a
+    pair with v is u is differentiated once."""
     du, dv = pair.derivatives(grid)
     alpha = integrate(tilde_weight(a, grid) * du * du, grid)
     beta = integrate(tilde_weight(b, grid) * dv * dv, grid)
     gamma = integrate(pair.u * pair.v, grid)
-    return alpha, beta, gamma
+    return (alpha, beta, gamma), (du, dv)
 
 
 def phi_quotient(pair: FieldPair, a: WeightProfile, b: WeightProfile,
                  grid: RadialGrid) -> float:
     """(1/4) int (a~ |grad u|^2 + b~ |grad v|^2) / int uv."""
-    alpha, beta, gamma = _tilt_energies(pair, a, b, grid)
+    (alpha, beta, gamma), _ = _tilt_energies(pair, a, b, grid)
     if gamma == 0.0:
         raise DegenerateDenominator("int uv vanishes")
     return 0.25 * (alpha + beta) / gamma
-
-
-def optimal_scaling_value(pair: FieldPair, a: WeightProfile, b: WeightProfile,
-                          grid: RadialGrid) -> float:
-    """min over t > 0 of phi(t u, v) = sqrt(alpha beta) / (2 gamma),
-    valid for nonnegative tilt energies and positive overlap."""
-    alpha, beta, gamma = _tilt_energies(pair, a, b, grid)
-    if gamma <= 0.0:
-        raise DegenerateDenominator("optimal scaling requires int uv > 0")
-    if alpha < 0.0 or beta < 0.0:
-        raise ValueError("closed form requires nonnegative tilt energies")
-    return math.sqrt(alpha * beta) / (2.0 * gamma)
 
 
 @dataclass(frozen=True)
@@ -215,13 +196,13 @@ def omega_bounds(
     a_k: float,
     b_l: float,
     diam: float,
-    lambda1_unweighted: float | Callable[[], float],
+    lambda1_unweighted: Callable[[], float],
 ) -> tuple[float, float | None]:
     """Printed bounds on omega for pure power weights; upper bound only in
     the regimes that state one.
 
-    lambda1_unweighted, the unit weight's first eigenvalue, may be a
-    function of no arguments, then called only where an upper bound is.
+    lambda1_unweighted returns the unit weight's first eigenvalue; it is
+    called only where an upper bound is stated, the one regime that reads it.
 
     The quadratic/super-quadratic case and the both-at-most-quadratic case
     overlap at k = l = 2 with different closed-form lower bounds (factor on
@@ -239,8 +220,7 @@ def omega_bounds(
         # quad: the quadratic weight's coefficient; (e, c): the other's power
         quad, e, c = (a_k, l, b_l) if k == 2.0 else (b_l, k, a_k)
         lower = dim ** 2 / 16.0 * min(quad, e * c * diam ** (e - 2.0))
-        lam1 = lambda1_unweighted() if callable(lambda1_unweighted) else lambda1_unweighted
-        return lower, 0.5 * quad * lam1 * diam ** 2
+        return lower, 0.5 * quad * lambda1_unweighted() * diam ** 2
     raise OutsideTable(
         f"no tabulated omega bounds for exponents ({k}, {l})"
     )

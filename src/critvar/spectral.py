@@ -22,8 +22,9 @@ b_i) / c_k, two running sums.  In exact arithmetic this is K's LDL^T
 factor with l = -1 and d = c, which an LDL^T routine only rounds its way
 to through (c_{j-1} + c_j) - c_{j-1}.  The gradient energy is sum c
 (x_{j+1} - x_j)^2; the descent flow takes it as sum F_{j+1} (x_{j+1} -
-x_j), and K x as the difference of those same fluxes (_flux_difference),
-so one pass over the faces serves both.
+x_j).  K x has one form, the difference of those same fluxes
+(_flux_difference).  The flow reads it from the fluxes its energy left,
+so one pass over the faces serves both; apply forms the fluxes first.
 
 first_eigenpair takes 1 / lambda_1 as the largest eigenvalue of K^-1 M,
 self-adjoint in the M inner product, by Lanczos: 8 to 10 running-sum
@@ -55,8 +56,6 @@ class TridiagonalOperator:
     its arrays are read-only, as every caller shares it."""
 
     c: np.ndarray                               # c_{i+1/2} on faces 1..n-1
-    diag: np.ndarray = field(init=False)        # K_ii: c[0], then c[i-1] + c[i]
-    off: np.ndarray = field(init=False)         # K_{i,i+1} = K_{i+1,i} = -c[i]
     _inv_c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,9 +65,7 @@ class TridiagonalOperator:
         if not np.all(np.isfinite(c) & (c > 0.0) & np.isfinite(inv_c)):
             raise IndefiniteWeight("conductances (weight at cell faces) must be finite, "
                                    "> 0 and not subnormal")
-        diag = c.copy()                         # zero flux through the origin face
-        diag[1:] += c[:-1]
-        for name, arr in (("c", c), ("diag", diag), ("off", -c[:-1]), ("_inv_c", inv_c)):
+        for name, arr in (("c", c), ("_inv_c", inv_c)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -77,10 +74,12 @@ class TridiagonalOperator:
         return self.c.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        out = self.diag * x
-        out[:-1] += self.off * x[1:]
-        out[1:] += self.off * x[:-1]
-        return out
+        """K x as the difference of x's face fluxes."""
+        f = np.zeros(x.size + 1)
+        np.subtract(x[1:], x[:-1], out=f[1:-1])
+        f[-1] = -x[-1]                          # x_n = 0 at the boundary
+        f[1:] *= self.c
+        return self._flux_difference(f, np.empty_like(x))
 
     @staticmethod
     def _flux_difference(f, out):

@@ -107,8 +107,7 @@ def test_nodes_must_start_at_zero():
     nodes = np.linspace(0.1, 1.0, 50)
     with pytest.raises(BadDomain):
         RadialGrid(dimension=5, radius=1.0, nodes=nodes,
-                   quad_weights=np.ones_like(nodes),
-                   surface_factor=unit_sphere_area(5), grading="uniform")
+                   masses=np.ones_like(nodes), surface_factor=unit_sphere_area(5))
 
 
 @pytest.mark.parametrize("args", [

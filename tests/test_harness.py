@@ -533,6 +533,20 @@ def test_run_with_nothing_to_do_is_config_error(tmp_path, output, sweep):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep", ["", "\n[sweep]\nstart = 5\nstop = 1\nstep = 1\n"],
+                         ids=["no-sweep", "empty-range"])
+def test_all_without_couplings_runs_what_needs_none(tmp_path, capsys, sweep):
+    # minimize, asymptotics and pohozaev have no coupling to run on, so they
+    # are not run; no pohozaev failure is reported for a sweep never made
+    cfg = tmp_path / "no-couplings.ini"
+    cfg.write_text(MINIMAL + sweep)
+    out = tmp_path / "out"
+    assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "failure" not in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "constants.csv", "eig.csv", "omega.csv", "provenance.csv"]
+
+
 @pytest.mark.parametrize("defaults", ["", "cells = 100\n", "gamma0 = 2\n"])
 def test_default_section_exits_2(tmp_path, capsys, defaults):
     # configparser merges [DEFAULT] into every section, so its keys were

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from critvar import (FieldPair, WeightProfile, build_grid, dirichlet_field,
-                     hardy_check, integrate, omega_bounds, omega_estimate,
-                     optimal_scaling_value, phi_quotient, pohozaev_report,
-                     tilde_weight, unit_sphere_area)
+                     hardy_check, omega_bounds, omega_estimate, phi_quotient,
+                     pohozaev_report, tilde_weight, unit_sphere_area)
 from critvar.errors import DegenerateDenominator, GridTooCoarse, OutsideTable
 from conftest import smooth_dirichlet_field
 
@@ -36,7 +35,7 @@ def test_tilde_negative_profile(grid5):
 
 def test_pohozaev_zero_pair(grid5, unit_weight):
     zero = np.zeros_like(grid5.nodes)
-    rep = pohozaev_report(FieldPair(u=zero, v=zero.copy()), 0.0, 0.0, 1.0,
+    rep = pohozaev_report(FieldPair(u=zero, v=zero.copy()), 1.0,
                           unit_weight, unit_weight, grid5)
     assert rep.residual == 0.0
     assert rep.coupling_term == 0.0
@@ -46,8 +45,7 @@ def test_pohozaev_zero_pair(grid5, unit_weight):
 def test_pohozaev_boundary_positive(grid5, quad_weight, rng):
     u = smooth_dirichlet_field(grid5, rng)
     v = smooth_dirichlet_field(grid5, rng)
-    rep = pohozaev_report(FieldPair(u=u, v=v), 1.0, 1.0, 2.0,
-                          quad_weight, quad_weight, grid5)
+    rep = pohozaev_report(FieldPair(u=u, v=v), 2.0, quad_weight, quad_weight, grid5)
     assert rep.boundary_a >= 0.0
     assert rep.boundary_b >= 0.0
 
@@ -56,7 +54,7 @@ def test_pohozaev_terms_by_quadrature(grid5, quad_weight):
     # u = v = 1 - r^2, a = b = 1 + r^2: every term has a closed form
     u = dirichlet_field(1.0 - grid5.nodes ** 2, grid5)
     lam = 3.0
-    rep = pohozaev_report(FieldPair(u=u, v=u.copy()), 0.0, 0.0, lam,
+    rep = pohozaev_report(FieldPair(u=u, v=u.copy()), lam,
                           quad_weight, quad_weight, grid5)
     sigma = unit_sphere_area(5)
     # 2 lam int (1-r^2)^2 = 2 lam sigma (1/5 - 2/7 + 1/9)
@@ -70,6 +68,22 @@ def test_pohozaev_terms_by_quadrature(grid5, quad_weight):
     assert rep.boundary_a == pytest.approx(boundary, rel=1e-5)
     assert rep.residual == pytest.approx(
         coupling - 2.0 * interior - 2.0 * boundary, rel=1e-4)
+
+
+def test_pohozaev_terms_are_phi_integrals(grid5, quad_weight, quartic_weight, rng):
+    # the identity's coupling and interior terms are phi's integrals, bit for bit
+    from critvar.nonexistence import _tilt_energies
+
+    pair = FieldPair(u=smooth_dirichlet_field(grid5, rng),
+                     v=smooth_dirichlet_field(grid5, rng))
+    lam = 7.0
+    rep = pohozaev_report(pair, lam, quad_weight, quartic_weight, grid5)
+    (alpha, beta, gamma), (du, dv) = _tilt_energies(pair, quad_weight,
+                                                    quartic_weight, grid5)
+    assert rep.interior_a == 0.5 * alpha
+    assert rep.interior_b == 0.5 * beta
+    assert rep.coupling_term == 2.0 * lam * gamma
+    assert np.array_equal((du, dv), pair.derivatives(grid5))
 
 
 # --- scaling quotient -------------------------------------------------------
@@ -93,35 +107,6 @@ def test_phi_degenerate_denominator(grid5, quad_weight):
     pair = FieldPair(u=zero, v=zero.copy())
     with pytest.raises(DegenerateDenominator):
         phi_quotient(pair, quad_weight, quad_weight, grid5)
-
-
-def test_optimal_scaling_matches_golden_section(grid5, quad_weight, rng):
-    from critvar.nonexistence import _tilt_energies
-
-    for _ in range(5):
-        u = smooth_dirichlet_field(grid5, rng)
-        v = smooth_dirichlet_field(grid5, rng)
-        if integrate(u * v, grid5) <= 0.0:
-            v = -v
-        pair = FieldPair(u=u, v=v)
-        closed = optimal_scaling_value(pair, quad_weight, quad_weight, grid5)
-        alpha, beta, gamma = _tilt_energies(pair, quad_weight, quad_weight, grid5)
-
-        def phi_of_t(t):
-            return (t * t * alpha + beta) / (4.0 * t * gamma)
-
-        lo, hi = 1e-4, 1e4
-        inv = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - inv * (hi - lo)
-        x2 = lo + inv * (hi - lo)
-        for _ in range(200):
-            if phi_of_t(x1) < phi_of_t(x2):
-                hi, x2 = x2, x1
-                x1 = hi - inv * (hi - lo)
-            else:
-                lo, x1 = x1, x2
-                x2 = lo + inv * (hi - lo)
-        assert closed == pytest.approx(phi_of_t(0.5 * (lo + hi)), rel=1e-8)
 
 
 # --- omega ------------------------------------------------------------------
@@ -213,8 +198,7 @@ def test_omega_family_is_phi_of_its_bumps_with_each_tilt_sampled_once(
     monkeypatch.setattr(WeightProfile, "radial_tilt", counted)
     est = omega_estimate(quad_weight, quartic_weight, grid)
     u = dirichlet_field(1.0 - grid.nodes ** 2, grid)
-    pohozaev_report(FieldPair(u=u, v=u.copy()), 1.0, 1.0, 3.0,
-                    quad_weight, quartic_weight, grid)
+    pohozaev_report(FieldPair(u=u, v=u.copy()), 3.0, quad_weight, quartic_weight, grid)
     assert tilts == [quad_weight, quartic_weight]
     assert not tilde_weight(quad_weight, grid).flags.writeable
     widths = np.geomspace(0.9 * grid.radius, grid.nodes[_MIN_WIDTH_CELLS], _N_WIDTHS)
@@ -245,17 +229,17 @@ def test_omega_quadratic_respects_tabulated_bounds(grid5):
 
 def test_omega_bounds_tabulated_examples():
     # quadratic/quartic at N=5, unit coefficients, diameter 2
-    lower, upper = omega_bounds(5, 2.0, 4.0, 1.0, 1.0, 2.0, 20.19)
+    lower, upper = omega_bounds(5, 2.0, 4.0, 1.0, 1.0, 2.0, lambda: 20.19)
     assert lower == pytest.approx(25.0 / 16.0, rel=1e-12)
     assert upper == pytest.approx(0.5 * 20.19 * 4.0, rel=1e-12)
     # both quadratic at N=4: the at-most-quadratic branch, factor k = l = 2
-    lower, upper = omega_bounds(4, 2.0, 2.0, 1.0, 1.0, 2.0, 14.68)
+    lower, upper = omega_bounds(4, 2.0, 2.0, 1.0, 1.0, 2.0, lambda: 14.68)
     assert lower == pytest.approx(2.0, rel=1e-12)
     assert upper is None
     # both supercritical: exactly (0, 0)
-    assert omega_bounds(5, 3.0, 4.0, 1.0, 1.0, 2.0, 20.19) == (0.0, 0.0)
+    assert omega_bounds(5, 3.0, 4.0, 1.0, 1.0, 2.0, lambda: 20.19) == (0.0, 0.0)
     with pytest.raises(OutsideTable):
-        omega_bounds(5, 1.5, 4.0, 1.0, 1.0, 2.0, 20.19)
+        omega_bounds(5, 1.5, 4.0, 1.0, 1.0, 2.0, lambda: 20.19)
 
 
 # --- Hardy ------------------------------------------------------------------

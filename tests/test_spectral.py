@@ -19,6 +19,13 @@ from conftest import smooth_dirichlet_field
 BESSEL_ZERO = {4: 3.8317059702075123, 5: 4.493409457909064}
 
 
+def dense_operator(c):
+    """K from its conductances: c_0, then c_(i-1) + c_i on the diagonal
+    (no flux through the origin face), -c_i beside it."""
+    return (np.diag(c + np.append(0.0, c[:-1]))
+            - np.diag(c[:-1], 1) - np.diag(c[:-1], -1))
+
+
 def test_operator_form_matches_gradient_energy(grid5, quad_weight, rng):
     u = smooth_dirichlet_field(grid5, rng)
     op = assemble_operator(quad_weight, grid5)
@@ -34,13 +41,18 @@ def test_apply_solve_roundtrip(grid5, unit_weight, rng):
 
 
 def test_apply_matches_reference_exactly(grid5_geo, quad_weight, rng):
+    # exactly the difference of the face fluxes c (x_{i+1} - x_i), x_n = 0,
+    # and the dense K to a few ulp (the two round differently)
     op = assemble_operator(quad_weight, grid5_geo)
+    k = dense_operator(op.c)
     for scale in (1e-6, 1.0, 1e6):
         x = scale * rng.standard_normal(op.size)
-        ref = op.diag * x
-        ref[:-1] += op.off * x[1:]
-        ref[1:] += op.off * x[:-1]
-        assert np.array_equal(op.apply(x), ref)
+        f = np.zeros(op.size + 1)
+        f[1:] = op.c * np.diff(np.append(x, 0.0))
+        kx = op.apply(x)
+        assert np.array_equal(kx, f[:-1] - f[1:])
+        ref = k @ x
+        assert np.max(np.abs(kx - ref)) <= 4.0 * np.spacing(np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("grid_name", ["grid5", "grid5_geo"])
@@ -65,7 +77,7 @@ def test_first_eigenpair_matches_dense_eigh(grid, weight):
     # the smallest eigenpair of M^(-1/2) K M^(-1/2), whose eigenvector z
     # gives x = M^(-1/2) z, M-normalized as the eigenfunction's interior is
     op = assemble_operator(weight, grid)
-    k = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+    k = dense_operator(op.c)
     s = 1.0 / np.sqrt(grid.masses[1:-1])
     values, vectors = np.linalg.eigh(s[:, None] * k * s[None, :])
     x = s * vectors[:, 0]
@@ -138,7 +150,7 @@ def test_operator_is_built_once_and_read_only(grid5, quad_weight):
     op = assemble_operator(quad_weight, grid5)
     assert assemble_operator(quad_weight, grid5) is op
     arrays = list(vars(op).values())
-    assert len(arrays) == 4 and any(arr is op.c for arr in arrays)
+    assert len(arrays) == 2 and any(arr is op.c for arr in arrays)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -156,8 +168,11 @@ def test_operator_rejects_a_conductance_that_is_not_finite_and_positive(bad):
     with pytest.raises(IndefiniteWeight):
         TridiagonalOperator(c)
     op = TridiagonalOperator(np.array([1.0, 2.0, 4.0, 3.0]))
-    assert np.array_equal(op.diag, [1.0, 3.0, 6.0, 7.0])
-    assert np.array_equal(op.off, [-1.0, -2.0, -4.0])
+    k = np.column_stack([op.apply(e) for e in np.eye(op.size)])
+    assert np.array_equal(k, dense_operator(op.c))
+    assert np.array_equal(np.diag(k), [1.0, 3.0, 6.0, 7.0])
+    assert np.array_equal(np.diag(k, 1), [-1.0, -2.0, -4.0])
+    assert np.array_equal(np.diag(k, -1), [-1.0, -2.0, -4.0])
 
 
 def test_conductances_are_read_only_and_give_the_coupling(grid5, quad_weight, rng):
@@ -166,7 +181,9 @@ def test_conductances_are_read_only_and_give_the_coupling(grid5, quad_weight, rn
     op = assemble_operator(quad_weight, grid5)
     with pytest.raises(ValueError):
         op.c[0] = 1.0
-    assert np.array_equal(-op.c[:-1], op.off)
+    k = np.column_stack([op.apply(e) for e in np.eye(op.size)])   # K, read off apply
+    assert np.array_equal(-op.c[:-1], np.diag(k, 1))
+    assert np.array_equal(-op.c[:-1], np.diag(k, -1))
     u = smooth_dirichlet_field(grid5, rng)
     assert float(np.dot(op.c, np.diff(u[1:]) ** 2)) == pytest.approx(
         weighted_gradient_energy(u, quad_weight, grid5), rel=1e-13, abs=0.0)
