@@ -204,7 +204,6 @@ def fit_expansion(
     values,
     scale: str,
     power: float = 1.0,
-    half_order_correction: bool = True,
 ) -> ExpansionFit | list[ExpansionFit]:
     """Least squares of E = intercept + coeff * x through energy curves at
     the ladder eps, with x the chosen scale variable of eps: one curve (a
@@ -213,8 +212,8 @@ def fit_expansion(
 
     The neglected remainder starts at relative order sqrt(eps) with
     cutoff-dependent constants much larger than the leading coefficient,
-    so by default two nuisance regressors (x^(3/2) and x^2) absorb the
-    curvature; only the intercept and the coefficient on x are reported.
+    so two nuisance regressors (x^(3/2) and x^2) absorb the curvature;
+    only the intercept and the coefficient on x are reported.
     """
     eps = np.asarray(eps, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -224,13 +223,10 @@ def fit_expansion(
     x = scale_variable(eps, scale, power)
     if np.ptp(x) == 0.0:
         raise FitFailure("degenerate design matrix: constant scale variable")
-    cols = [np.ones_like(x), x]
-    if half_order_correction:
-        cols += [x ** 1.5, x ** 2]
-    design = np.column_stack(cols)
+    design = np.column_stack((np.ones_like(x), x, x ** 1.5, x ** 2))
     rows = np.atleast_2d(vals)                      # one curve per row
     coefs, _, rank, _ = np.linalg.lstsq(design, rows.T, rcond=None)
-    if rank < len(cols):
+    if rank < design.shape[1]:
         raise FitFailure("degenerate design matrix")
     ss_res = np.sum((rows - (design @ coefs).T) ** 2, axis=1)
     ss_tot = np.sum((rows - np.mean(rows, axis=1, keepdims=True)) ** 2, axis=1)

@@ -5,9 +5,7 @@ Everything here reduces to moments of the standard profile 1/(1+r^2):
     I(s, p) = int_0^inf r^s (1 + r^2)^(-p) dr = (1/2) B((s+1)/2, p-(s+1)/2),
 
 computed through the Beta function (as log-Gammas from `math`, so that
-importing critvar does not load scipy.special) and cross-checked by adaptive
-quadrature on the compactified variable r = tan(theta) (no cutoff
-truncation; tail exponents vary too much across (s, p) for that).
+importing critvar does not load scipy.special).
 """
 
 from __future__ import annotations
@@ -27,25 +25,6 @@ def radial_moment(s: float, p: float) -> float:
         raise DivergentIntegral(f"I({s}, {p}) diverges: need p > (s+1)/2")
     x = (s + 1.0) / 2.0
     return 0.5 * math.exp(math.lgamma(x) + math.lgamma(p - x) - math.lgamma(p))
-
-def radial_moment_quadrature(s: float, p: float) -> float:
-    """Independent route for I(s, p): adaptive quadrature after r = tan(t).
-
-    The substitution maps [0, inf) to [0, pi/2) and turns the integrand
-    into sin^s(t) cos^(2p - s - 2)(t), bounded whenever the integral
-    converges.
-    """
-    # imported here: scipy.integrate is most of `import critvar`'s time
-    from scipy import integrate
-
-    if p <= (s + 1.0) / 2.0:
-        raise DivergentIntegral(f"I({s}, {p}) diverges: need p > (s+1)/2")
-
-    def f(t):
-        return math.sin(t) ** s * math.cos(t) ** (2.0 * p - s - 2.0)
-
-    val, _err = integrate.quad(f, 0.0, 0.5 * math.pi, limit=200)
-    return val
 
 
 @dataclass(frozen=True)

@@ -46,15 +46,6 @@ class SpectralStall(CritvarError):
         self.last_rayleigh = last_rayleigh
 
 
-class ThresholdNotReached(CritvarError):
-    """Coupling is below the eigenfunction-pair threshold; informative, the
-    carried value is the threshold itself."""
-
-    def __init__(self, message, threshold=None):
-        super().__init__(message)
-        self.threshold = threshold
-
-
 class BadSpectrum(CritvarError):
     """Inconsistent spectral input (e.g. nonpositive first eigenvalue)."""
 

@@ -30,10 +30,6 @@ def unit_sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-def ball_volume(dim: int, radius: float) -> float:
-    return math.pi ** (dim / 2.0) * radius ** dim / math.gamma(dim / 2.0 + 1.0)
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Radial grid on [0, R]: nodes, their masses, and the flux geometry.
@@ -65,10 +61,6 @@ class RadialGrid:
             raise BadDomain("nodes must be strictly increasing and start at 0")
         object.__setattr__(self, "spacings", np.diff(r))
         object.__setattr__(self, "faces", 0.5 * (r[:-1] + r[1:]))
-
-    @property
-    def volume(self) -> float:
-        return float(np.sum(self.masses))
 
     def check_shape(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)

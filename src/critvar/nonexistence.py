@@ -14,8 +14,8 @@ weak enough relative to the quotient
 no solution can exist; omega = inf phi is therefore the non-existence
 threshold.  This module evaluates the identity term by term, its coupling
 and interior terms from phi's own integrals, estimates omega over radial
-pairs (an upper estimate of the radial infimum), and checks the
-closed-form bounds and the Hardy-type inequality they rest on.
+pairs (an upper estimate of the radial infimum), and gives the
+closed-form bounds on it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .energy import FieldPair
 from .errors import DegenerateDenominator, GridTooCoarse, OutsideTable
-from .grid import RadialGrid, integrate, nodal_derivative
+from .grid import RadialGrid, integrate
 from .spectral import first_eigenpair
 from .weights import WeightProfile
 
@@ -225,14 +225,3 @@ def omega_bounds(
         f"no tabulated omega bounds for exponents ({k}, {l})"
     )
 
-
-def hardy_check(u: np.ndarray, grid: RadialGrid,
-                tol: float | None = None) -> tuple[float, float, bool]:
-    """int r^2 |u'|^2 >= (N/2)^2 int u^2 for Dirichlet radial fields."""
-    u = grid.check_shape(u)
-    du = nodal_derivative(u, grid)
-    lhs = integrate(grid.nodes ** 2 * du * du, grid)
-    rhs = (grid.dimension / 2.0) ** 2 * integrate(u * u, grid)
-    if tol is None:
-        tol = 1e-9 * max(1.0, lhs, rhs)
-    return lhs, rhs, bool(lhs >= rhs - tol)

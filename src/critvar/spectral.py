@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndefiniteWeight, SpectralStall, ThresholdNotReached
+from .errors import IndefiniteWeight, SpectralStall
 from .grid import RadialGrid, integrate
 from .weights import WeightProfile
 
@@ -255,47 +255,3 @@ def lambda_tilde(a: WeightProfile, b: WeightProfile,
     rb = first_eigenpair(b, grid)
     return WeightedSpectrum(value=min(ra.lambda1, rb.lambda1), first_a=ra, first_b=rb)
 
-
-def coupling_threshold(spec: WeightedSpectrum, grid: RadialGrid) -> float:
-    """The coupling strength above which the eigenfunction pair certifies a
-    nonpositive energy: (|phi_a|_q |phi_b|_q / int phi_a phi_b)
-    * |Omega|^(1 - 2/q) * max(lambda_a, lambda_b)."""
-    from .energy import critical_exponent, lq_norm  # local import: energy imports this module
-
-    phi_a = spec.first_a.eigenfunction
-    phi_b = spec.first_b.eigenfunction
-    q = critical_exponent(grid.dimension)
-    overlap = integrate(phi_a * phi_b, grid)
-    vol = grid.volume
-    return (
-        lq_norm(phi_a, grid) * lq_norm(phi_b, grid) / overlap
-        * vol ** (1.0 - 2.0 / q)
-        * max(spec.first_a.lambda1, spec.first_b.lambda1)
-    )
-
-
-def eigenfunction_pair_energy(
-    a: WeightProfile,
-    b: WeightProfile,
-    lam: float,
-    grid: RadialGrid,
-    spec: WeightedSpectrum | None = None,
-) -> float:
-    """Energy of the q-normalized eigenfunction pair at coupling lam.
-
-    Contract: once lam reaches the coupling threshold the returned value is
-    nonpositive up to discretization tolerance.  Below the threshold the
-    call raises (informative, not fatal): the certificate does not apply.
-    """
-    from .energy import FieldPair, energy  # local import to avoid cycles
-
-    if spec is None:
-        spec = lambda_tilde(a, b, grid)
-    thr = coupling_threshold(spec, grid)
-    if lam < thr * (1.0 - 1e-12):
-        raise ThresholdNotReached(
-            f"coupling {lam} below the eigenfunction-pair threshold {thr}",
-            threshold=thr,
-        )
-    pair = FieldPair(u=spec.first_a.eigenfunction, v=spec.first_b.eigenfunction)
-    return energy(pair, a, b, lam, grid).value

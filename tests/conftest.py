@@ -1,9 +1,14 @@
-"""Shared fixtures: grids and weight profiles reused across test modules."""
+"""Shared fixtures (grids and weight profiles reused across test modules),
+and the reference formulas the tests compare the package against."""
+
+import math
 
 import numpy as np
 import pytest
 
-from critvar import FlowParams, WeightProfile, build_grid
+from critvar import (FieldPair, FlowParams, WeightProfile, build_grid,
+                     critical_exponent, energy, integrate, lq_norm)
+from critvar.grid import nodal_derivative
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +62,52 @@ def smooth_dirichlet_field(grid, rng, modes=8):
         u += rng.standard_normal() / j * np.sin(j * np.pi * r / grid.radius)
     u[-1] = 0.0
     return u
+
+
+def ball_volume(dim, radius):
+    return math.pi ** (dim / 2.0) * radius ** dim / math.gamma(dim / 2.0 + 1.0)
+
+
+def radial_moment_quadrature(s, p):
+    """I(s, p) by adaptive quadrature after r = tan(t), a route independent
+    of the Beta closed form: the integrand becomes sin^s(t) cos^(2p-s-2)(t),
+    bounded on [0, pi/2) whenever the integral converges."""
+    from scipy import integrate as quadrature
+
+    def f(t):
+        return math.sin(t) ** s * math.cos(t) ** (2.0 * p - s - 2.0)
+
+    val, _err = quadrature.quad(f, 0.0, 0.5 * math.pi, limit=200)
+    return val
+
+
+def coupling_threshold(spec, grid):
+    """The coupling at and above which the q-normalized eigenfunction pair
+    of `spec` has nonpositive energy: (|phi_a|_q |phi_b|_q / int phi_a phi_b)
+    * |Omega|^(1 - 2/q) * max(lambda_a, lambda_b)."""
+    phi_a = spec.first_a.eigenfunction
+    phi_b = spec.first_b.eigenfunction
+    q = critical_exponent(grid.dimension)
+    volume = float(np.sum(grid.masses))
+    return (
+        lq_norm(phi_a, grid) * lq_norm(phi_b, grid) / integrate(phi_a * phi_b, grid)
+        * volume ** (1.0 - 2.0 / q)
+        * max(spec.first_a.lambda1, spec.first_b.lambda1)
+    )
+
+
+def eigenfunction_pair_energy(a, b, lam, grid, spec):
+    """Energy of the eigenfunction pair of `spec` at coupling lam."""
+    pair = FieldPair(u=spec.first_a.eigenfunction, v=spec.first_b.eigenfunction)
+    return energy(pair, a, b, lam, grid).value
+
+
+def hardy_sides(u, grid):
+    """Both sides of int r^2 |u'|^2 >= (N/2)^2 int u^2, the Hardy
+    inequality for Dirichlet radial fields."""
+    du = nodal_derivative(u, grid)
+    return (integrate(grid.nodes ** 2 * du * du, grid),
+            (grid.dimension / 2.0) ** 2 * integrate(u * u, grid))
 
 
 @pytest.fixture(scope="session")

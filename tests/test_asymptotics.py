@@ -221,7 +221,7 @@ def test_dim4_model_selection(grid4):
     a = WeightProfile(1.0, 2.0, 1.0)
     ladder = [1e-2 / 2 ** j for j in range(9)]
     curve = energy_curves([10.0], a, a, ladder, g)[0]
-    fit_log = fit_expansion(ladder, curve, "eps_log_eps", half_order_correction=False)
-    fit_lin = fit_expansion(ladder, curve, "eps", half_order_correction=False)
+    fit_log = fit_expansion(ladder, curve, "eps_log_eps")
+    fit_lin = fit_expansion(ladder, curve, "eps")
     assert fit_log.r_squared > fit_lin.r_squared
     assert fit_log.leading_coeff < 0.0  # lam above the dim-4 log-scale threshold

@@ -10,8 +10,9 @@ import pytest
 
 import critvar
 from critvar import (Case, bubble_constants, correction_constant,
-                     radial_moment, radial_moment_quadrature, slope_factor)
+                     radial_moment, slope_factor)
 from critvar.errors import BadDomain, DivergentIntegral, LogScaledRegime
+from conftest import radial_moment_quadrature
 
 
 def test_moment_exact_rational():
@@ -40,8 +41,8 @@ def _scenario(dim, b_exponent, lambdas, analyses):
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # importing scipy is most of a fresh `import critvar`: only the quadrature
-    # cross-check needs scipy.integrate, the Beta closed form takes its
+    # importing scipy is most of a fresh `import critvar`: nothing in the
+    # package uses scipy.integrate, the Beta closed form takes its
     # log-Gammas from math (scipy.special would pull in numpy.f2py), and the
     # stiffness solve is two running sums, so only a Newton step (polish or
     # sweep tangent) loads scipy.linalg; each case runs in a fresh interpreter
@@ -75,17 +76,6 @@ def test_import_leaves_scipy_integrate_unloaded():
 def test_moment_divergence_guard():
     with pytest.raises(DivergentIntegral):
         radial_moment(5, 3)          # p <= (s+1)/2
-    with pytest.raises(DivergentIntegral):
-        radial_moment_quadrature(5, 3)
-
-
-@pytest.mark.parametrize("dim", [5, 6, 7, 8])
-def test_embedding_constant_two_routes(dim):
-    sigma = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-    k1 = (dim - 2) ** 2 * sigma * radial_moment_quadrature(dim + 1, dim)
-    k2 = (sigma * radial_moment_quadrature(dim - 1, dim)) ** ((dim - 2) / dim)
-    const = bubble_constants(dim)
-    assert k1 / k2 == pytest.approx(const.s, rel=1e-10)
 
 
 def test_bubble_constants_are_computed_once_per_dimension():
