@@ -204,17 +204,21 @@ def _case(critvar, name):
 
 def _bordered(critvar, weight, grid, flow):
     """run() for bordered/n1500: BORDERED_CALLS one-row bordered solves at
-    the converged pair of flow, as critvar.minimizer._tangent sets them up."""
+    the converged pair of flow, as critvar.minimizer._tangent sets them up.
+    A tree with the flow kernel (`_kernel`) passes the solve its kernel; an
+    older one passes the operators, coupling, masses and exponent."""
     minimizer = critvar.minimizer
     ops = (minimizer.assemble_operator(weight, grid),)
     m = grid.masses[1:-1]
     rows, rhs0 = [flow.pair.u], [-m * flow.pair.u[1:-1]]
-    q = minimizer.critical_exponent(grid.dimension)
+    if hasattr(minimizer, "_kernel"):
+        args = (minimizer._kernel(ops, SWEEP_LAMS[0], grid),)
+    else:
+        args = (ops, SWEEP_LAMS[0], m, minimizer.critical_exponent(grid.dimension))
 
     def run():
         for _ in range(BORDERED_CALLS):
-            minimizer._bordered_step(rows, [flow.multiplier_u], rhs0, ops,
-                                     SWEEP_LAMS[0], m, q)
+            minimizer._bordered_step(rows, [flow.multiplier_u], rhs0, *args)
         return SimpleNamespace(iterations=BORDERED_CALLS, status="ok",
                                el_residual=math.nan, q_lambda=math.nan)
     return run

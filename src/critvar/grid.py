@@ -74,13 +74,14 @@ class RadialGrid:
 def _geometric_nodes(radius: float, n: int, ratio: float) -> np.ndarray:
     if not 0.0 < ratio < math.inf or ratio == 1.0:
         raise BadDomain("geometric grading needs a positive finite ratio != 1")
-    h0 = radius * (ratio - 1.0) / (ratio ** n - 1.0)
+    h0 = radius * (ratio - 1.0) / (np.float64(ratio) ** n - 1.0)     # inf past 1e308
     spacings = h0 * ratio ** np.arange(n)
     nodes = np.concatenate(([0.0], np.cumsum(spacings)))
     nodes[-1] = radius  # absorb rounding in the cumulative sum
     return nodes
 
 
+@np.errstate(all="ignore")          # a grading past float range: checked below
 def build_grid(
     dim: int,
     radius: float,
@@ -92,7 +93,8 @@ def build_grid(
 
     grading "uniform" gives equispaced nodes and takes no ratio; "geometric"
     gives spacings in constant ratio, clustering nodes near r = 0 for
-    ratio > 1 (where the concentration profiles live).
+    ratio > 1 (where the concentration profiles live).  Raises BadDomain
+    unless every node mass beyond the origin is finite and positive.
     """
     if dim < 2:
         raise BadDomain(f"dimension must be >= 2, got {dim}")
@@ -120,8 +122,11 @@ def build_grid(
     weights = np.zeros_like(nodes)                     # the origin's mass is 0
     weights[1:] = cell_mass[1:] / nodes[1:] ** (dim - 1)
     sigma = unit_sphere_area(dim)
-    return RadialGrid(dimension=dim, radius=radius, nodes=nodes,
-                      masses=sigma * weights * nodes ** (dim - 1), surface_factor=sigma)
+    masses = sigma * weights * nodes ** (dim - 1)
+    if not np.all((masses[1:] > 0.0) & (masses[1:] < math.inf)):
+        raise BadDomain(f"ratio = {ratio}, cells = {n}: a node mass is 0 or not finite")
+    return RadialGrid(dimension=dim, radius=radius, nodes=nodes, masses=masses,
+                      surface_factor=sigma)
 
 
 def _stencil(h: np.ndarray) -> tuple:

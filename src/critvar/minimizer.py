@@ -11,7 +11,10 @@ holds bit for bit, as with equal weights and a symmetric start, the flow
 advances that one row and pays for one component per iteration.  Each
 trial row costs two running sums and one fractional power pass: the
 normalization writes m|x|^(q-2) x, from which it takes the critical norm
-and which the next gradient and the concentration detector reuse.
+and which the next gradient and the concentration detector reuse.  One
+kernel (_kernel) holds this arithmetic; the flow, the Newton polish and the
+sweep's pool take from it the energy, multipliers, residual and
+concentration they report.
 
 Stationary points of the discrete flow solve the discrete coupled system
 
@@ -45,15 +48,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from .constants import Case
-from .energy import (FieldPair, critical_exponent, dirichlet_field, energy,
-                     weighted_gradient_energy)
+from .energy import (FieldPair, _pair_terms, critical_exponent, dirichlet_field,
+                     energy)
 from .errors import BadSpectrum, DegeneratePair, NumericFault
-from .grid import RadialGrid, integrate
+from .grid import RadialGrid
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
 from .weights import WeightProfile
 
@@ -125,53 +129,6 @@ def sign_normalize(pair: FieldPair) -> FieldPair:
     return FieldPair(u=np.abs(pair.u), v=np.abs(pair.v))
 
 
-def concentration_diagnostic(u: np.ndarray, delta: float, grid: RadialGrid) -> float:
-    """Fraction of the critical-norm mass inside radius delta."""
-    if not 0.0 < delta < grid.radius:
-        raise ValueError("need 0 < delta < R")
-    q = critical_exponent(grid.dimension)
-    dens = grid.masses * np.abs(u) ** q
-    total = float(np.sum(dens))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(dens[grid.nodes <= delta]) / total)
-
-
-def lagrange_multipliers(
-    pair: FieldPair,
-    a: WeightProfile,
-    b: WeightProfile,
-    lam: float,
-    grid: RadialGrid,
-) -> tuple[float, float]:
-    """Multipliers of the two unit-norm constraints for a normalized pair."""
-    coupling = lam * integrate(pair.u * pair.v, grid)
-    l1 = weighted_gradient_energy(pair.u, a, grid) - coupling
-    l2 = weighted_gradient_energy(pair.v, b, grid) - coupling
-    return l1, l2
-
-
-def el_residual(
-    pair: FieldPair,
-    l1: float,
-    l2: float,
-    a: WeightProfile,
-    b: WeightProfile,
-    lam: float,
-    grid: RadialGrid,
-) -> float:
-    """Discrete L2 norm of both coupled-system residuals, summed."""
-    if not (np.any(pair.u) or np.any(pair.v)):
-        return 0.0
-    op_a, op_b = assemble_operator(a, grid), assemble_operator(b, grid)
-    q = critical_exponent(grid.dimension)
-    m = grid.masses[1:-1]
-    u, v = pair.u[1:-1], pair.v[1:-1]
-    ru = op_a.apply(u) / m - lam * v - l1 * np.abs(u) ** (q - 2.0) * u
-    rv = op_b.apply(v) / m - lam * u - l2 * np.abs(v) ** (q - 2.0) * v
-    return float(np.sqrt(np.dot(m, ru * ru) + np.dot(m, rv * rv)))
-
-
 # ---------------------------------------------------------------------------
 # descent flow
 # ---------------------------------------------------------------------------
@@ -217,10 +174,11 @@ def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
     return np.array_equal(op_a.c, op_b.c) and np.array_equal(u, v)
 
 
-def _bordered_step(rows, mults, rhs0, ops, lam, m, q):
+def _bordered_step(rows, mults, rhs0, kern):
     """Solve the discrete Euler-Lagrange system's Jacobian at the R distinct
     rows, bordered by the normalization constraints, for the right-hand
     side rhs0 (one dof array per row); returns each row's dof correction.
+    The operators, lam, the dof masses M and q are the kernel kern's.
 
     Unknowns are the rows, interleaved at R*i + k, and their multipliers
     L_k = mults[k].  Row k's block is K_k - (q-1) L_k M|x_k|^(q-2), with -lam M
@@ -232,6 +190,7 @@ def _bordered_step(rows, mults, rhs0, ops, lam, m, q):
     -rhs0: a Newton step for rhs0 = F, the system's residual, and the
     tangent dx/dlam of its solution branch for rhs0 = dF/dlam = -M x_partner.
     """
+    ops, lam, m, q = kern.ops, kern.lam, kern.m, kern.q
     r, n = len(rows), m.size
     ab = np.zeros((2 * r + 1, r * n))
     rhs = np.zeros((r * n, r + 1), order="F")      # LAPACK's layout: no copy
@@ -288,6 +247,60 @@ def _normalizer(grid: RadialGrid):
     return normalize
 
 
+def _kernel(ops, lam, grid: RadialGrid):
+    """The flow's arithmetic on its distinct rows, over the operators ops,
+    row k coupled to row -1 - k, at coupling lam.
+
+    energy(xs, fs) gives (E, g, p) of the normalized rows xs: g_k = sum_f
+    F_f (dx_k)_f over the face fluxes F_f = c_f (dx_k)_f, which it leaves in
+    fs[k][1:] (fs[k][0], the origin face's, stays 0), p = sum m x_0 x_-1
+    (0 at lam == 0) and E = g_0/2 + g_-1/2 - lam p.  gradient(xs, hs, fs, g,
+    p, d) writes each row's raw gradient K x_k - lam M x_partner - (g_k -
+    lam p) h_k into d, K x_k the difference of those fluxes
+    (TridiagonalOperator._flux_difference) and h_k the power row (see
+    _normalizer), and returns the system residual, d's norm in M^-1.
+    mass_inside(h, x) is a normalized row's critical-norm mass h.x over r <=
+    R/10, the detector's.  report(rows) normalizes the rows in place and
+    returns (E, the multipliers g_k - lam p, the residual, row 0's mass
+    inside R/10).
+    """
+    m, m_dof = grid.masses, grid.masses[1:-1]
+    inv_m, lam_m = 1.0 / m_dof, lam * m_dof
+    inside = int(np.searchsorted(grid.nodes, _CONC_DELTA_FRACTION * grid.radius,
+                                 side="right"))                     # r <= R/10
+    node, dof = np.empty(m.size), np.empty(m_dof.size)
+    normalize = _normalizer(grid)
+
+    def energy(xs, fs):
+        g = [float(np.dot(np.multiply(op.c, np.subtract(xk[2:], xk[1:-1], out=dof),
+                                      out=fk[1:]), dof))
+             for xk, op, fk in zip(xs, ops, fs)]
+        p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node))) if lam else 0.0
+        return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
+
+    def gradient(xs, hs, fs, g, p, d):
+        for k, (hk, fk, op, dk) in enumerate(zip(hs, fs, ops, d)):
+            op._flux_difference(fk, dk)
+            if lam:
+                dk -= np.multiply(lam_m, xs[-1 - k][1:-1], out=dof)
+            dk -= np.multiply(hk[1:-1], g[k] - lam * p, out=dof)
+        r2 = [np.dot(np.multiply(dk, dk, out=dof), inv_m) for dk in d]
+        return np.sqrt(r2[0] + r2[-1])
+
+    def mass_inside(h, x):
+        return float(np.dot(h[:inside], x[:inside]))
+
+    def report(rows):
+        hs, fs, d = ([np.zeros(k) for _ in rows] for k in (m.size, m.size - 1, m.size - 2))
+        e, g, p = energy([normalize(t, h) for t, h in zip(rows, hs)], fs)
+        res = float(gradient(rows, hs, fs, g, p, d))
+        return e, [gk - lam * p for gk in g], res, mass_inside(hs[0], rows[0])
+
+    return SimpleNamespace(ops=ops, lam=lam, m=m_dof, q=critical_exponent(grid.dimension),
+                           normalize=normalize, energy=energy, gradient=gradient,
+                           mass_inside=mass_inside, report=report)
+
+
 def _dilate(xs, s, nodes, out):
     """Each row x of xs dilated to x(s r), interpolated at the nodes, into
     the rows of out; the origin node takes its neighbour's value, as in the
@@ -298,14 +311,13 @@ def _dilate(xs, s, nodes, out):
     return out
 
 
-def _newton_polish(x, h, ops, lam, grid, normalize, gradient, total_energy,
-                   grad_tol, e_max):
+def _newton_polish(x, h, kern, grad_tol, e_max):
     """Newton's method on the bordered discrete Euler-Lagrange system (see
     _bordered_step) from the flow's rows x and their power rows h, which it
     leaves untouched; the rows' face fluxes go to buffers of its own.
 
-    Each step's multipliers L_k and residual come from the flow's own
-    gradient code, and each step renormalizes the rows as the flow does.
+    Each step's energy, multipliers L_k and residual come from the flow's
+    kernel kern (see _kernel), and each step renormalizes the rows with it.
     The first step may raise the residual (Newton overshoots from outside
     its quadratic region); a later one that does not lower it is retried at
     1/2, 1/4, ... of its length (_NEWTON_HALVINGS halvings, no new solve).
@@ -317,25 +329,24 @@ def _newton_polish(x, h, ops, lam, grid, normalize, gradient, total_energy,
     one sign in the interior.  Else returns (None, floor, steps), floor the
     lowest residual if the attempt ended at the solve's floor, else inf.
     """
-    m, q = grid.masses[1:-1], critical_exponent(grid.dimension)
     y, y0 = [xk.copy() for xk in x], [xk.copy() for xk in x]
-    hy, d = [hk.copy() for hk in h], [np.empty(m.size) for _ in x]
-    fy = [np.zeros(m.size + 1) for _ in x]
+    hy, d = [hk.copy() for hk in h], [np.empty(kern.m.size) for _ in x]
+    fy = [np.zeros(kern.m.size + 1) for _ in x]
     last, quadratic = math.inf, False
 
     def advance(dx, t):             # y = the rows y0 advanced by t dx
         for yk, hk, y0k, dxk in zip(y, hy, y0, dx):
             np.add(y0k[1:-1], t * dxk, out=yk[1:-1])
             yk[0] = yk[1]
-            normalize(yk, hk)
+            kern.normalize(yk, hk)
 
     try:
         for step in range(_NEWTON_STEPS + 1):
             for halving in range(_NEWTON_HALVINGS + 1 if step > 1 else 1):
                 if halving:
                     advance(dx, 0.5 ** halving)
-                e, g, p = total_energy(y, fy)
-                res = gradient(y, hy, fy, g, p, d)
+                e, g, p = kern.energy(y, fy)
+                res = kern.gradient(y, hy, fy, g, p, d)
                 if res < last:
                     break
             if res <= grad_tol:
@@ -351,7 +362,7 @@ def _newton_polish(x, h, ops, lam, grid, normalize, gradient, total_energy,
                 break
             quadratic = quadratic or (step > 0 and res * _NEWTON_QUADRATIC <= last)
             last = res
-            dx = _bordered_step(y, [gk - lam * p for gk in g], d, ops, lam, m, q)
+            dx = _bordered_step(y, [gk - kern.lam * p for gk in g], d, kern)
             y, y0 = y0, y                   # the step starts from these rows
             advance(dx, 1.0)
     except (LinAlgError, ValueError, FloatingPointError, DegeneratePair):
@@ -380,16 +391,13 @@ def descend(
     partner is row -1 - k, so both cases run the same arithmetic.  An
     iteration costs per row two running sums, one fractional power pass and
     O(n) in-place updates in a workspace allocated once per call: the
-    normalization of a trial row t writes h = m|t|^(q-2) t, takes the norm
-    from h.t = sum m|t|^q and rescales h with t, so that h holds the
-    m|x|^(q-2) x term of the next gradient and the mass density h.x the
-    concentration detector reads.  At N = 5 the power is a cube root
-    (see _normalizer).  The flow's energy is sum_f f_f (x_{f+1} - x_f) over
-    the face fluxes f_f = c_f (x_{f+1} - x_f), which it keeps per row, and
-    the next gradient reads K x as their difference
-    (TridiagonalOperator._flux_difference) instead of applying K; at
-    lam == 0 the coupling products are skipped.  The best rows are held by
-    reference and copied only when a trial row is about to overwrite them.
+    normalization of a trial row t writes h = m|t|^(q-2) t (see
+    _normalizer), which the next gradient and the concentration detector
+    read, and the energy leaves the face fluxes from which the gradient
+    reads K x (see _kernel).  The best rows are held by reference and copied
+    only when a trial row is about to overwrite them.  The reported pair
+    (sign-normalized at lam > 0) is renormalized, and the kernel's report on
+    it gives the reported energy, multipliers, residual and concentration.
 
     When the system residual falls to _NEWTON_SWITCH (but not to grad_tol),
     or at the first iteration when init_pair is given (a warm start, which
@@ -425,50 +433,25 @@ def descend(
     if init_pair is None:
         init_pair = _initial_pair(a, b, grid, params)
     ops = (assemble_operator(a, grid), assemble_operator(b, grid))
-    m = grid.masses
-    m_dof = m[1:-1]
-    inv_m = 1.0 / m_dof
-    lam_m = lam * m_dof
-    delta = _CONC_DELTA_FRACTION * grid.radius
-    inside = int(np.searchsorted(grid.nodes, delta, side="right"))   # r <= delta
-    node, dof = np.empty(m.size), np.empty(m_dof.size)
+    n = grid.nodes.size
     normalize = _normalizer(grid)
 
     # each row x[k] comes with its power row h[k]
-    h = (np.empty(m.size), np.empty(m.size))
+    h = (np.empty(n), np.empty(n))
     x = (normalize(dirichlet_field(init_pair.u, grid), h[0]),
          normalize(dirichlet_field(init_pair.v, grid), h[1]))
     if _one_row(ops, x):
         x, h, ops = x[:1], h[:1], ops[:1]
+    kern = _kernel(ops, lam, grid)
     sup_max = _CONC_SUP_FACTOR * max(np.max(np.abs(xk)) for xk in x)
     # trial rows swap with x when accepted (as copies their boundary node is 0),
     # and so do their power rows h and face fluxes f; d holds each row's raw
     # gradient
-    x_try, h_try = [xk.copy() for xk in x], [np.empty(m.size) for _ in x]
-    f, f_try = ([np.zeros(m_dof.size + 1) for _ in x] for _ in range(2))
-    d = [np.empty(m_dof.size) for _ in x]
+    x_try, h_try = [xk.copy() for xk in x], [np.empty(n) for _ in x]
+    f, f_try = ([np.zeros(n - 1) for _ in x] for _ in range(2))
+    d, dof = [np.empty(n - 2) for _ in x], np.empty(n - 2)
 
-    def total_energy(xs, fs):
-        """Energy of the rows xs, leaving each row's face fluxes in fs[k][1:]
-        (fs[k][0] is the origin face's, always 0)."""
-        g = [float(np.dot(np.multiply(op.c, np.subtract(xk[2:], xk[1:-1], out=dof),
-                                      out=fk[1:]), dof))
-             for xk, op, fk in zip(xs, ops, fs)]
-        p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node))) if lam else 0.0
-        return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
-
-    def gradient(xs, hs, fs, g, p, d):
-        """Each row's raw gradient into d, from the face fluxes fs that
-        total_energy left for xs; returns the system residual."""
-        for k, (hk, fk, op, dk) in enumerate(zip(hs, fs, ops, d)):
-            op._flux_difference(fk, dk)
-            if lam:
-                dk -= np.multiply(lam_m, xs[-1 - k][1:-1], out=dof)
-            dk -= np.multiply(hk[1:-1], g[k] - lam * p, out=dof)
-        r2 = [np.dot(np.multiply(dk, dk, out=dof), inv_m) for dk in d]
-        return np.sqrt(r2[0] + r2[-1])
-
-    e_now, g, p = total_energy(x, f)
+    e_now, g, p = kern.energy(x, f)
     best_e, best = e_now, x
     trace = [best_e]
     tau = params.step
@@ -476,15 +459,14 @@ def descend(
     last_improve = it = 0
 
     for it in range(1, params.max_iters + 1):
-        res = gradient(x, h, f, g, p, d)
+        res = kern.gradient(x, h, f, g, p, d)
         if not math.isfinite(res):
             raise NumericFault("non-finite residual during descent")
         if res <= params.grad_tol:
             status = "converged"
         elif res <= polish_at:
             polished, value, steps = _newton_polish(
-                x, h, ops, lam, grid, normalize, gradient, total_energy,
-                params.grad_tol, e_now + 1e-14 * abs(e_now))
+                x, h, kern, params.grad_tol, e_now + 1e-14 * abs(e_now))
             if polished is None:
                 polish_at = min(res, value) / _NEWTON_REARM
             else:
@@ -504,8 +486,8 @@ def descend(
                 np.subtract(xk[1:-1], np.multiply(sk, tau, out=dof), out=t[1:-1])
                 t[0] = t[1]
             try:
-                e_try, g_t, p_t = total_energy([normalize(t, ht)
-                                                for t, ht in zip(x_try, h_try)], f_try)
+                e_try, g_t, p_t = kern.energy([normalize(t, ht)
+                                               for t, ht in zip(x_try, h_try)], f_try)
             except (DegeneratePair, FloatingPointError):
                 tau *= 0.5
                 continue
@@ -528,10 +510,8 @@ def descend(
         trace.append(best_e)
 
         if it % 10 == 0:
-            # x[0] is normalized, so its mass inside delta is h.x over r <= delta
-            conc = float(np.dot(h[0][:inside], x[0][:inside]))
             sup = max(np.max(np.abs(xk)) for xk in x)
-            if conc > _CONC_MASS:
+            if kern.mass_inside(h[0], x[0]) > _CONC_MASS:
                 if sup > sup_max:
                     status = "concentrating"
                     break
@@ -547,7 +527,7 @@ def descend(
                     moved = None
                 if (moved is not None
                         and max(np.max(np.abs(t)) for t in moved) <= sup_max):
-                    e_try, g_t, p_t = total_energy(moved, f_try)
+                    e_try, g_t, p_t = kern.energy(moved, f_try)
                     if e_try < e_now:
                         x, x_try, h, h_try, f, f_try = x_try, x, h_try, h, f_try, f
                         e_now, g, p = e_try, g_t, p_t
@@ -559,20 +539,15 @@ def descend(
             status = "stalled"
             break
 
-    best = FieldPair(u=best[0], v=best[-1].copy())
-    if lam > 0.0:
-        best = sign_normalize(best)
-        best = FieldPair(u=normalize(best.u, node), v=normalize(best.v, node))
-    report = energy(best, a, b, lam, grid)
-    l1, l2 = lagrange_multipliers(best, a, b, lam, grid)
-    res = el_residual(best, l1, l2, a, b, lam, grid)
+    rows = [np.abs(xk) for xk in best] if lam > 0.0 else list(best)   # sign_normalize
+    e, mults, res, conc = kern.report(rows)
     return MinimizeResult(
-        pair=best,
-        q_lambda=report.value,
-        multiplier_u=l1,
-        multiplier_v=l2,
+        pair=FieldPair(u=rows[0], v=rows[-1].copy()),
+        q_lambda=e,
+        multiplier_u=mults[0],
+        multiplier_v=mults[-1],
         el_residual=res,
-        concentration=concentration_diagnostic(best.u, delta, grid),
+        concentration=conc,
         status=status,
         iterations=it,
         best_trace=np.asarray(trace),
@@ -595,10 +570,9 @@ def _tangent(flow: MinimizeResult, a: WeightProfile, b: WeightProfile,
     mults = (flow.multiplier_u, flow.multiplier_v)
     if _one_row(ops, x):
         x, ops, mults = x[:1], ops[:1], mults[:1]
-    m = grid.masses[1:-1]
-    rhs0 = [-m * x[-1 - k][1:-1] for k in range(len(x))]
-    return x, _bordered_step(x, mults, rhs0, ops, lam, m,
-                             critical_exponent(grid.dimension))
+    kern = _kernel(ops, lam, grid)
+    rhs0 = [-kern.m * x[-1 - k][1:-1] for k in range(len(x))]
+    return x, _bordered_step(x, mults, rhs0, kern)
 
 
 def _next_start(flow: MinimizeResult, a: WeightProfile, b: WeightProfile,
@@ -666,7 +640,7 @@ def sweep_minimize(
     """
     lams = [float(x) for x in lams]
     flows: dict[float, MinimizeResult] = {}
-    pool = []   # (source flow, grad_a_raw, grad_b_raw, coupling_raw, pair)
+    pool = []   # (source flow, grad_a, grad_b, normalized int uv, pair)
     warm = prev = None
     for lam in sorted(set(lams)):
         if prev is not None:
@@ -674,10 +648,8 @@ def sweep_minimize(
         res = flows[lam] = descend(a, b, lam, grid, params, init_pair=warm)
         prev = lam
         pr = sign_normalize(res.pair)
-        ga = 0.5 * weighted_gradient_energy(pr.u, a, grid)
-        gb = 0.5 * weighted_gradient_energy(pr.v, b, grid)
-        c = integrate(pr.u * pr.v, grid)
-        pool.append((res, ga, gb, c, pr))
+        ga, gb, uv, nu, nv = _pair_terms(pr.u, pr.v, a, b, grid)
+        pool.append((res, ga, gb, uv / (nu * nv), pr))
 
     rows = []
     for lam in lams:
@@ -686,14 +658,16 @@ def sweep_minimize(
                             for src, ga, gb, c, pr in pool if src is not flow),
                            key=lambda cand: cand[0], default=(np.inf, None, None))
         if val < flow.q_lambda:
-            l1, l2 = lagrange_multipliers(pr, a, b, lam, grid)
+            kern = _kernel((assemble_operator(a, grid), assemble_operator(b, grid)),
+                           lam, grid)
+            _, (l1, l2), el, _ = kern.report([pr.u.copy(), pr.v.copy()])
             res = replace(
                 flow,
                 pair=pr,
                 q_lambda=val,
                 multiplier_u=l1,
                 multiplier_v=l2,
-                el_residual=el_residual(pr, l1, l2, a, b, lam, grid),
+                el_residual=el,
                 concentration=src.concentration,    # of |u|^q, so sign-blind
                 status="pooled",
             )

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from critvar import (FieldPair, FlowParams, WeightProfile, build_grid,
-                     critical_exponent, energy, integrate, lq_norm)
+from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
+                     build_grid, critical_exponent, energy, integrate, lq_norm,
+                     weighted_gradient_energy)
 from critvar.grid import nodal_derivative
 
 
@@ -108,6 +109,31 @@ def hardy_sides(u, grid):
     du = nodal_derivative(u, grid)
     return (integrate(grid.nodes ** 2 * du * du, grid),
             (grid.dimension / 2.0) ** 2 * integrate(u * u, grid))
+
+
+def lagrange_multipliers(pair, a, b, lam, grid):
+    """Multipliers of the two unit-norm constraints for a normalized pair:
+    int a|u'|^2 - lam int uv and its v-analog."""
+    coupling = lam * integrate(pair.u * pair.v, grid)
+    return (weighted_gradient_energy(pair.u, a, grid) - coupling,
+            weighted_gradient_energy(pair.v, b, grid) - coupling)
+
+
+def el_residual(pair, l1, l2, a, b, lam, grid):
+    """Discrete L2 norm of both residuals of the coupled system
+    -div(a grad u) - lam v = l1 |u|^(q-2) u and its v-analog."""
+    q = critical_exponent(grid.dimension)
+    m = grid.masses[1:-1]
+    u, v = pair.u[1:-1], pair.v[1:-1]
+    ru = assemble_operator(a, grid).apply(u) / m - lam * v - l1 * np.abs(u) ** (q - 2.0) * u
+    rv = assemble_operator(b, grid).apply(v) / m - lam * u - l2 * np.abs(v) ** (q - 2.0) * v
+    return float(np.sqrt(np.dot(m, ru * ru) + np.dot(m, rv * rv)))
+
+
+def concentration_diagnostic(u, delta, grid):
+    """Fraction of the critical-norm mass of u inside radius delta."""
+    dens = grid.masses * np.abs(u) ** critical_exponent(grid.dimension)
+    return float(np.sum(dens[grid.nodes <= delta]) / np.sum(dens))
 
 
 @pytest.fixture(scope="session")

@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from critvar import (FieldPair, FlowParams, WeightProfile, bubble_constants,
-                     build_grid, case_of, correction_constant, descend,
-                     dirichlet_field, energy, energy_curves,
+from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
+                     bubble_constants, build_grid, case_of, correction_constant,
+                     descend, dirichlet_field, energy, energy_curves,
                      existence_verdict, first_eigenpair, fit_expansion,
-                     lagrange_multipliers, lambda_tilde, lq_norm,
-                     omega_bounds, omega_estimate, pohozaev_report,
-                     slope_factor, sweep_minimize, unit_sphere_area)
+                     lambda_tilde, lq_norm, minimizer, omega_bounds,
+                     omega_estimate, pohozaev_report, slope_factor,
+                     sweep_minimize, unit_sphere_area)
 from conftest import (coupling_threshold, eigenfunction_pair_energy,
                       hardy_sides, radial_moment_quadrature,
                       smooth_dirichlet_field)
@@ -158,12 +158,15 @@ def test_criterion_07_minimizer_sign(sweeps):
 
 
 def test_criterion_08_multiplier_identity(grid5, quad_weight, quartic_weight, rng):
+    # the multipliers the flow reports, from its kernel
     lam = 3.0
+    kern = minimizer._kernel((assemble_operator(quad_weight, grid5),
+                              assemble_operator(quartic_weight, grid5)), lam, grid5)
     for _ in range(100):
         u = smooth_dirichlet_field(grid5, rng)
         v = smooth_dirichlet_field(grid5, rng)
         pair = FieldPair(u=u / lq_norm(u, grid5), v=v / lq_norm(v, grid5))
-        l1, l2 = lagrange_multipliers(pair, quad_weight, quartic_weight, lam, grid5)
+        _, (l1, l2), _, _ = kern.report([pair.u.copy(), pair.v.copy()])
         rep = energy(pair, quad_weight, quartic_weight, lam, grid5)
         assert (l1 + l2) / 2.0 == pytest.approx(rep.value, rel=1e-12)
 

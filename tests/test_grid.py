@@ -97,6 +97,15 @@ def test_non_finite_radius_or_ratio_rejected(value):
         build_grid(5, 1.0, 100, grading="geometric", ratio=value)
 
 
+@pytest.mark.parametrize("ratio", [2.0, 1.1])
+def test_grading_past_float_range_rejected(ratio):
+    # ratio 2: ratio ** cells overflowed as a raw OverflowError; ratio 1.1:
+    # the first cell, about 1e-84, underflowed r^(N-1) with a RuntimeWarning
+    # and the run then blamed the weight
+    with pytest.raises(BadDomain, match=f"ratio = {ratio}, cells = 2000"):
+        build_grid(5, 1.0, 2000, grading="geometric", ratio=ratio)
+
+
 def test_check_shape(grid5):
     with pytest.raises(ShapeMismatch):
         grid5.check_shape(np.zeros(3))

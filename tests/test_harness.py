@@ -412,6 +412,23 @@ def test_cli_bad_config(tmp_path):
     assert cli_main(["constants", "--config", str(cfg)]) == 2
 
 
+def test_cli_config_not_utf8(tmp_path, capsys):
+    # once a raw UnicodeDecodeError traceback and exit 1
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"\xff\xfe\x00bad")
+    assert cli_main(["all", "--config", str(cfg)]) == 2
+    assert "error: cannot read config: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratio", [2.0, 1.1])
+def test_cli_grading_past_float_range(tmp_path, capsys, ratio):
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 2000\n"
+                                   f"grading = geometric\nratio = {ratio}"))
+    assert cli_main(["eig", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"ratio = {ratio}, cells = 2000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     MINIMAL + "\n[flow]\nstep = 0\n",
     MINIMAL + "\n[flow]\ninit = bogus\n",

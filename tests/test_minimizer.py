@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from critvar import (Case, FieldPair, FlowParams, WeightProfile, build_grid,
-                     concentration_diagnostic, descend, dirichlet_field,
-                     el_residual, energy, existence_verdict,
-                     lagrange_multipliers, lambda_tilde, lq_norm,
-                     sign_normalize, sweep_minimize)
+                     descend, dirichlet_field, energy, existence_verdict,
+                     lambda_tilde, lq_norm, sign_normalize, sweep_minimize)
 from critvar import minimizer
 from critvar.errors import BadSpectrum, DegeneratePair, NumericFault
 from critvar.spectral import TridiagonalOperator
-from conftest import smooth_dirichlet_field
+from conftest import (concentration_diagnostic, el_residual, lagrange_multipliers,
+                      smooth_dirichlet_field)
 
 
 def _normalized_pair(grid, rng):
@@ -27,17 +26,13 @@ def _normalized_pair(grid, rng):
 
 
 def test_multiplier_average_is_energy(grid5, quad_weight, rng):
+    op = minimizer.assemble_operator(quad_weight, grid5)
+    kern = minimizer._kernel((op, op), 3.0, grid5)
     for _ in range(20):
         pair = _normalized_pair(grid5, rng)
-        l1, l2 = lagrange_multipliers(pair, quad_weight, quad_weight, 3.0, grid5)
+        _, (l1, l2), _, _ = kern.report([pair.u.copy(), pair.v.copy()])
         rep = energy(pair, quad_weight, quad_weight, 3.0, grid5)
         assert (l1 + l2) / 2.0 == pytest.approx(rep.value, rel=1e-12)
-
-
-def test_el_residual_zero_pair(grid5, unit_weight):
-    zero = np.zeros_like(grid5.nodes)
-    pair = FieldPair(u=zero, v=zero.copy())
-    assert el_residual(pair, 0.0, 0.0, unit_weight, unit_weight, 1.0, grid5) == 0.0
 
 
 def test_sign_normalize(grid5, rng):
@@ -318,6 +313,16 @@ def test_failed_polish_leaves_the_flow_bitwise(request, monkeypatch, grid5,
             assert x == y
 
 
+def _fake_kernel(grid, weight, gradient):
+    """The one-row kernel at lam = 9 with a unit energy, no normalization
+    and the given gradient; its operators, masses and q, which the bordered
+    solve reads, are real."""
+    kern = minimizer._kernel((minimizer.assemble_operator(weight, grid),), 9.0, grid)
+    kern.normalize, kern.gradient = (lambda t, h: t), gradient
+    kern.energy = lambda y, fy: (1.0, [1.0], 0.0)
+    return kern
+
+
 def _scripted_polish(monkeypatch, grid, weight, residuals, grad_tol):
     """_newton_polish on a fixed row with a scripted residual per evaluation
     (the Newton steps themselves are real, and zero); returns its result and
@@ -336,10 +341,8 @@ def _scripted_polish(monkeypatch, grid, weight, residuals, grad_tol):
 
     monkeypatch.setattr(minimizer, "solve_banded", counted)
     x = dirichlet_field(1.0 - grid.nodes ** 2, grid)
-    ops = (minimizer.assemble_operator(weight, grid),)
-    out = minimizer._newton_polish(
-        [x], [x.copy()], ops, 9.0, grid, lambda t, h: t, gradient,
-        lambda y, fy: (1.0, [1.0], 0.0), grad_tol, 2.0)
+    out = minimizer._newton_polish([x], [x.copy()], _fake_kernel(grid, weight, gradient),
+                                   grad_tol, 2.0)
     return out, len(solved)
 
 
@@ -387,10 +390,8 @@ def test_polish_rejects_rows_that_change_sign(grid5, quad_weight, modes,
                                               accepted):
     # rows already at grad_tol: cos((2j - 1) pi r / 2) changes sign for j > 1
     x = dirichlet_field(np.cos((2 * modes - 1) * np.pi * grid5.nodes / 2.0), grid5)
-    ops = (minimizer.assemble_operator(quad_weight, grid5),)
-    rows, _, _ = minimizer._newton_polish(
-        [x], [x.copy()], ops, 9.0, grid5, lambda t, h: t,
-        lambda *args: 1e-7, lambda y, fy: (1.0, [1.0], 0.0), 1e-6, 2.0)
+    kern = _fake_kernel(grid5, quad_weight, lambda *args: 1e-7)
+    rows, _, _ = minimizer._newton_polish([x], [x.copy()], kern, 1e-6, 2.0)
     assert (rows is not None) == accepted
 
 
@@ -536,9 +537,33 @@ def test_sweep_monotone_and_pooled(grid5, quad_weight, quick_flow):
     pooled = rows[0].result
     assert np.array_equal(pooled.pair.u, rows[1].result.pair.u)
     assert pooled.status == "pooled"
-    assert pooled.concentration == concentration_diagnostic(
-        pooled.pair.u, 0.1 * grid5.radius, grid5)
+    # the flow's mass fraction and the reference round differently
+    assert pooled.concentration == pytest.approx(concentration_diagnostic(
+        pooled.pair.u, 0.1 * grid5.radius, grid5), rel=1e-14)
     assert pooled.concentration == rows[1].result.concentration
+
+
+def test_reported_quantities_describe_the_reported_pair(grid5, quad_weight,
+                                                        quartic_weight, quick_flow):
+    # the flow's kernel reports them; the references evaluate the pair anew
+    cases = [(quartic_weight, quad_weight, 10.0, "converged",
+              descend(quartic_weight, quad_weight, 10.0, grid5, quick_flow)),
+             (quad_weight, quad_weight, 2.0, "concentrating",
+              descend(quad_weight, quad_weight, 2.0, grid5, quick_flow)),
+             (quad_weight, quad_weight, 2.0, "pooled", sweep_minimize(
+                 [2.0, 5.0], quad_weight, quad_weight, grid5, quick_flow)[0].result)]
+    for a, b, lam, status, res in cases:
+        assert res.status == status
+        pair = res.pair
+        assert res.q_lambda == pytest.approx(energy(pair, a, b, lam, grid5).value,
+                                             rel=1e-12, abs=0.0)
+        l1, l2 = lagrange_multipliers(pair, a, b, lam, grid5)
+        assert res.multiplier_u == pytest.approx(l1, rel=1e-12, abs=0.0)
+        assert res.multiplier_v == pytest.approx(l2, rel=1e-12, abs=0.0)
+        assert res.concentration == pytest.approx(concentration_diagnostic(
+            pair.u, 0.1 * grid5.radius, grid5), rel=1e-12, abs=0.0)
+        assert res.el_residual == pytest.approx(
+            el_residual(pair, l1, l2, a, b, lam, grid5), rel=0.0, abs=1e-9)
 
 
 def test_sweep_row_never_won_by_its_own_pair():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
-                     build_grid, dirichlet_field, el_residual, energy,
-                     first_eigenpair, integrate, lambda_tilde, sweep_minimize,
-                     tilde_weight, weighted_gradient_energy)
+                     build_grid, dirichlet_field, energy, first_eigenpair,
+                     integrate, lambda_tilde, sweep_minimize, tilde_weight,
+                     weighted_gradient_energy)
 from critvar.spectral import TridiagonalOperator
 from critvar.errors import IndefiniteWeight, SpectralStall
 from conftest import (coupling_threshold, eigenfunction_pair_energy,
@@ -190,8 +190,8 @@ def test_conductances_are_read_only_and_give_the_coupling(grid5, quad_weight, rn
 
 
 def test_each_weight_is_sampled_and_factored_once(monkeypatch, rng):
-    # the eigen-solve, a sweep's flows and pool, the energy and the residual
-    # all share one operator per (weight, grid)
+    # the eigen-solve, a sweep's flows and pool (whose kernels report the
+    # residual) and the energy all share one operator per (weight, grid)
     grid = build_grid(5, 1.0, 200)
     a = WeightProfile(1.0, 2.0, 1.0)
     b = WeightProfile(1.0, 4.0, 1.0)
@@ -215,7 +215,6 @@ def test_each_weight_is_sampled_and_factored_once(monkeypatch, rng):
     u = smooth_dirichlet_field(grid, rng)
     pair = FieldPair(u=u, v=u.copy())
     energy(pair, a, b, 9.0, grid)
-    el_residual(pair, 1.0, 1.0, a, b, 9.0, grid)
     assert len(at_faces) == 2 and at_faces[0] is a and at_faces[1] is b
     assert len(built) == 2
 
