@@ -24,13 +24,15 @@ divided by its iteration count:
 - symmetric:   a = b = 1 + r^2 at coupling 9 with the bubble start (u == v,
                one row);
 - symmetric-0: the same at coupling 0, where the flow skips the coupling
-               products, capped at ITERS_0 iterations: the concentration
-               detector's mass test first passes at iteration 150 (n = 800)
-               and 160 (n = 3000), where the flow's dilation move starts;
+               products, capped at ITERS_0 iterations, below the detector's
+               first checkpoint: at iteration 10 the flow's dilation move
+               starts, and the flow stops at 20;
 - random:      a = b = 1 + r^2 at coupling 9 with the random start (u0 != v0,
                two rows);
 - distinct:    a = 1 + r^2, b = 1 + 2 r^2 at coupling 9 with the bubble start
-               (two rows).
+               (two rows), capped at ITERS_DISTINCT iterations: this flow
+               concentrates, and its dilation move starts at iteration 30,
+               after which the flow stops at 40.
 
 One more per-iteration case times a kernel rather than a flow:
 
@@ -45,7 +47,7 @@ runs until the concentration detector stops it:
 
 - conc-0: the flow of the `concentration` benchmark workload, a = b = 1 + r^2
   at coupling 0 on the N = 5 geometric grid of 3,000 cells (ratio 1.004),
-  grad_tol 1e-12, at most 20000 iterations (one row; 170 iterations with
+  grad_tol 1e-12, at most 20000 iterations (one row; 20 iterations with
   the dilation move, 6,130 without).
 
 The to-tolerance cases run on the N = 5 geometric grid of 1,500 cells (ratio
@@ -113,7 +115,8 @@ SIZES = (800, 3000)
 STARTS = ("symmetric", "symmetric-0", "random", "distinct")
 LAMBDA = 9.0
 ITERS = 300
-ITERS_0 = 140           # symmetric-0: stops before the mass test first passes
+ITERS_0 = 9             # symmetric-0: stops before the first checkpoint
+ITERS_DISTINCT = 29     # distinct: stops before its first dilation move
 ROUNDS = 8              # fresh worker pairs per case
 REPEATS = 3             # runs per worker
 BEST_OF = 3             # calls per run; the run reports the fastest
@@ -178,7 +181,8 @@ def _case(critvar, name):
             max_iters=ITERS_0, grad_tol=1e-14, stall_window=ITERS_0)),
         "random": (b_same, LAMBDA, critvar.FlowParams(
             max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS, init="random")),
-        "distinct": (b_other, LAMBDA, flow),
+        "distinct": (b_other, LAMBDA, critvar.FlowParams(
+            max_iters=ITERS_DISTINCT, grad_tol=1e-14, stall_window=ITERS_DISTINCT)),
     }
     if name.startswith("n"):
         size, start = name[1:].split("/")
@@ -337,8 +341,9 @@ def main(argv=None) -> int:
                  "Per-iteration cases (n<cells>/<start>): "
                  f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA} "
                  f"(0 for symmetric-0), iteration cap {ITERS} ({ITERS_0} for "
-                 "symmetric-0). bordered/n1500: seconds per call of the one-row "
-                 "bordered Newton solve (1499 unknowns) at the converged pair of "
+                 f"symmetric-0, {ITERS_DISTINCT} for distinct). bordered/n1500: "
+                 "seconds per call of the one-row bordered Newton solve (1499 "
+                 "unknowns) at the converged pair of "
                  f"sweep-9.0446, {BORDERED_CALLS} calls per run. "
                  "conc-0: seconds per call of the concentration "
                  "workload's flow (coupling 0, 3000 geometric cells), stopped "

@@ -33,7 +33,8 @@ further down.  A warm-started flow tries Newton from its first iteration.
 At the critical exponent the energy of constant weights is invariant under
 the dilation x(r) -> s^((N-2)/2) x(s r), along which a preconditioned step
 barely moves, so a flow whose mass collapses onto the center crawls toward
-the concentration detector.  Once the detector's mass test passes, descend
+the concentration detector.  Once most of the mass lies near the center
+(_MOVE_MASS, a gate of its own below the detector's _CONC_MASS), descend
 tries one dilation move that carries the sup norm to the detector's bound
 and keeps it only if it lowers the energy; the flow then relaxes the moved
 rows until the detector fires (see descend).
@@ -64,6 +65,7 @@ from .weights import WeightProfile
 _CONC_DELTA_FRACTION = 0.1      # concentration detector: inside radius R/10
 _CONC_MASS = 0.99               # lies this fraction of the critical-norm mass
 _CONC_SUP_FACTOR = 1e2          # and the sup norm has grown this much
+_MOVE_MASS = 0.6                # the dilation move: inside R/10 lies this fraction
 _NEWTON_SWITCH = 1.0            # polish once the flow's residual falls to this
 _NEWTON_REARM = 10.0            # after a failed polish at res, try again at res / this
 _NEWTON_STEPS = 12              # Newton steps the polish may take to reach grad_tol
@@ -414,18 +416,26 @@ def descend(
     (at most _NEWTON_SWITCH from a cold start).  A non-finite residual
     raises NumericFault.
 
-    At every detector checkpoint (each 10th iteration) where the mass test
-    passes but the sup test does not, the flow tries one dilation move:
-    every row dilated to x(s r) (_dilate) and renormalized, with
-    s = (_CONC_SUP_FACTOR sup0 / sup)^(2 / (N - 2)) the dilation that carries
-    the sup to the detector's bound.  Like a trial step it is written into
-    the trial rows, and it is taken, with the bookkeeping of an accepted
-    step, only when the moved rows' sup is at most that bound and their
-    energy is below the current one; otherwise the flow goes on bit for bit
-    as without it.  So the detector fires only on rows the flow has relaxed
-    since a move.  The residual of a concentrating row measures no
-    convergence.  Converging flows never pass the mass test and never try
-    the move.
+    At every detector checkpoint (each 10th iteration) where the mass inside
+    R/10 exceeds the move's gate but the sup test does not pass, the flow
+    tries one dilation move: every row dilated to x(s r) (_dilate) and
+    renormalized, with s = (_CONC_SUP_FACTOR sup0 / sup)^(2 / (N - 2)) the
+    dilation that carries the sup to the detector's bound.  Like a trial
+    step it is written into the trial rows, and it is taken, with the
+    bookkeeping of an accepted step, only when the moved rows' sup is at
+    most that bound and their energy is below the current one; otherwise
+    the flow goes on bit for bit as without it.  So the detector fires only
+    on rows the flow has relaxed since a move, and it still needs _CONC_MASS
+    of the mass inside R/10.  The residual of a concentrating row measures
+    no convergence.  The gate is _MOVE_MASS = 0.6, below the 0.670 that the
+    `concentration` benchmark's flow holds at iteration 10, where it moves,
+    and above the 0.524 that the test suite's converging sweeps reach at
+    most (the two-row coupling-8 flow on the uniform 800-cell grid).  A
+    converging flow can still pass it: the two-row gap point
+    (a = 1 + r^2, b = 1 + r^4, coupling 4, 1,500 graded cells) holds 0.602 at
+    iteration 10 and 0.852 at 100.  So each try raises the gate halfway from
+    the mass it saw to all of it, and that flow tries two moves (at 10 and
+    70) instead of ten.
     """
     if not np.isfinite(lam):
         raise NumericFault(f"coupling must be finite, got {lam}")
@@ -457,6 +467,7 @@ def descend(
     tau = params.step
     status = "stalled"                    # unless a test below ends the flow
     last_improve = it = 0
+    move_at = _MOVE_MASS
 
     for it in range(1, params.max_iters + 1):
         res = kern.gradient(x, h, f, g, p, d)
@@ -511,12 +522,15 @@ def descend(
 
         if it % 10 == 0:
             sup = max(np.max(np.abs(xk)) for xk in x)
-            if kern.mass_inside(h[0], x[0]) > _CONC_MASS:
-                if sup > sup_max:
-                    status = "concentrating"
-                    break
-                # the mass has collapsed but the sup lags: a trial dilation
-                # that carries the sup to the detector's bound
+            mass = kern.mass_inside(h[0], x[0])
+            if mass > _CONC_MASS and sup > sup_max:
+                status = "concentrating"
+                break
+            if mass > move_at and sup <= sup_max:
+                # the mass is collapsing but the sup lags: a trial dilation
+                # that carries the sup to the detector's bound; the next try
+                # waits for half the mass still outside R/10 to come in
+                move_at = 0.5 * (1.0 + mass)
                 if best is x_try:
                     best = tuple(xk.copy() for xk in best)
                 s = (sup_max / sup) ** (2.0 / (grid.dimension - 2))

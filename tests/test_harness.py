@@ -420,6 +420,17 @@ def test_cli_config_not_utf8(tmp_path, capsys):
     assert "error: cannot read config: " in capsys.readouterr().err
 
 
+def test_cli_config_with_byte_order_mark(tmp_path):
+    # once exit 2 with "malformed config: File contains no section headers"
+    for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(MINIMAL, encoding=encoding)
+        assert cli_main(["constants", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+    assert (_csv_rows(tmp_path / "marked" / "constants.csv")
+            == _csv_rows(tmp_path / "plain" / "constants.csv"))
+
+
 @pytest.mark.parametrize("ratio", [2.0, 1.1])
 def test_cli_grading_past_float_range(tmp_path, capsys, ratio):
     cfg = tmp_path / "grid.ini"

@@ -135,8 +135,9 @@ def test_first_energy_is_the_public_energy_of_the_start(grid5, quad_weight,
 
 
 # at the default sup factor the sup test is the last to pass (at lam = 0 the
-# mass test first passes at 150, and the detector fires at 160 after a
-# dilation move, at 720 without one); at 2 the mass test is
+# flow moves at 10, where it holds 0.675 of its mass inside R/10, and the
+# detector fires at 20; without the move the mass test first passes at 150
+# and the detector fires at 720); at 2 the mass test is
 @pytest.mark.parametrize("sup_factor", [minimizer._CONC_SUP_FACTOR, 2.0])
 @pytest.mark.parametrize("lam", [0.0, 2.0])
 def test_detector_fires_at_the_first_checkpoint_the_public_tests_pass(
@@ -733,7 +734,7 @@ def test_criterion_12_flow_reaches_the_detector_by_the_move(grid5_geo,
                                                             quad_weight):
     params = FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
     res = descend(quad_weight, quad_weight, 0.0, grid5_geo, params)
-    assert res.status == "concentrating" and res.iterations <= 300
+    assert res.status == "concentrating" and res.iterations <= 30
     # 14.81399836: the same flow without the move, which the detector
     # stopped after 6,130 iterations
     assert res.q_lambda == pytest.approx(14.81399836, rel=1e-5, abs=0.0)
@@ -748,6 +749,62 @@ def test_criterion_12_flow_reaches_the_detector_by_the_move(grid5_geo,
     assert cut.pair.u[0] == cut.pair.u[1]
     assert cut.best_trace[-1] < cut.best_trace[-2]
     assert cut.q_lambda == pytest.approx(cut.best_trace[-1], rel=1e-12, abs=0.0)
+
+
+def _record_moves(monkeypatch):
+    """The iterations at which flows try a dilation move, each the count of
+    the flow's gradients before it (a flow that polishes counts more)."""
+    grads, moves = [], []
+    kernel, dilate = minimizer._kernel, minimizer._dilate
+
+    def counted(*args):
+        kern = kernel(*args)
+        gradient = kern.gradient
+
+        def counted_gradient(*a):
+            grads.append(None)
+            return gradient(*a)
+        kern.gradient = counted_gradient
+        return kern
+
+    def recorded(xs, s, nodes, out):
+        moves.append(len(grads))
+        return dilate(xs, s, nodes, out)
+
+    monkeypatch.setattr(minimizer, "_kernel", counted)
+    monkeypatch.setattr(minimizer, "_dilate", recorded)
+    return moves
+
+
+def test_criterion_12_flow_moves_at_its_first_checkpoint(monkeypatch, grid5_geo,
+                                                         quad_weight):
+    # at iteration 10 the flow holds 0.670 of its mass inside R/10, above the
+    # move's gate _MOVE_MASS and far below the detector's _CONC_MASS
+    moves = _record_moves(monkeypatch)
+    params = FlowParams(max_iters=20000, grad_tol=1e-12, stall_window=20000)
+    res = descend(quad_weight, quad_weight, 0.0, grid5_geo, params)
+    assert res.status == "concentrating"
+    assert moves and moves[0] == 10
+
+
+def test_rejected_move_rearms_halfway(monkeypatch, sweep_grid, quad_weight,
+                                      quartic_weight):
+    # the two-row gap point converges, yet holds 0.602 of its mass inside
+    # R/10 at iteration 10 and 0.814 at 70: each move it tries loses and
+    # re-arms the gate halfway to all the mass (0.801, then 0.907), so it
+    # tries two moves, not ten, and ends bit for bit as a flow that tries none
+    monkeypatch.setattr(minimizer, "_MOVE_MASS", 1.0)
+    never = descend(quad_weight, quartic_weight, 4.0, sweep_grid, SWEEP_FLOW)
+    monkeypatch.undo()
+    moves = _record_moves(monkeypatch)
+    res = descend(quad_weight, quartic_weight, 4.0, sweep_grid, SWEEP_FLOW)
+    assert moves == [10, 70]
+    assert res.status == "converged"
+    for x, y in zip(_result_fields(never), _result_fields(res)):
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y)
+        else:
+            assert x == y
 
 
 def _move_forbidden(*args):
@@ -821,7 +878,7 @@ def test_losing_move_leaves_the_flow_bitwise(request, monkeypatch, grid5,
 
 
 # on the uniform grid the shrunken profile is below the grid's resolution,
-# and interpolating it at the nodes clips its peak (0.886 of the bound)
+# and interpolating it at the nodes clips its peak (0.889 of the bound)
 @pytest.mark.parametrize("grid_name, b_name, lam, reach", [
     ("grid5_geo", "quad_weight", 0.0, 0.99),    # criterion 12's flow
     ("grid5", "quad_weight", 2.0, 0.85),
