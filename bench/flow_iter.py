@@ -23,16 +23,16 @@ divided by its iteration count:
 
 - symmetric:   a = b = 1 + r^2 at coupling 9 with the bubble start (u == v,
                one row);
-- symmetric-0: the same at coupling 0, where the flow skips the coupling
-               products, capped at ITERS_0 iterations, below the detector's
-               first checkpoint: at iteration 10 the flow's dilation move
-               starts, and the flow stops at 20;
 - random:      a = b = 1 + r^2 at coupling 9 with the random start (u0 != v0,
                two rows);
 - distinct:    a = 1 + r^2, b = 1 + 2 r^2 at coupling 9 with the bubble start
                (two rows), capped at ITERS_DISTINCT iterations: this flow
                concentrates, and its dilation move starts at iteration 30,
                after which the flow stops at 40.
+
+No case times the coupling-0 flow per iteration: from the bubble start it
+moves at iteration 10 and stops at 20, too few iterations to time apart
+from the call's start-up, so conc-0 below times it as a whole call.
 
 One more per-iteration case times a kernel rather than a flow:
 
@@ -112,10 +112,9 @@ from types import SimpleNamespace
 
 REPO = Path(__file__).resolve().parent.parent
 SIZES = (800, 3000)
-STARTS = ("symmetric", "symmetric-0", "random", "distinct")
+STARTS = ("symmetric", "random", "distinct")
 LAMBDA = 9.0
 ITERS = 300
-ITERS_0 = 9             # symmetric-0: stops before the first checkpoint
 ITERS_DISTINCT = 29     # distinct: stops before its first dilation move
 ROUNDS = 8              # fresh worker pairs per case
 REPEATS = 3             # runs per worker
@@ -177,8 +176,6 @@ def _case(critvar, name):
     b_other = critvar.WeightProfile(1.0, 2.0, 2.0)
     starts = {
         "symmetric": (b_same, LAMBDA, flow),
-        "symmetric-0": (b_same, 0.0, critvar.FlowParams(
-            max_iters=ITERS_0, grad_tol=1e-14, stall_window=ITERS_0)),
         "random": (b_same, LAMBDA, critvar.FlowParams(
             max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS, init="random")),
         "distinct": (b_other, LAMBDA, critvar.FlowParams(
@@ -208,21 +205,16 @@ def _case(critvar, name):
 
 def _bordered(critvar, weight, grid, flow):
     """run() for bordered/n1500: BORDERED_CALLS one-row bordered solves at
-    the converged pair of flow, as critvar.minimizer._tangent sets them up.
-    A tree with the flow kernel (`_kernel`) passes the solve its kernel; an
-    older one passes the operators, coupling, masses and exponent."""
+    the converged pair of flow, as critvar.minimizer._tangent sets them up."""
     minimizer = critvar.minimizer
     ops = (minimizer.assemble_operator(weight, grid),)
     m = grid.masses[1:-1]
     rows, rhs0 = [flow.pair.u], [-m * flow.pair.u[1:-1]]
-    if hasattr(minimizer, "_kernel"):
-        args = (minimizer._kernel(ops, SWEEP_LAMS[0], grid),)
-    else:
-        args = (ops, SWEEP_LAMS[0], m, minimizer.critical_exponent(grid.dimension))
+    kernel = minimizer._kernel(ops, SWEEP_LAMS[0], grid)
 
     def run():
         for _ in range(BORDERED_CALLS):
-            minimizer._bordered_step(rows, [flow.multiplier_u], rhs0, *args)
+            minimizer._bordered_step(rows, [flow.multiplier_u], rhs0, kernel)
         return SimpleNamespace(iterations=BORDERED_CALLS, status="ok",
                                el_residual=math.nan, q_lambda=math.nan)
     return run
@@ -339,9 +331,8 @@ def main(argv=None) -> int:
         "what": ("descend, sweep and run cost of the parent and the change, "
                  f"timed interleaved in {ROUNDS} fresh pairs of worker interpreters per case. "
                  "Per-iteration cases (n<cells>/<start>): "
-                 f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA} "
-                 f"(0 for symmetric-0), iteration cap {ITERS} ({ITERS_0} for "
-                 f"symmetric-0, {ITERS_DISTINCT} for distinct). bordered/n1500: "
+                 f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA}, "
+                 f"iteration cap {ITERS} ({ITERS_DISTINCT} for distinct). bordered/n1500: "
                  "seconds per call of the one-row bordered Newton solve (1499 "
                  "unknowns) at the converged pair of "
                  f"sweep-9.0446, {BORDERED_CALLS} calls per run. "

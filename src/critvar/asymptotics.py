@@ -157,7 +157,7 @@ def expansion_prediction(case: Case, lam: float) -> ExpansionPrediction:
     """
     dim, k, l = case.dim, case.k, case.l
     const = bubble_constants(dim)
-    if case.gap is not None:                    # both exponents >= 2
+    if case.name is not None:                   # both exponents >= 2
         kl = f"k{'=' if k == 2 else '>'}2,l{'=' if l == 2 else '>'}2"
         if dim >= 5:
             return ExpansionPrediction(scale=SCALE_EPS, power=1.0,

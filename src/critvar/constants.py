@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import BadDomain, DivergentIntegral, LogScaledRegime
+from .errors import BadDomain, DivergentIntegral
 from .grid import unit_sphere_area
 from .weights import WeightProfile
 
@@ -29,25 +29,15 @@ def radial_moment(s: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class BubbleConstants:
-    """Gradient mass K1, critical-norm mass K2, L2 mass K3 of the optimal
-    concentration profile, plus the best embedding constant S = K1/K2."""
+    """Gradient mass K1, critical-norm mass K2 and L2 mass K3 (nan at N = 4,
+    where it is eps*|ln eps|-scaled) of the optimal profile; S = K1/K2."""
 
     dim: int
     k1: float
     k2: float
+    k3: float
     s: float
     sigma: float
-    valid_k3: bool
-    _k3: float | None = None
-
-    @property
-    def k3(self) -> float:
-        if not self.valid_k3:
-            raise LogScaledRegime(
-                "no finite L2 mass constant at N = 4; the L2 mass is "
-                "eps*|ln eps|-scaled there"
-            )
-        return self._k3
 
 
 @functools.cache
@@ -59,11 +49,8 @@ def bubble_constants(dim: int) -> BubbleConstants:
     sigma = unit_sphere_area(dim)
     k1 = (dim - 2) ** 2 * sigma * radial_moment(dim + 1, dim)
     k2 = (sigma * radial_moment(dim - 1, dim)) ** ((dim - 2) / dim)
-    valid_k3 = dim >= 5
-    k3 = sigma * radial_moment(dim - 1, dim - 2) if valid_k3 else None
-    return BubbleConstants(
-        dim=dim, k1=k1, k2=k2, s=k1 / k2, sigma=sigma, valid_k3=valid_k3, _k3=k3
-    )
+    k3 = sigma * radial_moment(dim - 1, dim - 2) if dim >= 5 else math.nan
+    return BubbleConstants(dim=dim, k1=k1, k2=k2, k3=k3, s=k1 / k2, sigma=sigma)
 
 
 def correction_constant(dim: int, coeff: float, exponent: float) -> float:
@@ -126,10 +113,10 @@ class Case:
         return "quadratic-second" if self.l == 2 else "supercritical-powers"
 
     @property
-    def gap(self) -> float | None:
+    def gap(self) -> float:
         """The coupling above which the concentration-test energy certifies
-        a gap below gamma0 * S; None outside the table."""
-        return None if self.name is None else self.threshold_both
+        a gap below gamma0 * S; nan outside the table."""
+        return math.nan if self.name is None else self.threshold_both
 
 
 def case_of(dim: int, a: WeightProfile, b: WeightProfile) -> Case:

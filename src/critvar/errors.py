@@ -29,11 +29,6 @@ class DivergentIntegral(CritvarError):
     """Improper-integral parameters outside the convergence region."""
 
 
-class LogScaledRegime(CritvarError):
-    """The requested constant does not exist at this dimension; the
-    corresponding quantity carries a logarithmic epsilon-scaling instead."""
-
-
 class IndefiniteWeight(CritvarError):
     """Weight profile is not strictly positive on the grid."""
 

@@ -26,8 +26,8 @@ from . import __version__
 from .asymptotics import (default_eps_ladder, energy_curves,
                           expansion_prediction, fit_expansion)
 from .constants import bubble_constants, case_of, slope_factor
-from .errors import (ConfigError, EmptyReport, IoError, LogScaledRegime,
-                     OutsideTable, UnderResolvedBubble)
+from .errors import (ConfigError, EmptyReport, IoError, OutsideTable,
+                     UnderResolvedBubble)
 from .grid import RadialGrid, build_grid
 from .minimizer import FlowParams, existence_verdict, sweep_minimize
 from .nonexistence import omega_estimate, pohozaev_report
@@ -38,6 +38,7 @@ ANALYSES = ("constants", "eig", "minimize", "asymptotics", "pohozaev", "omega")
 _NEED_COUPLINGS = {"minimize", "asymptotics", "pohozaev"}
 _BELOW_N4 = {"eig", "omega"}        # the others need closed forms defined for N >= 4
 SCHEMA_VERSION = 1
+_MAX_COUPLINGS = 10_000             # per [sweep]; the benchmark's largest sweep has 48
 
 
 @dataclass(frozen=True)
@@ -169,16 +170,22 @@ def _weight(perturbation_r, perturbation_theta, **profile) -> WeightProfile:
 
 def _couplings(lambdas, start, stop, step) -> tuple:
     """`lambdas`, or the range start, start + step, ... up to stop (with
-    rounding slack); a range needs all three keys."""
+    rounding slack); a range needs all three keys.  Either holds at most
+    _MAX_COUPLINGS couplings, a range counted before it is built."""
     span = (start, stop, step)
     if span == (None,) * 3:
-        return () if lambdas is None else lambdas
-    if lambdas is not None:
+        lambdas = () if lambdas is None else lambdas
+        last = len(lambdas) - 1
+    elif lambdas is not None:
         raise ValueError("takes either 'lambdas' or a range, not both")
-    if None in span or step <= 0.0:
+    elif None in span or step <= 0.0:
         raise ValueError("a range needs start, stop, and positive step")
-    count = int(math.floor((stop - start) / step + 1e-12)) + 1
-    return tuple(start + i * step for i in range(max(count, 0)))
+    else:                           # the range's last index; inf where it overflows
+        last = max((stop - start) / step + 1e-12, -1.0)
+    if last >= _MAX_COUPLINGS:
+        raise ValueError(f"{last + 1:.6g} couplings; a sweep holds at most {_MAX_COUPLINGS}")
+    return lambdas if lambdas is not None else tuple(
+        start + i * step for i in range(int(math.floor(last)) + 1))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -274,13 +281,9 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
 
     if "constants" in wanted:
         const = bubble_constants(scenario.dimension)
-        try:
-            k3 = const.k3
-        except LogScaledRegime:
-            k3 = float("nan")
         tables["constants"].append({
             "dimension": scenario.dimension,
-            "k1": const.k1, "k2": const.k2, "k3": k3,
+            "k1": const.k1, "k2": const.k2, "k3": const.k3,
             "sobolev_s": const.s, "sphere_area": const.sigma,
             "slope_factor": slope_factor(scenario.dimension),
             "threshold_both": case.threshold_both,
@@ -302,18 +305,16 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
             "residual_b": spec.first_b.residual,
         })
 
-    omega_value = None
-    omega_certified = None        # only a certified lower bound may rule out
-    #                               minimizers; the radial estimate is an
-    #                               upper estimate of the quotient infimum
+    # a certified lower bound, never the (upper) estimate, may rule out minimizers
+    omega_value = omega_certified = math.nan
     if "omega" in wanted:
         est = omega_estimate(a, b, grid)
         omega_value, omega_certified = est.value, est.lower_bound
         tables["omega"].append({
             "value": est.value,
             "unbounded_below": est.unbounded_below,
-            "lower_bound": math.nan if est.lower_bound is None else est.lower_bound,
-            "upper_bound": math.nan if est.upper_bound is None else est.upper_bound,
+            "lower_bound": est.lower_bound,
+            "upper_bound": est.upper_bound,
             "family_points": len(est.family_values),
         })
 
@@ -336,8 +337,8 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                 "case_id": verdict.case_id,
                 "verdict": verdict.verdict,
                 "lambda_tilde": spec.value,
-                "gap_threshold": math.nan if case.gap is None else case.gap,
-                "omega": math.nan if omega_value is None else omega_value,
+                "gap_threshold": case.gap,
+                "omega": omega_value,
             })
 
     if "asymptotics" in wanted:

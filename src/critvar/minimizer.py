@@ -702,16 +702,16 @@ class ExistenceVerdict:
 
 
 def existence_verdict(case: Case, lam: float, lam_tilde: float,
-                      omega_estimate: float | None = None) -> ExistenceVerdict:
+                      omega_estimate: float = math.nan) -> ExistenceVerdict:
     """Pure dispatch of one coupling against the case table's row.
 
-    omega_estimate, when given, must be a certified lower bound on the
-    quotient infimum (couplings at or below it admit no minimizer); an
-    upper estimate here would over-claim non-existence.
+    omega_estimate is a certified lower bound on the quotient infimum
+    (couplings at or below it admit no minimizer), or nan, which rules out
+    nothing; an upper estimate here would over-claim non-existence.
     """
     if lam_tilde <= 0.0 or not np.isfinite(lam_tilde):
         raise BadSpectrum(f"first eigenvalue must be positive, got {lam_tilde}")
-    if omega_estimate is not None and lam <= omega_estimate:
+    if lam <= omega_estimate:
         return ExistenceVerdict("nonexistence.coupling-below-omega",
                                 "no_minimizer_by_theorem")
     name, gap = case.name, case.gap

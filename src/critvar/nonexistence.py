@@ -121,8 +121,8 @@ def phi_quotient(pair: FieldPair, a: WeightProfile, b: WeightProfile,
 @dataclass(frozen=True)
 class OmegaEstimate:
     value: float                       # -inf when unbounded below
-    lower_bound: float | None
-    upper_bound: float | None
+    lower_bound: float                 # nan where no closed-form bound is stated
+    upper_bound: float
     family_values: np.ndarray = field(repr=False)
 
     @property
@@ -161,8 +161,8 @@ def omega_estimate(
     combined = tilde_weight(a, grid)[1:-1] + tilde_weight(b, grid)[1:-1]
     tol = 1e-12 * max(1.0, float(np.max(np.abs(combined))))
     if float(np.min(combined)) < -tol:
-        return OmegaEstimate(value=-math.inf, lower_bound=None, upper_bound=None,
-                             family_values=np.empty(0))
+        return OmegaEstimate(value=-math.inf, lower_bound=math.nan,
+                             upper_bound=math.nan, family_values=np.empty(0))
 
     # nonnegative combined tilt: concentric shrinking bumps
     widths = np.geomspace(grid.radius * 0.9, grid.nodes[_MIN_WIDTH_CELLS], _N_WIDTHS)
@@ -171,7 +171,7 @@ def omega_estimate(
         bump = _central_bump(s, grid)
         values.append(phi_quotient(FieldPair(u=bump, v=bump), a, b, grid))
 
-    lower = upper = None
+    lower = upper = math.nan
     pure = (a.perturbation is None and b.perturbation is None
             and a.coefficient > 0.0 and b.coefficient > 0.0)
     if pure:
@@ -197,9 +197,9 @@ def omega_bounds(
     b_l: float,
     diam: float,
     lambda1_unweighted: Callable[[], float],
-) -> tuple[float, float | None]:
-    """Printed bounds on omega for pure power weights; upper bound only in
-    the regimes that state one.
+) -> tuple[float, float]:
+    """Printed bounds on omega for pure power weights; the upper bound is
+    nan outside the regimes that state one.
 
     lambda1_unweighted returns the unit weight's first eigenvalue; it is
     called only where an upper bound is stated, the one regime that reads it.
@@ -215,7 +215,7 @@ def omega_bounds(
         lower = dim ** 2 / 16.0 * min(
             k * a_k * diam ** (k - 2.0), l * b_l * diam ** (l - 2.0)
         )
-        return lower, None
+        return lower, math.nan
     if (k == 2.0 and l > 2.0) or (l == 2.0 and k > 2.0):
         # quad: the quadratic weight's coefficient; (e, c): the other's power
         quad, e, c = (a_k, l, b_l) if k == 2.0 else (b_l, k, a_k)

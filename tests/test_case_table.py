@@ -18,58 +18,60 @@ from critvar import (Case, WeightProfile, case_of, existence_verdict,
 from critvar.errors import BadDomain, OutsideTable
 
 INF = math.inf
+NAN = math.nan
 A_K, B_L = 0.75, 1.25
 LAMBDA_TILDE = 30.0
 
 # (N, k, l): (case name, gap threshold, verdict at each coupling of
 # _couplings(gap)): e = achieved_by_theorem, g = energy_gap_only,
-# o = outside_theory.  A case name of None is outside the table.
+# o = outside_theory.  A case name of None is outside the table, and its
+# gap threshold is nan.
 VERDICTS = {
-    (4, 1.5, 1.5): (None, None, "oooooo"),
-    (4, 1.5, 2.0): (None, None, "oooooo"),
-    (4, 1.5, 3.0): (None, None, "oooooo"),
-    (4, 1.5, INF): (None, None, "oooooo"),
-    (4, 2.0, 1.5): (None, None, "oooooo"),
+    (4, 1.5, 1.5): (None, NAN, "oooooo"),
+    (4, 1.5, 2.0): (None, NAN, "oooooo"),
+    (4, 1.5, 3.0): (None, NAN, "oooooo"),
+    (4, 1.5, INF): (None, NAN, "oooooo"),
+    (4, 2.0, 1.5): (None, NAN, "oooooo"),
     (4, 2.0, 2.0): ("quadratic-both", 2.0, "oogggg"),
     (4, 2.0, 3.0): ("quadratic-first", 0.75, "oogggg"),
     (4, 2.0, INF): ("quadratic-first", 0.75, "oogggg"),
-    (4, 3.0, 1.5): (None, None, "oooooo"),
+    (4, 3.0, 1.5): (None, NAN, "oooooo"),
     (4, 3.0, 2.0): ("quadratic-second", 1.25, "oogggg"),
     (4, 3.0, 3.0): ("supercritical-powers", 0.0, "ooeegg"),
     (4, 3.0, INF): ("supercritical-powers", 0.0, "ooeegg"),
-    (4, INF, 1.5): (None, None, "oooooo"),
+    (4, INF, 1.5): (None, NAN, "oooooo"),
     (4, INF, 2.0): ("quadratic-second", 1.25, "oogggg"),
     (4, INF, 3.0): ("supercritical-powers", 0.0, "ooeegg"),
     (4, INF, INF): ("supercritical-powers", 0.0, "ooeegg"),
-    (5, 1.5, 1.5): (None, None, "oooooo"),
-    (5, 1.5, 2.0): (None, None, "oooooo"),
-    (5, 1.5, 3.0): (None, None, "oooooo"),
-    (5, 1.5, INF): (None, None, "oooooo"),
-    (5, 2.0, 1.5): (None, None, "oooooo"),
+    (5, 1.5, 1.5): (None, NAN, "oooooo"),
+    (5, 1.5, 2.0): (None, NAN, "oooooo"),
+    (5, 1.5, 3.0): (None, NAN, "oooooo"),
+    (5, 1.5, INF): (None, NAN, "oooooo"),
+    (5, 2.0, 1.5): (None, NAN, "oooooo"),
     (5, 2.0, 2.0): ("quadratic-both", 6.5625, "ooeegg"),
     (5, 2.0, 3.0): ("quadratic-first", 2.4609375, "ooeegg"),
     (5, 2.0, INF): ("quadratic-first", 2.4609375, "ooeegg"),
-    (5, 3.0, 1.5): (None, None, "oooooo"),
+    (5, 3.0, 1.5): (None, NAN, "oooooo"),
     (5, 3.0, 2.0): ("quadratic-second", 4.1015625, "ooeegg"),
     (5, 3.0, 3.0): ("supercritical-powers", 0.0, "ooeegg"),
     (5, 3.0, INF): ("supercritical-powers", 0.0, "ooeegg"),
-    (5, INF, 1.5): (None, None, "oooooo"),
+    (5, INF, 1.5): (None, NAN, "oooooo"),
     (5, INF, 2.0): ("quadratic-second", 4.1015625, "ooeegg"),
     (5, INF, 3.0): ("supercritical-powers", 0.0, "ooeegg"),
     (5, INF, INF): ("supercritical-powers", 0.0, "ooeegg"),
-    (6, 1.5, 1.5): (None, None, "oooooo"),
-    (6, 1.5, 2.0): (None, None, "oooooo"),
-    (6, 1.5, 3.0): (None, None, "oooooo"),
-    (6, 1.5, INF): (None, None, "oooooo"),
-    (6, 2.0, 1.5): (None, None, "oooooo"),
+    (6, 1.5, 1.5): (None, NAN, "oooooo"),
+    (6, 1.5, 2.0): (None, NAN, "oooooo"),
+    (6, 1.5, 3.0): (None, NAN, "oooooo"),
+    (6, 1.5, INF): (None, NAN, "oooooo"),
+    (6, 2.0, 1.5): (None, NAN, "oooooo"),
     (6, 2.0, 2.0): ("quadratic-both", 9.6, "ooeegg"),
     (6, 2.0, 3.0): ("quadratic-first", 3.5999999999999996, "ooeegg"),
     (6, 2.0, INF): ("quadratic-first", 3.5999999999999996, "ooeegg"),
-    (6, 3.0, 1.5): (None, None, "oooooo"),
+    (6, 3.0, 1.5): (None, NAN, "oooooo"),
     (6, 3.0, 2.0): ("quadratic-second", 6.0, "ooeegg"),
     (6, 3.0, 3.0): ("supercritical-powers", 0.0, "ooeegg"),
     (6, 3.0, INF): ("supercritical-powers", 0.0, "ooeegg"),
-    (6, INF, 1.5): (None, None, "oooooo"),
+    (6, INF, 1.5): (None, NAN, "oooooo"),
     (6, INF, 2.0): ("quadratic-second", 6.0, "ooeegg"),
     (6, INF, 3.0): ("supercritical-powers", 0.0, "ooeegg"),
     (6, INF, INF): ("supercritical-powers", 0.0, "ooeegg"),
@@ -147,7 +149,7 @@ def _case(dim, k, l):
 
 def _couplings(gap):
     """Just below, at and just above the gap threshold and lambda-tilde."""
-    base = 0.0 if gap is None else gap
+    base = 0.0 if math.isnan(gap) else gap
     return (base - 0.25, base, base + 0.25,
             LAMBDA_TILDE - 0.25, LAMBDA_TILDE, LAMBDA_TILDE + 0.25)
 
@@ -156,7 +158,8 @@ def _couplings(gap):
 def test_existence_verdict_row(dim, k, l):
     name, gap, codes = VERDICTS[dim, k, l]
     case = _case(dim, k, l)
-    assert (case.name, case.gap) == (name, gap)
+    assert case.name == name
+    assert case.gap == gap or (math.isnan(case.gap) and math.isnan(gap))
     for lam, code in zip(_couplings(gap), codes):
         v = existence_verdict(case, lam, LAMBDA_TILDE)
         verdict = _VERDICT_CODES[code]

@@ -490,6 +490,41 @@ def test_bad_value_is_config_error(tmp_path, text):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+def test_sweep_holds_at_most_the_coupling_limit():
+    # a range was built whatever its count: start = 0, stop = 1e12,
+    # step = 1e-6 asked for a tuple of 1e18 couplings; each form is counted
+    # before anything is built, and an overflowing range raised OverflowError
+    at_limit = "start = 1\nstop = 10000\nstep = 1\n"
+    assert len(parse_scenario(MINIMAL + "\n[sweep]\n" + at_limit).lambdas) == 10000
+    for sweep in ("start = 0\nstop = 10000\nstep = 1\n",
+                  "lambdas = " + " ".join(map(str, range(10001))) + "\n"):
+        with pytest.raises(ConfigError, match="10001 couplings"):
+            parse_scenario(MINIMAL + "\n[sweep]\n" + sweep)
+    with pytest.raises(ConfigError, match="inf couplings"):
+        parse_scenario(MINIMAL + "\n[sweep]\nstart = -1e308\nstop = 1e308\nstep = 1\n")
+    assert parse_scenario(
+        MINIMAL + "\n[sweep]\nstart = 1e308\nstop = -1e308\nstep = 1\n").lambdas == ()
+
+
+def test_cli_writes_an_absent_number_as_nan(tmp_path):
+    # no K3 at N = 4, no upper bound on omega for a = b = 1 + r^2, no gap
+    # threshold for an exponent below 2, no omega in a run without it
+    n4 = MINIMAL.replace("dimension = 5", "dimension = 4\ncells = 200")
+    cfg = tmp_path / "n4.ini"
+    cfg.write_text(n4 + "\n[output]\nanalyses = constants omega\n")
+    assert cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    [const] = _csv_rows(tmp_path / "a" / "constants.csv")
+    [omega] = _csv_rows(tmp_path / "a" / "omega.csv")
+    cfg.write_text(n4.replace("coefficient", "exponent = 1.5\ncoefficient", 1)
+                   + "\n[flow]\nmax_iters = 20\n\n[sweep]\nlambdas = 1\n")
+    assert cli_main(["minimize", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    [row] = _csv_rows(tmp_path / "b" / "minimize.csv")
+    absent = (const["k3"], omega["upper_bound"], row["gap_threshold"], row["omega"])
+    assert absent == ("nan",) * 4
+    assert all(map(math.isfinite, map(float, (
+        const["k2"], omega["lower_bound"], row["q_lambda"], row["lambda_tilde"]))))
+
+
 def _is_number(read) -> bool:
     """Whether a key's reader reads numbers: one, or a list of them."""
     try:

@@ -177,7 +177,7 @@ def test_omega_estimate_reads_the_unit_eigenvalue_only_for_an_upper_bound(
     est = omega_estimate(WeightProfile(1.0, 2.0, 1.0),
                          WeightProfile(1.0, l, 1.0), build_grid(5, 1.0, 300))
     assert len(calls) == eigen_solves
-    assert (est.upper_bound is not None) == (eigen_solves == 1)
+    assert (not math.isnan(est.upper_bound)) == (eigen_solves == 1)
 
 
 def test_omega_family_is_phi_of_its_bumps_with_each_tilt_sampled_once(
@@ -223,7 +223,7 @@ def test_omega_quadratic_respects_tabulated_bounds(grid5):
     a = WeightProfile(1.0, 2.0, 1.0)
     b = WeightProfile(1.0, 4.0, 1.0)
     est = omega_estimate(a, b, grid5)
-    assert est.lower_bound is not None and est.upper_bound is not None
+    assert math.isfinite(est.lower_bound) and math.isfinite(est.upper_bound)
     assert est.lower_bound <= est.value <= est.upper_bound + 1e-8
 
 
@@ -235,7 +235,7 @@ def test_omega_bounds_tabulated_examples():
     # both quadratic at N=4: the at-most-quadratic branch, factor k = l = 2
     lower, upper = omega_bounds(4, 2.0, 2.0, 1.0, 1.0, 2.0, lambda: 14.68)
     assert lower == pytest.approx(2.0, rel=1e-12)
-    assert upper is None
+    assert math.isnan(upper)
     # both supercritical: exactly (0, 0)
     assert omega_bounds(5, 3.0, 4.0, 1.0, 1.0, 2.0, lambda: 20.19) == (0.0, 0.0)
     with pytest.raises(OutsideTable):
