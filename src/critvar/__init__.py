@@ -35,5 +35,4 @@ from .nonexistence import (OmegaEstimate, PohozaevReport, omega_bounds,
                            tilde_weight)
 from .spectral import (SpectralResult, WeightedSpectrum, assemble_operator,
                        first_eigenpair, lambda_tilde)
-from .weights import (MonotonicityReport, WeightProfile,
-                      check_monotonicity_condition)
+from .weights import WeightProfile

@@ -22,8 +22,7 @@ import numpy as np
 
 from .constants import Case, bubble_constants, correction_constant
 from .energy import _pair_terms
-from .errors import (FitFailure, NumericFault, OutsideTable,
-                     UnderResolvedBubble)
+from .errors import FitFailure, NumericFault, UnderResolvedBubble
 from .grid import RadialGrid
 from .weights import WeightProfile
 
@@ -102,8 +101,7 @@ def default_eps_ladder(grid: RadialGrid, cutoff_radius: float) -> list[float]:
 
 
 def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
-                  grid: RadialGrid, cutoff_radius: float | None = None
-                  ) -> np.ndarray:
+                  grid: RadialGrid, cutoff_radius: float) -> np.ndarray:
     """Normalized coupled energy of the symmetric concentration pair, as
     an array of shape (len(lams), len(eps_list)): row i is the curve of
     coupling lams[i] along eps_list, which must be positive and
@@ -117,8 +115,6 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
         raise ValueError("eps_list must be positive")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be decreasing")
-    if cutoff_radius is None:
-        cutoff_radius = 0.9 * grid.radius
     params = [BubbleParams(epsilon=eps, cutoff_radius=cutoff_radius) for eps in eps_list]
     zeta = params[0].cutoff(grid.nodes)
     bubbles = (bubble_field(p, grid, zeta) for p in params)
@@ -138,6 +134,7 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
 SCALE_EPS = "eps"
 SCALE_EPS_LOG = "eps_log_eps"
 SCALE_EPS_POW = "eps_pow"
+SCALE_OUTSIDE = "outside_table"
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,9 @@ def expansion_prediction(case: Case, lam: float) -> ExpansionPrediction:
     table's row at coupling lam.
 
     Regimes with a sub-quadratic exponent in dimension >= 5, or with both
-    exponents sub-quadratic in dimension 4, are outside the table.
+    exponents sub-quadratic in dimension 4, are outside the table: their
+    prediction has scale SCALE_OUTSIDE, nan power and coefficient, and
+    says why in its regime.
     """
     dim, k, l = case.dim, case.k, case.l
     const = bubble_constants(dim)
@@ -167,10 +166,10 @@ def expansion_prediction(case: Case, lam: float) -> ExpansionPrediction:
         return ExpansionPrediction(scale=SCALE_EPS_LOG, power=1.0,
                                    coeff=-(lam - case.gap) * const.sigma / const.k2,
                                    regime="dim=4," + kl)
-    if dim >= 5:
-        raise OutsideTable(f"no expansion row for N = {dim} with exponent below 2")
-    if k < 2 and l < 2:
-        raise OutsideTable("no expansion row for N = 4 with both exponents below 2")
+    if dim >= 5 or (k < 2 and l < 2):
+        which = f"N = {dim} with exponent" if dim >= 5 else "N = 4 with both exponents"
+        return ExpansionPrediction(scale=SCALE_OUTSIDE, power=math.nan, coeff=math.nan,
+                                   regime=f"no expansion row for {which} below 2")
     # one sub-quadratic exponent dominates with scale eps^(power/2); the
     # coefficient row is used for scale detection only
     p, coeff_w = (k, case.a_k) if k < 2 else (l, case.b_l)

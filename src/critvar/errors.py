@@ -49,10 +49,6 @@ class UnderResolvedBubble(CritvarError):
     """Grid does not resolve the concentration scale of a bubble field."""
 
 
-class OutsideTable(CritvarError):
-    """Parameter regime not covered by the expansion table."""
-
-
 class FitFailure(CritvarError):
     """Least-squares fit could not be performed (degenerate design)."""
 

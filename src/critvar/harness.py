@@ -23,11 +23,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import (default_eps_ladder, energy_curves,
-                          expansion_prediction, fit_expansion)
+from .asymptotics import (SCALE_OUTSIDE, ExpansionFit, default_eps_ladder,
+                          energy_curves, expansion_prediction, fit_expansion)
 from .constants import bubble_constants, case_of, slope_factor
-from .errors import (ConfigError, EmptyReport, IoError, OutsideTable,
-                     UnderResolvedBubble)
+from .errors import ConfigError, EmptyReport, IoError, UnderResolvedBubble
 from .grid import RadialGrid, build_grid
 from .minimizer import FlowParams, existence_verdict, sweep_minimize
 from .nonexistence import omega_estimate, pohozaev_report
@@ -342,32 +341,28 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
             })
 
     if "asymptotics" in wanted:
-        # whether the table has a row depends on (N, k, l) alone, so the
-        # first coupling's prediction decides it for every coupling
         cutoff = grid.radius / 2.0
         try:
             ladder = default_eps_ladder(grid, cutoff)
-            preds = [expansion_prediction(case, lam) for lam in scenario.lambdas]
         except UnderResolvedBubble as exc:
             failures.append(f"asymptotics: {exc}")
-        except OutsideTable as exc:
-            tables["asymptotics"] = [{
-                "lambda": lam, "scale": "outside_table", "power": math.nan,
-                "predicted_coeff": math.nan, "fitted_coeff": math.nan,
-                "intercept": math.nan, "r_squared": math.nan, "regime": str(exc),
-            } for lam in scenario.lambdas]
         else:
-            # so is the scale: one least-squares solve fits every curve
-            curves = energy_curves(scenario.lambdas, a, b, ladder, grid, cutoff)
-            fits = fit_expansion(ladder, curves, preds[0].scale, preds[0].power)
-            for lam, pred, fit in zip(scenario.lambdas, preds, fits):
-                tables["asymptotics"].append({
-                    "lambda": lam, "scale": pred.scale, "power": pred.power,
-                    "predicted_coeff": pred.coeff,
-                    "fitted_coeff": fit.leading_coeff,
-                    "intercept": fit.intercept, "r_squared": fit.r_squared,
-                    "regime": pred.regime,
-                })
+            # the table's row, so its scale, depends on (N, k, l) alone: the
+            # first coupling's prediction holds for every coupling, and one
+            # least-squares solve fits every curve
+            preds = [expansion_prediction(case, lam) for lam in scenario.lambdas]
+            if preds[0].scale == SCALE_OUTSIDE:
+                fits = [ExpansionFit(math.nan, math.nan, math.nan)] * len(preds)
+            else:
+                curves = energy_curves(scenario.lambdas, a, b, ladder, grid, cutoff)
+                fits = fit_expansion(ladder, curves, preds[0].scale, preds[0].power)
+            tables["asymptotics"] = [{
+                "lambda": lam, "scale": pred.scale, "power": pred.power,
+                "predicted_coeff": pred.coeff,
+                "fitted_coeff": fit.leading_coeff,
+                "intercept": fit.intercept, "r_squared": fit.r_squared,
+                "regime": pred.regime,
+            } for lam, pred, fit in zip(scenario.lambdas, preds, fits)]
 
     if "pohozaev" in wanted:
         for lam, res in sorted(results.items()):

@@ -646,7 +646,9 @@ def sweep_minimize(
     candidate at every coupling; the reported value per coupling is the
     minimum over the pool.  With sign-normalized candidates the per-candidate
     energy is affine and nonincreasing in the coupling, so the pooled
-    estimate is monotone by construction.
+    estimate is monotone up to rounding: the pool ranks candidates by that
+    affine form, and a winning row reports the energy the flow's kernel
+    gives its pair, with the multipliers and residual of the same call.
 
     Only a pair found at another coupling can win a row (a flow's own pair
     re-evaluated differs only by rounding); the row then reports that pair's
@@ -674,11 +676,11 @@ def sweep_minimize(
         if val < flow.q_lambda:
             kern = _kernel((assemble_operator(a, grid), assemble_operator(b, grid)),
                            lam, grid)
-            _, (l1, l2), el, _ = kern.report([pr.u.copy(), pr.v.copy()])
+            q, (l1, l2), el, _ = kern.report([pr.u.copy(), pr.v.copy()])
             res = replace(
                 flow,
                 pair=pr,
-                q_lambda=val,
+                q_lambda=q,
                 multiplier_u=l1,
                 multiplier_v=l2,
                 el_residual=el,

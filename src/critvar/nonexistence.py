@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .energy import FieldPair
-from .errors import DegenerateDenominator, GridTooCoarse, OutsideTable
+from .errors import DegenerateDenominator, GridTooCoarse
 from .grid import RadialGrid, integrate
 from .spectral import first_eigenpair
 from .weights import WeightProfile
@@ -175,14 +175,11 @@ def omega_estimate(
     pure = (a.perturbation is None and b.perturbation is None
             and a.coefficient > 0.0 and b.coefficient > 0.0)
     if pure:
-        try:
-            lower, upper = omega_bounds(
-                grid.dimension, a.exponent, b.exponent,
-                a.coefficient, b.coefficient, 2.0 * grid.radius,
-                lambda: first_eigenpair(WeightProfile(1.0), grid).lambda1,
-            )
-        except OutsideTable:
-            pass
+        lower, upper = omega_bounds(
+            grid.dimension, a.exponent, b.exponent,
+            a.coefficient, b.coefficient, 2.0 * grid.radius,
+            lambda: first_eigenpair(WeightProfile(1.0), grid).lambda1,
+        )
     return OmegaEstimate(
         value=min(values), lower_bound=lower, upper_bound=upper,
         family_values=np.asarray(values),
@@ -198,8 +195,8 @@ def omega_bounds(
     diam: float,
     lambda1_unweighted: Callable[[], float],
 ) -> tuple[float, float]:
-    """Printed bounds on omega for pure power weights; the upper bound is
-    nan outside the regimes that state one.
+    """Printed bounds on omega for pure power weights; a bound is nan
+    where no regime states it, and both are for exponents no regime covers.
 
     lambda1_unweighted returns the unit weight's first eigenvalue; it is
     called only where an upper bound is stated, the one regime that reads it.
@@ -221,7 +218,5 @@ def omega_bounds(
         quad, e, c = (a_k, l, b_l) if k == 2.0 else (b_l, k, a_k)
         lower = dim ** 2 / 16.0 * min(quad, e * c * diam ** (e - 2.0))
         return lower, 0.5 * quad * lambda1_unweighted() * diam ** 2
-    raise OutsideTable(
-        f"no tabulated omega bounds for exponents ({k}, {l})"
-    )
+    return math.nan, math.nan
 

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialGrid
-
-_MONOTONICITY_ABS = 1e-8    # slack in the weight-derivative inequality
-
 
 @dataclass(frozen=True)
 class WeightProfile:
@@ -85,34 +81,3 @@ class WeightProfile:
         r = np.asarray(r, dtype=float)
         t = r * self.derivative(r)
         return t if t.ndim else float(t)
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    holds: bool
-    worst_node: float     # radius of the most violating node
-    worst_gap: float      # max of (e*A*r^e - r*w'(r)); <= tol when holds
-
-
-def check_monotonicity_condition(
-    w: WeightProfile, grid: RadialGrid, tol: float | None = None
-) -> MonotonicityReport:
-    """Check e * A * r^e <= r * w'(r) + tol at all interior nodes.
-
-    For pure powers the two sides agree identically; perturbed profiles
-    pass as long as the perturbation does not tilt the weight downward.
-    """
-    if tol is None:
-        tol = _MONOTONICITY_ABS * max(
-            1.0, w.coefficient * grid.radius ** w.exponent
-        )
-    r = grid.nodes[1:-1]
-    lhs = w.exponent * w.coefficient * r ** w.exponent
-    rhs = w.radial_tilt(r)
-    gap = lhs - rhs
-    i = int(np.argmax(gap))
-    return MonotonicityReport(
-        holds=bool(np.all(gap <= tol)),
-        worst_node=float(r[i]),
-        worst_gap=float(gap[i]),
-    )

@@ -127,7 +127,7 @@ def test_criterion_05_expansion_sign_law(grid5_geo):
     coeffs = {}
     for lam in (4.0, 8.0, 10.0):
         start = time.perf_counter()
-        curve = energy_curves([lam], QUAD, QUAD, ladder, grid5_geo)[0]
+        curve = energy_curves([lam], QUAD, QUAD, ladder, grid5_geo, 0.9)[0]
         fit = fit_expansion(ladder, curve, "eps")
         predicted = -(lam - 105.0 / 16.0) * c.k3 / c.k2
         assert fit.leading_coeff == pytest.approx(predicted, rel=0.05)

@@ -11,8 +11,7 @@ from critvar import (BubbleParams, Case, FieldPair, WeightProfile,
                      default_eps_ladder, energy, energy_curves,
                      expansion_prediction, fit_expansion, lq_norm, slope_factor,
                      unit_sphere_area, weighted_gradient_energy)
-from critvar.errors import (FitFailure, NumericFault, OutsideTable,
-                            UnderResolvedBubble)
+from critvar.errors import FitFailure, NumericFault, UnderResolvedBubble
 
 
 def test_bubble_center_value(grid5_geo):
@@ -71,7 +70,7 @@ def test_energy_curve_flat_for_constant_weights(grid5_geo):
     gamma0 = 2.0
     w = WeightProfile(gamma0)
     ladder = [1e-3 / 2 ** j for j in range(5)]
-    vals = energy_curves([0.0], w, w, ladder, grid5_geo)[0]
+    vals = energy_curves([0.0], w, w, ladder, grid5_geo, 0.9)[0]
     s = bubble_constants(5).s
     assert all(v == pytest.approx(gamma0 * s, rel=1e-2) for v in vals)
     assert (max(vals) - min(vals)) / (gamma0 * s) < 0.01
@@ -81,13 +80,13 @@ def test_energy_curve_validates_ladder(grid5_geo, unit_weight):
     # empty, non-decreasing and non-positive ladders
     for ladder in ([], [1e-3, 1e-3], [1e-3, 2e-3], [1e-3, 0.0], [-1e-3]):
         with pytest.raises(ValueError):
-            energy_curves([0.0, 1.0], unit_weight, unit_weight, ladder, grid5_geo)
+            energy_curves([0.0, 1.0], unit_weight, unit_weight, ladder, grid5_geo, 0.9)
 
 
 def test_energy_curves_non_finite_coupling(grid5_geo, unit_weight):
     with pytest.raises(NumericFault):
         energy_curves([1.0, math.nan], unit_weight, unit_weight, [1e-3, 5e-4],
-                      grid5_geo)
+                      grid5_geo, 0.9)
 
 
 @pytest.mark.parametrize("dim", [4, 5])
@@ -129,7 +128,7 @@ def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, monkeypatch
     monkeypatch.setattr(BubbleParams, "cutoff", counting_cutoff)
     ladder = [1e-3 / 2 ** j for j in range(5)]
     curves = energy_curves([0.5 * j for j in range(12)], quad_weight, quad_weight,
-                           ladder, grid5_geo)
+                           ladder, grid5_geo, 0.9)
     assert len(curves) == 12
     assert calls == ladder
     assert cutoffs == [0.9 * grid5_geo.radius]
@@ -175,10 +174,13 @@ def test_prediction_dim4_subquadratic_scale_only():
 
 
 def test_prediction_outside_table():
-    with pytest.raises(OutsideTable):
-        expansion_prediction(Case(5, 1.5, 2.0, 1.0, 1.0), 3.0)
-    with pytest.raises(OutsideTable):
-        expansion_prediction(Case(4, 1.5, 1.0, 1.0, 1.0), 3.0)
+    for case, regime in ((Case(5, 1.5, 2.0, 1.0, 1.0),
+                          "no expansion row for N = 5 with exponent below 2"),
+                         (Case(4, 1.5, 1.0, 1.0, 1.0),
+                          "no expansion row for N = 4 with both exponents below 2")):
+        pred = expansion_prediction(case, 3.0)
+        assert (pred.scale, pred.regime) == ("outside_table", regime)
+        assert math.isnan(pred.power) and math.isnan(pred.coeff)
 
 
 # --- fitting ----------------------------------------------------------------
@@ -220,7 +222,7 @@ def test_dim4_model_selection(grid4):
     g = critvar.build_grid(4, 1.0, 3000, grading="geometric", ratio=1.004)
     a = WeightProfile(1.0, 2.0, 1.0)
     ladder = [1e-2 / 2 ** j for j in range(9)]
-    curve = energy_curves([10.0], a, a, ladder, g)[0]
+    curve = energy_curves([10.0], a, a, ladder, g, 0.9)[0]
     fit_log = fit_expansion(ladder, curve, "eps_log_eps")
     fit_lin = fit_expansion(ladder, curve, "eps")
     assert fit_log.r_squared > fit_lin.r_squared

@@ -15,7 +15,7 @@ import pytest
 
 from critvar import (Case, WeightProfile, case_of, existence_verdict,
                      expansion_prediction)
-from critvar.errors import BadDomain, OutsideTable
+from critvar.errors import BadDomain
 
 INF = math.inf
 NAN = math.nan
@@ -78,7 +78,8 @@ VERDICTS = {
 }
 
 # (N, k, l): (scale, power, regime, coefficient at lam = 0, at lam = 10),
-# or the OutsideTable message, which asymptotics.csv carries as its regime.
+# or, outside the table, the regime alone: its scale is outside_table, its
+# power and coefficient nan, and asymptotics.csv carries the regime.
 EXPANSIONS = {
     (4, 1.5, 1.5): "no expansion row for N = 4 with both exponents below 2",
     (4, 1.5, 2.0): ("eps_pow", 0.75, "dim=4,subquadratic-power-1.5",
@@ -173,8 +174,9 @@ def test_expansion_prediction_row(dim, k, l):
     expected = EXPANSIONS[dim, k, l]
     case = _case(dim, k, l)
     if isinstance(expected, str):
-        with pytest.raises(OutsideTable, match=f"^{expected}$"):
-            expansion_prediction(case, 0.0)
+        pred = expansion_prediction(case, 0.0)
+        assert (pred.scale, pred.regime) == ("outside_table", expected)
+        assert math.isnan(pred.power) and math.isnan(pred.coeff)
         return
     scale, power, regime, coeff_0, coeff_10 = expected
     for lam, coeff in ((0.0, coeff_0), (10.0, coeff_10)):

@@ -506,7 +506,7 @@ def test_sweep_holds_at_most_the_coupling_limit():
         MINIMAL + "\n[sweep]\nstart = 1e308\nstop = -1e308\nstep = 1\n").lambdas == ()
 
 
-def test_cli_writes_an_absent_number_as_nan(tmp_path):
+def test_cli_writes_an_absent_number_as_nan(tmp_path, capsys):
     # no K3 at N = 4, no upper bound on omega for a = b = 1 + r^2, no gap
     # threshold for an exponent below 2, no omega in a run without it
     n4 = MINIMAL.replace("dimension = 5", "dimension = 4\ncells = 200")
@@ -523,6 +523,21 @@ def test_cli_writes_an_absent_number_as_nan(tmp_path):
     assert absent == ("nan",) * 4
     assert all(map(math.isfinite, map(float, (
         const["k2"], omega["lower_bound"], row["q_lambda"], row["lambda_tilde"]))))
+    # no omega bound at all for a = 1 + r^1.5 beside b = 1 + r^4; and at N = 5
+    # that pair has no expansion row either, but a grid too coarse for an
+    # eps-ladder fails the asymptotics before the table is asked
+    cfg.write_text(MINIMAL.replace("gamma0 = 1.0\ncoefficient",
+                                   "gamma0 = 1.0\nexponent = 1.5\ncoefficient", 1)
+                   .replace("gamma0 = 1.0\ncoefficient",
+                            "gamma0 = 1.0\nexponent = 4.0\ncoefficient", 1)
+                   .replace("dimension = 5", "dimension = 5\ncells = 100")
+                   + "\n[sweep]\nlambdas = 1\n\n[output]\nanalyses = asymptotics omega\n")
+    assert cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 1
+    assert "invariant failure: asymptotics: " in capsys.readouterr().err
+    assert not (tmp_path / "c" / "asymptotics.csv").exists()
+    [omega] = _csv_rows(tmp_path / "c" / "omega.csv")
+    assert (omega["lower_bound"], omega["upper_bound"]) == ("nan", "nan")
+    assert math.isfinite(float(omega["value"]))
 
 
 def _is_number(read) -> bool:
@@ -715,8 +730,9 @@ def test_cli_missing_file(tmp_path):
 
 
 def test_outside_table_rows_carry_the_message(tmp_path):
-    # N = 5 with an exponent below 2 has no expansion row: one NaN row per
-    # coupling, labelled outside_table, with the OutsideTable message
+    # N = 5 with an exponent below 2 has no expansion row: one row per
+    # coupling, labelled outside_table, nan in every number, with the
+    # prediction's regime saying why
     cfg = tmp_path / "outside.ini"
     cfg.write_text(MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 600")
                    .replace("gamma0 = 1.0\ncoefficient", "gamma0 = 1.0\n"

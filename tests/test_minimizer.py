@@ -542,6 +542,12 @@ def test_sweep_monotone_and_pooled(grid5, quad_weight, quick_flow):
     assert pooled.concentration == pytest.approx(concentration_diagnostic(
         pooled.pair.u, 0.1 * grid5.radius, grid5), rel=1e-14)
     assert pooled.concentration == rows[1].result.concentration
+    # the row's energy comes from the kernel call that gives its multipliers
+    op = minimizer.assemble_operator(quad_weight, grid5)
+    q, (l1, l2), _, _ = minimizer._kernel((op, op), 2.0, grid5).report(
+        [pooled.pair.u.copy(), pooled.pair.v.copy()])
+    assert (pooled.q_lambda, pooled.multiplier_u, pooled.multiplier_v) == (q, l1, l2)
+    assert pooled.q_lambda == 0.5 * (l1 + l2)
 
 
 def test_reported_quantities_describe_the_reported_pair(grid5, quad_weight,

@@ -8,7 +8,7 @@ import pytest
 from critvar import (FieldPair, WeightProfile, build_grid, dirichlet_field,
                      omega_bounds, omega_estimate, phi_quotient,
                      pohozaev_report, tilde_weight, unit_sphere_area)
-from critvar.errors import DegenerateDenominator, GridTooCoarse, OutsideTable
+from critvar.errors import DegenerateDenominator, GridTooCoarse
 from conftest import hardy_sides, smooth_dirichlet_field
 
 
@@ -238,8 +238,11 @@ def test_omega_bounds_tabulated_examples():
     assert math.isnan(upper)
     # both supercritical: exactly (0, 0)
     assert omega_bounds(5, 3.0, 4.0, 1.0, 1.0, 2.0, lambda: 20.19) == (0.0, 0.0)
-    with pytest.raises(OutsideTable):
-        omega_bounds(5, 1.5, 4.0, 1.0, 1.0, 2.0, lambda: 20.19)
+    # no regime covers a sub-quadratic exponent beside a super-quadratic one:
+    # both bounds are nan, and the eigenvalue is not read
+    lower, upper = omega_bounds(5, 1.5, 4.0, 1.0, 1.0, 2.0,
+                                lambda: pytest.fail("eigenvalue read"))
+    assert math.isnan(lower) and math.isnan(upper)
 
 
 # --- Hardy ------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Weight profiles: evaluation, derivatives, monotonicity check."""
+"""Weight profiles: evaluation and derivatives."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from critvar import WeightProfile, check_monotonicity_condition
+from critvar import WeightProfile
 
 
 def test_pure_power_evaluation():
@@ -102,18 +102,3 @@ def test_bad_perturbation_table_rejected(table):
     with pytest.raises(ValueError):
         WeightProfile(1.0, 2.0, 1.0, table)
 
-
-def test_monotonicity_pure_power_holds(grid5):
-    w = WeightProfile(1.0, 2.0, 1.0)
-    rep = check_monotonicity_condition(w, grid5)
-    assert rep.holds
-    assert abs(rep.worst_gap) < 1e-10
-
-
-def test_monotonicity_fails_on_downward_tilt(grid5):
-    # growth r^2 (1 - 0.9 r): tilt falls short of the power-law tilt
-    w = WeightProfile(1.0, 2.0, 1.0, ((0.0, 1.0), (0.0, -0.9)))
-    rep = check_monotonicity_condition(w, grid5)
-    assert not rep.holds
-    assert rep.worst_gap > 0.0
-    assert 0.0 < rep.worst_node < 1.0
