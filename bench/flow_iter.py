@@ -36,10 +36,12 @@ from the call's start-up, so conc-0 below times it as a whole call.
 
 One more per-iteration case times a kernel rather than a flow:
 
-- bordered/n1500: seconds per call of the one-row bordered Newton solve
-  (`critvar.minimizer._bordered_step`, R = 1, 1,499 unknowns) at the
-  converged pair of the sweep-9.0446 case below, with the right-hand side
-  of the branch tangent; a run is BORDERED_CALLS calls, counted as its
+- bordered/n1500: seconds per call of the one-row bordered Newton step
+  (`critvar.minimizer._bordered_step`, R = 1, 1,499 unknowns) in the state
+  a warm sweep flow hands to the polish: the converged pair of the
+  sweep-9.0446 case below, evaluated by the flow's kernel at the sweep's
+  next coupling (SWEEP_LAMS[1]), with the kernel's raw gradient as the
+  right-hand side; a run is BORDERED_CALLS calls, counted as its
   iterations.
 
 Whole-call cases report seconds per call and its iteration count.  One
@@ -204,17 +206,24 @@ def _case(critvar, name):
 
 
 def _bordered(critvar, weight, grid, flow):
-    """run() for bordered/n1500: BORDERED_CALLS one-row bordered solves at
-    the converged pair of flow, as critvar.minimizer._tangent sets them up."""
+    """run() for bordered/n1500: BORDERED_CALLS one-row Newton steps from
+    the converged pair of flow at the sweep's next coupling, with the
+    multiplier and raw gradient the flow's kernel gives it there."""
+    import numpy as np
+
     minimizer = critvar.minimizer
-    ops = (minimizer.assemble_operator(weight, grid),)
-    m = grid.masses[1:-1]
-    rows, rhs0 = [flow.pair.u], [-m * flow.pair.u[1:-1]]
-    kernel = minimizer._kernel(ops, SWEEP_LAMS[0], grid)
+    lam, n = SWEEP_LAMS[1], grid.nodes.size
+    kernel = minimizer._kernel((minimizer.assemble_operator(weight, grid),), lam, grid)
+    rows, h = [flow.pair.u.copy()], [np.empty(n)]
+    f, d = [np.zeros(n - 1)], [np.empty(n - 2)]
+    kernel.normalize(rows[0], h[0])
+    _, g, p = kernel.energy(rows, f)
+    kernel.gradient(rows, h, f, g, p, d)
+    mults = [g[0] - lam * p]
 
     def run():
         for _ in range(BORDERED_CALLS):
-            minimizer._bordered_step(rows, [flow.multiplier_u], rhs0, kernel)
+            minimizer._bordered_step(rows, mults, d, kernel)
         return SimpleNamespace(iterations=BORDERED_CALLS, status="ok",
                                el_residual=math.nan, q_lambda=math.nan)
     return run
@@ -333,9 +342,10 @@ def main(argv=None) -> int:
                  "Per-iteration cases (n<cells>/<start>): "
                  f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA}, "
                  f"iteration cap {ITERS} ({ITERS_DISTINCT} for distinct). bordered/n1500: "
-                 "seconds per call of the one-row bordered Newton solve (1499 "
-                 "unknowns) at the converged pair of "
-                 f"sweep-9.0446, {BORDERED_CALLS} calls per run. "
+                 "seconds per call of the one-row bordered Newton step (1499 "
+                 "unknowns) from the converged pair of sweep-9.0446 at the "
+                 "sweep's next coupling, with the kernel's raw gradient, "
+                 f"{BORDERED_CALLS} calls per run. "
                  "conc-0: seconds per call of the concentration "
                  "workload's flow (coupling 0, 3000 geometric cells), stopped "
                  "by the concentration detector. "

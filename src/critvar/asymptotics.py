@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Case, bubble_constants, correction_constant
-from .energy import _pair_terms
-from .errors import FitFailure, NumericFault, UnderResolvedBubble
+from .energy import critical_exponent
+from .errors import DegeneratePair, FitFailure, NumericFault, UnderResolvedBubble
 from .grid import RadialGrid
+from .spectral import assemble_operator
 from .weights import WeightProfile
 
 
@@ -35,10 +36,10 @@ class BubbleParams:
     cutoff_radius: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.cutoff_radius <= 0.0:
-            raise ValueError("cutoff_radius must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not 0.0 < self.cutoff_radius < math.inf:
+            raise ValueError("cutoff_radius must be positive and finite")
 
     def profile(self, r, dim: int):
         """The uncut profile eps^((N-2)/4) / (eps + r^2)^((N-2)/2)."""
@@ -54,20 +55,21 @@ class BubbleParams:
         return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def bubble_field(params: BubbleParams, grid: RadialGrid,
-                 zeta: np.ndarray | None = None) -> np.ndarray:
-    """Nodal samples of the cutoff concentration profile, Dirichlet at R;
-    zeta, if given, is params.cutoff(grid.nodes), which a ladder shares."""
-    if params.cutoff_radius >= grid.radius:
+def _check_bubbles(grid: RadialGrid, cutoff_radius: float, eps_list) -> None:
+    """Raise unless the cutoff lies inside the domain and, at each eps in
+    turn, at least 8 nodes lie inside r < sqrt(eps)."""
+    if cutoff_radius >= grid.radius:
         raise ValueError("cutoff must lie strictly inside the domain")
-    core = math.sqrt(params.epsilon)
-    if int(np.count_nonzero(grid.nodes < core)) < 8:
-        raise UnderResolvedBubble(
-            f"fewer than 8 nodes inside r < sqrt(eps) = {core:.3e}"
-        )
-    if zeta is None:
-        zeta = params.cutoff(grid.nodes)
-    u = zeta * params.profile(grid.nodes, grid.dimension)
+    for eps, inside in zip(eps_list, np.searchsorted(grid.nodes, np.sqrt(eps_list))):
+        if inside < 8:
+            raise UnderResolvedBubble(
+                f"fewer than 8 nodes inside r < sqrt(eps) = {math.sqrt(eps):.3e}")
+
+
+def bubble_field(params: BubbleParams, grid: RadialGrid) -> np.ndarray:
+    """Nodal samples of the cutoff concentration profile, Dirichlet at R."""
+    _check_bubbles(grid, params.cutoff_radius, [params.epsilon])
+    u = params.cutoff(grid.nodes) * params.profile(grid.nodes, grid.dimension)
     u[-1] = 0.0
     return u
 
@@ -104,24 +106,45 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
                   grid: RadialGrid, cutoff_radius: float) -> np.ndarray:
     """Normalized coupled energy of the symmetric concentration pair, as
     an array of shape (len(lams), len(eps_list)): row i is the curve of
-    coupling lams[i] along eps_list, which must be positive and
+    coupling lams[i] along eps_list, which must be positive, finite and
     decreasing.  The coupling enters only through the affine term
-    -lam int uv / (|u|_q |v|_q), so each eps's field, norms, gradient
-    energies and int uv are computed once and shared by all couplings, and
-    the cutoff zeta, the same at every eps, is sampled once per call;
-    every entry equals the one-shot `energy(...).value` of its pair."""
+    -lam int uv / (|u|_q |v|_q), so one pass per eps over the call's buffers
+    gives its field, norm, gradient energies (from one face difference) and
+    int uv for all couplings; the cutoff zeta is sampled once per call.
+    Every entry is the one-shot `energy(...).value` of the pair of
+    bubble_field(BubbleParams(eps, cutoff_radius), grid) bit for bit, and
+    a rung that bubble_field refuses raises as it does."""
     eps_list = [float(e) for e in eps_list]
-    if not eps_list or any(e <= 0.0 for e in eps_list):
-        raise ValueError("eps_list must be positive")
+    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
+        raise ValueError("eps_list must be positive and finite")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be decreasing")
-    params = [BubbleParams(epsilon=eps, cutoff_radius=cutoff_radius) for eps in eps_list]
-    zeta = params[0].cutoff(grid.nodes)
-    bubbles = (bubble_field(p, grid, zeta) for p in params)
-    grad_a, grad_b, uv, nu, nv = np.array(
-        [_pair_terms(u, u, a, b, grid) for u in bubbles]).T
+    r, m, dim = grid.nodes, grid.masses, grid.dimension
+    zeta = BubbleParams(eps_list[0], cutoff_radius).cutoff(r)
+    _check_bubbles(grid, cutoff_radius, eps_list)
+    c_a, c_b = assemble_operator(a, grid).c, assemble_operator(b, grid).c
+    p, q = (dim - 2) / 2.0, critical_exponent(dim)
+    r2, u, w, du = r * r, np.empty(r.size), np.empty(r.size), np.empty(r.size - 2)
+    terms = np.empty((4, len(eps_list)))        # grad_a, grad_b, int uv, |u|_q |v|_q
+    for j, eps in enumerate(eps_list):
+        np.add(r2, eps, out=u)                  # the profile (see BubbleParams)
+        if p != 1.0:
+            u **= p
+        np.divide(eps ** (p / 2.0), u, out=u)
+        u *= zeta
+        u[-1] = 0.0
+        np.abs(u, out=w)                        # |u|_q, as lq_norm takes it
+        w **= q
+        nu = float(np.dot(m, w)) ** (1.0 / q)
+        if nu == 0.0:
+            raise DegeneratePair("both components must be nonzero")
+        np.subtract(u[2:], u[1:-1], out=du)     # the gradient energies' sum
+        terms[:, j] = (0.5 * float(np.dot(np.multiply(c_a, du, out=w[2:]), du)) / nu ** 2,
+                       0.5 * float(np.dot(np.multiply(c_b, du, out=w[2:]), du)) / nu ** 2,
+                       float(np.dot(m, np.multiply(u, u, out=w))), nu * nu)
+    grad_a, grad_b, uv, norms = terms
     lams = np.asarray(lams, dtype=float)
-    values = grad_a + grad_b - np.multiply.outer(lams, uv) / (nu * nv)
+    values = grad_a + grad_b - np.multiply.outer(lams, uv) / norms
     if not np.all(np.isfinite(values)):
         raise NumericFault("non-finite energy")
     return values

@@ -39,10 +39,9 @@ tries one dilation move that carries the sup norm to the detector's bound
 and keeps it only if it lowers the energy; the flow then relaxes the moved
 rows until the detector fires (see descend).
 
-A coupling sweep is a predictor-corrector continuation along the branch of
-minimizers: the same bordered Jacobian gives the branch's tangent dx/dlam
-at a converged pair, from which the next coupling's flow starts (see
-sweep_minimize).
+A coupling sweep is a continuation by Newton's method alone: each
+coupling's flow starts from the previous coupling's pair and tries Newton
+from its first iteration (see sweep_minimize).
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .constants import Case
-from .energy import (FieldPair, _pair_terms, critical_exponent, dirichlet_field,
-                     energy)
+from .energy import FieldPair, _pair_terms, critical_exponent, dirichlet_field
 from .errors import BadSpectrum, DegeneratePair, NumericFault
 from .grid import RadialGrid
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
@@ -70,8 +68,8 @@ _NEWTON_SWITCH = 1.0            # polish once the flow's residual falls to this
 _NEWTON_REARM = 10.0            # after a failed polish at res, try again at res / this
 _NEWTON_STEPS = 12              # Newton steps the polish may take to reach grad_tol
 _NEWTON_HALVINGS = 3            # retries at 1/2, 1/4, 1/8 of a step that did not help
+_NEWTON_DAMPED = 3              # damped steps in a row that end a crawling attempt
 _NEWTON_QUADRATIC = 100.0       # a step that cuts the residual this much is quadratic
-_PREDICTOR_TRIES = 3            # tangent steps of 1, 1/2, 1/4 times the coupling step
 
 
 def solve_banded(l_and_u, ab, b):
@@ -176,48 +174,57 @@ def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
     return np.array_equal(op_a.c, op_b.c) and np.array_equal(u, v)
 
 
-def _bordered_step(rows, mults, rhs0, kern):
-    """Solve the discrete Euler-Lagrange system's Jacobian at the R distinct
-    rows, bordered by the normalization constraints, for the right-hand
-    side rhs0 (one dof array per row); returns each row's dof correction.
-    The operators, lam, the dof masses M and q are the kernel kern's.
+def _bordered_step(rows, mults, d, kern):
+    """One Newton step on the discrete Euler-Lagrange system at the R
+    distinct rows, bordered by the normalization constraints: each row's dof
+    correction, for d the kernel kern's raw gradient at the rows (see
+    _kernel), whose operators, lam, dof masses M and q it reads.
 
     Unknowns are the rows, interleaved at R*i + k, and their multipliers
     L_k = mults[k].  Row k's block is K_k - (q-1) L_k M|x_k|^(q-2), with -lam M
-    to its partner row -1 - k (on the diagonal when R = 1), so the matrix is
-    banded (R, R), tridiagonal at R = 1 (see solve_banded); the multipliers
-    are eliminated by an R x R Schur complement, a division at R = 1, on
-    the linearized constraints f_k . dx_k = 0, where
-    f_k = M|x_k|^(q-2) x_k.  The correction dx solves J dx - sum_k f_k dL_k =
-    -rhs0: a Newton step for rhs0 = F, the system's residual, and the
-    tangent dx/dlam of its solution branch for rhs0 = dF/dlam = -M x_partner.
+    to its partner row -1 - k (on the diagonal when R = 1), so the Jacobian
+    J is banded (R, R), tridiagonal at R = 1 (see solve_banded).  With
+    f_k = M|x_k|^(q-2) x_k the correction solves J dx - sum_k f_k dL_k = -d
+    and f_k . dx_k = 0, so dx = sum_k J^-1 f_k dL_k - J^-1 d, the dL_k from
+    an R x R Schur complement, which depends on the columns J^-1 f_k only
+    through their span.  With X the interleaved rows, J X = K x - lam M
+    x_partner - (q-1) L f row by row and d = K x - lam M x_partner - L f, so
+
+        J^-1 d - X = (q-2) sum_k L_k J^-1 f_k,
+
+    which spans with the other rows' columns what J^-1 f_b does, b the row
+    of largest |L_k|.  So one right-hand side per row is solved: d, and for
+    two rows the other row's f_k.
     """
     ops, lam, m, q = kern.ops, kern.lam, kern.m, kern.q
     r, n = len(rows), m.size
+    big = int(np.argmax(np.abs(mults)))
     ab = np.zeros((2 * r + 1, r * n))
-    rhs = np.zeros((r * n, r + 1), order="F")      # LAPACK's layout: no copy
-    for k, (xk, lk, op, bk) in enumerate(zip(rows, mults, ops, rhs0)):
+    rhs = np.zeros((r * n, r), order="F")          # LAPACK's layout: no copy
+    x, f = np.empty(r * n), []
+    for k, (xk, lk, op, dk) in enumerate(zip(rows, mults, ops, d)):
         xi = xk[1:-1]
         w = m * np.abs(xi) ** (q - 2.0)
-        d = ab[r, k::r]                         # K's diagonal: c_0, then c_(i-1) + c_i
-        d[0] = op.c[0]
-        np.add(op.c[:-1], op.c[1:], out=d[1:])
-        d -= (q - 1.0) * lk * w
+        diag = ab[r, k::r]                      # K's diagonal: c_0, then c_(i-1) + c_i
+        diag[0] = op.c[0]
+        np.add(op.c[:-1], op.c[1:], out=diag[1:])
+        diag -= (q - 1.0) * lk * w
         ab[0, r + k::r] = ab[2 * r, k:r * (n - 1):r] = -op.c[:-1]
-        rhs[k::r, 0] = bk
-        rhs[k::r, 1 + k] = w * xi
+        x[k::r] = xi
+        rhs[k::r, 0] = dk
+        f.append(w * xi)
+        if k != big:
+            rhs[k::r, 1] = f[k]
     if r == 1:
         ab[1] -= lam * m
     else:
         ab[1, 1::2] = ab[3, 0::2] = -lam * m
     sol = solve_banded((r, r), ab, rhs)
-    # dx = -J^-1 rhs0 + sum_k J^-1 f_k dL_k, with f_j . dx_j = 0 for each row j
-    f = [rhs[j::r, 1 + j] for j in range(r)]
-    schur = np.array([[f[j] @ sol[j::r, 1 + k] for k in range(r)]
-                      for j in range(r)])
-    fb = np.array([f[j] @ sol[j::r, 0] for j in range(r)])
-    dl = fb / schur[0] if r == 1 else np.linalg.solve(schur, fb)
-    dx = sum(sol[:, 1 + k] * dl[k] for k in range(r)) - sol[:, 0]
+    cols = [sol[:, 0] - x if k == big else sol[:, 1] for k in range(r)]
+    schur = np.array([[f[j] @ cols[k][j::r] for k in range(r)] for j in range(r)])
+    fd = np.array([f[j] @ sol[j::r, 0] for j in range(r)])
+    dl = fd / schur[0] if r == 1 else np.linalg.solve(schur, fd)
+    dx = sum(cols[k] * dl[k] for k in range(r)) - sol[:, 0]
     return [dx[k::r] for k in range(r)]
 
 
@@ -313,16 +320,20 @@ def _dilate(xs, s, nodes, out):
     return out
 
 
-def _newton_polish(x, h, kern, grad_tol, e_max):
+def _newton_polish(x, at_x, kern, grad_tol, e_max):
     """Newton's method on the bordered discrete Euler-Lagrange system (see
-    _bordered_step) from the flow's rows x and their power rows h, which it
-    leaves untouched; the rows' face fluxes go to buffers of its own.
+    _bordered_step) from the flow's rows x, which it leaves untouched, with
+    at_x = (E, g, p, d, res) the kernel kern's evaluation of x that the flow
+    has just made (see _kernel), from which the first step starts.  Later
+    rows, their power rows, face fluxes and gradients go to buffers of its
+    own.
 
-    Each step's energy, multipliers L_k and residual come from the flow's
-    kernel kern (see _kernel), and each step renormalizes the rows with it.
+    Each step's energy, multipliers L_k and residual come from kern, and
+    each step renormalizes the rows with it.
     The first step may raise the residual (Newton overshoots from outside
     its quadratic region); a later one that does not lower it is retried at
-    1/2, 1/4, ... of its length (_NEWTON_HALVINGS halvings, no new solve).
+    1/2, 1/4, ... of its length (_NEWTON_HALVINGS halvings, no new solve),
+    and _NEWTON_DAMPED such damped steps in a row end a crawling attempt.
     Once a step has cut the residual _NEWTON_QUADRATIC-fold, Newton is in
     its quadratic region, where each step cuts it at least as much; a step
     that does not has met the bordered solve's rounding floor, and ends it.
@@ -331,10 +342,11 @@ def _newton_polish(x, h, kern, grad_tol, e_max):
     one sign in the interior.  Else returns (None, floor, steps), floor the
     lowest residual if the attempt ended at the solve's floor, else inf.
     """
+    e, g, p, d, res = at_x
     y, y0 = [xk.copy() for xk in x], [xk.copy() for xk in x]
-    hy, d = [hk.copy() for hk in h], [np.empty(kern.m.size) for _ in x]
+    hy, dy = [np.empty(xk.size) for xk in x], [np.empty(kern.m.size) for _ in x]
     fy = [np.zeros(kern.m.size + 1) for _ in x]
-    last, quadratic = math.inf, False
+    last, quadratic, damped = math.inf, False, 0
 
     def advance(dx, t):             # y = the rows y0 advanced by t dx
         for yk, hk, y0k, dxk in zip(y, hy, y0, dx):
@@ -344,11 +356,12 @@ def _newton_polish(x, h, kern, grad_tol, e_max):
 
     try:
         for step in range(_NEWTON_STEPS + 1):
-            for halving in range(_NEWTON_HALVINGS + 1 if step > 1 else 1):
+            for halving in range(_NEWTON_HALVINGS + 1 if step > 1 else step):
                 if halving:
                     advance(dx, 0.5 ** halving)
                 e, g, p = kern.energy(y, fy)
-                res = kern.gradient(y, hy, fy, g, p, d)
+                res = kern.gradient(y, hy, fy, g, p, dy)
+                d = dy                      # the flow's own d stays as it is
                 if res < last:
                     break
             if res <= grad_tol:
@@ -360,7 +373,9 @@ def _newton_polish(x, h, kern, grad_tol, e_max):
                 break
             if quadratic and res * _NEWTON_QUADRATIC > last:
                 return None, min(res, last), step
-            if step == _NEWTON_STEPS or (step > 1 and not res < last):
+            damped = damped + 1 if step > 1 and halving else 0
+            if (step == _NEWTON_STEPS or (step > 1 and not res < last)
+                    or damped == _NEWTON_DAMPED):
                 break
             quadratic = quadratic or (step > 0 and res * _NEWTON_QUADRATIC <= last)
             last = res
@@ -404,11 +419,12 @@ def descend(
     When the system residual falls to _NEWTON_SWITCH (but not to grad_tol),
     or at the first iteration when init_pair is given (a warm start, which
     may already lie in Newton's basin), the flow's rows are handed to
-    _newton_polish.  Its result is accepted, and the flow ends "converged",
-    only if the renormalized rows pass the grad_tol test with an energy at
-    most the flow's current one (with the flow's 1e-14 relative slack) and
-    each row of one sign in the interior; the reported iterations then count
-    its Newton steps, but not its halvings.  A failed attempt leaves the
+    _newton_polish with the kernel's evaluation of them.  Its result is
+    accepted, and the flow ends "converged", only if the renormalized rows
+    pass the grad_tol test with an energy at most the flow's current one
+    (with the flow's 1e-14 relative slack) and each row of one sign in the
+    interior; the reported iterations then count its Newton steps, but not
+    its halvings.  A failed attempt leaves the
     flow bit for bit as without it and re-arms the polish a decade
     (_NEWTON_REARM) below its residual, or below the bordered solve's floor
     if the attempt met it, so a flow makes at most about
@@ -476,8 +492,9 @@ def descend(
         if res <= params.grad_tol:
             status = "converged"
         elif res <= polish_at:
-            polished, value, steps = _newton_polish(
-                x, h, kern, params.grad_tol, e_now + 1e-14 * abs(e_now))
+            polished, value, steps = _newton_polish(x, (e_now, g, p, d, res), kern,
+                                                    params.grad_tol,
+                                                    e_now + 1e-14 * abs(e_now))
             if polished is None:
                 polish_at = min(res, value) / _NEWTON_REARM
             else:
@@ -573,53 +590,6 @@ def descend(
 # ---------------------------------------------------------------------------
 
 
-def _tangent(flow: MinimizeResult, a: WeightProfile, b: WeightProfile,
-             lam: float, grid: RadialGrid):
-    """(rows, d rows / d lam) at a converged flow's pair: the distinct rows
-    of the pair, as in descend, and the dof derivative of each along the
-    branch of discrete Euler-Lagrange solutions through it (see
-    _bordered_step; dF_k/dlam = -M x_partner)."""
-    ops = (assemble_operator(a, grid), assemble_operator(b, grid))
-    x = (flow.pair.u, flow.pair.v)
-    mults = (flow.multiplier_u, flow.multiplier_v)
-    if _one_row(ops, x):
-        x, ops, mults = x[:1], ops[:1], mults[:1]
-    kern = _kernel(ops, lam, grid)
-    rhs0 = [-kern.m * x[-1 - k][1:-1] for k in range(len(x))]
-    return x, _bordered_step(x, mults, rhs0, kern)
-
-
-def _next_start(flow: MinimizeResult, a: WeightProfile, b: WeightProfile,
-                lam: float, new_lam: float, grid: RadialGrid) -> FieldPair:
-    """The start of the sweep's flow at new_lam after its flow at lam.
-
-    From a converged pair this is the tangent predictor x + step dx/dlam
-    with step = new_lam - lam, halved while the predicted start's energy at
-    new_lam is above the pair's own, for _PREDICTOR_TRIES steps in all.  If
-    every step is above, if the tangent cannot be computed, or if the flow
-    did not converge, it is the pair itself.
-    """
-    if flow.status != "converged":
-        return flow.pair
-    try:
-        rows, tangent = _tangent(flow, a, b, lam, grid)
-        e_warm = energy(flow.pair, a, b, new_lam, grid).value
-        step = new_lam - lam
-        for _ in range(_PREDICTOR_TRIES):
-            start = [xk.copy() for xk in rows]
-            for sk, tk in zip(start, tangent):
-                sk[1:-1] += step * tk
-                sk[0] = sk[1]
-            pred = FieldPair(u=start[0], v=start[-1].copy())
-            if energy(pred, a, b, new_lam, grid).value <= e_warm:
-                return pred
-            step *= 0.5
-    except (LinAlgError, ValueError, FloatingPointError, DegeneratePair,
-            NumericFault):
-        pass
-    return flow.pair
-
-
 @dataclass(frozen=True)
 class SweepRow:
     lam: float
@@ -635,12 +605,9 @@ def sweep_minimize(
 ) -> list[SweepRow]:
     """Run the flow for each coupling and cross-evaluate the found pairs.
 
-    The flows run in increasing coupling, as a predictor-corrector
-    continuation: after a converged flow the next one starts from a tangent
-    step along the branch of minimizers, never above the plain warm start
-    (see _next_start), and after any other flow from that flow's pair.
-    Every such flow is warm-started, so descend tries Newton from its
-    first iteration (the corrector).
+    The flows run in increasing coupling, as a continuation: each flow
+    after the first starts from the pair the flow before it reports, so
+    descend tries Newton from its first iteration.
 
     Every pair discovered anywhere in the sweep is an admissible
     candidate at every coupling; the reported value per coupling is the
@@ -657,12 +624,10 @@ def sweep_minimize(
     lams = [float(x) for x in lams]
     flows: dict[float, MinimizeResult] = {}
     pool = []   # (source flow, grad_a, grad_b, normalized int uv, pair)
-    warm = prev = None
+    warm = None
     for lam in sorted(set(lams)):
-        if prev is not None:
-            warm = _next_start(flows[prev], a, b, prev, lam, grid)
         res = flows[lam] = descend(a, b, lam, grid, params, init_pair=warm)
-        prev = lam
+        warm = res.pair
         pr = sign_normalize(res.pair)
         ga, gb, uv, nu, nv = _pair_terms(pr.u, pr.v, a, b, grid)
         pool.append((res, ga, gb, uv / (nu * nv), pr))

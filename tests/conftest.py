@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
                      build_grid, critical_exponent, energy, integrate, lq_norm,
@@ -134,6 +135,38 @@ def concentration_diagnostic(u, delta, grid):
     """Fraction of the critical-norm mass of u inside radius delta."""
     dens = grid.masses * np.abs(u) ** critical_exponent(grid.dimension)
     return float(np.sum(dens[grid.nodes <= delta]) / np.sum(dens))
+
+
+def bordered_step_reference(rows, mults, rhs0, kern):
+    """The bordered Newton solve with R + 1 right-hand sides: rhs0 and each
+    row's f_k = M|x_k|^(q-2) x_k, all solved (see minimizer._bordered_step,
+    which derives J^-1 f_k of one row from the others)."""
+    ops, lam, m, q = kern.ops, kern.lam, kern.m, kern.q
+    r, n = len(rows), m.size
+    ab = np.zeros((2 * r + 1, r * n))
+    rhs = np.zeros((r * n, r + 1), order="F")
+    for k, (xk, lk, op, bk) in enumerate(zip(rows, mults, ops, rhs0)):
+        xi = xk[1:-1]
+        w = m * np.abs(xi) ** (q - 2.0)
+        d = ab[r, k::r]
+        d[0] = op.c[0]
+        np.add(op.c[:-1], op.c[1:], out=d[1:])
+        d -= (q - 1.0) * lk * w
+        ab[0, r + k::r] = ab[2 * r, k:r * (n - 1):r] = -op.c[:-1]
+        rhs[k::r, 0] = bk
+        rhs[k::r, 1 + k] = w * xi
+    if r == 1:
+        ab[1] -= lam * m
+    else:
+        ab[1, 1::2] = ab[3, 0::2] = -lam * m
+    sol = solve_banded((r, r), ab, rhs)
+    f = [rhs[j::r, 1 + j] for j in range(r)]
+    schur = np.array([[f[j] @ sol[j::r, 1 + k] for k in range(r)]
+                      for j in range(r)])
+    fb = np.array([f[j] @ sol[j::r, 0] for j in range(r)])
+    dl = fb / schur[0] if r == 1 else np.linalg.solve(schur, fb)
+    dx = sum(sol[:, 1 + k] * dl[k] for k in range(r)) - sol[:, 0]
+    return [dx[k::r] for k in range(r)]
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,14 @@ def test_bubble_under_resolved(grid5):
         bubble_field(BubbleParams(1e-8, 0.9), grid5)
 
 
+@pytest.mark.parametrize("eps, cutoff", [(math.nan, 0.9), (math.inf, 0.9),
+                                         (1e-3, math.nan), (1e-3, math.inf)])
+def test_bubble_params_reject_non_finite(eps, cutoff):
+    # a nan scale or cutoff passed the sign checks and gave a nan field
+    with pytest.raises(ValueError, match="positive and finite"):
+        BubbleParams(eps, cutoff)
+
+
 def test_bubble_cutoff_support(grid5_geo):
     u = bubble_field(BubbleParams(1e-3, 0.5), grid5_geo)
     outside = grid5_geo.nodes >= 0.5
@@ -110,28 +118,45 @@ def test_energy_curves_match_one_shot_energy(dim, quad_weight, quartic_weight):
         values[-1:])
 
 
-def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, monkeypatch):
-    # one field per rung, and one sampling of the cutoff, which does not
-    # depend on eps, per call
-    calls, cutoffs = [], []
-    cutoff = BubbleParams.cutoff
-
-    def counting_bubble_field(params, grid, *args):
-        calls.append(params.epsilon)
-        return bubble_field(params, grid, *args)
+def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, quartic_weight,
+                                             monkeypatch):
+    # each rung's field is built in the call's own pass, not by bubble_field;
+    # the cutoff, which does not depend on eps, is sampled once per call, and
+    # each weight's operator is looked up once, whatever the ladder's length
+    cutoffs, operators = [], []
+    cutoff, assemble = BubbleParams.cutoff, critvar.asymptotics.assemble_operator
 
     def counting_cutoff(self, r):
         cutoffs.append(self.cutoff_radius)
         return cutoff(self, r)
 
-    monkeypatch.setattr(critvar.asymptotics, "bubble_field", counting_bubble_field)
+    def counting_assemble(w, grid):
+        operators.append(w)
+        return assemble(w, grid)
+
+    def no_bubble_field(*args):
+        raise AssertionError("energy_curves builds its fields in its own pass")
+
+    monkeypatch.setattr(critvar.asymptotics, "bubble_field", no_bubble_field)
+    monkeypatch.setattr(critvar.asymptotics, "assemble_operator", counting_assemble)
     monkeypatch.setattr(BubbleParams, "cutoff", counting_cutoff)
     ladder = [1e-3 / 2 ** j for j in range(5)]
-    curves = energy_curves([0.5 * j for j in range(12)], quad_weight, quad_weight,
-                           ladder, grid5_geo, 0.9)
-    assert len(curves) == 12
-    assert calls == ladder
+    lams = [0.5 * j for j in range(12)]
+    curves = energy_curves(lams, quad_weight, quartic_weight, ladder, grid5_geo, 0.9)
+    assert curves.shape == (12, 5)
     assert cutoffs == [0.9 * grid5_geo.radius]
+    assert operators == [quad_weight, quartic_weight]
+    # every coupling shares the rungs' terms: each row is its one-coupling call
+    for lam, row in zip(lams, curves):
+        assert np.array_equal(energy_curves([lam], quad_weight, quartic_weight,
+                                            ladder, grid5_geo, 0.9)[0], row)
+
+
+def test_energy_curves_reject_a_non_finite_rung(grid5_geo, unit_weight):
+    # nan passed every check of the ladder, and inf made a nan field
+    for ladder in ([math.nan], [1e-3, math.nan], [math.inf, 1e-3]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            energy_curves([0.0], unit_weight, unit_weight, ladder, grid5_geo, 0.9)
 
 
 # --- regime dispatch --------------------------------------------------------

@@ -44,8 +44,8 @@ def test_import_leaves_scipy_integrate_unloaded():
     # importing scipy is most of a fresh `import critvar`: nothing in the
     # package uses scipy.integrate, the Beta closed form takes its
     # log-Gammas from math (scipy.special would pull in numpy.f2py), and the
-    # stiffness solve is two running sums, so only a Newton step (polish or
-    # sweep tangent) loads scipy.linalg; each case runs in a fresh interpreter
+    # stiffness solve is two running sums, so only a Newton step of the
+    # polish loads scipy.linalg; each case runs in a fresh interpreter
     src = str(Path(critvar.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     report = ("import sys; from critvar import parse_scenario, run; "

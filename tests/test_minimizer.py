@@ -15,8 +15,8 @@ from critvar import (Case, FieldPair, FlowParams, WeightProfile, build_grid,
 from critvar import minimizer
 from critvar.errors import BadSpectrum, DegeneratePair, NumericFault
 from critvar.spectral import TridiagonalOperator
-from conftest import (concentration_diagnostic, el_residual, lagrange_multipliers,
-                      smooth_dirichlet_field)
+from conftest import (bordered_step_reference, concentration_diagnostic, el_residual,
+                      lagrange_multipliers, smooth_dirichlet_field)
 
 
 def _normalized_pair(grid, rng):
@@ -275,6 +275,52 @@ def test_solve_banded_is_scipys_bit_for_bit(bands, rng):
     assert np.array_equal(rhs, before)
 
 
+def _newton_state(weights, lam, grid, rows):
+    """(kernel, normalized rows, multipliers, raw gradient) of the distinct
+    rows at coupling lam, as descend hands them to the polish."""
+    kern = minimizer._kernel(tuple(minimizer.assemble_operator(w, grid)
+                                   for w in weights), lam, grid)
+    n = grid.nodes.size
+    rows = [x.copy() for x in rows]
+    h, f, d = ([np.zeros(size) for _ in rows] for size in (n, n - 1, n - 2))
+    for x, hk in zip(rows, h):
+        kern.normalize(x, hk)
+    _, g, p = kern.energy(rows, f)
+    kern.gradient(rows, h, f, g, p, d)
+    return kern, rows, [gk - lam * p for gk in g], d
+
+
+@pytest.mark.parametrize("start", ["converged", "far"])
+@pytest.mark.parametrize("b_name, rows", [("quad_weight", 1), ("quartic_weight", 2)])
+def test_bordered_step_matches_the_full_solve(request, grid5, quad_weight, b_name,
+                                              rows, start):
+    # the step takes J^-1 d - x in place of J^-1 f_k of the row of largest
+    # |L_k|; from a converged pair (residual about 1e-10) and from 1 - r^2
+    # (about 80) it must be the step of the solve of every column, and land
+    # as well (they agree to about 3e-8 relative)
+    b = request.getfixturevalue(b_name)
+    if start == "converged":
+        pair = descend(quad_weight, b, 10.0, grid5,
+                       FlowParams(max_iters=8000, grad_tol=1e-9, stall_window=1500)).pair
+        x = [pair.u, pair.v][:rows]
+    else:
+        x = [dirichlet_field(1.0 - grid5.nodes ** 2, grid5)] * rows
+    kern, x, mults, d = _newton_state((quad_weight, b)[:rows], 10.0, grid5, x)
+
+    def residual_after(dx):
+        y = [xk.copy() for xk in x]
+        for yk, dk in zip(y, dx):
+            yk[1:-1] += dk
+            yk[0] = yk[1]
+        return kern.report(y)[2]
+
+    new, ref = (step(x, mults, d, kern) for step in (minimizer._bordered_step,
+                                                    bordered_step_reference))
+    scale = max(np.max(np.abs(dk)) for dk in ref)
+    assert all(np.max(np.abs(a - b)) <= 1e-6 * scale for a, b in zip(new, ref))
+    assert residual_after(new) <= 2.0 * residual_after(ref)
+
+
 def _nan_solution(l_and_u, ab, b, **kwargs):
     return np.full(np.shape(b), math.nan)
 
@@ -342,7 +388,8 @@ def _scripted_polish(monkeypatch, grid, weight, residuals, grad_tol):
 
     monkeypatch.setattr(minimizer, "solve_banded", counted)
     x = dirichlet_field(1.0 - grid.nodes ** 2, grid)
-    out = minimizer._newton_polish([x], [x.copy()], _fake_kernel(grid, weight, gradient),
+    at_x = (1.0, [1.0], 0.0, [np.zeros(x.size - 2)], next(script))
+    out = minimizer._newton_polish([x], at_x, _fake_kernel(grid, weight, gradient),
                                    grad_tol, 2.0)
     return out, len(solved)
 
@@ -357,10 +404,20 @@ def _scripted_polish(monkeypatch, grid, weight, residuals, grad_tol):
     # the third step is taken at half length, then Newton converges
     ([0.3, 0.7, 0.02, 0.03, 0.01, 2e-4, 3e-7], 5, True),
     ([0.3 * 0.6 ** k for k in range(13)], 12, False),    # _NEWTON_STEPS reached
+    # gap-4's accepted attempt (1,500 cells): two damped steps in a row,
+    # 0.784 -> 0.70 -> 0.69, then full steps to the tolerance
+    ([0.997, 6.22, 0.784, 1.76, 0.841, 0.70, 1.33, 0.69, 0.637, 0.0989, 0.0164,
+      9.11e-5, 2.99e-8], 9, True),
+    # test_custom_init's second attempt: its third damped step in a row ends
+    # it at 6 solves; the crawl went on to all 12, to 3.56
+    ([8.3, 19.1, 10.1, 7.6, 7.85, 5.74, 9.18, 5.16, 9.58, 4.98, 9.62, 4.92, 9.75,
+      4.94, 4.3, 11.5, 5.1, 3.95, 13.1, 5.39, 3.79, 14.6, 5.74, 3.78, 16.0, 6.13,
+      3.87, 3.56], 6, False),
 ])
 def test_polish_steps_only_while_the_residual_falls(monkeypatch, grid5, quad_weight,
                                                     residuals, solves, accepted):
     assert minimizer._NEWTON_STEPS == 12 and minimizer._NEWTON_HALVINGS == 3
+    assert minimizer._NEWTON_DAMPED == 3
     (rows, _, _), solved = _scripted_polish(monkeypatch, grid5, quad_weight,
                                             residuals, 1e-6)
     assert solved == solves
@@ -392,7 +449,8 @@ def test_polish_rejects_rows_that_change_sign(grid5, quad_weight, modes,
     # rows already at grad_tol: cos((2j - 1) pi r / 2) changes sign for j > 1
     x = dirichlet_field(np.cos((2 * modes - 1) * np.pi * grid5.nodes / 2.0), grid5)
     kern = _fake_kernel(grid5, quad_weight, lambda *args: 1e-7)
-    rows, _, _ = minimizer._newton_polish([x], [x.copy()], kern, 1e-6, 2.0)
+    at_x = (1.0, [1.0], 0.0, [np.zeros(x.size - 2)], 1e-7)
+    rows, _, _ = minimizer._newton_polish([x], at_x, kern, 1e-6, 2.0)
     assert (rows is not None) == accepted
 
 
@@ -490,12 +548,29 @@ def test_eigenfunction_init(grid5, quad_weight):
     assert res.q_lambda < 20.0
 
 
-def test_custom_init(grid5, quad_weight):
+def test_custom_init(monkeypatch, grid5, quad_weight):
+    # its warm attempt at residual 86 fails at the third solve, and the one
+    # at 8.3 takes damped steps from 7.6 on (5.74, 5.16, 4.98, ...), which
+    # end it at 6 solves instead of all 12
+    solves = []
+    polish, solve = minimizer._newton_polish, minimizer.solve_banded
+
+    def attempt(*args):
+        solves.append(0)
+        return polish(*args)
+
+    def counted(*args, **kwargs):
+        solves[-1] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(minimizer, "_newton_polish", attempt)
+    monkeypatch.setattr(minimizer, "solve_banded", counted)
     u = dirichlet_field(1.0 - grid5.nodes ** 2, grid5)
     params = FlowParams(max_iters=2000, grad_tol=1e-5)
     res = descend(quad_weight, quad_weight, 5.0, grid5, params,
                   init_pair=FieldPair(u=u, v=u.copy()))
     assert res.iterations > 0
+    assert solves == [3, 6]
 
 
 def test_unit_weight_flow_close_to_continuum(grid5_fine):
@@ -583,12 +658,11 @@ def test_sweep_row_never_won_by_its_own_pair():
     params = FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
     rows = sweep_minimize(lams, w, w, grid, params)
     warm = None
-    for row, new_lam in zip(rows, lams[1:] + [None]):
-        # the replay starts each flow where the sweep does; no pair from
-        # another coupling wins here
+    for row in rows:
+        # the replay starts each flow where the sweep does, from the pair
+        # of the flow before it; no pair from another coupling wins here
         flow = descend(w, w, row.lam, grid, params, init_pair=warm)
-        if new_lam is not None:
-            warm = minimizer._next_start(flow, w, w, row.lam, new_lam, grid)
+        warm = flow.pair
         assert np.array_equal(row.result.pair.u, flow.pair.u)
         assert row.result.q_lambda == flow.q_lambda
         assert row.result.status == flow.status
@@ -621,58 +695,60 @@ def _recorded_sweep(monkeypatch, lams, a, b, grid, params):
     return sweep_minimize(lams, a, b, grid, params), flows
 
 
-def _recorded_tangents(monkeypatch):
-    """(coupling, rows) of every tangent the sweep computes, in order."""
-    calls = []
-    tangent = minimizer._tangent
-
-    def recorded(flow, a, b, lam, grid):
-        out = tangent(flow, a, b, lam, grid)
-        calls.append((lam, len(out[0])))
-        return out
-
-    monkeypatch.setattr(minimizer, "_tangent", recorded)
-    return calls
-
-
-@pytest.mark.parametrize("b_name, rows", [("quad_weight", 1),
-                                          ("quartic_weight", 2)])
-def test_tangent_is_the_derivative_of_the_branch(request, grid5, quad_weight,
-                                                 b_name, rows):
-    # central differences of converged pairs at lam +- 1e-3 agree with the
-    # bordered solve to their own O(1e-6) truncation error
-    b = request.getfixturevalue(b_name)
-    params = FlowParams(max_iters=8000, grad_tol=1e-9, stall_window=1500)
-    lam, dlam = 10.0, 1e-3
-    at = descend(quad_weight, b, lam, grid5, params)
-    up = descend(quad_weight, b, lam + dlam, grid5, params, init_pair=at.pair)
-    down = descend(quad_weight, b, lam - dlam, grid5, params, init_pair=at.pair)
-    assert at.status == up.status == down.status == "converged"
-    x, tangent = minimizer._tangent(at, quad_weight, b, lam, grid5)
-    assert len(x) == len(tangent) == rows
-    for k, tk in enumerate(tangent):
-        fd = ((up.pair.u, up.pair.v)[k] - (down.pair.u, down.pair.v)[k])[1:-1]
-        fd /= 2.0 * dlam
-        assert np.max(np.abs(fd - tk)) <= 1e-5 * np.max(np.abs(tk))
-
-
 def test_continuation_sweep_converges_in_few_iterations(monkeypatch, sweep_grid):
+    # each warm flow starts from the pair of the flow before it, and Newton,
+    # armed at its first iteration, finishes it in a few steps
     w = WeightProfile(1.0, 2.0, 1.0)
-    rows = sweep_minimize(SWEEP_LAMS, w, w, sweep_grid, SWEEP_FLOW)
+    rows, flows = _recorded_sweep(monkeypatch, SWEEP_LAMS, w, w, sweep_grid,
+                                  SWEEP_FLOW)
+    assert flows[0][1] is None
+    for (_, _, prev), (_, start, _) in zip(flows, flows[1:]):
+        assert start is prev.pair
     assert all(r.result.status == "converged" for r in rows)
-    assert sum(r.result.iterations for r in rows) <= 150
-    # each warm flow from the plain warm start (the polish still armed at
-    # once) reaches the same minimizers in more iterations; the cold first
-    # flow is the same in both sweeps
-    monkeypatch.setattr(minimizer, "_PREDICTOR_TRIES", 0)
+    assert sum(r.result.iterations for r in rows[1:]) <= 40
+    # the same sweep by the flow alone (every polish refused) reaches the
+    # same minimizers
+    monkeypatch.setattr(minimizer, "_newton_polish",
+                        lambda *args: (None, math.inf, 0))
     plain = sweep_minimize(SWEEP_LAMS, w, w, sweep_grid, SWEEP_FLOW)
-    warm = sum(r.result.iterations for r in rows[1:])
-    assert warm <= 35
-    assert warm < sum(r.result.iterations for r in plain[1:])
     for row, ref in zip(rows, plain):
         assert ref.result.status == "converged"
+        assert ref.result.iterations > row.result.iterations
         assert row.result.q_lambda == pytest.approx(ref.result.q_lambda,
                                                     rel=1e-12, abs=0.0)
+
+
+def test_warm_polish_starts_from_the_flows_evaluation(monkeypatch, sweep_grid,
+                                                      quad_weight):
+    # the second flow of existence-sweep at seed 11: descend evaluates the
+    # warm start once, and the polish solves from that evaluation, then
+    # evaluates once per Newton step (the report's own call is not counted)
+    first = descend(quad_weight, quad_weight, SWEEP_LAMS[0], sweep_grid, SWEEP_FLOW)
+    gradients, solves = [], []
+    kernel, solve = minimizer._kernel, minimizer.solve_banded
+
+    def counted_kernel(*args):
+        kern = kernel(*args)
+        gradient = kern.gradient
+
+        def counted(*call):
+            gradients.append(1)
+            return gradient(*call)
+
+        kern.gradient = counted
+        return kern
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(minimizer, "_kernel", counted_kernel)
+    monkeypatch.setattr(minimizer, "solve_banded", counted_solve)
+    res = descend(quad_weight, quad_weight, SWEEP_LAMS[1], sweep_grid, SWEEP_FLOW,
+                  init_pair=first.pair)
+    assert res.status == "converged"
+    assert res.iterations == 1 + len(solves)
+    assert len(gradients) == 1 + len(solves)
 
 
 def test_cold_flow_is_finished_by_newton(monkeypatch, sweep_grid, quad_weight):
@@ -686,51 +762,6 @@ def test_cold_flow_is_finished_by_newton(monkeypatch, sweep_grid, quad_weight):
     assert polished.status == flow.status == "converged"
     assert polished.iterations <= 15 < flow.iterations
     assert polished.q_lambda == pytest.approx(flow.q_lambda, rel=1e-12, abs=0.0)
-
-
-def test_predicted_start_is_never_above_the_warm_start(monkeypatch, sweep_grid):
-    w = WeightProfile(1.0, 2.0, 1.0)
-    _, flows = _recorded_sweep(monkeypatch, SWEEP_LAMS, w, w, sweep_grid,
-                               SWEEP_FLOW)
-    for (lam0, _, prev), (lam, start, _) in zip(flows, flows[1:]):
-        assert start is not prev.pair            # the predictor is used
-        assert (energy(start, w, w, lam, sweep_grid).value
-                <= energy(prev.pair, w, w, lam, sweep_grid).value)
-    # from the first coupling the full tangent step overshoots; the start
-    # is a shorter step along it
-    (lam0, _, first), (lam1, start, _) = flows[:2]
-    [x], [tangent] = minimizer._tangent(first, w, w, lam0, sweep_grid)
-    full = x.copy()
-    full[1:-1] += (lam1 - lam0) * tangent
-    full[0] = full[1]
-    assert (energy(FieldPair(u=full, v=full), w, w, lam1, sweep_grid).value
-            > energy(first.pair, w, w, lam1, sweep_grid).value)
-
-
-def test_no_prediction_after_a_flow_that_did_not_converge(monkeypatch, grid5,
-                                                          quad_weight, quick_flow):
-    # the sweep of test_sweep_monotone_and_pooled, whose lam = 2 flow
-    # concentrates: the lam = 5 flow starts from that flow's own pair
-    tangents = _recorded_tangents(monkeypatch)
-    _, flows = _recorded_sweep(monkeypatch, [2.0, 5.0, 8.0, 11.0, 14.0],
-                               quad_weight, quad_weight, grid5, quick_flow)
-    (_, _, conc), (_, start, _) = flows[:2]
-    assert conc.status == "concentrating"
-    assert start is conc.pair
-    assert [res.status for _, _, res in flows[1:]] == ["converged"] * 4
-    assert tangents == [(5.0, 1), (8.0, 1), (11.0, 1)]
-
-
-def test_two_row_sweep_uses_the_predictor(monkeypatch, grid5, quad_weight,
-                                          quartic_weight, quick_flow):
-    tangents = _recorded_tangents(monkeypatch)
-    rows, flows = _recorded_sweep(monkeypatch, [8.0, 10.0, 12.0], quad_weight,
-                                  quartic_weight, grid5, quick_flow)
-    assert tangents == [(8.0, 2), (10.0, 2)]
-    assert all(r.result.status == "converged" for r in rows)
-    for (_, _, prev), (_, start, _) in zip(flows, flows[1:]):
-        assert start is not prev.pair
-        assert not np.array_equal(start.u, start.v)
 
 
 # --- dilation move of a concentrating flow ----------------------------------
