@@ -20,9 +20,7 @@ from .asymptotics import (BubbleParams, ExpansionFit, ExpansionPrediction,
                           expansion_prediction, fit_expansion)
 from .constants import (BubbleConstants, Case, bubble_constants, case_of,
                         correction_constant, radial_moment, slope_factor)
-from .energy import (EnergyReport, FieldPair, critical_exponent,
-                     dirichlet_field, energy, lq_norm,
-                     weighted_gradient_energy)
+from .energy import FieldPair, critical_exponent, dirichlet_field
 from .errors import *  # noqa: F401,F403 -- the error taxonomy is the API
 from .grid import RadialGrid, build_grid, integrate, unit_sphere_area
 from .harness import (RunReport, Scenario, emit_csv, parse_scenario, run,

@@ -111,9 +111,10 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
     -lam int uv / (|u|_q |v|_q), so one pass per eps over the call's buffers
     gives its field, norm, gradient energies (from one face difference) and
     int uv for all couplings; the cutoff zeta is sampled once per call.
-    Every entry is the one-shot `energy(...).value` of the pair of
-    bubble_field(BubbleParams(eps, cutoff_radius), grid) bit for bit, and
-    a rung that bubble_field refuses raises as it does."""
+    Every entry equals bit for bit the one-shot energy of the pair (u, u),
+    u = bubble_field(BubbleParams(eps, cutoff_radius), grid), that the
+    tests' reference (tests/conftest.py) evaluates, and a rung that
+    bubble_field refuses raises as it does."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
         raise ValueError("eps_list must be positive and finite")
@@ -133,7 +134,7 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
         np.divide(eps ** (p / 2.0), u, out=u)
         u *= zeta
         u[-1] = 0.0
-        np.abs(u, out=w)                        # |u|_q, as lq_norm takes it
+        np.abs(u, out=w)                        # |u|_q = (sum m|u|^q)^(1/q)
         w **= q
         nu = float(np.dot(m, w)) ** (1.0 / q)
         if nu == 0.0:

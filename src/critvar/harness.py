@@ -73,6 +73,10 @@ class Scenario:
             raise ConfigError(f"unknown analyses {bad}")
         if not all(map(math.isfinite, self.lambdas)):
             raise ConfigError(f"couplings must be finite, got {tuple(self.lambdas)}")
+        if any(lam < 0.0 for lam in self.lambdas):
+            # the pool's (|u|, |v|) candidates are minimal only for lam >= 0
+            raise ConfigError(f"couplings must be nonnegative, got {tuple(self.lambdas)}: "
+                              "Q(-lam) = Q(lam), as E_-lam(u, -v) = E_lam(u, v)")
         if self.plots:
             raise ConfigError("plots must be false: a run writes only its CSV tables")
 

@@ -54,7 +54,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .constants import Case
-from .energy import FieldPair, _pair_terms, critical_exponent, dirichlet_field
+from .energy import FieldPair, critical_exponent, dirichlet_field
 from .errors import BadSpectrum, DegeneratePair, NumericFault
 from .grid import RadialGrid
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
@@ -263,15 +263,22 @@ def _kernel(ops, lam, grid: RadialGrid):
     energy(xs, fs) gives (E, g, p) of the normalized rows xs: g_k = sum_f
     F_f (dx_k)_f over the face fluxes F_f = c_f (dx_k)_f, which it leaves in
     fs[k][1:] (fs[k][0], the origin face's, stays 0), p = sum m x_0 x_-1
-    (0 at lam == 0) and E = g_0/2 + g_-1/2 - lam p.  gradient(xs, hs, fs, g,
-    p, d) writes each row's raw gradient K x_k - lam M x_partner - (g_k -
-    lam p) h_k into d, K x_k the difference of those fluxes
-    (TridiagonalOperator._flux_difference) and h_k the power row (see
-    _normalizer), and returns the system residual, d's norm in M^-1.
-    mass_inside(h, x) is a normalized row's critical-norm mass h.x over r <=
-    R/10, the detector's.  report(rows) normalizes the rows in place and
-    returns (E, the multipliers g_k - lam p, the residual, row 0's mass
-    inside R/10).
+    (0 at lam == 0) and E = g_0/2 + g_-1/2 - lam p.  The innermost cell
+    (0, r_1) is skipped: its flux factor r^(N-1) vanishes at the order of
+    the rule for radially smooth rows (x'(0) = 0).  g_k is a sum of squares,
+    not x.Kx: near a smooth minimizer x.Kx cancels large terms of opposite
+    sign, and a flow fed it stalled at 7 of 8 existence-sweep couplings
+    (lam = 9: 2,454 iterations, residual 6e-5; with the sum of squares it
+    converges in 946).
+
+    gradient(xs, hs, fs, g, p, d) writes each row's raw gradient K x_k -
+    lam M x_partner - (g_k - lam p) h_k into d, K x_k the difference of
+    those fluxes (TridiagonalOperator._flux_difference) and h_k the power
+    row (see _normalizer), and returns the system residual, d's norm in
+    M^-1.  mass_inside(h, x) is a normalized row's critical-norm mass h.x
+    over r <= R/10, the detector's.  report(rows) normalizes the rows in
+    place and returns (E, the multipliers g_k - lam p, the residual, row
+    0's mass inside R/10).
     """
     m, m_dof = grid.masses, grid.masses[1:-1]
     inv_m, lam_m = 1.0 / m_dof, lam * m_dof
@@ -619,18 +626,24 @@ def sweep_minimize(
 
     Only a pair found at another coupling can win a row (a flow's own pair
     re-evaluated differs only by rounding); the row then reports that pair's
-    own concentration and the status "pooled".
+    own concentration and the status "pooled".  A candidate's terms (g_a/2,
+    g_b/2, p) are those of the flow's kernel (see _kernel) at unit coupling,
+    evaluated on a copy of the sign-normalized pair.
     """
     lams = [float(x) for x in lams]
+    ops = (assemble_operator(a, grid), assemble_operator(b, grid))
+    unit, n = _kernel(ops, 1.0, grid), grid.nodes.size
+    hs, fs = [np.empty(n), np.empty(n)], [np.zeros(n - 1), np.zeros(n - 1)]
     flows: dict[float, MinimizeResult] = {}
-    pool = []   # (source flow, grad_a, grad_b, normalized int uv, pair)
+    pool = []   # (source flow, g_a/2, g_b/2, normalized int uv, pair)
     warm = None
     for lam in sorted(set(lams)):
         res = flows[lam] = descend(a, b, lam, grid, params, init_pair=warm)
         warm = res.pair
         pr = sign_normalize(res.pair)
-        ga, gb, uv, nu, nv = _pair_terms(pr.u, pr.v, a, b, grid)
-        pool.append((res, ga, gb, uv / (nu * nv), pr))
+        _, (ga, gb), p = unit.energy([unit.normalize(t, h) for t, h in
+                                      zip((pr.u.copy(), pr.v.copy()), hs)], fs)
+        pool.append((res, 0.5 * ga, 0.5 * gb, p, pr))
 
     rows = []
     for lam in lams:
@@ -639,9 +652,7 @@ def sweep_minimize(
                             for src, ga, gb, c, pr in pool if src is not flow),
                            key=lambda cand: cand[0], default=(np.inf, None, None))
         if val < flow.q_lambda:
-            kern = _kernel((assemble_operator(a, grid), assemble_operator(b, grid)),
-                           lam, grid)
-            q, (l1, l2), el, _ = kern.report([pr.u.copy(), pr.v.copy()])
+            q, (l1, l2), el, _ = _kernel(ops, lam, grid).report([pr.u.copy(), pr.v.copy()])
             res = replace(
                 flow,
                 pair=pr,

@@ -14,13 +14,13 @@ import pytest
 
 from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
                      bubble_constants, build_grid, case_of, correction_constant,
-                     descend, dirichlet_field, energy, energy_curves,
+                     descend, dirichlet_field, energy_curves,
                      existence_verdict, first_eigenpair, fit_expansion,
-                     lambda_tilde, lq_norm, minimizer, omega_bounds,
-                     omega_estimate, pohozaev_report, slope_factor,
-                     sweep_minimize, unit_sphere_area)
-from conftest import (coupling_threshold, eigenfunction_pair_energy,
-                      hardy_sides, radial_moment_quadrature,
+                     lambda_tilde, minimizer, omega_bounds, omega_estimate,
+                     pohozaev_report, slope_factor, sweep_minimize,
+                     unit_sphere_area)
+from conftest import (coupling_threshold, eigenfunction_pair_energy, energy,
+                      hardy_sides, lq_norm, radial_moment_quadrature,
                       smooth_dirichlet_field)
 
 QUAD = WeightProfile(1.0, 2.0, 1.0)     # gamma0 + r^2

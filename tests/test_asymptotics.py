@@ -8,10 +8,10 @@ import pytest
 import critvar.asymptotics
 from critvar import (BubbleParams, Case, FieldPair, WeightProfile,
                      bubble_constants, bubble_field, correction_constant,
-                     default_eps_ladder, energy, energy_curves,
-                     expansion_prediction, fit_expansion, lq_norm, slope_factor,
-                     unit_sphere_area, weighted_gradient_energy)
+                     default_eps_ladder, energy_curves, expansion_prediction,
+                     fit_expansion, slope_factor, unit_sphere_area)
 from critvar.errors import FitFailure, NumericFault, UnderResolvedBubble
+from conftest import energy, lq_norm, weighted_gradient_energy
 
 
 def test_bubble_center_value(grid5_geo):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from critvar import (FieldPair, WeightProfile, build_grid, critical_exponent,
-                     dirichlet_field, energy, integrate, lq_norm,
-                     unit_sphere_area, weighted_gradient_energy)
+                     dirichlet_field, integrate, unit_sphere_area)
 from critvar.errors import (DegeneratePair, IndefiniteWeight, NumericFault,
                             ShapeMismatch)
-from conftest import smooth_dirichlet_field
+from conftest import (energy, lq_norm, smooth_dirichlet_field,
+                      weighted_gradient_energy)
 
 
 def test_critical_exponent_values():
@@ -167,7 +167,7 @@ def test_derivatives_of_smooth_field(grid5):
 
 def test_equal_rows_are_differentiated_once(monkeypatch, grid5):
     # a converged symmetric pair holds v as a copy of u
-    module = importlib.import_module("critvar.energy")   # critvar.energy is the function
+    module = importlib.import_module("critvar.energy")
     calls = []
     derivative = module.nodal_derivative
 

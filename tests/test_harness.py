@@ -374,6 +374,22 @@ def test_scenario_rejects_what_a_run_cannot_do(change):
         replace(parse_scenario(SWEEP), **change)
 
 
+@pytest.mark.parametrize("sweep", ["lambdas = -3 3\n", "start = -3\nstop = 3\nstep = 6\n"],
+                         ids=["list", "range"])
+def test_negative_coupling_exits_2(tmp_path, capsys, sweep):
+    # the pool's candidates are sign-normalized, the right choice only for
+    # lam >= 0: this sweep ran, and its -3 row read `pooled` at 11.946677,
+    # above the 11.946522 its own 3 row's (u, -v) gives at -3
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 200\n"
+                                   "grading = geometric\nratio = 1.01")
+                   + "\n[sweep]\n" + sweep + "\n[output]\nanalyses = minimize\n")
+    assert cli_main(["minimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "Q(-lam) = Q(lam)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert parse_scenario(cfg.read_text().replace("-3", "0")).lambdas[0] == 0.0
+
+
 def test_run_takes_only_one_job():
     with pytest.raises(ConfigError, match="jobs"):
         run(parse_scenario(SWEEP), jobs=2)

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from critvar import (Case, FieldPair, FlowParams, WeightProfile, build_grid,
-                     descend, dirichlet_field, energy, existence_verdict,
-                     lambda_tilde, lq_norm, sign_normalize, sweep_minimize)
+                     descend, dirichlet_field, existence_verdict, lambda_tilde,
+                     sign_normalize, sweep_minimize)
 from critvar import minimizer
 from critvar.errors import BadSpectrum, DegeneratePair, NumericFault
 from critvar.spectral import TridiagonalOperator
 from conftest import (bordered_step_reference, concentration_diagnostic, el_residual,
-                      lagrange_multipliers, smooth_dirichlet_field)
+                      energy, lagrange_multipliers, lq_norm, smooth_dirichlet_field)
 
 
 def _normalized_pair(grid, rng):
@@ -693,6 +693,30 @@ def _recorded_sweep(monkeypatch, lams, a, b, grid, params):
 
     monkeypatch.setattr(minimizer, "descend", recorded)
     return sweep_minimize(lams, a, b, grid, params), flows
+
+
+@pytest.mark.parametrize("b_name, lams", [
+    ("quad_weight", [2.0, 5.0, 8.0, 11.0, 14.0]),
+    ("quartic_weight", [0.0, 2.0, 6.0, 10.0]),
+], ids=["one-row", "two-rows"])
+def test_pool_ranks_as_the_reference_does(request, monkeypatch, grid5, quad_weight,
+                                          quick_flow, b_name, lams):
+    # the pool takes each candidate's terms from the flow's kernel; the
+    # one-shot reference on the same sign-normalized pairs (at lam = 0 too,
+    # whose flow reports its pair as it is) picks the same winner per row
+    b = request.getfixturevalue(b_name)
+    rows, flows = _recorded_sweep(monkeypatch, lams, quad_weight, b, grid5, quick_flow)
+    assert [lam for lam, _, _ in flows] == lams
+    assert [r.result.status for r in rows][:2] == ["pooled", "converged"]
+    for row, (_, _, flow) in zip(rows, flows):
+        val, pr = min(((energy(pr, quad_weight, b, row.lam, grid5).value, pr)
+                       for pr in (sign_normalize(f.pair) for _, _, f in flows
+                                  if f is not flow)), key=lambda cand: cand[0])
+        pooled = val < flow.q_lambda
+        assert (row.result.status == "pooled") == pooled
+        want = pr if pooled else flow.pair
+        assert np.array_equal(row.result.pair.u, want.u)
+        assert np.array_equal(row.result.pair.v, want.v)
 
 
 def test_continuation_sweep_converges_in_few_iterations(monkeypatch, sweep_grid):

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
-                     build_grid, dirichlet_field, energy, first_eigenpair,
-                     integrate, lambda_tilde, sweep_minimize, tilde_weight,
-                     weighted_gradient_energy)
+                     build_grid, dirichlet_field, first_eigenpair, integrate,
+                     lambda_tilde, sweep_minimize, tilde_weight)
 from critvar.spectral import TridiagonalOperator
 from critvar.errors import IndefiniteWeight, SpectralStall
-from conftest import (coupling_threshold, eigenfunction_pair_energy,
-                      smooth_dirichlet_field)
+from conftest import (coupling_threshold, eigenfunction_pair_energy, energy,
+                      smooth_dirichlet_field, weighted_gradient_energy)
 
 # first zero of the Bessel functions J_{N/2-1}; lambda_1 of the Dirichlet
 # Laplacian on the unit ball is its square
