@@ -26,8 +26,7 @@ from .grid import RadialGrid, build_grid, integrate, unit_sphere_area
 from .harness import (RunReport, Scenario, emit_csv, parse_scenario, run,
                       serialize_scenario, write_report)
 from .minimizer import (ExistenceVerdict, FlowParams, MinimizeResult,
-                        SweepRow, descend, existence_verdict, sign_normalize,
-                        sweep_minimize)
+                        SweepRow, descend, existence_verdict, sweep_minimize)
 from .nonexistence import (OmegaEstimate, PohozaevReport, omega_bounds,
                            omega_estimate, phi_quotient, pohozaev_report,
                            tilde_weight)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Case, bubble_constants, correction_constant
-from .energy import critical_exponent
-from .errors import DegeneratePair, FitFailure, NumericFault, UnderResolvedBubble
+from .errors import FitFailure, NumericFault, UnderResolvedBubble
 from .grid import RadialGrid
+from .minimizer import _kernel
 from .spectral import assemble_operator
 from .weights import WeightProfile
 
@@ -42,10 +42,15 @@ class BubbleParams:
             raise ValueError("cutoff_radius must be positive and finite")
 
     def profile(self, r, dim: int):
-        """The uncut profile eps^((N-2)/4) / (eps + r^2)^((N-2)/2)."""
+        """The uncut profile eps^((N-2)/4) / (eps + r^2)^((N-2)/2), in a new
+        array."""
         r = np.asarray(r, dtype=float)
         p = (dim - 2) / 2.0
-        return self.epsilon ** (p / 2.0) / (self.epsilon + r * r) ** p
+        s = r * r
+        s += self.epsilon
+        if p != 1.0:                            # x ** 1.0 == x: skip the pass
+            s **= p
+        return np.divide(self.epsilon ** (p / 2.0), s, out=s)
 
     def cutoff(self, r):
         """Quintic smoothstep: 1 on [0, c/2], 0 on [c, R], C^2 in between."""
@@ -107,45 +112,32 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
     """Normalized coupled energy of the symmetric concentration pair, as
     an array of shape (len(lams), len(eps_list)): row i is the curve of
     coupling lams[i] along eps_list, which must be positive, finite and
-    decreasing.  The coupling enters only through the affine term
-    -lam int uv / (|u|_q |v|_q), so one pass per eps over the call's buffers
-    gives its field, norm, gradient energies (from one face difference) and
-    int uv for all couplings; the cutoff zeta is sampled once per call.
-    Every entry equals bit for bit the one-shot energy of the pair (u, u),
-    u = bubble_field(BubbleParams(eps, cutoff_radius), grid), that the
-    tests' reference (tests/conftest.py) evaluates, and a rung that
-    bubble_field refuses raises as it does."""
+    decreasing.  Each entry is the energy of the pair (u, u),
+    u = bubble_field(BubbleParams(eps, cutoff_radius), grid), as the flow's
+    kernel (minimizer._kernel) evaluates it: the coupling enters only
+    through the affine term -lam p, so one normalization and one energy
+    call per eps give the terms (g_a, g_b, p) of every coupling.  The
+    cutoff zeta is sampled once per call, and a rung that bubble_field
+    refuses raises as it does."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
         raise ValueError("eps_list must be positive and finite")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be decreasing")
-    r, m, dim = grid.nodes, grid.masses, grid.dimension
+    r, n = grid.nodes, grid.nodes.size
     zeta = BubbleParams(eps_list[0], cutoff_radius).cutoff(r)
     _check_bubbles(grid, cutoff_radius, eps_list)
-    c_a, c_b = assemble_operator(a, grid).c, assemble_operator(b, grid).c
-    p, q = (dim - 2) / 2.0, critical_exponent(dim)
-    r2, u, w, du = r * r, np.empty(r.size), np.empty(r.size), np.empty(r.size - 2)
-    terms = np.empty((4, len(eps_list)))        # grad_a, grad_b, int uv, |u|_q |v|_q
+    kern = _kernel((assemble_operator(a, grid), assemble_operator(b, grid)), 1.0, grid)
+    h, fs = np.empty(n), [np.zeros(n - 1), np.zeros(n - 1)]
+    terms = np.empty((3, len(eps_list)))        # g_a, g_b, p of each rung
     for j, eps in enumerate(eps_list):
-        np.add(r2, eps, out=u)                  # the profile (see BubbleParams)
-        if p != 1.0:
-            u **= p
-        np.divide(eps ** (p / 2.0), u, out=u)
-        u *= zeta
+        u = BubbleParams(eps, cutoff_radius).profile(r, grid.dimension)
+        u *= zeta                               # the field bubble_field builds
         u[-1] = 0.0
-        np.abs(u, out=w)                        # |u|_q = (sum m|u|^q)^(1/q)
-        w **= q
-        nu = float(np.dot(m, w)) ** (1.0 / q)
-        if nu == 0.0:
-            raise DegeneratePair("both components must be nonzero")
-        np.subtract(u[2:], u[1:-1], out=du)     # the gradient energies' sum
-        terms[:, j] = (0.5 * float(np.dot(np.multiply(c_a, du, out=w[2:]), du)) / nu ** 2,
-                       0.5 * float(np.dot(np.multiply(c_b, du, out=w[2:]), du)) / nu ** 2,
-                       float(np.dot(m, np.multiply(u, u, out=w))), nu * nu)
-    grad_a, grad_b, uv, norms = terms
-    lams = np.asarray(lams, dtype=float)
-    values = grad_a + grad_b - np.multiply.outer(lams, uv) / norms
+        kern.normalize(u, h)
+        _, (terms[0, j], terms[1, j]), terms[2, j] = kern.energy([u, u], fs)
+    g_a, g_b, p = terms
+    values = 0.5 * g_a + 0.5 * g_b - np.multiply.outer(np.asarray(lams, dtype=float), p)
     if not np.all(np.isfinite(values)):
         raise NumericFault("non-finite energy")
     return values

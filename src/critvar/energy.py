@@ -1,6 +1,8 @@
 """Field pairs (u, v) on the radial grid and the critical exponent
-q = 2N/(N-2).  The normalized coupled energy of a pair is evaluated by the
-descent flow's kernel (minimizer._kernel).
+q = 2N/(N-2).  The terms of a pair's normalized coupled energy are
+evaluated by the descent flow's kernel (minimizer._kernel) alone: the flow
+reports them with its pair, the sweep's pool ranks candidates by them and
+asymptotics.energy_curves reads them for its concentration pairs.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ advances that one row and pays for one component per iteration.  Each
 trial row costs two running sums and one fractional power pass: the
 normalization writes m|x|^(q-2) x, from which it takes the critical norm
 and which the next gradient and the concentration detector reuse.  One
-kernel (_kernel) holds this arithmetic; the flow, the Newton polish and the
-sweep's pool take from it the energy, multipliers, residual and
-concentration they report.
+kernel (_kernel) holds this arithmetic; the flow, the Newton polish, the
+sweep's pool and asymptotics.energy_curves take from it the energy terms,
+multipliers, residual and concentration they report.
 
 Stationary points of the discrete flow solve the discrete coupled system
 
@@ -40,8 +40,8 @@ and keeps it only if it lowers the energy; the flow then relaxes the moved
 rows until the detector fires (see descend).
 
 A coupling sweep is a continuation by Newton's method alone: each
-coupling's flow starts from the previous coupling's pair and tries Newton
-from its first iteration (see sweep_minimize).
+coupling's flow starts from the previous coupling's pair, if that flow
+converged, and tries Newton from its first iteration (see sweep_minimize).
 """
 
 from __future__ import annotations
@@ -121,12 +121,8 @@ class MinimizeResult:
     concentration: float
     status: str                # converged | concentrating | stalled | pooled
     iterations: int            # flow iterations, plus the steps of an accepted polish
+    terms: tuple               # (g_a, g_b, p) of the pair: E = g_a/2 + g_b/2 - lam p
     best_trace: np.ndarray = field(repr=False, default=None)
-
-
-def sign_normalize(pair: FieldPair) -> FieldPair:
-    """(|u|, |v|); never increases the energy for nonnegative coupling."""
-    return FieldPair(u=np.abs(pair.u), v=np.abs(pair.v))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +259,7 @@ def _kernel(ops, lam, grid: RadialGrid):
     energy(xs, fs) gives (E, g, p) of the normalized rows xs: g_k = sum_f
     F_f (dx_k)_f over the face fluxes F_f = c_f (dx_k)_f, which it leaves in
     fs[k][1:] (fs[k][0], the origin face's, stays 0), p = sum m x_0 x_-1
-    (0 at lam == 0) and E = g_0/2 + g_-1/2 - lam p.  The innermost cell
+    and E = g_0/2 + g_-1/2 - lam p.  The innermost cell
     (0, r_1) is skipped: its flux factor r^(N-1) vanishes at the order of
     the rule for radially smooth rows (x'(0) = 0).  g_k is a sum of squares,
     not x.Kx: near a smooth minimizer x.Kx cancels large terms of opposite
@@ -278,7 +274,7 @@ def _kernel(ops, lam, grid: RadialGrid):
     M^-1.  mass_inside(h, x) is a normalized row's critical-norm mass h.x
     over r <= R/10, the detector's.  report(rows) normalizes the rows in
     place and returns (E, the multipliers g_k - lam p, the residual, row
-    0's mass inside R/10).
+    0's mass inside R/10, the terms (g_0, g_-1, p)).
     """
     m, m_dof = grid.masses, grid.masses[1:-1]
     inv_m, lam_m = 1.0 / m_dof, lam * m_dof
@@ -291,7 +287,7 @@ def _kernel(ops, lam, grid: RadialGrid):
         g = [float(np.dot(np.multiply(op.c, np.subtract(xk[2:], xk[1:-1], out=dof),
                                       out=fk[1:]), dof))
              for xk, op, fk in zip(xs, ops, fs)]
-        p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node))) if lam else 0.0
+        p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node)))
         return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
 
     def gradient(xs, hs, fs, g, p, d):
@@ -310,7 +306,8 @@ def _kernel(ops, lam, grid: RadialGrid):
         hs, fs, d = ([np.zeros(k) for _ in rows] for k in (m.size, m.size - 1, m.size - 2))
         e, g, p = energy([normalize(t, h) for t, h in zip(rows, hs)], fs)
         res = float(gradient(rows, hs, fs, g, p, d))
-        return e, [gk - lam * p for gk in g], res, mass_inside(hs[0], rows[0])
+        return (e, [gk - lam * p for gk in g], res, mass_inside(hs[0], rows[0]),
+                (g[0], g[-1], p))
 
     return SimpleNamespace(ops=ops, lam=lam, m=m_dof, q=critical_exponent(grid.dimension),
                            normalize=normalize, energy=energy, gradient=gradient,
@@ -420,8 +417,9 @@ def descend(
     read, and the energy leaves the face fluxes from which the gradient
     reads K x (see _kernel).  The best rows are held by reference and copied
     only when a trial row is about to overwrite them.  The reported pair
-    (sign-normalized at lam > 0) is renormalized, and the kernel's report on
-    it gives the reported energy, multipliers, residual and concentration.
+    (sign-normalized at lam >= 0) is renormalized, and the kernel's report on
+    it gives the reported energy, multipliers, residual, concentration and
+    terms (g_a, g_b, p).
 
     When the system residual falls to _NEWTON_SWITCH (but not to grad_tol),
     or at the first iteration when init_pair is given (a warm start, which
@@ -450,15 +448,10 @@ def descend(
     the flow goes on bit for bit as without it.  So the detector fires only
     on rows the flow has relaxed since a move, and it still needs _CONC_MASS
     of the mass inside R/10.  The residual of a concentrating row measures
-    no convergence.  The gate is _MOVE_MASS = 0.6, below the 0.670 that the
-    `concentration` benchmark's flow holds at iteration 10, where it moves,
-    and above the 0.524 that the test suite's converging sweeps reach at
-    most (the two-row coupling-8 flow on the uniform 800-cell grid).  A
-    converging flow can still pass it: the two-row gap point
-    (a = 1 + r^2, b = 1 + r^4, coupling 4, 1,500 graded cells) holds 0.602 at
-    iteration 10 and 0.852 at 100.  So each try raises the gate halfway from
-    the mass it saw to all of it, and that flow tries two moves (at 10 and
-    70) instead of ten.
+    no convergence.  The gate starts at _MOVE_MASS, and each try raises it
+    halfway from the mass it saw to all of it, so a converging flow that
+    passes the gate tries few moves; docs/numerics.md gives the margins of
+    the gate on the benchmark's and the tests' flows.
     """
     if not np.isfinite(lam):
         raise NumericFault(f"coupling must be finite, got {lam}")
@@ -577,8 +570,8 @@ def descend(
             status = "stalled"
             break
 
-    rows = [np.abs(xk) for xk in best] if lam > 0.0 else list(best)   # sign_normalize
-    e, mults, res, conc = kern.report(rows)
+    rows = [np.abs(xk) for xk in best] if lam >= 0.0 else list(best)   # (|u|, |v|)
+    e, mults, res, conc, terms = kern.report(rows)
     return MinimizeResult(
         pair=FieldPair(u=rows[0], v=rows[-1].copy()),
         q_lambda=e,
@@ -588,6 +581,7 @@ def descend(
         concentration=conc,
         status=status,
         iterations=it,
+        terms=terms,
         best_trace=np.asarray(trace),
     )
 
@@ -613,46 +607,47 @@ def sweep_minimize(
     """Run the flow for each coupling and cross-evaluate the found pairs.
 
     The flows run in increasing coupling, as a continuation: each flow
-    after the first starts from the pair the flow before it reports, so
-    descend tries Newton from its first iteration.
+    after the first starts from the pair the flow before it reports, if
+    that flow converged (so descend tries Newton from its first iteration),
+    and from params.init otherwise.  A coupling below 0 raises ValueError:
+    the pool's candidates (|u|, |v|) are minimal only at lam >= 0, and
+    Q(-lam) = Q(lam).
 
     Every pair discovered anywhere in the sweep is an admissible
     candidate at every coupling; the reported value per coupling is the
-    minimum over the pool.  With sign-normalized candidates the per-candidate
-    energy is affine and nonincreasing in the coupling, so the pooled
-    estimate is monotone up to rounding: the pool ranks candidates by that
-    affine form, and a winning row reports the energy the flow's kernel
-    gives its pair, with the multipliers and residual of the same call.
+    minimum over the pool.  Each flow reports its sign-normalized pair with
+    its terms (g_a, g_b, p) (see descend), so a candidate's energy
+    g_a/2 + g_b/2 - lam p is affine and nonincreasing in the coupling, and
+    the pooled estimate is monotone up to rounding: the pool ranks
+    candidates by those terms, and a winning row reports the energy the
+    flow's kernel gives its pair at the row's coupling, with the
+    multipliers, residual and terms of the same call.
 
     Only a pair found at another coupling can win a row (a flow's own pair
     re-evaluated differs only by rounding); the row then reports that pair's
-    own concentration and the status "pooled".  A candidate's terms (g_a/2,
-    g_b/2, p) are those of the flow's kernel (see _kernel) at unit coupling,
-    evaluated on a copy of the sign-normalized pair.
+    own concentration and the status "pooled".
     """
     lams = [float(x) for x in lams]
+    if any(lam < 0.0 for lam in lams):
+        raise ValueError(f"couplings must be nonnegative, got {tuple(lams)}: "
+                         "Q(-lam) = Q(lam), as E_-lam(u, -v) = E_lam(u, v)")
     ops = (assemble_operator(a, grid), assemble_operator(b, grid))
-    unit, n = _kernel(ops, 1.0, grid), grid.nodes.size
-    hs, fs = [np.empty(n), np.empty(n)], [np.zeros(n - 1), np.zeros(n - 1)]
     flows: dict[float, MinimizeResult] = {}
-    pool = []   # (source flow, g_a/2, g_b/2, normalized int uv, pair)
     warm = None
     for lam in sorted(set(lams)):
         res = flows[lam] = descend(a, b, lam, grid, params, init_pair=warm)
-        warm = res.pair
-        pr = sign_normalize(res.pair)
-        _, (ga, gb), p = unit.energy([unit.normalize(t, h) for t, h in
-                                      zip((pr.u.copy(), pr.v.copy()), hs)], fs)
-        pool.append((res, 0.5 * ga, 0.5 * gb, p, pr))
+        warm = res.pair if res.status == "converged" else None
 
     rows = []
     for lam in lams:
         flow = res = flows[lam]
-        val, src, pr = min(((ga + gb - lam * c, src, pr)
-                            for src, ga, gb, c, pr in pool if src is not flow),
-                           key=lambda cand: cand[0], default=(np.inf, None, None))
+        val, src = min(((0.5 * f.terms[0] + 0.5 * f.terms[1] - lam * f.terms[2], f)
+                        for f in flows.values() if f is not flow),
+                       key=lambda cand: cand[0], default=(np.inf, None))
         if val < flow.q_lambda:
-            q, (l1, l2), el, _ = _kernel(ops, lam, grid).report([pr.u.copy(), pr.v.copy()])
+            pr = src.pair
+            q, (l1, l2), el, _, terms = _kernel(ops, lam, grid).report(
+                [pr.u.copy(), pr.v.copy()])
             res = replace(
                 flow,
                 pair=pr,
@@ -661,6 +656,7 @@ def sweep_minimize(
                 multiplier_v=l2,
                 el_residual=el,
                 concentration=src.concentration,    # of |u|^q, so sign-blind
+                terms=terms,
                 status="pooled",
             )
         rows.append(SweepRow(lam=lam, result=res))

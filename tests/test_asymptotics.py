@@ -99,8 +99,9 @@ def test_energy_curves_non_finite_coupling(grid5_geo, unit_weight):
 
 @pytest.mark.parametrize("dim", [4, 5])
 def test_energy_curves_match_one_shot_energy(dim, quad_weight, quartic_weight):
-    # the shared per-eps terms give every coupling exactly the value of a
-    # one-shot energy() call on the symmetric pair
+    # the kernel's per-eps terms give every coupling the value of a one-shot
+    # energy() call on the symmetric pair, within the 1e-12 criterion 08
+    # holds the kernel to (the kernel normalizes the field before it sums)
     g = critvar.build_grid(dim, 1.0, 1500, grading="geometric", ratio=1.004)
     ladder = [2e-3 / 2 ** j for j in range(4)]
     lams = [0.0, 7.25, 12.5, 9.875]
@@ -112,7 +113,7 @@ def test_energy_curves_match_one_shot_energy(dim, quad_weight, quartic_weight):
             u = bubble_field(BubbleParams(eps, 0.5), g)
             ref = energy(FieldPair(u=u, v=u.copy()), quad_weight, quartic_weight,
                          lam, g)
-            assert values[i, j] == ref.value
+            assert values[i, j] == pytest.approx(ref.value, rel=1e-12, abs=0.0)
     assert np.array_equal(
         energy_curves([9.875], quad_weight, quartic_weight, ladder, g, 0.5),
         values[-1:])
@@ -122,9 +123,11 @@ def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, quartic_wei
                                              monkeypatch):
     # each rung's field is built in the call's own pass, not by bubble_field;
     # the cutoff, which does not depend on eps, is sampled once per call, and
-    # each weight's operator is looked up once, whatever the ladder's length
-    cutoffs, operators = [], []
+    # each weight's operator is looked up once and the flow's kernel built
+    # once, at unit coupling, whatever the ladder's length
+    cutoffs, operators, kernels = [], [], []
     cutoff, assemble = BubbleParams.cutoff, critvar.asymptotics.assemble_operator
+    kernel = critvar.asymptotics._kernel
 
     def counting_cutoff(self, r):
         cutoffs.append(self.cutoff_radius)
@@ -134,11 +137,16 @@ def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, quartic_wei
         operators.append(w)
         return assemble(w, grid)
 
+    def counting_kernel(ops, lam, grid):
+        kernels.append(lam)
+        return kernel(ops, lam, grid)
+
     def no_bubble_field(*args):
         raise AssertionError("energy_curves builds its fields in its own pass")
 
     monkeypatch.setattr(critvar.asymptotics, "bubble_field", no_bubble_field)
     monkeypatch.setattr(critvar.asymptotics, "assemble_operator", counting_assemble)
+    monkeypatch.setattr(critvar.asymptotics, "_kernel", counting_kernel)
     monkeypatch.setattr(BubbleParams, "cutoff", counting_cutoff)
     ladder = [1e-3 / 2 ** j for j in range(5)]
     lams = [0.5 * j for j in range(12)]
@@ -146,6 +154,7 @@ def test_energy_curves_build_each_field_once(grid5_geo, quad_weight, quartic_wei
     assert curves.shape == (12, 5)
     assert cutoffs == [0.9 * grid5_geo.radius]
     assert operators == [quad_weight, quartic_weight]
+    assert kernels == [1.0]
     # every coupling shares the rungs' terms: each row is its one-coupling call
     for lam, row in zip(lams, curves):
         assert np.array_equal(energy_curves([lam], quad_weight, quartic_weight,

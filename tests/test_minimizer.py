@@ -11,7 +11,7 @@ from scipy.linalg import solve_banded
 
 from critvar import (Case, FieldPair, FlowParams, WeightProfile, build_grid,
                      descend, dirichlet_field, existence_verdict, lambda_tilde,
-                     sign_normalize, sweep_minimize)
+                     sweep_minimize)
 from critvar import minimizer
 from critvar.errors import BadSpectrum, DegeneratePair, NumericFault
 from critvar.spectral import TridiagonalOperator
@@ -30,15 +30,9 @@ def test_multiplier_average_is_energy(grid5, quad_weight, rng):
     kern = minimizer._kernel((op, op), 3.0, grid5)
     for _ in range(20):
         pair = _normalized_pair(grid5, rng)
-        _, (l1, l2), _, _ = kern.report([pair.u.copy(), pair.v.copy()])
+        _, (l1, l2), *_ = kern.report([pair.u.copy(), pair.v.copy()])
         rep = energy(pair, quad_weight, quad_weight, 3.0, grid5)
         assert (l1 + l2) / 2.0 == pytest.approx(rep.value, rel=1e-12)
-
-
-def test_sign_normalize(grid5, rng):
-    u = smooth_dirichlet_field(grid5, rng)
-    pair = sign_normalize(FieldPair(u=u, v=-u))
-    assert np.min(pair.u * pair.v) >= 0.0
 
 
 def test_descend_converges_and_satisfies_system(grid5, quad_weight,
@@ -619,33 +613,36 @@ def test_sweep_monotone_and_pooled(grid5, quad_weight, quick_flow):
     assert pooled.concentration == rows[1].result.concentration
     # the row's energy comes from the kernel call that gives its multipliers
     op = minimizer.assemble_operator(quad_weight, grid5)
-    q, (l1, l2), _, _ = minimizer._kernel((op, op), 2.0, grid5).report(
+    q, (l1, l2), *_ = minimizer._kernel((op, op), 2.0, grid5).report(
         [pooled.pair.u.copy(), pooled.pair.v.copy()])
     assert (pooled.q_lambda, pooled.multiplier_u, pooled.multiplier_v) == (q, l1, l2)
     assert pooled.q_lambda == 0.5 * (l1 + l2)
 
 
-def test_reported_quantities_describe_the_reported_pair(grid5, quad_weight,
+def test_reported_quantities_describe_the_reported_pair(grid5, sweep_grid, quad_weight,
                                                         quartic_weight, quick_flow):
-    # the flow's kernel reports them; the references evaluate the pair anew
-    cases = [(quartic_weight, quad_weight, 10.0, "converged",
+    # the flow's kernel reports them; the references evaluate the pair anew.
+    # The pooled row is the first of ONE_ROW_POOL's sweep, won by the pair
+    # of a concentrating flow at a coupling above it
+    cases = [(quartic_weight, quad_weight, 10.0, grid5, "converged",
               descend(quartic_weight, quad_weight, 10.0, grid5, quick_flow)),
-             (quad_weight, quad_weight, 2.0, "concentrating",
+             (quad_weight, quad_weight, 2.0, grid5, "concentrating",
               descend(quad_weight, quad_weight, 2.0, grid5, quick_flow)),
-             (quad_weight, quad_weight, 2.0, "pooled", sweep_minimize(
-                 [2.0, 5.0], quad_weight, quad_weight, grid5, quick_flow)[0].result)]
-    for a, b, lam, status, res in cases:
+             (quad_weight, quad_weight, ONE_ROW_POOL[0], sweep_grid, "pooled",
+              sweep_minimize(ONE_ROW_POOL, quad_weight, quad_weight, sweep_grid,
+                             SWEEP_FLOW)[0].result)]
+    for a, b, lam, grid, status, res in cases:
         assert res.status == status
         pair = res.pair
-        assert res.q_lambda == pytest.approx(energy(pair, a, b, lam, grid5).value,
+        assert res.q_lambda == pytest.approx(energy(pair, a, b, lam, grid).value,
                                              rel=1e-12, abs=0.0)
-        l1, l2 = lagrange_multipliers(pair, a, b, lam, grid5)
+        l1, l2 = lagrange_multipliers(pair, a, b, lam, grid)
         assert res.multiplier_u == pytest.approx(l1, rel=1e-12, abs=0.0)
         assert res.multiplier_v == pytest.approx(l2, rel=1e-12, abs=0.0)
         assert res.concentration == pytest.approx(concentration_diagnostic(
-            pair.u, 0.1 * grid5.radius, grid5), rel=1e-12, abs=0.0)
+            pair.u, 0.1 * grid.radius, grid), rel=1e-12, abs=0.0)
         assert res.el_residual == pytest.approx(
-            el_residual(pair, l1, l2, a, b, lam, grid5), rel=0.0, abs=1e-9)
+            el_residual(pair, l1, l2, a, b, lam, grid), rel=0.0, abs=1e-9)
 
 
 def test_sweep_row_never_won_by_its_own_pair():
@@ -660,9 +657,10 @@ def test_sweep_row_never_won_by_its_own_pair():
     warm = None
     for row in rows:
         # the replay starts each flow where the sweep does, from the pair
-        # of the flow before it; no pair from another coupling wins here
+        # of the flow before it if that converged; no pair from another
+        # coupling wins here
         flow = descend(w, w, row.lam, grid, params, init_pair=warm)
-        warm = flow.pair
+        warm = flow.pair if flow.status == "converged" else None
         assert np.array_equal(row.result.pair.u, flow.pair.u)
         assert row.result.q_lambda == flow.q_lambda
         assert row.result.status == flow.status
@@ -674,6 +672,11 @@ def test_sweep_row_never_won_by_its_own_pair():
 SWEEP_LAMS = [9.0446, 11.238094, 13.29651, 15.415663, 17.504842, 19.800375,
               21.7696, 23.922903]
 SWEEP_FLOW = FlowParams(max_iters=8000, grad_tol=1e-5, stall_window=1500)
+# couplings of sweeps on sweep_grid whose first rows are won by the pairs of
+# flows at higher couplings: a = b = 1 + r^2 (one row), and a = 1 + r^2,
+# b = 1 + r^4 (two rows)
+ONE_ROW_POOL = [5.0, 6.0, 6.6, 7.0, 7.3, 8.0, 9.0]
+TWO_ROW_POOL = [2.5, 3.0, 3.5, 4.0, 4.5]
 
 
 @pytest.fixture(scope="module")
@@ -695,28 +698,91 @@ def _recorded_sweep(monkeypatch, lams, a, b, grid, params):
     return sweep_minimize(lams, a, b, grid, params), flows
 
 
-@pytest.mark.parametrize("b_name, lams", [
-    ("quad_weight", [2.0, 5.0, 8.0, 11.0, 14.0]),
-    ("quartic_weight", [0.0, 2.0, 6.0, 10.0]),
+@pytest.mark.parametrize("b_name, lams, statuses", [
+    ("quad_weight", ONE_ROW_POOL, ["pooled"] * 3 + ["concentrating"] + ["converged"] * 3),
+    ("quartic_weight", TWO_ROW_POOL, ["pooled"] * 3 + ["converged"] * 2),
 ], ids=["one-row", "two-rows"])
-def test_pool_ranks_as_the_reference_does(request, monkeypatch, grid5, quad_weight,
-                                          quick_flow, b_name, lams):
-    # the pool takes each candidate's terms from the flow's kernel; the
-    # one-shot reference on the same sign-normalized pairs (at lam = 0 too,
-    # whose flow reports its pair as it is) picks the same winner per row
+def test_pool_ranks_as_the_reference_does(request, monkeypatch, sweep_grid, quad_weight,
+                                          b_name, lams, statuses):
+    # the pool ranks each candidate by the terms its flow reports; the
+    # one-shot reference on the same pairs, sign-normalized, picks the same
+    # winner per row
     b = request.getfixturevalue(b_name)
-    rows, flows = _recorded_sweep(monkeypatch, lams, quad_weight, b, grid5, quick_flow)
+    rows, flows = _recorded_sweep(monkeypatch, lams, quad_weight, b, sweep_grid,
+                                  SWEEP_FLOW)
     assert [lam for lam, _, _ in flows] == lams
-    assert [r.result.status for r in rows][:2] == ["pooled", "converged"]
+    assert [r.result.status for r in rows] == statuses
     for row, (_, _, flow) in zip(rows, flows):
-        val, pr = min(((energy(pr, quad_weight, b, row.lam, grid5).value, pr)
-                       for pr in (sign_normalize(f.pair) for _, _, f in flows
-                                  if f is not flow)), key=lambda cand: cand[0])
+        val, pr = min(((energy(pr, quad_weight, b, row.lam, sweep_grid).value, pr)
+                       for pr in (FieldPair(u=np.abs(f.pair.u), v=np.abs(f.pair.v))
+                                  for _, _, f in flows if f is not flow)),
+                      key=lambda cand: cand[0])
         pooled = val < flow.q_lambda
         assert (row.result.status == "pooled") == pooled
         want = pr if pooled else flow.pair
         assert np.array_equal(row.result.pair.u, want.u)
         assert np.array_equal(row.result.pair.v, want.v)
+
+
+def test_sweep_warm_starts_only_from_a_converged_pair(monkeypatch, sweep_grid,
+                                                      quad_weight):
+    # a flow warm-started from the pair of a concentrating flow lands on a
+    # grid-scale spike at 11.97337, which then won every row
+    rows, flows = _recorded_sweep(monkeypatch, [0.0, 3.0, 6.0, 9.0, 12.0], quad_weight,
+                                  quad_weight, sweep_grid, SWEEP_FLOW)
+    assert [r.result.status for r in rows] == ["pooled"] * 2 + ["concentrating"] + \
+        ["converged"] * 2
+    assert [r.result.q_lambda for r in rows] == pytest.approx(
+        [14.81379, 14.81286, 14.8119, 14.66712, 13.93493], rel=1e-6, abs=0.0)
+    assert flows[0][1] is None
+    for (_, _, prev), (_, start, _) in zip(flows, flows[1:]):
+        assert start is (prev.pair if prev.status == "converged" else None)
+
+
+def test_sweep_rejects_a_negative_coupling(quad_weight):
+    # the pool's candidates (|u|, |v|) are minimal only at lam >= 0: the
+    # lam = -3 row was pooled at 11.946677, while (u, -v) of the lam = 3
+    # pair (u, v) gives 11.946522 there
+    grid = build_grid(5, 1.0, 200, grading="geometric", ratio=1.01)
+    with pytest.raises(ValueError, match=r"Q\(-lam\) = Q\(lam\)"):
+        sweep_minimize([-3.0, 3.0], quad_weight, quad_weight, grid, FlowParams())
+
+
+def test_flow_reports_the_terms_of_its_pair(monkeypatch, sweep_grid, quad_weight,
+                                            quartic_weight):
+    # every row, pooled or not, carries the kernel's terms (g_a, g_b, p) of
+    # its pair: they give its energy and multipliers bit for bit, the
+    # reference's terms at another coupling, and the sweep builds one kernel
+    # per flow and one per pooled row
+    kernels, kernel = [], minimizer._kernel
+
+    def counted(*args):
+        kernels.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(minimizer, "_kernel", counted)
+    rows, flows = _recorded_sweep(monkeypatch, TWO_ROW_POOL, quad_weight, quartic_weight,
+                                  sweep_grid, SWEEP_FLOW)
+    pooled = [r.lam for r in rows if r.result.status == "pooled"]
+    assert len(pooled) == 3
+    assert kernels == [lam for lam, _, _ in flows] + pooled
+    for row in rows:
+        res, lam = row.result, row.lam
+        ga, gb, p = res.terms
+        assert res.q_lambda == 0.5 * ga + 0.5 * gb - lam * p
+        assert (res.multiplier_u, res.multiplier_v) == (ga - lam * p, gb - lam * p)
+        ref = energy(res.pair, quad_weight, quartic_weight, 1.5, sweep_grid)
+        assert (0.5 * ga, 0.5 * gb, 1.5 * p) == pytest.approx(
+            (ref.grad_a, ref.grad_b, ref.coupling), rel=1e-12, abs=0.0)
+
+
+def test_flow_at_zero_coupling_reports_a_nonnegative_pair(grid5, quad_weight, rng):
+    # at lam = 0 the energy is blind to each row's sign, so the flow keeps a
+    # negative start negative; its report is (|u|, |v|), as at lam > 0
+    u = -np.abs(smooth_dirichlet_field(grid5, rng))
+    res = descend(quad_weight, quad_weight, 0.0, grid5, FlowParams(max_iters=5),
+                  init_pair=FieldPair(u=u, v=u.copy()))
+    assert np.all(res.pair.u >= 0.0) and np.all(res.pair.v >= 0.0)
 
 
 def test_continuation_sweep_converges_in_few_iterations(monkeypatch, sweep_grid):
