@@ -12,9 +12,10 @@ type and message.  For each table that differs, the first differing cells
 are printed, and at the end the largest relative difference of each
 (workload, table, column) that differs anywhere, and the total of
 `minimize.csv`'s `iterations` column per workload on each tree.  Last
-it prints the line total of each tree's `critvar/*.py` (what `wc -l`
-reads), the package's size.  Exits 0 when every table is identical and 1
-otherwise.
+it prints the size of each tree's `critvar/*.py`: its line total (what
+`wc -l` reads) and its code lines, the lines that are neither blank nor
+a comment nor inside a docstring (found with `ast`).  Exits 0 when every
+table is identical and 1 otherwise.
 
 Each differing cell also gets a verdict from the benchmark's snapshot
 check (`perfbench/checks.py`), with the parent's table as the reference:
@@ -32,6 +33,7 @@ read with `runpy`, which leaves no bytecode cache behind.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import math
 import os
@@ -143,9 +145,25 @@ def _total_iterations(root: Path) -> Counter:
     return totals
 
 
-def source_lines(src: Path) -> int:
-    """Line total of src/critvar/*.py, counted as `wc -l` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in (src / "critvar").glob("*.py"))
+def source_lines(src: Path) -> tuple[int, int]:
+    """(line total, code lines) of src/critvar/*.py: the total as `wc -l`
+    counts it, and the lines that are neither blank nor a comment nor part
+    of a module, class or function docstring."""
+    total = code = 0
+    for path in (src / "critvar").glob("*.py"):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = text.splitlines()
+        total += text.count("\n")
+        code += sum(1 for i, line in enumerate(lines, start=1)
+                    if line.strip() and not line.lstrip().startswith("#")
+                    and i not in docs)
+    return total, code
 
 
 def compare(parent: Path, change: Path) -> tuple[int, int]:
@@ -220,8 +238,9 @@ def main(argv=None) -> int:
             return 2
         tables, differ = compare(Path(tmp) / "parent", Path(tmp) / "change")
     print(f"{tables - differ} of {tables} tables identical below the timestamp line")
-    print(f"critvar/*.py lines, parent -> change: {source_lines(args.parent):,}"
-          f" -> {source_lines(args.change):,}")
+    (lines_p, code_p), (lines_c, code_c) = source_lines(args.parent), source_lines(args.change)
+    print(f"critvar/*.py lines, parent -> change: {lines_p:,} -> {lines_c:,};"
+          f" code lines {code_p:,} -> {code_c:,}")
     return 1 if differ else 0
 
 

@@ -124,18 +124,19 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
         raise ValueError("eps_list must be positive and finite")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be decreasing")
-    r, n = grid.nodes, grid.nodes.size
+    r = grid.nodes
     zeta = BubbleParams(eps_list[0], cutoff_radius).cutoff(r)
     _check_bubbles(grid, cutoff_radius, eps_list)
     kern = _kernel((assemble_operator(a, grid), assemble_operator(b, grid)), 1.0, grid)
-    h, fs = np.empty(n), [np.zeros(n - 1), np.zeros(n - 1)]
+    w = kern.rows([np.empty(r.size)] * 2)       # each rung's field, as both rows
     terms = np.empty((3, len(eps_list)))        # g_a, g_b, p of each rung
     for j, eps in enumerate(eps_list):
-        u = BubbleParams(eps, cutoff_radius).profile(r, grid.dimension)
-        u *= zeta                               # the field bubble_field builds
+        u = np.multiply(BubbleParams(eps, cutoff_radius).profile(r, grid.dimension),
+                        zeta, out=w.x[0])       # the field bubble_field builds
         u[-1] = 0.0
-        kern.normalize(u, h)
-        _, (terms[0, j], terms[1, j]), terms[2, j] = kern.energy([u, u], fs)
+        kern.normalize(u, w.h[0])
+        kern.energy(w)
+        (terms[0, j], terms[1, j]), terms[2, j] = w.g, w.p
     g_a, g_b, p = terms
     values = 0.5 * g_a + 0.5 * g_b - np.multiply.outer(np.asarray(lams, dtype=float), p)
     if not np.all(np.isfinite(values)):
@@ -243,8 +244,12 @@ def fit_expansion(
     coefs, _, rank, _ = np.linalg.lstsq(design, rows.T, rcond=None)
     if rank < design.shape[1]:
         raise FitFailure("degenerate design matrix")
-    ss_res = np.sum((rows - (design @ coefs).T) ** 2, axis=1)
-    ss_tot = np.sum((rows - np.mean(rows, axis=1, keepdims=True)) ** 2, axis=1)
+    # each row scaled by a power of two near its largest |value|, exactly,
+    # so that its sums of squares cannot overflow
+    scale = -np.frexp(np.max(np.abs(rows), axis=1, keepdims=True))[1]
+    scaled = np.ldexp(rows, scale)
+    ss_res = np.sum((scaled - np.ldexp((design @ coefs).T, scale)) ** 2, axis=1)
+    ss_tot = np.sum((scaled - np.mean(scaled, axis=1, keepdims=True)) ** 2, axis=1)
     r2 = [1.0 if tot == 0.0 else float(max(0.0, min(1.0, 1.0 - res / tot)))
           for res, tot in zip(ss_res, ss_tot)]
     fits = [ExpansionFit(leading_coeff=float(c[1]), intercept=float(c[0]), r_squared=r)

@@ -14,7 +14,12 @@ normalization writes m|x|^(q-2) x, from which it takes the critical norm
 and which the next gradient and the concentration detector reuse.  One
 kernel (_kernel) holds this arithmetic; the flow, the Newton polish, the
 sweep's pool and asymptotics.energy_curves take from it the energy terms,
-multipliers, residual and concentration they report.
+multipliers, residual and concentration they report, and it allocates the
+workspace of a set of rows (their power rows, face fluxes and gradients).
+A flow holds two workspaces, its rows and its trial rows, and reports the
+rows it holds when it ends.  It runs with numpy's floating-point errors
+ignored, and tests each non-finite value where it is made: an overflow
+inside a flow ends in NumericFault or a refused step, never in a warning.
 
 Stationary points of the discrete flow solve the discrete coupled system
 
@@ -113,8 +118,8 @@ class FlowParams:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    pair: FieldPair            # best pair seen, q-normalized components
-    q_lambda: float            # lowest energy seen
+    pair: FieldPair            # the rows the flow held at its end, q-normalized
+    q_lambda: float            # their energy
     multiplier_u: float
     multiplier_v: float
     el_residual: float
@@ -256,24 +261,28 @@ def _kernel(ops, lam, grid: RadialGrid):
     """The flow's arithmetic on its distinct rows, over the operators ops,
     row k coupled to row -1 - k, at coupling lam.
 
-    energy(xs, fs) gives (E, g, p) of the normalized rows xs: g_k = sum_f
-    F_f (dx_k)_f over the face fluxes F_f = c_f (dx_k)_f, which it leaves in
-    fs[k][1:] (fs[k][0], the origin face's, stays 0), p = sum m x_0 x_-1
-    and E = g_0/2 + g_-1/2 - lam p.  The innermost cell
-    (0, r_1) is skipped: its flux factor r^(N-1) vanishes at the order of
-    the rule for radially smooth rows (x'(0) = 0).  g_k is a sum of squares,
-    not x.Kx: near a smooth minimizer x.Kx cancels large terms of opposite
-    sign, and a flow fed it stalled at 7 of 8 existence-sweep couplings
-    (lam = 9: 2,454 iterations, residual 6e-5; with the sum of squares it
-    converges in 946).
+    rows(xs) allocates the workspace of the rows xs, whose arrays it holds
+    as w.x: each row's power row w.h (see _normalizer), face fluxes w.f and
+    raw gradient w.d.  energy(w) sets and returns w.e and sets w.g and w.p
+    of the normalized rows: g_k = sum_f F_f (dx_k)_f over the face fluxes
+    F_f = c_f (dx_k)_f, which it leaves in w.f[k][1:] (w.f[k][0], the origin
+    face's, stays 0), p = sum m x_0 x_-1 and E = g_0/2 + g_-1/2 - lam p.
+    The innermost cell (0, r_1) is skipped: its flux factor r^(N-1)
+    vanishes at the order of the rule for radially smooth rows (x'(0) = 0).
+    g_k is a sum of squares, not x.Kx: near a smooth minimizer x.Kx cancels
+    large terms of opposite sign, and a flow fed it stalled at 7 of 8
+    existence-sweep couplings (lam = 9: 2,454 iterations, residual 6e-5;
+    with the sum of squares it converges in 946).  evaluate(w) normalizes
+    the rows in place, leaving their power rows, and then sets what energy
+    does.
 
-    gradient(xs, hs, fs, g, p, d) writes each row's raw gradient K x_k -
-    lam M x_partner - (g_k - lam p) h_k into d, K x_k the difference of
-    those fluxes (TridiagonalOperator._flux_difference) and h_k the power
-    row (see _normalizer), and returns the system residual, d's norm in
-    M^-1.  mass_inside(h, x) is a normalized row's critical-norm mass h.x
-    over r <= R/10, the detector's.  report(rows) normalizes the rows in
-    place and returns (E, the multipliers g_k - lam p, the residual, row
+    gradient(w) writes each row's raw gradient K x_k - lam M x_partner -
+    (g_k - lam p) h_k into w.d, K x_k the difference of the fluxes
+    (TridiagonalOperator._flux_difference), and sets and returns w.res, the
+    system residual, w.d's norm in M^-1.  mass_inside(w) is row 0's
+    critical-norm mass h.x over r <= R/10, the detector's.  report(xs)
+    evaluates the rows xs in a workspace of their own, normalizing them in
+    place, and returns (E, the multipliers g_k - lam p, the residual, row
     0's mass inside R/10, the terms (g_0, g_-1, p)).
     """
     m, m_dof = grid.masses, grid.masses[1:-1]
@@ -283,34 +292,47 @@ def _kernel(ops, lam, grid: RadialGrid):
     node, dof = np.empty(m.size), np.empty(m_dof.size)
     normalize = _normalizer(grid)
 
-    def energy(xs, fs):
-        g = [float(np.dot(np.multiply(op.c, np.subtract(xk[2:], xk[1:-1], out=dof),
-                                      out=fk[1:]), dof))
-             for xk, op, fk in zip(xs, ops, fs)]
-        p = float(np.dot(m, np.multiply(xs[0], xs[-1], out=node)))
-        return 0.5 * g[0] + 0.5 * g[-1] - lam * p, g, p
+    def rows(xs):
+        return SimpleNamespace(x=list(xs), h=[np.empty(m.size) for _ in xs],
+                               f=[np.zeros(m.size - 1) for _ in xs],
+                               d=[np.empty(m_dof.size) for _ in xs])
 
-    def gradient(xs, hs, fs, g, p, d):
-        for k, (hk, fk, op, dk) in enumerate(zip(hs, fs, ops, d)):
+    def energy(w):
+        w.g = [float(np.dot(np.multiply(op.c, np.subtract(xk[2:], xk[1:-1], out=dof),
+                                        out=fk[1:]), dof))
+               for xk, op, fk in zip(w.x, ops, w.f)]
+        w.p = float(np.dot(m, np.multiply(w.x[0], w.x[-1], out=node)))
+        w.e = 0.5 * w.g[0] + 0.5 * w.g[-1] - lam * w.p
+        return w.e
+
+    def evaluate(w):
+        for t, h in zip(w.x, w.h):
+            normalize(t, h)
+        return energy(w)
+
+    def gradient(w):
+        for k, (hk, fk, op, dk) in enumerate(zip(w.h, w.f, ops, w.d)):
             op._flux_difference(fk, dk)
             if lam:
-                dk -= np.multiply(lam_m, xs[-1 - k][1:-1], out=dof)
-            dk -= np.multiply(hk[1:-1], g[k] - lam * p, out=dof)
-        r2 = [np.dot(np.multiply(dk, dk, out=dof), inv_m) for dk in d]
-        return np.sqrt(r2[0] + r2[-1])
+                dk -= np.multiply(lam_m, w.x[-1 - k][1:-1], out=dof)
+            dk -= np.multiply(hk[1:-1], w.g[k] - lam * w.p, out=dof)
+        r2 = [np.dot(np.multiply(dk, dk, out=dof), inv_m) for dk in w.d]
+        w.res = float(np.sqrt(r2[0] + r2[-1]))
+        return w.res
 
-    def mass_inside(h, x):
-        return float(np.dot(h[:inside], x[:inside]))
+    def mass_inside(w):
+        return float(np.dot(w.h[0][:inside], w.x[0][:inside]))
 
-    def report(rows):
-        hs, fs, d = ([np.zeros(k) for _ in rows] for k in (m.size, m.size - 1, m.size - 2))
-        e, g, p = energy([normalize(t, h) for t, h in zip(rows, hs)], fs)
-        res = float(gradient(rows, hs, fs, g, p, d))
-        return (e, [gk - lam * p for gk in g], res, mass_inside(hs[0], rows[0]),
-                (g[0], g[-1], p))
+    def report(xs):
+        w = rows(xs)
+        evaluate(w)
+        gradient(w)
+        return (w.e, [gk - lam * w.p for gk in w.g], w.res, mass_inside(w),
+                (w.g[0], w.g[-1], w.p))
 
     return SimpleNamespace(ops=ops, lam=lam, m=m_dof, q=critical_exponent(grid.dimension),
-                           normalize=normalize, energy=energy, gradient=gradient,
+                           normalize=normalize, rows=rows, energy=energy,
+                           evaluate=evaluate, gradient=gradient,
                            mass_inside=mass_inside, report=report)
 
 
@@ -324,13 +346,12 @@ def _dilate(xs, s, nodes, out):
     return out
 
 
-def _newton_polish(x, at_x, kern, grad_tol, e_max):
+def _newton_polish(at, kern, grad_tol, e_max):
     """Newton's method on the bordered discrete Euler-Lagrange system (see
-    _bordered_step) from the flow's rows x, which it leaves untouched, with
-    at_x = (E, g, p, d, res) the kernel kern's evaluation of x that the flow
-    has just made (see _kernel), from which the first step starts.  Later
-    rows, their power rows, face fluxes and gradients go to buffers of its
-    own.
+    _bordered_step) from the flow's workspace at, which kern has evaluated
+    and whose gradient it has taken (see _kernel), and which the polish
+    leaves untouched: the first step starts from its rows, raw gradient and
+    terms, and later rows go to two workspaces of the polish's own.
 
     Each step's energy, multipliers L_k and residual come from kern, and
     each step renormalizes the rows with it.
@@ -341,56 +362,54 @@ def _newton_polish(x, at_x, kern, grad_tol, e_max):
     Once a step has cut the residual _NEWTON_QUADRATIC-fold, Newton is in
     its quadratic region, where each step cuts it at least as much; a step
     that does not has met the bordered solve's rounding floor, and ends it.
-    Returns (rows, energy, steps) once, within _NEWTON_STEPS steps, the rows
-    pass the flow's convergence test with energy <= e_max and each row of
-    one sign in the interior.  Else returns (None, floor, steps), floor the
-    lowest residual if the attempt ended at the solve's floor, else inf.
+    Returns (w, residual, steps), w an evaluated workspace, once, within
+    _NEWTON_STEPS steps, its rows pass the flow's convergence test with
+    energy <= e_max and each row of one sign in the interior.  Else returns
+    (None, floor, steps), floor the lowest residual if the attempt ended at
+    the solve's floor, else inf.
     """
-    e, g, p, d, res = at_x
-    y, y0 = [xk.copy() for xk in x], [xk.copy() for xk in x]
-    hy, dy = [np.empty(xk.size) for xk in x], [np.empty(kern.m.size) for _ in x]
-    fy = [np.zeros(kern.m.size + 1) for _ in x]
-    last, quadratic, damped = math.inf, False, 0
+    y, y0 = (kern.rows([xk.copy() for xk in at.x]) for _ in range(2))
+    w, last, quadratic, damped = at, math.inf, False, 0
 
     def advance(dx, t):             # y = the rows y0 advanced by t dx
-        for yk, hk, y0k, dxk in zip(y, hy, y0, dx):
+        for yk, y0k, dxk in zip(y.x, y0.x, dx):
             np.add(y0k[1:-1], t * dxk, out=yk[1:-1])
             yk[0] = yk[1]
-            kern.normalize(yk, hk)
 
     try:
         for step in range(_NEWTON_STEPS + 1):
             for halving in range(_NEWTON_HALVINGS + 1 if step > 1 else step):
                 if halving:
                     advance(dx, 0.5 ** halving)
-                e, g, p = kern.energy(y, fy)
-                res = kern.gradient(y, hy, fy, g, p, dy)
-                d = dy                      # the flow's own d stays as it is
-                if res < last:
+                kern.evaluate(y)
+                kern.gradient(y)
+                w = y
+                if w.res < last:
                     break
-            if res <= grad_tol:
+            if w.res <= grad_tol:
                 # Newton may also land on a critical point whose row changes
                 # sign; a minimizer's rows each keep one sign
-                if e <= e_max and all(np.all(yk[:-1] > 0.0) or np.all(yk[:-1] < 0.0)
-                                      for yk in y):
-                    return y, e, step
+                if w.e <= e_max and all(np.all(xk[:-1] > 0.0) or np.all(xk[:-1] < 0.0)
+                                        for xk in w.x):
+                    return w, w.res, step
                 break
-            if quadratic and res * _NEWTON_QUADRATIC > last:
-                return None, min(res, last), step
+            if quadratic and w.res * _NEWTON_QUADRATIC > last:
+                return None, min(w.res, last), step
             damped = damped + 1 if step > 1 and halving else 0
-            if (step == _NEWTON_STEPS or (step > 1 and not res < last)
+            if (step == _NEWTON_STEPS or (step > 1 and not w.res < last)
                     or damped == _NEWTON_DAMPED):
                 break
-            quadratic = quadratic or (step > 0 and res * _NEWTON_QUADRATIC <= last)
-            last = res
-            dx = _bordered_step(y, [gk - kern.lam * p for gk in g], d, kern)
+            quadratic = quadratic or (step > 0 and w.res * _NEWTON_QUADRATIC <= last)
+            last = w.res
+            dx = _bordered_step(w.x, [gk - kern.lam * w.p for gk in w.g], w.d, kern)
             y, y0 = y0, y                   # the step starts from these rows
             advance(dx, 1.0)
-    except (LinAlgError, ValueError, FloatingPointError, DegeneratePair):
+    except (LinAlgError, ValueError, DegeneratePair):
         pass
     return None, math.inf, step
 
 
+@np.errstate(all="ignore")          # every non-finite value is tested where it is made
 def descend(
     a: WeightProfile,
     b: WeightProfile,
@@ -403,39 +422,48 @@ def descend(
 
     Terminates on the gradient tolerance, on the concentration detector
     (mass collapse onto the center with unbounded amplitude), on a stall,
-    or on the iteration cap.  The reported value is the lowest energy seen.
-    The flow starts from init_pair when one is given, else from params.init.
+    or on the iteration cap, and reports the rows it holds then.  Every
+    accepted step or move lowers the energy but for the flow's 1e-14
+    relative slack, so these are the lowest-energy rows seen up to that
+    slack.  The flow starts from init_pair when one is given, else from
+    params.init.
 
     The flow advances the distinct rows of (u, v): one row when the weights
-    assemble to identical arrays and the normalized start has u == v (the
-    flow then keeps u == v exactly), two otherwise.  Row k's coupling
-    partner is row -1 - k, so both cases run the same arithmetic.  An
-    iteration costs per row two running sums, one fractional power pass and
-    O(n) in-place updates in a workspace allocated once per call: the
-    normalization of a trial row t writes h = m|t|^(q-2) t (see
-    _normalizer), which the next gradient and the concentration detector
-    read, and the energy leaves the face fluxes from which the gradient
-    reads K x (see _kernel).  The best rows are held by reference and copied
-    only when a trial row is about to overwrite them.  The reported pair
-    (sign-normalized at lam >= 0) is renormalized, and the kernel's report on
-    it gives the reported energy, multipliers, residual, concentration and
-    terms (g_a, g_b, p).
+    assemble to identical arrays and the start has u == v (the flow then
+    keeps u == v exactly), two otherwise.  Row k's coupling partner is row
+    -1 - k, so both cases run the same arithmetic.  An iteration costs per
+    row two running sums, one fractional power pass and O(n) in-place
+    updates in two workspaces that the kernel allocates once per call (see
+    _kernel), the held rows and the trial rows, which swap when a trial
+    step or move is accepted: the normalization of a trial row t writes
+    h = m|t|^(q-2) t (see _normalizer), which the next gradient and the
+    concentration detector read, and the energy leaves the face fluxes from
+    which the gradient reads K x.  The reported pair (sign-normalized at
+    lam >= 0) is renormalized, and the kernel's report on it gives the
+    reported energy, multipliers, residual, concentration and terms
+    (g_a, g_b, p).
 
     When the system residual falls to _NEWTON_SWITCH (but not to grad_tol),
     or at the first iteration when init_pair is given (a warm start, which
-    may already lie in Newton's basin), the flow's rows are handed to
-    _newton_polish with the kernel's evaluation of them.  Its result is
-    accepted, and the flow ends "converged", only if the renormalized rows
-    pass the grad_tol test with an energy at most the flow's current one
-    (with the flow's 1e-14 relative slack) and each row of one sign in the
+    may already lie in Newton's basin), the flow's evaluated workspace is
+    handed to _newton_polish.  Its result is accepted, and the flow ends
+    "converged" on the polished rows, only if the renormalized rows pass
+    the grad_tol test with an energy at most the flow's current one (with
+    the flow's 1e-14 relative slack) and each row of one sign in the
     interior; the reported iterations then count its Newton steps, but not
     its halvings.  A failed attempt leaves the
     flow bit for bit as without it and re-arms the polish a decade
     (_NEWTON_REARM) below its residual, or below the bordered solve's floor
     if the attempt met it, so a flow makes at most about
     log10(res_1 / grad_tol) + 1 attempts, res_1 the residual of its first
-    (at most _NEWTON_SWITCH from a cold start).  A non-finite residual
-    raises NumericFault.
+    (at most _NEWTON_SWITCH from a cold start).
+
+    The flow runs with numpy's floating-point errors ignored, and each
+    non-finite value is tested where it is made: a trial row whose
+    normalization collapses or overflows (DegeneratePair) halves the step,
+    a move whose rows do so, or whose energy is not below the current one,
+    is dropped, and a trial step of non-finite energy or a non-finite
+    residual raises NumericFault.
 
     At every detector checkpoint (each 10th iteration) where the mass inside
     R/10 exceeds the move's gate but the sup test does not pass, the flow
@@ -459,26 +487,15 @@ def descend(
     if init_pair is None:
         init_pair = _initial_pair(a, b, grid, params)
     ops = (assemble_operator(a, grid), assemble_operator(b, grid))
-    n = grid.nodes.size
-    normalize = _normalizer(grid)
-
-    # each row x[k] comes with its power row h[k]
-    h = (np.empty(n), np.empty(n))
-    x = (normalize(dirichlet_field(init_pair.u, grid), h[0]),
-         normalize(dirichlet_field(init_pair.v, grid), h[1]))
+    x = (dirichlet_field(init_pair.u, grid), dirichlet_field(init_pair.v, grid))
     if _one_row(ops, x):
-        x, h, ops = x[:1], h[:1], ops[:1]
+        x, ops = x[:1], ops[:1]
     kern = _kernel(ops, lam, grid)
-    sup_max = _CONC_SUP_FACTOR * max(np.max(np.abs(xk)) for xk in x)
-    # trial rows swap with x when accepted (as copies their boundary node is 0),
-    # and so do their power rows h and face fluxes f; d holds each row's raw
-    # gradient
-    x_try, h_try = [xk.copy() for xk in x], [np.empty(n) for _ in x]
-    f, f_try = ([np.zeros(n - 1) for _ in x] for _ in range(2))
-    d, dof = [np.empty(n - 2) for _ in x], np.empty(n - 2)
-
-    e_now, g, p = kern.energy(x, f)
-    best_e, best = e_now, x
+    # the held rows, and the trial rows (as copies their boundary node is 0)
+    cur, trial = kern.rows(x), kern.rows([xk.copy() for xk in x])
+    best_e = kern.evaluate(cur)
+    sup_max = _CONC_SUP_FACTOR * max(np.max(np.abs(xk)) for xk in cur.x)
+    dof = np.empty(grid.nodes.size - 2)
     trace = [best_e]
     tau = params.step
     status = "stalled"                    # unless a test below ends the flow
@@ -486,60 +503,49 @@ def descend(
     move_at = _MOVE_MASS
 
     for it in range(1, params.max_iters + 1):
-        res = kern.gradient(x, h, f, g, p, d)
+        res = kern.gradient(cur)
         if not math.isfinite(res):
             raise NumericFault("non-finite residual during descent")
         if res <= params.grad_tol:
             status = "converged"
-        elif res <= polish_at:
-            polished, value, steps = _newton_polish(x, (e_now, g, p, d, res), kern,
-                                                    params.grad_tol,
-                                                    e_now + 1e-14 * abs(e_now))
-            if polished is None:
-                polish_at = min(res, value) / _NEWTON_REARM
-            else:
-                x, e_now, status = polished, value, "converged"
-                it += steps
-        if status == "converged":
-            if e_now <= best_e + 1e-12 * abs(best_e):
-                best_e, best = e_now, x
             break
+        if res <= polish_at:
+            polished, value, steps = _newton_polish(cur, kern, params.grad_tol,
+                                                    cur.e + 1e-14 * abs(cur.e))
+            if polished is not None:
+                cur, status = polished, "converged"
+                it += steps
+                break
+            polish_at = min(res, value) / _NEWTON_REARM
 
-        if best is x_try:               # the trial rows would overwrite the best
-            best = tuple(xk.copy() for xk in best)
-        s = [op._solve(dk) for op, dk in zip(ops, d)]
-        accepted = False
+        s = [op._solve(dk) for op, dk in zip(ops, cur.d)]
         for _ in range(40):
-            for t, xk, sk in zip(x_try, x, s):
+            for t, xk, sk in zip(trial.x, cur.x, s):
                 np.subtract(xk[1:-1], np.multiply(sk, tau, out=dof), out=t[1:-1])
                 t[0] = t[1]
             try:
-                e_try, g_t, p_t = kern.energy([normalize(t, ht)
-                                               for t, ht in zip(x_try, h_try)], f_try)
-            except (DegeneratePair, FloatingPointError):
+                e_try = kern.evaluate(trial)
+            except DegeneratePair:
                 tau *= 0.5
                 continue
-            if not np.isfinite(e_try):
+            if not math.isfinite(e_try):
                 raise NumericFault("non-finite energy during descent")
-            if e_try <= e_now + 1e-14 * abs(e_now):
-                accepted = True
+            if e_try <= cur.e + 1e-14 * abs(cur.e):
                 break
             tau *= 0.5
-        if not accepted:
+        else:
             status = "stalled"
             break
-        x, x_try, h, h_try, f, f_try = x_try, x, h_try, h, f_try, f
-        e_now, g, p = e_try, g_t, p_t
+        cur, trial = trial, cur
         tau = min(tau * 1.3, params.step)
 
-        if e_now < best_e - 1e-14 * abs(best_e):
-            best_e, best = e_now, x
-            last_improve = it
+        if cur.e < best_e - 1e-14 * abs(best_e):
+            best_e, last_improve = cur.e, it
         trace.append(best_e)
 
         if it % 10 == 0:
-            sup = max(np.max(np.abs(xk)) for xk in x)
-            mass = kern.mass_inside(h[0], x[0])
+            sup = max(np.max(np.abs(xk)) for xk in cur.x)
+            mass = kern.mass_inside(cur)
             if mass > _CONC_MASS and sup > sup_max:
                 status = "concentrating"
                 break
@@ -548,29 +554,23 @@ def descend(
                 # that carries the sup to the detector's bound; the next try
                 # waits for half the mass still outside R/10 to come in
                 move_at = 0.5 * (1.0 + mass)
-                if best is x_try:
-                    best = tuple(xk.copy() for xk in best)
                 s = (sup_max / sup) ** (2.0 / (grid.dimension - 2))
                 try:
-                    moved = [normalize(t, ht) for t, ht in
-                             zip(_dilate(x, s, grid.nodes, x_try), h_try)]
-                except (DegeneratePair, FloatingPointError):
-                    moved = None
-                if (moved is not None
-                        and max(np.max(np.abs(t)) for t in moved) <= sup_max):
-                    e_try, g_t, p_t = kern.energy(moved, f_try)
-                    if e_try < e_now:
-                        x, x_try, h, h_try, f, f_try = x_try, x, h_try, h, f_try, f
-                        e_now, g, p = e_try, g_t, p_t
-                        if e_now < best_e - 1e-14 * abs(best_e):
-                            best_e, best = e_now, x
-                            last_improve = it
-                        trace[-1] = best_e
+                    _dilate(cur.x, s, grid.nodes, trial.x)
+                    moved = (kern.evaluate(trial) < cur.e
+                             and max(np.max(np.abs(t)) for t in trial.x) <= sup_max)
+                except DegeneratePair:
+                    moved = False
+                if moved:
+                    cur, trial = trial, cur
+                    if cur.e < best_e - 1e-14 * abs(best_e):
+                        best_e, last_improve = cur.e, it
+                    trace[-1] = best_e
         if it - last_improve > params.stall_window:
             status = "stalled"
             break
 
-    rows = [np.abs(xk) for xk in best] if lam >= 0.0 else list(best)   # (|u|, |v|)
+    rows = [np.abs(xk) for xk in cur.x] if lam >= 0.0 else list(cur.x)   # (|u|, |v|)
     e, mults, res, conc, terms = kern.report(rows)
     return MinimizeResult(
         pair=FieldPair(u=rows[0], v=rows[-1].copy()),

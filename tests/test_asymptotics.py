@@ -249,6 +249,16 @@ def test_fit_needs_points_and_spread():
         fit_expansion([1e-3] * 6, [1.0] * 6, "eps")   # zero spread
 
 
+def test_fit_of_a_curve_whose_squares_overflow():
+    # the sums of squares of 1e300 * y overflowed, and r_squared read 1
+    eps = [1e-2 / 2 ** j for j in range(8)]
+    y = np.random.default_rng(0).standard_normal(8)
+    fit = fit_expansion(eps, y, "eps")
+    assert fit.r_squared == pytest.approx(0.282, abs=1e-3)
+    assert fit_expansion(eps, 1e300 * y, "eps").r_squared == pytest.approx(
+        fit.r_squared, rel=1e-9, abs=0.0)
+
+
 def test_dim4_model_selection(grid4):
     # log-scaled data fits the log scale variable markedly better
     import critvar

@@ -5,6 +5,7 @@ import csv
 import math
 import re
 import runpy
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -388,6 +389,22 @@ def test_negative_coupling_exits_2(tmp_path, capsys, sweep):
     assert "Q(-lam) = Q(lam)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert parse_scenario(cfg.read_text().replace("-3", "0")).lambdas[0] == 0.0
+
+
+@pytest.mark.parametrize("warn", ["error", "always"])
+def test_overflowing_coupling_exits_2_without_a_warning(tmp_path, capsys, warn):
+    # the first flow's residual overflows: under -W error the run died with
+    # a RuntimeWarning traceback, else it printed the warning before exit 2
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 200\n"
+                                   "grading = geometric\nratio = 1.01")
+                   + "\n[sweep]\nlambdas = 1e300\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warn)
+        code = cli_main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2 and not caught
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Warning" not in err
 
 
 def test_run_takes_only_one_job():

@@ -205,7 +205,7 @@ def test_early_polish_agrees_with_flow_at_the_two_row_gap_point(monkeypatch):
     def kept(*args):
         out = polish(*args)
         if out[0] is not None:
-            accepted.append([row.copy() for row in out[0]])
+            accepted.append([row.copy() for row in out[0].x])
         return out
 
     monkeypatch.setattr(minimizer, "_newton_polish", kept)
@@ -274,14 +274,10 @@ def _newton_state(weights, lam, grid, rows):
     rows at coupling lam, as descend hands them to the polish."""
     kern = minimizer._kernel(tuple(minimizer.assemble_operator(w, grid)
                                    for w in weights), lam, grid)
-    n = grid.nodes.size
-    rows = [x.copy() for x in rows]
-    h, f, d = ([np.zeros(size) for _ in rows] for size in (n, n - 1, n - 2))
-    for x, hk in zip(rows, h):
-        kern.normalize(x, hk)
-    _, g, p = kern.energy(rows, f)
-    kern.gradient(rows, h, f, g, p, d)
-    return kern, rows, [gk - lam * p for gk in g], d
+    w = kern.rows([x.copy() for x in rows])
+    kern.evaluate(w)
+    kern.gradient(w)
+    return kern, w.x, [gk - lam * w.p for gk in w.g], w.d
 
 
 @pytest.mark.parametrize("start", ["converged", "far"])
@@ -354,14 +350,34 @@ def test_failed_polish_leaves_the_flow_bitwise(request, monkeypatch, grid5,
             assert x == y
 
 
-def _fake_kernel(grid, weight, gradient):
-    """The one-row kernel at lam = 9 with a unit energy, no normalization
-    and the given gradient; its operators, masses and q, which the bordered
-    solve reads, are real."""
+def _fake_kernel(grid, weight, residual):
+    """The one-row kernel at lam = 9 whose evaluate(w) sets a unit energy
+    without normalizing and whose gradient(w) writes a zero gradient and
+    sets w.res to residual(); its workspaces, operators, masses and q,
+    which the bordered solve reads, are real."""
     kern = minimizer._kernel((minimizer.assemble_operator(weight, grid),), 9.0, grid)
-    kern.normalize, kern.gradient = (lambda t, h: t), gradient
-    kern.energy = lambda y, fy: (1.0, [1.0], 0.0)
+
+    def evaluate(w):
+        w.e, w.g, w.p = 1.0, [1.0], 0.0
+        return w.e
+
+    def gradient(w):
+        for dk in w.d:
+            dk.fill(0.0)
+        w.res = residual()
+        return w.res
+
+    kern.evaluate, kern.gradient = evaluate, gradient
     return kern
+
+
+def _evaluated(kern, x):
+    """The workspace of the row x, evaluated by kern, as descend hands it to
+    the polish."""
+    at = kern.rows([x])
+    kern.evaluate(at)
+    kern.gradient(at)
+    return at
 
 
 def _scripted_polish(monkeypatch, grid, weight, residuals, grad_tol):
@@ -375,16 +391,10 @@ def _scripted_polish(monkeypatch, grid, weight, residuals, grad_tol):
         solved.append(1)
         return solve_banded(*args, **kwargs)
 
-    def gradient(y, hy, fy, g, p, d):
-        for dk in d:
-            dk.fill(0.0)
-        return next(script)
-
     monkeypatch.setattr(minimizer, "solve_banded", counted)
-    x = dirichlet_field(1.0 - grid.nodes ** 2, grid)
-    at_x = (1.0, [1.0], 0.0, [np.zeros(x.size - 2)], next(script))
-    out = minimizer._newton_polish([x], at_x, _fake_kernel(grid, weight, gradient),
-                                   grad_tol, 2.0)
+    kern = _fake_kernel(grid, weight, lambda: next(script))
+    at = _evaluated(kern, dirichlet_field(1.0 - grid.nodes ** 2, grid))
+    out = minimizer._newton_polish(at, kern, grad_tol, 2.0)
     return out, len(solved)
 
 
@@ -442,9 +452,8 @@ def test_polish_rejects_rows_that_change_sign(grid5, quad_weight, modes,
                                               accepted):
     # rows already at grad_tol: cos((2j - 1) pi r / 2) changes sign for j > 1
     x = dirichlet_field(np.cos((2 * modes - 1) * np.pi * grid5.nodes / 2.0), grid5)
-    kern = _fake_kernel(grid5, quad_weight, lambda *args: 1e-7)
-    at_x = (1.0, [1.0], 0.0, [np.zeros(x.size - 2)], 1e-7)
-    rows, _, _ = minimizer._newton_polish([x], at_x, kern, 1e-6, 2.0)
+    kern = _fake_kernel(grid5, quad_weight, lambda: 1e-7)
+    rows, _, _ = minimizer._newton_polish(_evaluated(kern, x), kern, 1e-6, 2.0)
     assert (rows is not None) == accepted
 
 
@@ -457,6 +466,15 @@ def test_non_finite_gradient_is_numeric_fault(monkeypatch, grid5, quad_weight):
                         staticmethod(nan_flux_difference))
     with pytest.raises(NumericFault):
         descend(quad_weight, quad_weight, 5.0, grid5, FlowParams(max_iters=5))
+
+
+@pytest.mark.parametrize("errors", ["warn", "raise"])
+def test_overflow_in_a_flow_is_numeric_fault(quad_weight, errors):
+    # the residual's squares overflow: a raw RuntimeWarning (an error under
+    # the suite's warning filter) or FloatingPointError escaped the flow
+    grid = build_grid(5, 1.0, 200, grading="geometric", ratio=1.01)
+    with np.errstate(all=errors), pytest.raises(NumericFault):
+        descend(quad_weight, quad_weight, 1e300, grid)
 
 
 @pytest.mark.parametrize("dim", [4, 5, 6])
@@ -479,8 +497,8 @@ def test_normalize_power_row_is_the_power(dim, rng):
 ])
 def test_reported_pair_is_the_best_seen(request, monkeypatch, quad_weight,
                                         grid_name, b_name, lam, max_iters):
-    # lam <= 0 skips sign normalization, so the reported energy is that of
-    # the pair the flow kept as its best, not of a reused row buffer
+    # lam < 0 skips sign normalization, so the reported energy is that of
+    # the rows the flow holds, not of its trial rows
     monkeypatch.setattr(minimizer, "_newton_polish", _polish_forbidden)
     grid = request.getfixturevalue(grid_name)
     b = request.getfixturevalue(b_name)
@@ -491,20 +509,22 @@ def test_reported_pair_is_the_best_seen(request, monkeypatch, quad_weight,
 
 
 @pytest.mark.parametrize("b_name", ["quad_weight", "quartic_weight"])
-def test_stalled_flow_reports_its_last_improvement(request, grid5, quad_weight,
-                                                   b_name):
+def test_stalled_flow_reports_the_rows_it_holds(request, grid5, quad_weight,
+                                                b_name):
     # an unreachable tolerance ends the flow on its stall window, after
-    # accepted steps that improve nothing; the pair reported must be the
-    # one held when the best energy was last lowered, bit for bit
+    # accepted steps that move the energy by less than the flow's 1e-14
+    # relative slack; the rows it holds then are reported, and they are no
+    # worse than the rows it held when the best energy was last lowered
+    # (measured: about 1e-13 lower in energy, with a residual 2 to 6 times
+    # smaller)
     b = request.getfixturevalue(b_name)
     params = FlowParams(max_iters=6000, grad_tol=1e-14, stall_window=30)
     res = descend(quad_weight, b, 10.0, grid5, params)
     last = int(np.flatnonzero(np.diff(res.best_trace) < 0)[-1]) + 1
     assert res.status == "stalled" and res.iterations > last + 1
     cut = descend(quad_weight, b, 10.0, grid5, replace(params, max_iters=last))
-    assert np.array_equal(res.pair.u, cut.pair.u)
-    assert np.array_equal(res.pair.v, cut.pair.v)
-    assert res.q_lambda == cut.q_lambda
+    assert res.q_lambda <= cut.q_lambda
+    assert res.el_residual <= cut.el_residual
 
 
 def test_calls_share_no_state(grid5, grid4, quad_weight, quartic_weight):
