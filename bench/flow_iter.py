@@ -208,29 +208,18 @@ def _case(critvar, name):
 def _bordered(critvar, weight, grid, flow):
     """run() for bordered/n1500: BORDERED_CALLS one-row Newton steps from
     the converged pair of flow at the sweep's next coupling, with the
-    multiplier and raw gradient the flow's kernel gives it there.  A tree
-    whose kernel has no `rows` workspace takes the row buffers by hand."""
-    import numpy as np
-
+    multiplier and raw gradient the flow's kernel gives it there."""
     minimizer = critvar.minimizer
-    lam, n = SWEEP_LAMS[1], grid.nodes.size
+    lam = SWEEP_LAMS[1]
     kernel = minimizer._kernel((minimizer.assemble_operator(weight, grid),), lam, grid)
-    if hasattr(kernel, "rows"):
-        w = kernel.rows([flow.pair.u.copy()])
-        kernel.evaluate(w)
-        kernel.gradient(w)
-        rows, d, g, p = w.x, w.d, w.g, w.p
-    else:
-        rows, h = [flow.pair.u.copy()], [np.empty(n)]
-        f, d = [np.zeros(n - 1)], [np.empty(n - 2)]
-        kernel.normalize(rows[0], h[0])
-        _, g, p = kernel.energy(rows, f)
-        kernel.gradient(rows, h, f, g, p, d)
-    mults = [g[0] - lam * p]
+    w = kernel.rows([flow.pair.u.copy()])
+    kernel.evaluate(w)
+    kernel.gradient(w)
+    mults = [w.g[0] - lam * w.p]
 
     def run():
         for _ in range(BORDERED_CALLS):
-            minimizer._bordered_step(rows, mults, d, kernel)
+            minimizer._bordered_step(w.x, mults, w.d, kernel)
         return SimpleNamespace(iterations=BORDERED_CALLS, status="ok",
                                el_residual=math.nan, q_lambda=math.nan)
     return run

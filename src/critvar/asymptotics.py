@@ -23,7 +23,7 @@ import numpy as np
 from .constants import Case, bubble_constants, correction_constant
 from .errors import FitFailure, NumericFault, UnderResolvedBubble
 from .grid import RadialGrid
-from .minimizer import _kernel
+from .minimizer import _energy, _kernel
 from .spectral import assemble_operator
 from .weights import WeightProfile
 
@@ -60,13 +60,18 @@ class BubbleParams:
         return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
+def _resolved(grid: RadialGrid, eps: float) -> bool:
+    """Whether at least 8 nodes lie inside r < sqrt(eps)."""
+    return grid.nodes[7] < math.sqrt(eps)
+
+
 def _check_bubbles(grid: RadialGrid, cutoff_radius: float, eps_list) -> None:
     """Raise unless the cutoff lies inside the domain and, at each eps in
-    turn, at least 8 nodes lie inside r < sqrt(eps)."""
+    turn, the bubble is _resolved."""
     if cutoff_radius >= grid.radius:
         raise ValueError("cutoff must lie strictly inside the domain")
-    for eps, inside in zip(eps_list, np.searchsorted(grid.nodes, np.sqrt(eps_list))):
-        if inside < 8:
+    for eps in eps_list:
+        if not _resolved(grid, eps):
             raise UnderResolvedBubble(
                 f"fewer than 8 nodes inside r < sqrt(eps) = {math.sqrt(eps):.3e}")
 
@@ -91,13 +96,14 @@ _MIN_CURVE_POINTS = 5
 
 def default_eps_ladder(grid: RadialGrid, cutoff_radius: float) -> list[float]:
     """Geometric ladder (ratio 2, decreasing) with sqrt(eps) confined to
-    [8 * innermost spacing, cutoff / 8]: resolved but deep in the
-    asymptotic regime.  Raises UnderResolvedBubble when the grid leaves
-    fewer rungs than a fit takes."""
+    [8 * innermost spacing, cutoff / 8], deep in the asymptotic regime; it
+    stops sooner at a rung that bubble_field refuses (_resolved), as it
+    does on a coarse geometric grid.  Raises UnderResolvedBubble when the
+    grid leaves fewer rungs than a fit takes."""
     floor = (8.0 * grid.spacings[0]) ** 2
     ladder = []
     eps = (cutoff_radius / 8.0) ** 2
-    while eps >= floor:
+    while eps >= floor and _resolved(grid, eps):
         ladder.append(eps)
         eps /= 2.0
     if len(ladder) < _MIN_CURVE_POINTS:
@@ -137,8 +143,7 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
         kern.normalize(u, w.h[0])
         kern.energy(w)
         (terms[0, j], terms[1, j]), terms[2, j] = w.g, w.p
-    g_a, g_b, p = terms
-    values = 0.5 * g_a + 0.5 * g_b - np.multiply.outer(np.asarray(lams, dtype=float), p)
+    values = _energy(*terms, np.asarray(lams, dtype=float)[:, None])
     if not np.all(np.isfinite(values)):
         raise NumericFault("non-finite energy")
     return values

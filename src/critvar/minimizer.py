@@ -14,8 +14,10 @@ normalization writes m|x|^(q-2) x, from which it takes the critical norm
 and which the next gradient and the concentration detector reuse.  One
 kernel (_kernel) holds this arithmetic; the flow, the Newton polish, the
 sweep's pool and asymptotics.energy_curves take from it the energy terms,
-multipliers, residual and concentration they report, and it allocates the
-workspace of a set of rows (their power rows, face fluxes and gradients).
+residual and concentration they report, and it allocates the workspace of
+a set of rows (their power rows, face fluxes and gradients).  The energy
+is formed from the terms in one place, _energy, and a MinimizeResult
+reads its energy and multipliers from the terms it keeps.
 A flow holds two workspaces, its rows and its trial rows, and reports the
 rows it holds when it ends.  It runs with numpy's floating-point errors
 ignored, and tests each non-finite value where it is made: an overflow
@@ -116,18 +118,37 @@ class FlowParams:
             raise ValueError(f"unknown init {self.init!r}")
 
 
+def _energy(g_a, g_b, p, lam):
+    """E_lam of a normalized pair from its terms, g_a/2 + g_b/2 - lam p: the
+    gradient energies g_a and g_b and p = int uv (arrays broadcast)."""
+    return 0.5 * g_a + 0.5 * g_b - lam * p
+
+
 @dataclass(frozen=True)
 class MinimizeResult:
+    """What a flow or the pool computed for one pair at coupling lam; its
+    energy and multipliers are read from the terms at lam."""
+
     pair: FieldPair            # the rows the flow held at its end, q-normalized
-    q_lambda: float            # their energy
-    multiplier_u: float
-    multiplier_v: float
+    lam: float
+    terms: tuple               # (g_a, g_b, p) of the pair, from the flow's kernel
     el_residual: float
     concentration: float
     status: str                # converged | concentrating | stalled | pooled
     iterations: int            # flow iterations, plus the steps of an accepted polish
-    terms: tuple               # (g_a, g_b, p) of the pair: E = g_a/2 + g_b/2 - lam p
     best_trace: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def q_lambda(self) -> float:
+        return _energy(*self.terms, self.lam)
+
+    @property
+    def multiplier_u(self) -> float:
+        return self.terms[0] - self.lam * self.terms[2]
+
+    @property
+    def multiplier_v(self) -> float:
+        return self.terms[1] - self.lam * self.terms[2]
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +287,13 @@ def _kernel(ops, lam, grid: RadialGrid):
     raw gradient w.d.  energy(w) sets and returns w.e and sets w.g and w.p
     of the normalized rows: g_k = sum_f F_f (dx_k)_f over the face fluxes
     F_f = c_f (dx_k)_f, which it leaves in w.f[k][1:] (w.f[k][0], the origin
-    face's, stays 0), p = sum m x_0 x_-1 and E = g_0/2 + g_-1/2 - lam p.
+    face's, stays 0), p = sum m x_0 x_-1 and E = _energy(g_0, g_-1, p, lam).
     The innermost cell (0, r_1) is skipped: its flux factor r^(N-1)
     vanishes at the order of the rule for radially smooth rows (x'(0) = 0).
     g_k is a sum of squares, not x.Kx: near a smooth minimizer x.Kx cancels
-    large terms of opposite sign, and a flow fed it stalled at 7 of 8
-    existence-sweep couplings (lam = 9: 2,454 iterations, residual 6e-5;
-    with the sum of squares it converges in 946).  evaluate(w) normalizes
-    the rows in place, leaving their power rows, and then sets what energy
-    does.
+    large terms of opposite sign, which stalls the flow (docs/numerics.md).
+    evaluate(w) normalizes the rows in place, leaving their power rows, and
+    then sets what energy does.
 
     gradient(w) writes each row's raw gradient K x_k - lam M x_partner -
     (g_k - lam p) h_k into w.d, K x_k the difference of the fluxes
@@ -282,8 +301,9 @@ def _kernel(ops, lam, grid: RadialGrid):
     system residual, w.d's norm in M^-1.  mass_inside(w) is row 0's
     critical-norm mass h.x over r <= R/10, the detector's.  report(xs)
     evaluates the rows xs in a workspace of their own, normalizing them in
-    place, and returns (E, the multipliers g_k - lam p, the residual, row
-    0's mass inside R/10, the terms (g_0, g_-1, p)).
+    place, and returns (the terms (g_0, g_-1, p), the residual, row 0's mass
+    inside R/10): the record a MinimizeResult keeps, which reads the energy
+    and the multipliers g_k - lam p from the terms.
     """
     m, m_dof = grid.masses, grid.masses[1:-1]
     inv_m, lam_m = 1.0 / m_dof, lam * m_dof
@@ -302,7 +322,7 @@ def _kernel(ops, lam, grid: RadialGrid):
                                         out=fk[1:]), dof))
                for xk, op, fk in zip(w.x, ops, w.f)]
         w.p = float(np.dot(m, np.multiply(w.x[0], w.x[-1], out=node)))
-        w.e = 0.5 * w.g[0] + 0.5 * w.g[-1] - lam * w.p
+        w.e = _energy(w.g[0], w.g[-1], w.p, lam)
         return w.e
 
     def evaluate(w):
@@ -326,9 +346,7 @@ def _kernel(ops, lam, grid: RadialGrid):
     def report(xs):
         w = rows(xs)
         evaluate(w)
-        gradient(w)
-        return (w.e, [gk - lam * w.p for gk in w.g], w.res, mass_inside(w),
-                (w.g[0], w.g[-1], w.p))
+        return (w.g[0], w.g[-1], w.p), gradient(w), mass_inside(w)
 
     return SimpleNamespace(ops=ops, lam=lam, m=m_dof, q=critical_exponent(grid.dimension),
                            normalize=normalize, rows=rows, energy=energy,
@@ -440,8 +458,8 @@ def descend(
     concentration detector read, and the energy leaves the face fluxes from
     which the gradient reads K x.  The reported pair (sign-normalized at
     lam >= 0) is renormalized, and the kernel's report on it gives the
-    reported energy, multipliers, residual, concentration and terms
-    (g_a, g_b, p).
+    result's terms (g_a, g_b, p), residual and concentration; its energy
+    and multipliers are read from those terms at lam.
 
     When the system residual falls to _NEWTON_SWITCH (but not to grad_tol),
     or at the first iteration when init_pair is given (a warm start, which
@@ -571,19 +589,10 @@ def descend(
             break
 
     rows = [np.abs(xk) for xk in cur.x] if lam >= 0.0 else list(cur.x)   # (|u|, |v|)
-    e, mults, res, conc, terms = kern.report(rows)
-    return MinimizeResult(
-        pair=FieldPair(u=rows[0], v=rows[-1].copy()),
-        q_lambda=e,
-        multiplier_u=mults[0],
-        multiplier_v=mults[-1],
-        el_residual=res,
-        concentration=conc,
-        status=status,
-        iterations=it,
-        terms=terms,
-        best_trace=np.asarray(trace),
-    )
+    terms, res, conc = kern.report(rows)
+    return MinimizeResult(pair=FieldPair(u=rows[0], v=rows[-1].copy()), lam=lam,
+                          terms=terms, el_residual=res, concentration=conc,
+                          status=status, iterations=it, best_trace=np.asarray(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +626,11 @@ def sweep_minimize(
     candidate at every coupling; the reported value per coupling is the
     minimum over the pool.  Each flow reports its sign-normalized pair with
     its terms (g_a, g_b, p) (see descend), so a candidate's energy
-    g_a/2 + g_b/2 - lam p is affine and nonincreasing in the coupling, and
+    _energy(g_a, g_b, p, lam) is affine and nonincreasing in the coupling, and
     the pooled estimate is monotone up to rounding: the pool ranks
-    candidates by those terms, and a winning row reports the energy the
-    flow's kernel gives its pair at the row's coupling, with the
-    multipliers, residual and terms of the same call.
+    candidates by those terms, and a winning row reports the terms and
+    residual the flow's kernel gives its pair at the row's coupling, from
+    which its energy and multipliers are read.
 
     Only a pair found at another coupling can win a row (a flow's own pair
     re-evaluated differs only by rounding); the row then reports that pair's
@@ -641,24 +650,15 @@ def sweep_minimize(
     rows = []
     for lam in lams:
         flow = res = flows[lam]
-        val, src = min(((0.5 * f.terms[0] + 0.5 * f.terms[1] - lam * f.terms[2], f)
+        val, src = min(((_energy(*f.terms, lam), f)
                         for f in flows.values() if f is not flow),
                        key=lambda cand: cand[0], default=(np.inf, None))
         if val < flow.q_lambda:
             pr = src.pair
-            q, (l1, l2), el, _, terms = _kernel(ops, lam, grid).report(
-                [pr.u.copy(), pr.v.copy()])
-            res = replace(
-                flow,
-                pair=pr,
-                q_lambda=q,
-                multiplier_u=l1,
-                multiplier_v=l2,
-                el_residual=el,
-                concentration=src.concentration,    # of |u|^q, so sign-blind
-                terms=terms,
-                status="pooled",
-            )
+            terms, el, _ = _kernel(ops, lam, grid).report([pr.u.copy(), pr.v.copy()])
+            res = replace(flow, pair=pr, terms=terms, el_residual=el,
+                          concentration=src.concentration,  # of |u|^q, so sign-blind
+                          status="pooled")
         rows.append(SweepRow(lam=lam, result=res))
     return rows
 

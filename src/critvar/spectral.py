@@ -240,18 +240,20 @@ def _lanczos(op: TridiagonalOperator, grid: RadialGrid) -> SpectralResult:
 
 @dataclass(frozen=True)
 class WeightedSpectrum:
-    """First eigenvalues of both weighted operators and their minimum."""
+    """First eigenpairs of both weighted operators; value is the smaller
+    eigenvalue."""
 
-    value: float
     first_a: SpectralResult
     first_b: SpectralResult
+
+    @property
+    def value(self) -> float:
+        return min(self.first_a.lambda1, self.first_b.lambda1)
 
 
 def lambda_tilde(a: WeightProfile, b: WeightProfile,
                  grid: RadialGrid) -> WeightedSpectrum:
     """min(lambda_1(a), lambda_1(b)); with a and b assembling to identical
     conductances, first_a and first_b are one result from one iteration."""
-    ra = first_eigenpair(a, grid)
-    rb = first_eigenpair(b, grid)
-    return WeightedSpectrum(value=min(ra.lambda1, rb.lambda1), first_a=ra, first_b=rb)
+    return WeightedSpectrum(first_eigenpair(a, grid), first_eigenpair(b, grid))
 

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critvar import (FlowParams, emit_csv, parse_scenario, run,
+from critvar import (BubbleParams, FlowParams, bubble_field, build_grid,
+                     default_eps_ladder, emit_csv, parse_scenario, run,
                      serialize_scenario, write_report)
 from critvar.cli import main as cli_main
-from critvar.errors import ConfigError, EmptyReport, IoError
+from critvar.errors import ConfigError, EmptyReport, IoError, UnderResolvedBubble
 from critvar.harness import _FORMAT
 
 REPO = Path(__file__).resolve().parent.parent
@@ -405,6 +406,28 @@ def test_overflowing_coupling_exits_2_without_a_warning(tmp_path, capsys, warn):
     assert code == 2 and not caught
     err = capsys.readouterr().err
     assert "non-finite" in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("cells, ratio, rungs", [(100, 1.1, 20), (200, 1.2, 95)])
+def test_ladder_of_a_coarse_geometric_grid_has_only_resolved_rungs(tmp_path, cells,
+                                                                  ratio, rungs):
+    # the ladder's floor sqrt(eps) >= 8 h0 alone let in rungs with fewer than
+    # 8 nodes inside r < sqrt(eps), which energy_curves refused: exit 2, no
+    # CSV.  The ladder now also stops at the first rung bubble_field refuses
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", f"dimension = 5\ncells = {cells}\n"
+                                   f"grading = geometric\nratio = {ratio}")
+                   + "\n[sweep]\nlambdas = 9.0\n\n[output]\n"
+                   "analyses = constants eig asymptotics omega\n")
+    out = tmp_path / "out"
+    assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(_csv_rows(out / "asymptotics.csv")) == 1
+    grid = build_grid(5, 1.0, cells, grading="geometric", ratio=ratio)
+    ladder = default_eps_ladder(grid, 0.5)
+    assert len(ladder) == rungs
+    bubble_field(BubbleParams(ladder[-1], 0.5), grid)
+    with pytest.raises(UnderResolvedBubble):
+        bubble_field(BubbleParams(ladder[-1] / 2.0, 0.5), grid)
 
 
 def test_run_takes_only_one_job():

@@ -30,7 +30,8 @@ def test_multiplier_average_is_energy(grid5, quad_weight, rng):
     kern = minimizer._kernel((op, op), 3.0, grid5)
     for _ in range(20):
         pair = _normalized_pair(grid5, rng)
-        _, (l1, l2), *_ = kern.report([pair.u.copy(), pair.v.copy()])
+        (ga, gb, p), *_ = kern.report([pair.u.copy(), pair.v.copy()])
+        l1, l2 = ga - 3.0 * p, gb - 3.0 * p
         rep = energy(pair, quad_weight, quad_weight, 3.0, grid5)
         assert (l1 + l2) / 2.0 == pytest.approx(rep.value, rel=1e-12)
 
@@ -302,7 +303,7 @@ def test_bordered_step_matches_the_full_solve(request, grid5, quad_weight, b_nam
         for yk, dk in zip(y, dx):
             yk[1:-1] += dk
             yk[0] = yk[1]
-        return kern.report(y)[2]
+        return kern.report(y)[1]
 
     new, ref = (step(x, mults, d, kern) for step in (minimizer._bordered_step,
                                                     bordered_step_reference))
@@ -633,8 +634,9 @@ def test_sweep_monotone_and_pooled(grid5, quad_weight, quick_flow):
     assert pooled.concentration == rows[1].result.concentration
     # the row's energy comes from the kernel call that gives its multipliers
     op = minimizer.assemble_operator(quad_weight, grid5)
-    q, (l1, l2), *_ = minimizer._kernel((op, op), 2.0, grid5).report(
+    (ga, gb, p), *_ = minimizer._kernel((op, op), 2.0, grid5).report(
         [pooled.pair.u.copy(), pooled.pair.v.copy()])
+    q, l1, l2 = 0.5 * ga + 0.5 * gb - 2.0 * p, ga - 2.0 * p, gb - 2.0 * p
     assert (pooled.q_lambda, pooled.multiplier_u, pooled.multiplier_v) == (q, l1, l2)
     assert pooled.q_lambda == 0.5 * (l1 + l2)
 
@@ -794,6 +796,24 @@ def test_flow_reports_the_terms_of_its_pair(monkeypatch, sweep_grid, quad_weight
         ref = energy(res.pair, quad_weight, quartic_weight, 1.5, sweep_grid)
         assert (0.5 * ga, 0.5 * gb, 1.5 * p) == pytest.approx(
             (ref.grad_a, ref.grad_b, ref.coupling), rel=1e-12, abs=0.0)
+
+
+def test_result_reads_its_energy_and_multipliers_at_its_coupling(grid5, quad_weight,
+                                                                 quartic_weight, quick_flow):
+    # a result keeps its terms (g_a, g_b, p) and its coupling, and reads its
+    # energy and multipliers from them: moved to 2 lam, it reads all three
+    # there, from the same terms, as the reference evaluates the pair there
+    res = descend(quartic_weight, quad_weight, 10.0, grid5, quick_flow)
+    moved = replace(res, lam=20.0)
+    ga, gb, p = moved.terms
+    assert moved.terms is res.terms
+    assert moved.q_lambda == 0.5 * ga + 0.5 * gb - 20.0 * p
+    assert (moved.multiplier_u, moved.multiplier_v) == (ga - 20.0 * p, gb - 20.0 * p)
+    ref = energy(res.pair, quartic_weight, quad_weight, 20.0, grid5)
+    assert moved.q_lambda == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+    refs = lagrange_multipliers(res.pair, quartic_weight, quad_weight, 20.0, grid5)
+    assert (moved.multiplier_u, moved.multiplier_v) == pytest.approx(refs, rel=1e-12,
+                                                                     abs=0.0)
 
 
 def test_flow_at_zero_coupling_reports_a_nonnegative_pair(grid5, quad_weight, rng):
