@@ -15,21 +15,21 @@ achieved.
 
 __version__ = "0.1.0"
 
-from .asymptotics import (BubbleParams, ExpansionFit, ExpansionPrediction,
-                          bubble_field, default_eps_ladder, energy_curves,
-                          expansion_prediction, fit_expansion)
-from .constants import (BubbleConstants, Case, bubble_constants, case_of,
-                        correction_constant, radial_moment, slope_factor)
+from .asymptotics import (BubbleParams, ExpansionFit, bubble_field,
+                          default_eps_ladder, energy_curves, fit_expansion)
+from .constants import (BubbleConstants, Case, ExistenceVerdict, ExpansionPrediction,
+                        bubble_constants, case_of, correction_constant,
+                        existence_verdict, expansion_prediction, radial_moment,
+                        slope_factor)
 from .energy import FieldPair, critical_exponent, dirichlet_field
 from .errors import *  # noqa: F401,F403 -- the error taxonomy is the API
 from .grid import RadialGrid, build_grid, integrate, unit_sphere_area
 from .harness import (RunReport, Scenario, emit_csv, parse_scenario, run,
                       serialize_scenario, write_report)
-from .minimizer import (ExistenceVerdict, FlowParams, MinimizeResult,
-                        SweepRow, descend, existence_verdict, sweep_minimize)
+from .minimizer import (FlowParams, MinimizeResult, SweepRow, descend,
+                        sweep_minimize)
 from .nonexistence import (OmegaEstimate, PohozaevReport, omega_bounds,
                            omega_estimate, phi_quotient, pohozaev_report,
                            tilde_weight)
-from .spectral import (SpectralResult, WeightedSpectrum, assemble_operator,
-                       first_eigenpair, lambda_tilde)
+from .spectral import SpectralResult, assemble_operator, first_eigenpair
 from .weights import WeightProfile

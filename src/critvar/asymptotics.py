@@ -8,9 +8,9 @@ used for both components of the pair.  As eps -> 0 the normalized energy
 approaches gamma0 * S from a direction governed by the weight exponents:
 the correction is of order eps for N >= 5, of order eps|log eps| for
 N = 4, and of order eps^(k/2) when a sub-quadratic power dominates.  This
-module evaluates the curves of many couplings as one table, dispatches
-the (dimension, exponent) regime to its predicted scale and coefficient,
-and extracts each curve's observed coefficient by linear least squares.
+module evaluates the curves of many couplings as one table and extracts
+each curve's observed coefficient by linear least squares, on the scale
+that the case table predicts (constants.expansion_prediction).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import Case, bubble_constants, correction_constant
+from .constants import SCALE_EPS, SCALE_EPS_LOG, SCALE_EPS_POW
 from .errors import FitFailure, NumericFault, UnderResolvedBubble
 from .grid import RadialGrid
 from .minimizer import _energy, _kernel
@@ -150,57 +150,8 @@ def energy_curves(lams, a: WeightProfile, b: WeightProfile, eps_list,
 
 
 # ---------------------------------------------------------------------------
-# regime dispatch and least-squares extraction
+# least-squares extraction
 # ---------------------------------------------------------------------------
-
-SCALE_EPS = "eps"
-SCALE_EPS_LOG = "eps_log_eps"
-SCALE_EPS_POW = "eps_pow"
-SCALE_OUTSIDE = "outside_table"
-
-
-@dataclass(frozen=True)
-class ExpansionPrediction:
-    scale: str               # one of the SCALE_* labels
-    power: float             # exponent of eps in the scale variable
-    coeff: float
-    regime: str
-
-
-def expansion_prediction(case: Case, lam: float) -> ExpansionPrediction:
-    """Predicted correction scale and signed coefficient of the case
-    table's row at coupling lam.
-
-    Regimes with a sub-quadratic exponent in dimension >= 5, or with both
-    exponents sub-quadratic in dimension 4, are outside the table: their
-    prediction has scale SCALE_OUTSIDE, nan power and coefficient, and
-    says why in its regime.
-    """
-    dim, k, l = case.dim, case.k, case.l
-    const = bubble_constants(dim)
-    if case.name is not None:                   # both exponents >= 2
-        kl = f"k{'=' if k == 2 else '>'}2,l{'=' if l == 2 else '>'}2"
-        if dim >= 5:
-            return ExpansionPrediction(scale=SCALE_EPS, power=1.0,
-                                       coeff=-(lam - case.gap) * const.k3 / const.k2,
-                                       regime="dim>=5," + kl)
-        # dimension 4: the L2 mass of the profile carries a logarithm
-        return ExpansionPrediction(scale=SCALE_EPS_LOG, power=1.0,
-                                   coeff=-(lam - case.gap) * const.sigma / const.k2,
-                                   regime="dim=4," + kl)
-    if dim >= 5 or (k < 2 and l < 2):
-        which = f"N = {dim} with exponent" if dim >= 5 else "N = 4 with both exponents"
-        return ExpansionPrediction(scale=SCALE_OUTSIDE, power=math.nan, coeff=math.nan,
-                                   regime=f"no expansion row for {which} below 2")
-    # one sub-quadratic exponent dominates with scale eps^(power/2); the
-    # coefficient row is used for scale detection only
-    p, coeff_w = (k, case.a_k) if k < 2 else (l, case.b_l)
-    c_p = correction_constant(4, coeff_w, p)
-    return ExpansionPrediction(
-        scale=SCALE_EPS_POW, power=p / 2.0, coeff=c_p / const.k2,
-        regime=f"dim=4,subquadratic-power-{p}",
-    )
-
 
 @dataclass(frozen=True)
 class ExpansionFit:

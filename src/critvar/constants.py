@@ -6,6 +6,11 @@ Everything here reduces to moments of the standard profile 1/(1+r^2):
 
 computed through the Beta function (as log-Gammas from `math`, so that
 importing critvar does not load scipy.special).
+
+The case table decides here, from a row (Case) alone: existence_verdict
+classifies a coupling against the row's gap and lambda-tilde, and
+expansion_prediction gives the scale (one of the SCALE_* labels) and
+signed coefficient of the concentration-test energy's expansion.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import BadDomain, DivergentIntegral
+from .errors import BadDomain, BadSpectrum, DivergentIntegral
 from .grid import unit_sphere_area
 from .weights import WeightProfile
 
@@ -125,3 +130,88 @@ def case_of(dim: int, a: WeightProfile, b: WeightProfile) -> Case:
     (k, a_k), (l, b_l) = ((math.inf, 0.0) if w.coefficient == 0.0
                           else (w.exponent, w.coefficient) for w in (a, b))
     return Case(dim, k, l, a_k, b_l)
+
+
+# ---------------------------------------------------------------------------
+# the table's verdicts: existence at a coupling, and the expansion's scale
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExistenceVerdict:
+    case_id: str
+    verdict: str               # achieved_by_theorem | energy_gap_only |
+    #                            no_minimizer_by_theorem | outside_theory
+
+
+def existence_verdict(case: Case, lam: float, lam_tilde: float,
+                      omega_estimate: float = math.nan) -> ExistenceVerdict:
+    """Pure dispatch of one coupling against the case table's row.
+
+    omega_estimate is a certified lower bound on the quotient infimum
+    (couplings at or below it admit no minimizer), or nan, which rules out
+    nothing; an upper estimate here would over-claim non-existence.
+    """
+    if lam_tilde <= 0.0 or not math.isfinite(lam_tilde):
+        raise BadSpectrum(f"first eigenvalue must be positive, got {lam_tilde}")
+    if lam <= omega_estimate:
+        return ExistenceVerdict("nonexistence.coupling-below-omega",
+                                "no_minimizer_by_theorem")
+    name, gap = case.name, case.gap
+    if name is None:
+        return ExistenceVerdict("outside", "outside_theory")
+    # at N = 4 only the supercritical case's existence is proved
+    if (case.dim >= 5 or name == "supercritical-powers") and gap < lam < lam_tilde:
+        return ExistenceVerdict("existence." + name, "achieved_by_theorem")
+    if lam > gap:
+        return ExistenceVerdict("gap." + name, "energy_gap_only")
+    return ExistenceVerdict("outside", "outside_theory")
+
+
+SCALE_EPS = "eps"
+SCALE_EPS_LOG = "eps_log_eps"
+SCALE_EPS_POW = "eps_pow"
+SCALE_OUTSIDE = "outside_table"
+
+
+@dataclass(frozen=True)
+class ExpansionPrediction:
+    scale: str               # one of the SCALE_* labels
+    power: float             # exponent of eps in the scale variable
+    coeff: float
+    regime: str
+
+
+def expansion_prediction(case: Case, lam: float) -> ExpansionPrediction:
+    """Predicted correction scale and signed coefficient of the case
+    table's row at coupling lam.
+
+    Regimes with a sub-quadratic exponent in dimension >= 5, or with both
+    exponents sub-quadratic in dimension 4, are outside the table: their
+    prediction has scale SCALE_OUTSIDE, nan power and coefficient, and
+    says why in its regime.
+    """
+    dim, k, l = case.dim, case.k, case.l
+    const = bubble_constants(dim)
+    if case.name is not None:                   # both exponents >= 2
+        kl = f"k{'=' if k == 2 else '>'}2,l{'=' if l == 2 else '>'}2"
+        if dim >= 5:
+            return ExpansionPrediction(scale=SCALE_EPS, power=1.0,
+                                       coeff=-(lam - case.gap) * const.k3 / const.k2,
+                                       regime="dim>=5," + kl)
+        # dimension 4: the L2 mass of the profile carries a logarithm
+        return ExpansionPrediction(scale=SCALE_EPS_LOG, power=1.0,
+                                   coeff=-(lam - case.gap) * const.sigma / const.k2,
+                                   regime="dim=4," + kl)
+    if dim >= 5 or (k < 2 and l < 2):
+        which = f"N = {dim} with exponent" if dim >= 5 else "N = 4 with both exponents"
+        return ExpansionPrediction(scale=SCALE_OUTSIDE, power=math.nan, coeff=math.nan,
+                                   regime=f"no expansion row for {which} below 2")
+    # one sub-quadratic exponent dominates with scale eps^(power/2); the
+    # coefficient row is used for scale detection only
+    p, coeff_w = (k, case.a_k) if k < 2 else (l, case.b_l)
+    c_p = correction_constant(4, coeff_w, p)
+    return ExpansionPrediction(
+        scale=SCALE_EPS_POW, power=p / 2.0, coeff=c_p / const.k2,
+        regime=f"dim=4,subquadratic-power-{p}",
+    )

@@ -23,14 +23,15 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import (SCALE_OUTSIDE, ExpansionFit, default_eps_ladder,
-                          energy_curves, expansion_prediction, fit_expansion)
-from .constants import bubble_constants, case_of, slope_factor
+from .asymptotics import (ExpansionFit, default_eps_ladder, energy_curves,
+                          fit_expansion)
+from .constants import (SCALE_OUTSIDE, bubble_constants, case_of, existence_verdict,
+                        expansion_prediction, slope_factor)
 from .errors import ConfigError, EmptyReport, IoError, UnderResolvedBubble
 from .grid import RadialGrid, build_grid
-from .minimizer import FlowParams, existence_verdict, sweep_minimize
+from .minimizer import FlowParams, sweep_minimize
 from .nonexistence import omega_estimate, pohozaev_report
-from .spectral import lambda_tilde
+from .spectral import first_eigenpair
 from .weights import WeightProfile
 
 ANALYSES = ("constants", "eig", "minimize", "asymptotics", "pohozaev", "omega")
@@ -295,17 +296,19 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
         })
 
     # eigenpairs are needed by minimize verdicts even when not requested
-    need_eig = bool({"eig", "minimize"} & wanted)
-    spec = lambda_tilde(a, b, grid) if need_eig else None
+    if {"eig", "minimize"} & wanted:
+        # a and b assembling to identical conductances share one result
+        eig_a, eig_b = first_eigenpair(a, grid), first_eigenpair(b, grid)
+        lam_tilde = min(eig_a.lambda1, eig_b.lambda1)
     if "eig" in wanted:
         tables["eig"].append({
-            "lambda_tilde": spec.value,
-            "lambda1_a": spec.first_a.lambda1,
-            "lambda1_b": spec.first_b.lambda1,
-            "iterations_a": spec.first_a.iterations,
-            "iterations_b": spec.first_b.iterations,
-            "residual_a": spec.first_a.residual,
-            "residual_b": spec.first_b.residual,
+            "lambda_tilde": lam_tilde,
+            "lambda1_a": eig_a.lambda1,
+            "lambda1_b": eig_b.lambda1,
+            "iterations_a": eig_a.iterations,
+            "iterations_b": eig_b.iterations,
+            "residual_a": eig_a.residual,
+            "residual_b": eig_b.residual,
         })
 
     # a certified lower bound, never the (upper) estimate, may rule out minimizers
@@ -326,7 +329,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
         for row in sweep_minimize(scenario.lambdas, a, b, grid, scenario.flow):
             res = row.result
             results[row.lam] = res
-            verdict = existence_verdict(case, row.lam, spec.value,
+            verdict = existence_verdict(case, row.lam, lam_tilde,
                                         omega_estimate=omega_certified)
             tables["minimize"].append({
                 "lambda": row.lam,
@@ -339,7 +342,7 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
                 "concentration": res.concentration,
                 "case_id": verdict.case_id,
                 "verdict": verdict.verdict,
-                "lambda_tilde": spec.value,
+                "lambda_tilde": lam_tilde,
                 "gap_threshold": case.gap,
                 "omega": omega_value,
             })

@@ -60,9 +60,8 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .constants import Case
 from .energy import FieldPair, critical_exponent, dirichlet_field
-from .errors import BadSpectrum, DegeneratePair, NumericFault
+from .errors import DegeneratePair, NumericFault
 from .grid import RadialGrid
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
 from .weights import WeightProfile
@@ -557,16 +556,10 @@ def descend(
         cur, trial = trial, cur
         tau = min(tau * 1.3, params.step)
 
-        if cur.e < best_e - 1e-14 * abs(best_e):
-            best_e, last_improve = cur.e, it
-        trace.append(best_e)
-
-        if it % 10 == 0:
+        checkpoint = it % 10 == 0
+        if checkpoint:
             sup = max(np.max(np.abs(xk)) for xk in cur.x)
             mass = kern.mass_inside(cur)
-            if mass > _CONC_MASS and sup > sup_max:
-                status = "concentrating"
-                break
             if mass > move_at and sup <= sup_max:
                 # the mass is collapsing but the sup lags: a trial dilation
                 # that carries the sup to the detector's bound; the next try
@@ -581,9 +574,13 @@ def descend(
                     moved = False
                 if moved:
                     cur, trial = trial, cur
-                    if cur.e < best_e - 1e-14 * abs(best_e):
-                        best_e, last_improve = cur.e, it
-                    trace[-1] = best_e
+        if cur.e < best_e - 1e-14 * abs(best_e):
+            best_e, last_improve = cur.e, it
+        trace.append(best_e)
+        # sup and mass are of the rows before any move, which needs sup <= sup_max
+        if checkpoint and mass > _CONC_MASS and sup > sup_max:
+            status = "concentrating"
+            break
         if it - last_improve > params.stall_window:
             status = "stalled"
             break
@@ -661,39 +658,3 @@ def sweep_minimize(
                           status="pooled")
         rows.append(SweepRow(lam=lam, result=res))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# classification against the existence / non-existence case table
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExistenceVerdict:
-    case_id: str
-    verdict: str               # achieved_by_theorem | energy_gap_only |
-    #                            no_minimizer_by_theorem | outside_theory
-
-
-def existence_verdict(case: Case, lam: float, lam_tilde: float,
-                      omega_estimate: float = math.nan) -> ExistenceVerdict:
-    """Pure dispatch of one coupling against the case table's row.
-
-    omega_estimate is a certified lower bound on the quotient infimum
-    (couplings at or below it admit no minimizer), or nan, which rules out
-    nothing; an upper estimate here would over-claim non-existence.
-    """
-    if lam_tilde <= 0.0 or not np.isfinite(lam_tilde):
-        raise BadSpectrum(f"first eigenvalue must be positive, got {lam_tilde}")
-    if lam <= omega_estimate:
-        return ExistenceVerdict("nonexistence.coupling-below-omega",
-                                "no_minimizer_by_theorem")
-    name, gap = case.name, case.gap
-    if name is None:
-        return ExistenceVerdict("outside", "outside_theory")
-    # at N = 4 only the supercritical case's existence is proved
-    if (case.dim >= 5 or name == "supercritical-powers") and gap < lam < lam_tilde:
-        return ExistenceVerdict("existence." + name, "achieved_by_theorem")
-    if lam > gap:
-        return ExistenceVerdict("gap." + name, "energy_gap_only")
-    return ExistenceVerdict("outside", "outside_theory")

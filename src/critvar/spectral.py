@@ -236,24 +236,3 @@ def _lanczos(op: TridiagonalOperator, grid: RadialGrid) -> SpectralResult:
     return SpectralResult(
         lambda1=float(rho), eigenfunction=phi, iterations=k, residual=res_norm
     )
-
-
-@dataclass(frozen=True)
-class WeightedSpectrum:
-    """First eigenpairs of both weighted operators; value is the smaller
-    eigenvalue."""
-
-    first_a: SpectralResult
-    first_b: SpectralResult
-
-    @property
-    def value(self) -> float:
-        return min(self.first_a.lambda1, self.first_b.lambda1)
-
-
-def lambda_tilde(a: WeightProfile, b: WeightProfile,
-                 grid: RadialGrid) -> WeightedSpectrum:
-    """min(lambda_1(a), lambda_1(b)); with a and b assembling to identical
-    conductances, first_a and first_b are one result from one iteration."""
-    return WeightedSpectrum(first_eigenpair(a, grid), first_eigenpair(b, grid))
-

@@ -84,18 +84,19 @@ def radial_moment_quadrature(s, p):
     return val
 
 
-def coupling_threshold(spec, grid):
-    """The coupling at and above which the q-normalized eigenfunction pair
-    of `spec` has nonpositive energy: (|phi_a|_q |phi_b|_q / int phi_a phi_b)
+def coupling_threshold(eig_a, eig_b, grid):
+    """The coupling at and above which the q-normalized pair of the
+    eigenfunctions of eig_a and eig_b (`first_eigenpair` results) has
+    nonpositive energy: (|phi_a|_q |phi_b|_q / int phi_a phi_b)
     * |Omega|^(1 - 2/q) * max(lambda_a, lambda_b)."""
-    phi_a = spec.first_a.eigenfunction
-    phi_b = spec.first_b.eigenfunction
+    phi_a = eig_a.eigenfunction
+    phi_b = eig_b.eigenfunction
     q = critical_exponent(grid.dimension)
     volume = float(np.sum(grid.masses))
     return (
         lq_norm(phi_a, grid) * lq_norm(phi_b, grid) / integrate(phi_a * phi_b, grid)
         * volume ** (1.0 - 2.0 / q)
-        * max(spec.first_a.lambda1, spec.first_b.lambda1)
+        * max(eig_a.lambda1, eig_b.lambda1)
     )
 
 
@@ -162,9 +163,10 @@ def energy(
         raise NumericFault("non-finite energy")
     return EnergyReport(grad_a, grad_b, coupling, value)
 
-def eigenfunction_pair_energy(a, b, lam, grid, spec):
-    """Energy of the eigenfunction pair of `spec` at coupling lam."""
-    pair = FieldPair(u=spec.first_a.eigenfunction, v=spec.first_b.eigenfunction)
+def eigenfunction_pair_energy(a, b, lam, grid, eig_a, eig_b):
+    """Energy of the pair of the eigenfunctions of eig_a and eig_b
+    (`first_eigenpair` results) at coupling lam."""
+    pair = FieldPair(u=eig_a.eigenfunction, v=eig_b.eigenfunction)
     return energy(pair, a, b, lam, grid).value
 
 

@@ -16,7 +16,7 @@ from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
                      bubble_constants, build_grid, case_of, correction_constant,
                      descend, dirichlet_field, energy_curves,
                      existence_verdict, first_eigenpair, fit_expansion,
-                     lambda_tilde, minimizer, omega_bounds, omega_estimate,
+                     minimizer, omega_bounds, omega_estimate,
                      pohozaev_report, slope_factor, sweep_minimize,
                      unit_sphere_area)
 from conftest import (coupling_threshold, eigenfunction_pair_energy, energy,
@@ -34,10 +34,11 @@ def sweeps(grid5):
     out = {}
     for name, (wa, wb) in {"quadratic-both": (QUAD, QUAD),
                            "quadratic-quartic": (QUAD, QUARTIC)}.items():
-        spec = lambda_tilde(wa, wb, grid5)
-        lams = [float(f) * spec.value for f in np.linspace(0.08, 0.92, 10)]
+        eigs = (first_eigenpair(wa, grid5), first_eigenpair(wb, grid5))
+        lam_tilde = min(eig.lambda1 for eig in eigs)
+        lams = [float(f) * lam_tilde for f in np.linspace(0.08, 0.92, 10)]
         rows = sweep_minimize(lams, wa, wb, grid5, SWEEP_FLOW)
-        out[name] = (wa, wb, spec, rows)
+        out[name] = (wa, wb, eigs, rows)
     return out
 
 
@@ -111,13 +112,14 @@ def test_criterion_03_eigenvalue_benchmark(unit_weight):
 
 def test_criterion_04_nonnegative_below_spectrum(sweeps, grid5):
     s = bubble_constants(5).s
-    for wa, wb, spec, rows in sweeps.values():
+    for wa, wb, eigs, rows in sweeps.values():
         assert len(rows) == 10
+        lam_tilde = min(eig.lambda1 for eig in eigs)
         for row in rows:
-            assert 0.0 < row.lam < spec.value
+            assert 0.0 < row.lam < lam_tilde
             assert row.result.q_lambda >= -1e-6 * s       # gamma0 = 1
-        thr = coupling_threshold(spec, grid5)
-        val = eigenfunction_pair_energy(wa, wb, thr, grid5, spec)
+        thr = coupling_threshold(*eigs, grid5)
+        val = eigenfunction_pair_energy(wa, wb, thr, grid5, *eigs)
         assert val <= 1e-8
 
 

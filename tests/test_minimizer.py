@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from critvar import (Case, FieldPair, FlowParams, WeightProfile, build_grid,
-                     descend, dirichlet_field, existence_verdict, lambda_tilde,
+                     descend, dirichlet_field, existence_verdict, first_eigenpair,
                      sweep_minimize)
 from critvar import minimizer
 from critvar.errors import BadSpectrum, DegeneratePair, NumericFault
@@ -236,7 +236,8 @@ def test_polish_agrees_with_flow_inside_the_existence_interval(k, l, frac, init)
     a = WeightProfile(1.0, k, 1.0)
     b = WeightProfile(1.0, l, 1.0)
     gap = Case(5, k, l, 1.0, 1.0).gap
-    lam = gap + frac * (lambda_tilde(a, b, grid).value - gap)
+    lam_tilde = min(first_eigenpair(a, grid).lambda1, first_eigenpair(b, grid).lambda1)
+    lam = gap + frac * (lam_tilde - gap)
     params = FlowParams(max_iters=8000, grad_tol=1e-7, stall_window=1500,
                         init=init, seed=3)
     polished = descend(a, b, lam, grid, params)
@@ -1129,5 +1130,6 @@ def test_verdict_subquadratic_outside():
 
 
 def test_verdict_bad_spectrum():
-    with pytest.raises(BadSpectrum):
-        existence_verdict(Case(5, 2.0, 2.0, 1.0, 1.0), lam=1.0, lam_tilde=0.0)
+    for lam_tilde in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(BadSpectrum):
+            existence_verdict(Case(5, 2.0, 2.0, 1.0, 1.0), lam=1.0, lam_tilde=lam_tilde)

@@ -7,7 +7,7 @@ import pytest
 
 from critvar import (FieldPair, FlowParams, WeightProfile, assemble_operator,
                      build_grid, dirichlet_field, first_eigenpair, integrate,
-                     lambda_tilde, sweep_minimize, tilde_weight)
+                     parse_scenario, run, sweep_minimize, tilde_weight)
 from critvar.spectral import TridiagonalOperator
 from critvar.errors import IndefiniteWeight, SpectralStall
 from conftest import (coupling_threshold, eigenfunction_pair_energy, energy,
@@ -208,7 +208,7 @@ def test_each_weight_is_sampled_and_factored_once(monkeypatch, rng):
 
     monkeypatch.setattr(WeightProfile, "__call__", sampled)
     monkeypatch.setattr(TridiagonalOperator, "__post_init__", counted)
-    lambda_tilde(a, b, grid)
+    first_eigenpair(a, grid), first_eigenpair(b, grid)
     sweep_minimize([8.0, 10.0, 12.0], a, b, grid,
                    FlowParams(max_iters=200, grad_tol=1e-6))
     u = smooth_dirichlet_field(grid, rng)
@@ -275,13 +275,12 @@ def test_lambda_tilde_runs_one_iteration_per_distinct_conductance(monkeypatch, s
         return solve(self, rhs)
 
     monkeypatch.setattr(TridiagonalOperator, "solve", counted)
-    spec = lambda_tilde(a, b, grid)
-    ra, rb = spec.first_a, spec.first_b
+    ra, rb = first_eigenpair(a, grid), first_eigenpair(b, grid)
     expected = ra.iterations if same else ra.iterations + rb.iterations
     assert (ra is rb) == same
     assert len(solves) == expected
     assert not ra.eigenfunction.flags.writeable
-    assert lambda_tilde(a, b, grid).first_b is rb     # kept on the grid
+    assert first_eigenpair(b, grid) is rb     # kept on the grid
     assert len(solves) == expected
 
 
@@ -293,17 +292,30 @@ def test_spectral_stall(monkeypatch, unit_weight):
     assert err.value.last_rayleigh is not None
 
 
-def test_lambda_tilde_is_min(grid5, unit_weight, quad_weight):
-    spec = lambda_tilde(unit_weight, quad_weight, grid5)
-    assert spec.value == min(spec.first_a.lambda1, spec.first_b.lambda1)
-    assert spec.value == spec.first_a.lambda1  # smaller weight, smaller value
+def test_lambda_tilde_is_min(grid5, unit_weight):
+    # run's lambda-tilde, on grid5's 800 uniform cells: a = 1, b = 1 + r^2
+    eig = run(parse_scenario("""
+[domain]
+dimension = 5
+cells = 800
+[weights.a]
+gamma0 = 1.0
+[weights.b]
+gamma0 = 1.0
+coefficient = 1.0
+[output]
+analyses = eig
+""")).tables["eig"][0]
+    assert eig["lambda_tilde"] == min(eig["lambda1_a"], eig["lambda1_b"])
+    assert eig["lambda_tilde"] == eig["lambda1_a"]  # smaller weight, smaller value
+    assert eig["lambda1_a"] == first_eigenpair(unit_weight, grid5).lambda1
 
 
 def test_pair_energy_certificate(grid5, quad_weight):
-    spec = lambda_tilde(quad_weight, quad_weight, grid5)
-    thr = coupling_threshold(spec, grid5)
-    assert thr >= spec.value
-    val = eigenfunction_pair_energy(quad_weight, quad_weight, thr, grid5, spec)
+    eig = first_eigenpair(quad_weight, grid5)
+    thr = coupling_threshold(eig, eig, grid5)
+    assert thr >= eig.lambda1
+    val = eigenfunction_pair_energy(quad_weight, quad_weight, thr, grid5, eig, eig)
     assert val <= 1e-10
     assert eigenfunction_pair_energy(quad_weight, quad_weight, 1.2 * thr,
-                                     grid5, spec) < val
+                                     grid5, eig, eig) < val
