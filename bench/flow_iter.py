@@ -27,8 +27,8 @@ divided by its iteration count:
                two rows);
 - distinct:    a = 1 + r^2, b = 1 + 2 r^2 at coupling 9 with the bubble start
                (two rows), capped at ITERS_DISTINCT iterations: this flow
-               concentrates, and its dilation move starts at iteration 30,
-               after which the flow stops at 40.
+               concentrates; the larger of its two rows' masses passes the
+               move's gate at iteration 10, and the detector stops it at 20.
 
 No case times the coupling-0 flow per iteration: from the bubble start it
 moves at iteration 10 and stops at 20, too few iterations to time apart
@@ -117,7 +117,7 @@ SIZES = (800, 3000)
 STARTS = ("symmetric", "random", "distinct")
 LAMBDA = 9.0
 ITERS = 300
-ITERS_DISTINCT = 29     # distinct: stops before its first dilation move
+ITERS_DISTINCT = 29     # distinct: the detector stops it at 20, after its move at 10
 ROUNDS = 8              # fresh worker pairs per case
 REPEATS = 3             # runs per worker
 BEST_OF = 3             # calls per run; the run reports the fastest

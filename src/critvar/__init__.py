@@ -21,9 +21,9 @@ from .constants import (BubbleConstants, Case, ExistenceVerdict, ExpansionPredic
                         bubble_constants, case_of, correction_constant,
                         existence_verdict, expansion_prediction, radial_moment,
                         slope_factor)
-from .energy import FieldPair, critical_exponent, dirichlet_field
 from .errors import *  # noqa: F401,F403 -- the error taxonomy is the API
-from .grid import RadialGrid, build_grid, integrate, unit_sphere_area
+from .grid import (FieldPair, RadialGrid, build_grid, critical_exponent, dirichlet_field,
+                   integrate, unit_sphere_area)
 from .harness import (RunReport, Scenario, emit_csv, parse_scenario, run,
                       serialize_scenario, write_report)
 from .minimizer import (FlowParams, MinimizeResult, SweepRow, descend,

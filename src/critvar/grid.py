@@ -11,6 +11,12 @@ cell between the midpoints of its adjacent intervals and the cell carries
 the exact mass of r^(N-1) dr.  The grid holds these node masses m_i, so
 that the integral reads sum_i m_i f_i; the origin node has zero mass (its
 cell mass is O(h^N) and is dropped).
+
+The fields live on the grid's nodes: a FieldPair is a radial pair (u, v)
+with zero Dirichlet value at R, the admissible set over which the coupled
+energy is minimized, each component normalized in L^q with the critical
+exponent q = 2N/(N-2) (critical_exponent).  The terms of a pair's energy
+are evaluated by the descent flow's kernel (minimizer._kernel) alone.
 """
 
 from __future__ import annotations
@@ -174,3 +180,40 @@ def integrate(f: np.ndarray, grid: RadialGrid) -> float:
     """sigma * sum_i w_i r_i^(N-1) f_i, the discrete int_B f dx."""
     f = grid.check_shape(f)
     return float(np.dot(grid.masses, f))
+
+
+def critical_exponent(dim: int) -> float:
+    return 2.0 * dim / (dim - 2.0)
+
+
+@dataclass(frozen=True)
+class FieldPair:
+    """Discrete radial pair (u, v) with zero Dirichlet boundary value."""
+
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        u = np.asarray(self.u, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        if u.shape != v.shape:
+            raise ShapeMismatch("u and v must share the grid")
+        if u[-1] != 0.0 or v[-1] != 0.0:
+            raise ValueError("Dirichlet boundary requires u[-1] = v[-1] = 0")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def derivatives(self, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Nodal derivative arrays (nodal_derivative: central differences,
+        u'(0) = 0); one array serves both when v equals u."""
+        du = nodal_derivative(self.u, grid)
+        if self.v is self.u or np.array_equal(self.v, self.u):
+            return du, du
+        return du, nodal_derivative(self.v, grid)
+
+
+def dirichlet_field(values, grid: RadialGrid) -> np.ndarray:
+    """Clamp the boundary node to zero and validate shape."""
+    f = grid.check_shape(values).copy()
+    f[-1] = 0.0
+    return f

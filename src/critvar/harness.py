@@ -217,16 +217,19 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _text(value) -> str:
-    """A value as config text its key's reader reads back."""
+    """A value as config text its key's reader reads back; a newline in it
+    continues the value on a tab-indented line."""
     if isinstance(value, bool):
         return str(value).lower()
     if not isinstance(value, str) and hasattr(value, "__iter__"):
         return " ".join(map(_text, value))
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(value) if isinstance(value, float) else str(value).replace("\n", "\n\t")
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """Config text that parses back to an identical Scenario."""
+    """Config text that parses back to an identical Scenario, in
+    ConfigParser.write's layout: per section a [section] line, a `key = value`
+    line per set key and a blank line."""
     values = {name: {key: getattr(s, _FIELD.get(key, key)) for key in _FORMAT[name]
                      if key != "schema"} for name in ("domain", "output")}
     values["domain"]["schema"] = SCHEMA_VERSION
@@ -235,13 +238,10 @@ def serialize_scenario(s: Scenario) -> str:
     for name, w in (("weights.a", s.weight_a), ("weights.b", s.weight_b)):
         r_tab, t_tab = w.perturbation or (None, None)
         values[name] = {**vars(w), "perturbation_r": r_tab, "perturbation_theta": t_tab}
-    parser = configparser.ConfigParser(interpolation=None)
-    for name, keys in _FORMAT.items():
-        parser[name] = {key: _text(values[name][key]) for key in keys
-                        if values[name].get(key) is not None}
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {_text(values[name][key])}\n"
+                                for key in keys if values[name].get(key) is not None) + "\n"
+        for name, keys in _FORMAT.items())
 
 
 # ---------------------------------------------------------------------------

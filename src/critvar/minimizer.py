@@ -60,9 +60,8 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .energy import FieldPair, critical_exponent, dirichlet_field
 from .errors import DegeneratePair, NumericFault
-from .grid import RadialGrid
+from .grid import FieldPair, RadialGrid, critical_exponent, dirichlet_field
 from .spectral import TridiagonalOperator, assemble_operator, first_eigenpair
 from .weights import WeightProfile
 
@@ -286,7 +285,8 @@ def _kernel(ops, lam, grid: RadialGrid):
     raw gradient w.d.  energy(w) sets and returns w.e and sets w.g and w.p
     of the normalized rows: g_k = sum_f F_f (dx_k)_f over the face fluxes
     F_f = c_f (dx_k)_f, which it leaves in w.f[k][1:] (w.f[k][0], the origin
-    face's, stays 0), p = sum m x_0 x_-1 and E = _energy(g_0, g_-1, p, lam).
+    face's, stays 0), p = sum m x_0 x_-1 (left 0 at lam = 0, where E and the
+    gradient do not read it) and E = _energy(g_0, g_-1, p, lam).
     The innermost cell (0, r_1) is skipped: its flux factor r^(N-1)
     vanishes at the order of the rule for radially smooth rows (x'(0) = 0).
     g_k is a sum of squares, not x.Kx: near a smooth minimizer x.Kx cancels
@@ -297,12 +297,13 @@ def _kernel(ops, lam, grid: RadialGrid):
     gradient(w) writes each row's raw gradient K x_k - lam M x_partner -
     (g_k - lam p) h_k into w.d, K x_k the difference of the fluxes
     (TridiagonalOperator._flux_difference), and sets and returns w.res, the
-    system residual, w.d's norm in M^-1.  mass_inside(w) is row 0's
-    critical-norm mass h.x over r <= R/10, the detector's.  report(xs)
+    system residual, w.d's norm in M^-1.  mass_inside(w) is the larger of
+    the rows' critical-norm masses h.x over r <= R/10, the detector's, so
+    swapping the rows with their weights changes no mass.  report(xs)
     evaluates the rows xs in a workspace of their own, normalizing them in
-    place, and returns (the terms (g_0, g_-1, p), the residual, row 0's mass
-    inside R/10): the record a MinimizeResult keeps, which reads the energy
-    and the multipliers g_k - lam p from the terms.
+    place, and returns (the terms (g_0, g_-1, p), p formed at every lam, the
+    residual, mass_inside): the record a MinimizeResult keeps, which reads
+    the energy and the multipliers g_k - lam p from the terms.
     """
     m, m_dof = grid.masses, grid.masses[1:-1]
     inv_m, lam_m = 1.0 / m_dof, lam * m_dof
@@ -320,9 +321,12 @@ def _kernel(ops, lam, grid: RadialGrid):
         w.g = [float(np.dot(np.multiply(op.c, np.subtract(xk[2:], xk[1:-1], out=dof),
                                         out=fk[1:]), dof))
                for xk, op, fk in zip(w.x, ops, w.f)]
-        w.p = float(np.dot(m, np.multiply(w.x[0], w.x[-1], out=node)))
+        w.p = overlap(w) if lam else 0.0        # p enters E and the gradient as lam p
         w.e = _energy(w.g[0], w.g[-1], w.p, lam)
         return w.e
+
+    def overlap(w):
+        return float(np.dot(m, np.multiply(w.x[0], w.x[-1], out=node)))
 
     def evaluate(w):
         for t, h in zip(w.x, w.h):
@@ -340,12 +344,12 @@ def _kernel(ops, lam, grid: RadialGrid):
         return w.res
 
     def mass_inside(w):
-        return float(np.dot(w.h[0][:inside], w.x[0][:inside]))
+        return max(float(np.dot(hk[:inside], xk[:inside])) for hk, xk in zip(w.h, w.x))
 
     def report(xs):
         w = rows(xs)
         evaluate(w)
-        return (w.g[0], w.g[-1], w.p), gradient(w), mass_inside(w)
+        return (w.g[0], w.g[-1], w.p if lam else overlap(w)), gradient(w), mass_inside(w)
 
     return SimpleNamespace(ops=ops, lam=lam, m=m_dof, q=critical_exponent(grid.dimension),
                            normalize=normalize, rows=rows, energy=energy,
@@ -483,7 +487,10 @@ def descend(
     residual raises NumericFault.
 
     At every detector checkpoint (each 10th iteration) where the mass inside
-    R/10 exceeds the move's gate but the sup test does not pass, the flow
+    R/10 (the larger of the two rows' masses, _kernel's mass_inside, which
+    is also the result's concentration, so descend(a, b) and descend(b, a)
+    take the same decisions) exceeds the move's gate but the sup test does
+    not pass, the flow
     tries one dilation move: every row dilated to x(s r) (_dilate) and
     renormalized, with s = (_CONC_SUP_FACTOR sup0 / sup)^(2 / (N - 2)) the
     dilation that carries the sup to the detector's bound.  Like a trial

@@ -26,9 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import FieldPair
 from .errors import DegenerateDenominator, GridTooCoarse
-from .grid import RadialGrid, integrate
+from .grid import FieldPair, RadialGrid, integrate
 from .spectral import first_eigenpair
 from .weights import WeightProfile
 

@@ -1,8 +1,10 @@
 """Shared fixtures (grids and weight profiles reused across test modules),
 and the reference formulas the tests compare the package against."""
 
+import configparser
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -233,6 +235,35 @@ def bordered_step_reference(rows, mults, rhs0, kern):
     dl = fb / schur[0] if r == 1 else np.linalg.solve(schur, fb)
     dx = sum(sol[:, 1 + k] * dl[k] for k in range(r)) - sol[:, 0]
     return [dx[k::r] for k in range(r)]
+
+
+def serialize_scenario_reference(s) -> str:
+    """A scenario's config text as ConfigParser.write prints it, filled key by
+    key: the layout the tests hold harness.serialize_scenario to."""
+    from critvar.harness import _FIELD, _FORMAT, SCHEMA_VERSION
+
+    def text(value) -> str:
+        if isinstance(value, bool):
+            return str(value).lower()
+        if not isinstance(value, str) and hasattr(value, "__iter__"):
+            return " ".join(map(text, value))
+        return repr(value) if isinstance(value, float) else str(value)
+
+    values = {name: {key: getattr(s, _FIELD.get(key, key)) for key in _FORMAT[name]
+                     if key != "schema"} for name in ("domain", "output")}
+    values["domain"]["schema"] = SCHEMA_VERSION
+    values["flow"] = asdict(s.flow)
+    values["sweep"] = {"lambdas": s.lambdas}
+    for name, w in (("weights.a", s.weight_a), ("weights.b", s.weight_b)):
+        r_tab, t_tab = w.perturbation or (None, None)
+        values[name] = {**vars(w), "perturbation_r": r_tab, "perturbation_theta": t_tab}
+    parser = configparser.ConfigParser(interpolation=None)
+    for name, keys in _FORMAT.items():
+        parser[name] = {key: text(values[name][key]) for key in keys
+                        if values[name].get(key) is not None}
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -167,7 +167,7 @@ def test_derivatives_of_smooth_field(grid5):
 
 def test_equal_rows_are_differentiated_once(monkeypatch, grid5):
     # a converged symmetric pair holds v as a copy of u
-    module = importlib.import_module("critvar.energy")
+    module = importlib.import_module("critvar.grid")
     calls = []
     derivative = module.nodal_derivative
 

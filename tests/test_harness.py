@@ -18,6 +18,7 @@ from critvar import (BubbleParams, FlowParams, bubble_field, build_grid,
 from critvar.cli import main as cli_main
 from critvar.errors import ConfigError, EmptyReport, IoError, UnderResolvedBubble
 from critvar.harness import _FORMAT
+from conftest import serialize_scenario_reference
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -228,6 +229,23 @@ def test_config_sha256_of_the_benchmark_scenarios(workload):
     # format is written down
     rep = run(parse_scenario(_workloads()["scenario_ini"](workload, 11)))
     assert rep.provenance["config_sha256"] == SEED_11_DIGESTS[workload]
+
+
+def test_serialized_text_is_configparsers_layout():
+    # byte for byte what ConfigParser.write prints for the same keys, on every
+    # benchmark scenario and on one with perturbation tables and a newline
+    # inside a value, which parses back to the same scenario
+    gen = _workloads()
+    for workload in gen["WORKLOADS"]:
+        for variant in range(gen["VARIANTS"]):
+            s = parse_scenario(gen["scenario_ini"](workload, variant))
+            assert serialize_scenario(s) == serialize_scenario_reference(s), (workload, variant)
+    s = replace(parse_scenario(EVERY_KEY), out_dir="runs/a\nb")
+    assert s.weight_a.perturbation is not None
+    text = serialize_scenario(s)
+    assert text == serialize_scenario_reference(s)
+    assert "directory = runs/a\n\tb\n" in text
+    assert parse_scenario(text) == s
 
 
 def test_concentration_workload_never_polishes(monkeypatch):

@@ -662,8 +662,10 @@ def test_reported_quantities_describe_the_reported_pair(grid5, sweep_grid, quad_
         l1, l2 = lagrange_multipliers(pair, a, b, lam, grid)
         assert res.multiplier_u == pytest.approx(l1, rel=1e-12, abs=0.0)
         assert res.multiplier_v == pytest.approx(l2, rel=1e-12, abs=0.0)
-        assert res.concentration == pytest.approx(concentration_diagnostic(
-            pair.u, 0.1 * grid.radius, grid), rel=1e-12, abs=0.0)
+        # the larger of the two rows' masses inside R/10
+        assert res.concentration == pytest.approx(max(
+            concentration_diagnostic(x, 0.1 * grid.radius, grid) for x in (pair.u, pair.v)),
+            rel=1e-12, abs=0.0)
         assert res.el_residual == pytest.approx(
             el_residual(pair, l1, l2, a, b, lam, grid), rel=0.0, abs=1e-9)
 
@@ -815,6 +817,35 @@ def test_result_reads_its_energy_and_multipliers_at_its_coupling(grid5, quad_wei
     refs = lagrange_multipliers(res.pair, quartic_weight, quad_weight, 20.0, grid5)
     assert (moved.multiplier_u, moved.multiplier_v) == pytest.approx(refs, rel=1e-12,
                                                                      abs=0.0)
+
+
+def test_flow_at_zero_coupling_reports_its_pairs_overlap(grid5, quad_weight,
+                                                         quartic_weight, quick_flow):
+    # at lam = 0 neither the energy nor the gradient reads p = int uv, so
+    # the flow does not form it; the record still keeps it
+    res = descend(quad_weight, quartic_weight, 0.0, grid5, quick_flow)
+    p = res.terms[2]
+    ref = energy(res.pair, quad_weight, quartic_weight, 1.0, grid5)
+    assert p > 0.0 and p == pytest.approx(ref.coupling, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("cells, grading, ratio, lams",
+                         [(800, "uniform", None, (5.0, 6.0)),
+                          (1500, "geometric", 1.004, (4.0, 5.0))])
+def test_swapped_weights_give_the_mirrored_result(cells, grading, ratio, lams):
+    # E_lam(u, v; a, b) = E_lam(v, u; b, a): the move's gate, the detector
+    # and the concentration read both rows alike.  The bordered Newton step
+    # orders its unknowns by row, so a polished pair differs in its last bits
+    grid = build_grid(4, 1.0, cells, grading=grading, ratio=ratio)
+    a, b = WeightProfile(1.0, 2.0, 1.0), WeightProfile(1.0, 4.0, 1.0)
+    for lam in lams:
+        ab, ba = descend(a, b, lam, grid, SWEEP_FLOW), descend(b, a, lam, grid, SWEEP_FLOW)
+        assert (ab.status, ab.iterations) == (ba.status, ba.iterations)
+        assert ab.concentration == pytest.approx(ba.concentration, rel=1e-12, abs=0.0)
+        assert ab.q_lambda == pytest.approx(ba.q_lambda, rel=1e-12, abs=0.0)
+        sup = np.max(np.abs(ab.pair.u))
+        for x, y in ((ab.pair.u, ba.pair.v), (ab.pair.v, ba.pair.u)):
+            np.testing.assert_allclose(x, y, rtol=0.0, atol=1e-10 * sup)
 
 
 def test_flow_at_zero_coupling_reports_a_nonnegative_pair(grid5, quad_weight, rng):
