@@ -25,10 +25,11 @@ divided by its iteration count:
                one row);
 - random:      a = b = 1 + r^2 at coupling 9 with the random start (u0 != v0,
                two rows);
-- distinct:    a = 1 + r^2, b = 1 + 2 r^2 at coupling 9 with the bubble start
-               (two rows), capped at ITERS_DISTINCT iterations: this flow
-               concentrates; the larger of its two rows' masses passes the
-               move's gate at iteration 10, and the detector stops it at 20.
+- distinct:    a = 1 + r^2, b = 1 + 2 r^2 at coupling 16 with the bubble start
+               (two rows).  16 lies inside this pair's existence interval
+               (its gap is 3 * 105 / 32 ~ 9.84), so the flow does not
+               concentrate; at coupling 9, as at 12, it took a dilation move
+               and the detector stopped it at 20 iterations.
 
 No case times the coupling-0 flow per iteration: from the bubble start it
 moves at iteration 10 and stops at 20, too few iterations to time apart
@@ -116,8 +117,8 @@ REPO = Path(__file__).resolve().parent.parent
 SIZES = (800, 3000)
 STARTS = ("symmetric", "random", "distinct")
 LAMBDA = 9.0
+LAMBDA_DISTINCT = 16.0  # distinct: inside the pair's existence interval
 ITERS = 300
-ITERS_DISTINCT = 29     # distinct: the detector stops it at 20, after its move at 10
 ROUNDS = 8              # fresh worker pairs per case
 REPEATS = 3             # runs per worker
 BEST_OF = 3             # calls per run; the run reports the fastest
@@ -180,8 +181,7 @@ def _case(critvar, name):
         "symmetric": (b_same, LAMBDA, flow),
         "random": (b_same, LAMBDA, critvar.FlowParams(
             max_iters=ITERS, grad_tol=1e-14, stall_window=ITERS, init="random")),
-        "distinct": (b_other, LAMBDA, critvar.FlowParams(
-            max_iters=ITERS_DISTINCT, grad_tol=1e-14, stall_window=ITERS_DISTINCT)),
+        "distinct": (b_other, LAMBDA_DISTINCT, flow),
     }
     if name.startswith("n"):
         size, start = name[1:].split("/")
@@ -336,8 +336,8 @@ def main(argv=None) -> int:
         "what": ("descend, sweep and run cost of the parent and the change, "
                  f"timed interleaved in {ROUNDS} fresh pairs of worker interpreters per case. "
                  "Per-iteration cases (n<cells>/<start>): "
-                 f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA}, "
-                 f"iteration cap {ITERS} ({ITERS_DISTINCT} for distinct). bordered/n1500: "
+                 f"seconds per iteration, N = 5 uniform grid, coupling {LAMBDA} "
+                 f"({LAMBDA_DISTINCT} for distinct), iteration cap {ITERS}. bordered/n1500: "
                  "seconds per call of the one-row bordered Newton step (1499 "
                  "unknowns) from the converged pair of sweep-9.0446 at the "
                  "sweep's next coupling, with the kernel's raw gradient, "

@@ -56,9 +56,10 @@ class RadialGrid:
     # derived arrays, filled in __post_init__
     spacings: np.ndarray = field(init=False, repr=False)
     faces: np.ndarray = field(init=False, repr=False)
-    # a run's derived data, one memo (a run builds its own grid), keyed
-    # ("operator", w), ("tilt", w), ("spectrum", conductance bytes) and
-    # "stencil" (nodal_derivative's weights)
+    # a run's derived data, one memo (a run builds its own grid) filled by
+    # _cached, keyed ("operator", w), ("operator", conductance bytes),
+    # ("spectrum", operator), ("tilt", w) and "stencil" (nodal_derivative's
+    # weights)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -75,6 +76,13 @@ class RadialGrid:
                 f"field of length {f.shape} on grid of {self.nodes.shape} nodes"
             )
         return f
+
+    def _cached(self, key, build):
+        """The object kept under key, else build()'s, kept under key unless
+        build raises."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
 
 def _geometric_nodes(radius: float, n: int, ratio: float) -> np.ndarray:
@@ -157,10 +165,7 @@ def nodal_derivative(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     bit for bit (second-order differences, one-sided at R), from weights
     built once per grid."""
     f = grid.check_shape(f)
-    st = grid._memo.get("stencil")
-    if st is None:
-        st = grid._memo["stencil"] = _stencil(grid.spacings)
-    (a, b, c), (la, lb, lc) = st
+    (a, b, c), (la, lb, lc) = grid._cached("stencil", lambda: _stencil(grid.spacings))
     out = np.empty_like(f)
     inner = out[1:-1]
     if b is None:
@@ -183,6 +188,10 @@ def integrate(f: np.ndarray, grid: RadialGrid) -> float:
 
 
 def critical_exponent(dim: int) -> float:
+    """q = 2N/(N-2); raises BadDomain below N = 3, where it is not finite
+    and positive."""
+    if dim < 3:
+        raise BadDomain(f"the critical exponent needs dimension >= 3, got {dim}")
     return 2.0 * dim / (dim - 2.0)
 
 

@@ -297,7 +297,8 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
 
     # eigenpairs are needed by minimize verdicts even when not requested
     if {"eig", "minimize"} & wanted:
-        # a and b assembling to identical conductances share one result
+        # a and b assembling to identical conductances share one operator,
+        # so one eigen-solve
         eig_a, eig_b = first_eigenpair(a, grid), first_eigenpair(b, grid)
         lam_tilde = min(eig_a.lambda1, eig_b.lambda1)
     if "eig" in wanted:

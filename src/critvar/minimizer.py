@@ -185,13 +185,12 @@ def _initial_pair(a: WeightProfile, b: WeightProfile, grid: RadialGrid,
 
 def _one_row(ops: tuple[TridiagonalOperator, TridiagonalOperator],
              x: tuple[np.ndarray, np.ndarray]) -> bool:
-    """True when the flow from x = (u, v) keeps u == v bit for bit: operators
-    with identical face conductances c (from which the operator derives
-    every other array the flow reads) and an identical start.  Compares
-    arrays, not weights: constant weights that differ only in an exponent
-    they never use assemble to the same c."""
-    (op_a, op_b), (u, v) = ops, x
-    return np.array_equal(op_a.c, op_b.c) and np.array_equal(u, v)
+    """True when the flow from x = (u, v) keeps u == v bit for bit: one
+    operator for both rows and an identical start.  assemble_operator keeps
+    one operator per conductance array, so weights that assemble to the same
+    c share it, as constant weights that differ only in an unused exponent
+    do."""
+    return ops[0] is ops[1] and np.array_equal(*x)
 
 
 def _bordered_step(rows, mults, d, kern):

@@ -39,11 +39,11 @@ _MIN_WIDTH_CELLS = 20       # down to the radius of this node
 def tilde_weight(w: WeightProfile, grid: RadialGrid) -> np.ndarray:
     """Nodal samples of the radial tilt r * w'(r), taken once per (weight,
     grid) and kept read-only on the grid (omega and Pohozaev share them)."""
-    tilt = grid._memo.get(("tilt", w))
-    if tilt is None:
-        tilt = grid._memo["tilt", w] = np.asarray(w.radial_tilt(grid.nodes), dtype=float)
+    def build():
+        tilt = np.asarray(w.radial_tilt(grid.nodes), dtype=float)
         tilt.flags.writeable = False
-    return tilt
+        return tilt
+    return grid._cached(("tilt", w), build)
 
 
 # ---------------------------------------------------------------------------

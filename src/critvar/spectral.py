@@ -11,14 +11,14 @@ the same cell mass the quadrature uses, so Rayleigh quotients of the
 discrete operator coincide exactly with quadrature energy ratios.  The
 origin carries zero flux (radial regularity); the boundary is Dirichlet.
 
-assemble_operator is the one place a weight is sampled on a grid: it
-builds one read-only operator per (weight, grid) from its conductances c,
-kept on the grid and shared by the descent flow, the eigen-solve, the
-Euler-Lagrange residual and the gradient energy.  With x_0..x_{n-1} the
-interior values, x_n = 0 and the face fluxes F_0 = 0, F_{j+1} = c_j
-(x_{j+1} - x_j), (K x)_j = F_j - F_{j+1}.  So K x = b needs no
-factorization: F_{j+1} = -sum_{i<=j} b_i and x_j = sum_{k>=j} (sum_{i<=k}
-b_i) / c_k, two running sums.  In exact arithmetic this is K's LDL^T
+assemble_operator is the one place conductances are formed: it keeps one
+read-only operator on the grid per distinct conductance array c, so
+weights that assemble to the same c share it, and the descent flow, the
+eigen-solve, the Euler-Lagrange residual and the gradient energy read it.
+With x_0..x_{n-1} the interior values, x_n = 0 and the face fluxes
+F_0 = 0, F_{j+1} = c_j (x_{j+1} - x_j), (K x)_j = F_j - F_{j+1}.  So
+K x = b needs no factorization: F_{j+1} = -sum_{i<=j} b_i and x_j =
+sum_{k>=j} (sum_{i<=k} b_i) / c_k, two running sums.  In exact arithmetic this is K's LDL^T
 factor with l = -1 and d = c, which an LDL^T routine only rounds its way
 to through (c_{j-1} + c_j) - c_{j-1}.  The gradient energy is sum c
 (x_{j+1} - x_j)^2; the descent flow takes it as sum F_{j+1} (x_{j+1} -
@@ -49,11 +49,12 @@ _RITZ_FROM = 6              # the first step whose Ritz pair may end the iterati
 _BASIS = 16                 # Lanczos vectors held at first; doubled when full
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
     """Symmetric positive-definite flux operator on interior nodes 1..n-1 from
     its face conductances c, solved by the module docstring's running sums;
-    its arrays are read-only, as every caller shares it."""
+    its arrays are read-only, as every caller shares it.  It compares and
+    hashes by identity: assemble_operator keeps one per conductance array."""
 
     c: np.ndarray                               # c_{i+1/2} on faces 1..n-1
     _inv_c: np.ndarray = field(init=False, repr=False, compare=False)
@@ -104,25 +105,24 @@ class TridiagonalOperator:
 
 
 def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator:
-    """Flux-form stiffness for -div(w grad) with Dirichlet boundary, built
-    once per (weight, grid) and kept on the grid.
+    """Flux-form stiffness for -div(w grad) with Dirichlet boundary, kept on
+    the grid under the weight and under the bytes of its conductances, so
+    that weights with bit-identical c (equal weights, or constant weights
+    that differ only in an exponent they never use) get one object.
 
     The quadratic form x.K.x equals the cell-face gradient energy of the
     field extended by zero at the boundary.  Raises IndefiniteWeight (and
     caches nothing) unless w is finite and positive at the nodes and faces.
     """
-    op = grid._memo.get(("operator", w))
-    if op is not None:
-        return op
-    nodes_w = np.asarray(w(grid.nodes), dtype=float)
-    if not np.all(np.isfinite(nodes_w) & (nodes_w > 0.0)):
-        raise IndefiniteWeight("weight must be finite and strictly positive on the grid")
-    faces = grid.faces[1:]                        # r_{i+1/2}, i = 1..n-1
-    wf = np.asarray(w(faces), dtype=float)        # checked by the operator, via c
-    op = TridiagonalOperator(grid.surface_factor * wf * faces ** (grid.dimension - 1)
-                             / grid.spacings[1:])
-    grid._memo["operator", w] = op
-    return op
+    def build():
+        nodes_w = np.asarray(w(grid.nodes), dtype=float)
+        if not np.all(np.isfinite(nodes_w) & (nodes_w > 0.0)):
+            raise IndefiniteWeight("weight must be finite and strictly positive on the grid")
+        faces = grid.faces[1:]                    # r_{i+1/2}, i = 1..n-1
+        wf = np.asarray(w(faces), dtype=float)    # checked by the operator, via c
+        c = grid.surface_factor * wf * faces ** (grid.dimension - 1) / grid.spacings[1:]
+        return grid._cached(("operator", c.tobytes()), lambda: TridiagonalOperator(c))
+    return grid._cached(("operator", w), build)
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,11 @@ def first_eigenpair(w: WeightProfile, grid: RadialGrid) -> SpectralResult:
     Convergence is declared on consecutive Ritz values together with the
     Ritz vector's M^-1-norm eigen-residual; lambda1 is that vector's
     Rayleigh quotient, and the eigenfunction is sign-fixed positive and
-    L2-normalized.  It runs once per distinct conductance array on a grid:
-    weights with bit-identical c share one read-only result.
+    L2-normalized.  It runs once per operator, kept on the grid, so weights
+    that assemble_operator gives one operator share one read-only result.
     """
     op = assemble_operator(w, grid)
-    key = ("spectrum", op.c.tobytes())
-    result = grid._memo.get(key)
-    if result is None:
-        result = grid._memo[key] = _lanczos(op, grid)
-    return result
+    return grid._cached(("spectrum", op), lambda: _lanczos(op, grid))
 
 
 def _rescale(v: np.ndarray, size: float) -> int:

@@ -5,7 +5,7 @@ common positive minimum value gamma0 at the center, a power-law growth
 with exponent k (or l) and positive coefficient, and an optional
 perturbation theta with theta(r) -> 0 as r -> 0, given as a table.  A
 profile is a value: it compares and hashes by its fields, so the grid
-keeps one operator and one tilt per distinct weight.
+samples each distinct weight once and keeps one tilt per distinct weight.
 """
 
 from __future__ import annotations

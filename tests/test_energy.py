@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from critvar import (FieldPair, WeightProfile, build_grid, critical_exponent,
-                     dirichlet_field, integrate, unit_sphere_area)
-from critvar.errors import (DegeneratePair, IndefiniteWeight, NumericFault,
+from critvar import (FieldPair, WeightProfile, build_grid, critical_exponent, descend,
+                     dirichlet_field, integrate, sweep_minimize, unit_sphere_area)
+from critvar.errors import (BadDomain, DegeneratePair, IndefiniteWeight, NumericFault,
                             ShapeMismatch)
 from conftest import (energy, lq_norm, smooth_dirichlet_field,
                       weighted_gradient_energy)
@@ -18,6 +18,19 @@ def test_critical_exponent_values():
     assert critical_exponent(4) == pytest.approx(4.0, rel=1e-15)
     assert critical_exponent(5) == pytest.approx(10.0 / 3.0, rel=1e-15)
     assert critical_exponent(6) == pytest.approx(3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_critical_exponent_below_n3_raises_bad_domain(dim):
+    # 2N/(N-2) divides by zero at N = 2 and is negative at N = 1
+    with pytest.raises(BadDomain):
+        critical_exponent(dim)
+    if dim == 2:
+        grid, w = build_grid(2, 1.0, 100), WeightProfile(1.0)
+        with pytest.raises(BadDomain):
+            descend(w, w, 1.0, grid)
+        with pytest.raises(BadDomain):
+            sweep_minimize([1.0], w, w, grid)
 
 
 def test_pair_validation(grid5):

@@ -159,6 +159,13 @@ def test_operator_is_built_once_and_read_only(grid5, quad_weight):
             assemble_operator(bad, grid5)
 
 
+def test_weights_with_identical_conductances_share_one_operator(grid5):
+    # a constant weight never reads its exponent, so both assemble to one c
+    a, b = WeightProfile(1.0, 2.0, 0.0), WeightProfile(1.0, 4.0, 0.0)
+    assert assemble_operator(a, grid5) is assemble_operator(b, grid5)
+    assert first_eigenpair(a, grid5) is first_eigenpair(b, grid5)
+
+
 @pytest.mark.parametrize("bad", [0.0, math.inf, -1.0, math.nan, 1e-310])
 def test_operator_rejects_a_conductance_that_is_not_finite_and_positive(bad):
     # 1e-310 is subnormal: its reciprocal, which the solve multiplies by,
