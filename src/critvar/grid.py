@@ -29,6 +29,7 @@ import numpy as np
 from .errors import BadDomain, GridTooCoarse, ShapeMismatch
 
 MIN_NODES = 16
+MAX_CELLS = 1_000_000           # 250x the largest grid a test builds
 
 
 def unit_sphere_area(dim: int) -> float:
@@ -108,7 +109,8 @@ def build_grid(
     grading "uniform" gives equispaced nodes and takes no ratio; "geometric"
     gives spacings in constant ratio, clustering nodes near r = 0 for
     ratio > 1 (where the concentration profiles live).  Raises BadDomain
-    unless every node mass beyond the origin is finite and positive.
+    above MAX_CELLS cells and unless every node mass beyond the origin is
+    finite and positive.
     """
     if dim < 2:
         raise BadDomain(f"dimension must be >= 2, got {dim}")
@@ -116,6 +118,8 @@ def build_grid(
         raise BadDomain(f"radius must be positive and finite, got {radius}")
     if n < MIN_NODES:
         raise GridTooCoarse(f"need at least {MIN_NODES} cells, got {n}")
+    if n > MAX_CELLS:                  # checked before any array is made
+        raise BadDomain(f"at most {MAX_CELLS} cells, got {n}")
 
     if grading == "uniform":
         if ratio is not None:

@@ -1,14 +1,17 @@
 """Scenario configuration, orchestration, and CSV emission.
 
 A scenario is described by a flat-sectioned key/value config document
-([domain], [weights.a], [weights.b], [flow], [sweep], [output]) with a
-`schema = 1` version key.  Running a scenario executes the requested
-analyses in dependency order — closed-form constants, first eigenpairs,
-the coupling sweep of the descent flow, concentration-curve fits, the
-scaling-quotient estimate, and dilation-identity reports for every
-converged coupling — and emits one CSV per analysis.  Outputs are
-deterministic for a fixed (config, seed); the only non-reproducible byte
-is the timestamp comment above each CSV header.
+([domain], [weights.a], [weights.b], [flow], [sweep], [output]) on a ball
+in N = 4 to 8 dimensions.  Three keys (`schema`, `mode`, `plots`) each
+accept one value (_FIXED) and are kept only so that every scenario's
+text, and so its config hash, stays as it is.  Running a scenario
+executes the requested analyses in dependency order — closed-form
+constants, first eigenpairs, the coupling sweep of the descent flow,
+concentration-curve fits, the scaling-quotient estimate, and
+dilation-identity reports for every converged coupling — and emits one
+CSV per analysis.  Outputs are deterministic for a fixed (config, seed);
+the only non-reproducible byte is the timestamp comment above each CSV
+header.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from .weights import WeightProfile
 
 ANALYSES = ("constants", "eig", "minimize", "asymptotics", "pohozaev", "omega")
 _NEED_COUPLINGS = {"minimize", "asymptotics", "pohozaev"}
-_BELOW_N4 = {"eig", "omega"}        # the others need closed forms defined for N >= 4
-SCHEMA_VERSION = 1
 _MAX_COUPLINGS = 10_000             # per [sweep]; the benchmark's largest sweep has 48
 
 
@@ -48,23 +49,16 @@ class Scenario:
     cells: int
     grading: str
     ratio: float | None
-    mode: str                       # theorem | machinery
     weight_a: WeightProfile
     weight_b: WeightProfile
     lambdas: tuple
     flow: FlowParams
     out_dir: str
     analyses: tuple
-    plots: bool                     # must be False: kept so config_sha256 is unchanged
 
     def __post_init__(self):
-        if self.mode not in ("theorem", "machinery"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        lo = 4 if self.mode == "theorem" else 2
-        if not lo <= self.dimension <= 8:
-            raise ConfigError(
-                f"dimension {self.dimension} outside [{lo}, 8] for {self.mode} mode"
-            )
+        if not 4 <= self.dimension <= 8:
+            raise ConfigError(f"dimension {self.dimension} outside [4, 8]")
         if self.weight_a.gamma0 != self.weight_b.gamma0:
             raise ConfigError(
                 "the two weights must share the same center value gamma0"
@@ -78,8 +72,6 @@ class Scenario:
             # the pool's (|u|, |v|) candidates are minimal only for lam >= 0
             raise ConfigError(f"couplings must be nonnegative, got {tuple(self.lambdas)}: "
                               "Q(-lam) = Q(lam), as E_-lam(u, -v) = E_lam(u, v)")
-        if self.plots:
-            raise ConfigError("plots must be false: a run writes only its CSV tables")
 
     def build_grid(self) -> RadialGrid:
         return build_grid(self.dimension, self.radius, self.cells,
@@ -123,10 +115,14 @@ _FLOW_TYPES = {"float": _finite, "int": int, "str": str}
 _WEIGHT_FORMAT = {"gamma0": (_finite, MISSING), "exponent": (_finite, 2.0),
                   "coefficient": (_finite, 0.0), "perturbation_r": (_floats, None),
                   "perturbation_theta": (_floats, None)}
+# The keys kept only for the config hash, each with its one accepted value:
+# _section rejects any other and drops the key, and serialize_scenario
+# writes the value in the key's place.
+_FIXED = {"schema": 1, "mode": "theorem", "plots": False}
 _FORMAT = {
-    "domain": {"schema": (int, SCHEMA_VERSION), "dimension": (int, MISSING),
+    "domain": {"schema": (int, _FIXED["schema"]), "dimension": (int, MISSING),
                "radius": (_finite, 1.0), "cells": (int, 2000),
-               "grading": (str, "uniform"), "mode": (str, "theorem"),
+               "grading": (str, "uniform"), "mode": (str, _FIXED["mode"]),
                "ratio": (_finite, None)},
     "weights.a": _WEIGHT_FORMAT,
     "weights.b": _WEIGHT_FORMAT,
@@ -134,18 +130,18 @@ _FORMAT = {
     "sweep": {"lambdas": (_floats, None), "start": (_finite, None),
               "stop": (_finite, None), "step": (_finite, None)},
     "output": {"directory": (str, "out"), "analyses": (_words, ANALYSES),
-               "plots": (_boolean, False)},
+               "plots": (_boolean, _FIXED["plots"])},
 }
-# a [domain] or [output] key names the Scenario field of the same name,
-# except directory; [domain]'s schema is a version check, not a field
+# a [domain] or [output] key not in _FIXED names the Scenario field of the
+# same name, except directory
 _FIELD = {"directory": "out_dir"}
 
 
 def _section(parser, name: str, build=dict):
     """build(**values) of section `name`, each key read by its reader or
-    given its default.  An unknown key, a bad value, a missing required key
-    and a ValueError from build are each a ConfigError naming the key or
-    the section."""
+    given its default; a key of _FIXED is checked and left out.  An unknown
+    key, a bad value, a missing required key and a ValueError from build
+    are each a ConfigError naming the key or the section."""
     given = parser[name] if parser.has_section(name) else {}
     for key in given:
         if key not in _FORMAT[name]:
@@ -158,6 +154,9 @@ def _section(parser, name: str, build=dict):
             values[key] = read(given[key]) if key in given else default
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
+        if key in _FIXED and values.pop(key) != _FIXED[key]:
+            raise ConfigError(f"{key!r} in [{name}] must be {_text(_FIXED[key])}, got "
+                              f"{given[key]!r}: the key is kept only for the config hash")
     try:
         return build(**values)
     except ValueError as exc:
@@ -204,9 +203,6 @@ def parse_scenario(text: str) -> Scenario:
         if name not in _FORMAT:
             raise ConfigError(f"unknown section [{name}]")
     top = {**_section(parser, "domain"), **_section(parser, "output")}
-    schema = top.pop("schema")
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {schema}")
     return Scenario(
         **{_FIELD.get(key, key): value for key, value in top.items()},
         weight_a=_section(parser, "weights.a", _weight),
@@ -230,9 +226,8 @@ def serialize_scenario(s: Scenario) -> str:
     """Config text that parses back to an identical Scenario, in
     ConfigParser.write's layout: per section a [section] line, a `key = value`
     line per set key and a blank line."""
-    values = {name: {key: getattr(s, _FIELD.get(key, key)) for key in _FORMAT[name]
-                     if key != "schema"} for name in ("domain", "output")}
-    values["domain"]["schema"] = SCHEMA_VERSION
+    values = {name: {key: _FIXED[key] if key in _FIXED else getattr(s, _FIELD.get(key, key))
+                     for key in _FORMAT[name]} for name in ("domain", "output")}
     values["flow"] = asdict(s.flow)
     values["sweep"] = {"lambdas": s.lambdas}
     for name, w in (("weights.a", s.weight_a), ("weights.b", s.weight_b)):
@@ -269,17 +264,13 @@ def run(scenario: Scenario, jobs: int = 1) -> RunReport:
     wanted = set(scenario.analyses)
     if "pohozaev" in wanted:    # its rows describe minimize's pairs
         wanted.add("minimize")
-    if scenario.dimension < 4 and wanted - _BELOW_N4:
-        raise ConfigError(f"below N = 4 only eig and omega run; "
-                          f"{' '.join(sorted(wanted - _BELOW_N4))} need N >= 4")
     if not scenario.lambdas:    # no coupling to run these on
         wanted -= _NEED_COUPLINGS
     if not wanted:
         raise ConfigError("no analysis to run: none requested, or all need [sweep] couplings")
     grid = scenario.build_grid()
     a, b = scenario.weight_a, scenario.weight_b
-    # the case table's row; below N = 4 only eig and omega run, and neither reads it
-    case = case_of(scenario.dimension, a, b) if scenario.dimension >= 4 else None
+    case = case_of(scenario.dimension, a, b)       # the case table's row
     failures: list[str] = []
     tables = {name: [] for name in ANALYSES}
 

@@ -240,7 +240,7 @@ def bordered_step_reference(rows, mults, rhs0, kern):
 def serialize_scenario_reference(s) -> str:
     """A scenario's config text as ConfigParser.write prints it, filled key by
     key: the layout the tests hold harness.serialize_scenario to."""
-    from critvar.harness import _FIELD, _FORMAT, SCHEMA_VERSION
+    from critvar.harness import _FIELD, _FIXED, _FORMAT
 
     def text(value) -> str:
         if isinstance(value, bool):
@@ -249,9 +249,8 @@ def serialize_scenario_reference(s) -> str:
             return " ".join(map(text, value))
         return repr(value) if isinstance(value, float) else str(value)
 
-    values = {name: {key: getattr(s, _FIELD.get(key, key)) for key in _FORMAT[name]
-                     if key != "schema"} for name in ("domain", "output")}
-    values["domain"]["schema"] = SCHEMA_VERSION
+    values = {name: {key: _FIXED[key] if key in _FIXED else getattr(s, _FIELD.get(key, key))
+                     for key in _FORMAT[name]} for name in ("domain", "output")}
     values["flow"] = asdict(s.flow)
     values["sweep"] = {"lambdas": s.lambdas}
     for name, w in (("weights.a", s.weight_a), ("weights.b", s.weight_b)):

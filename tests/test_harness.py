@@ -11,13 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from critvar import (BubbleParams, FlowParams, bubble_field, build_grid,
                      default_eps_ladder, emit_csv, parse_scenario, run,
                      serialize_scenario, write_report)
 from critvar.cli import main as cli_main
-from critvar.errors import ConfigError, EmptyReport, IoError, UnderResolvedBubble
-from critvar.harness import _FORMAT
+from critvar.errors import (ConfigError, CritvarError, EmptyReport, IoError,
+                            UnderResolvedBubble)
+from critvar.grid import RadialGrid
+from critvar.harness import _FIELD, _FIXED, _FORMAT, ANALYSES, Scenario
 from conftest import serialize_scenario_reference
 
 REPO = Path(__file__).resolve().parent.parent
@@ -68,7 +71,7 @@ def test_minimal_config_defaults():
     assert s.cells == 2000
     assert s.grading == "uniform"
     assert s.radius == 1.0
-    assert s.mode == "theorem"
+    assert "\nmode = theorem\n" in serialize_scenario(s)
     assert s.weight_a.exponent == 2.0
     assert s.analyses == ("constants", "eig", "minimize", "asymptotics",
                           "pohozaev", "omega")
@@ -94,8 +97,10 @@ def test_unknown_section_rejected():
 def test_mode_bounds():
     with pytest.raises(ConfigError):
         parse_scenario(MINIMAL.replace("dimension = 5", "dimension = 3"))
+    # machinery mode ran eig and omega at N = 2 and 3
     low_dim = MINIMAL.replace("dimension = 5", "dimension = 3\nmode = machinery")
-    assert parse_scenario(low_dim).dimension == 3
+    with pytest.raises(ConfigError, match="'mode'"):
+        parse_scenario(low_dim)
 
 
 def test_roundtrip_identity():
@@ -119,9 +124,17 @@ def test_flow_params_are_the_flow_keys():
     assert {f.name for f in fields(FlowParams)} == set(_FORMAT["flow"])
 
 
+def test_scenario_fields_are_the_config_keys():
+    # a key kept only for the config hash is no field: a run cannot read it
+    keys = {_FIELD.get(key, key) for name in ("domain", "output")
+            for key in _FORMAT[name] if key not in _FIXED}
+    assert {f.name for f in fields(Scenario)} == keys | {
+        "weight_a", "weight_b", "lambdas", "flow"}
+
+
 _TABLE = "perturbation_r = 0.0 0.5 1.0\nperturbation_theta = 0.0 0.1 0.0\n"
-# every key at a value other than its default (schema and plots each have
-# only one value);
+# every key at a value other than its default (the keys of _FIXED each
+# have only one value);
 # [sweep] gives its couplings as a list here and as a range below; a "%" is
 # text like any other character
 EVERY_KEY = f"""
@@ -131,7 +144,7 @@ dimension = 6
 radius = 2.0
 cells = 300
 grading = geometric
-mode = machinery
+mode = theorem
 ratio = 1.01
 
 [weights.a]
@@ -172,7 +185,7 @@ def test_roundtrip_every_flow_key():
     for name in given.sections():
         for key, text in given[name].items():
             read, default = _FORMAT[name][key]
-            assert read(text) != default or key in ("schema", "plots")
+            assert read(text) != default or key in _FIXED
     # the parsed scenario holds every given value: its serialization
     # writes each key back as the same value
     s = parse_scenario(EVERY_KEY)
@@ -384,12 +397,10 @@ def test_plots_true_exits_2_before_writing(tmp_path, capsys):
 @pytest.mark.parametrize("change", [
     {"lambdas": (1.0, math.nan)},
     {"lambdas": (math.inf,)},
-    {"mode": "foo"},
-    {"plots": True},
-], ids=["lambda-nan", "lambda-inf", "mode-unknown", "plots"])
+], ids=["lambda-nan", "lambda-inf"])
 def test_scenario_rejects_what_a_run_cannot_do(change):
     # a NaN coupling failed inside the first flow, after constants, eig
-    # and omega had run; an unknown mode ran as machinery mode
+    # and omega had run
     with pytest.raises(ConfigError):
         replace(parse_scenario(SWEEP), **change)
 
@@ -719,6 +730,39 @@ def test_ratio_on_a_uniform_grid_exits_2(tmp_path, capsys):
     assert "ratio" in capsys.readouterr().err
 
 
+_DOMAIN = dict(dimension=5, cells=100, radius=1.0, grading="uniform", ratio=None,
+               mode="theorem")
+# any [domain] values, or values a grid can be built from: cells above the
+# cap are drawn from 10^12 up, which numpy refuses at once, so a cap that
+# failed to hold allocates nothing
+_ANY = dict(dimension=st.integers(0, 10),
+            cells=st.integers(-5, 200) | st.integers(10**12, 10**18),
+            radius=st.floats(), grading=st.sampled_from(["uniform", "geometric", "log"]),
+            ratio=st.none() | st.floats(),
+            mode=st.sampled_from(["theorem", "machinery", "Theorem"]))
+_BUILDABLE = dict(_ANY, dimension=st.integers(4, 8), cells=st.integers(16, 200),
+                  radius=st.floats(0.01, 100.0), mode=st.just("theorem"))
+_DOMAINS = (st.fixed_dictionaries(_ANY)
+            | st.fixed_dictionaries(dict(_BUILDABLE, grading=st.just("uniform"),
+                                         ratio=st.none()))
+            | st.fixed_dictionaries(dict(_BUILDABLE, grading=st.just("geometric"),
+                                         ratio=st.floats(0.5, 2.0))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(domain=_DOMAINS)
+@example(domain={**_DOMAIN, "cells": 10**12})   # numpy's _ArrayMemoryError escaped
+@example(domain={**_DOMAIN, "dimension": 3, "mode": "machinery"})
+def test_domain_section_ends_in_a_grid_or_a_critvar_error(domain):
+    text = MINIMAL.replace("dimension = 5", "\n".join(
+        f"{key} = {value}" for key, value in domain.items() if value is not None))
+    try:
+        grid = parse_scenario(text).build_grid()
+    except CritvarError:
+        return
+    assert isinstance(grid, RadialGrid) and len(grid.nodes) == domain["cells"] + 1
+
+
 def _machinery_config(tmp_path, dim):
     cfg = tmp_path / "low.ini"
     cfg.write_text(MINIMAL.replace("dimension = 5", f"dimension = {dim}\n"
@@ -728,25 +772,26 @@ def _machinery_config(tmp_path, dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("command", ["all", "constants", "minimize",
-                                     "asymptotics", "pohozaev"])
+@pytest.mark.parametrize("command", ANALYSES + ("all",))
 def test_machinery_below_n4_rejects_closed_form_analyses(tmp_path, capsys,
                                                          dim, command):
-    # constants, thresholds and the critical exponent are defined for N >= 4
+    # machinery mode, which ran eig and omega below N = 4, is gone: the
+    # problem is posed for N >= 4, and `mode` accepts only theorem
     out = tmp_path / "out"
     assert cli_main([command, "--config", str(_machinery_config(tmp_path, dim)),
                      "--out", str(out)]) == 2
-    assert "N >= 4" in capsys.readouterr().err
+    assert "'mode'" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("command", ["eig", "omega"])
-def test_machinery_below_n4_runs_eig_and_omega(tmp_path, dim, command):
+def test_absurd_cell_count_exits_2(tmp_path, capsys):
+    # numpy's linspace raised _ArrayMemoryError (7.28 TiB) and the run exited 1
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 1000000000000"))
     out = tmp_path / "out"
-    assert cli_main([command, "--config", str(_machinery_config(tmp_path, dim)),
-                     "--out", str(out)]) == 0
-    assert (out / f"{command}.csv").exists()
+    assert cli_main(["eig", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "1000000000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_omega_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
