@@ -14,8 +14,8 @@ are printed, and at the end the largest relative difference of each
 `minimize.csv`'s `iterations` column per workload on each tree.  Last
 it prints the size of each tree's `critvar/*.py`: its line total (what
 `wc -l` reads) and its code lines, the lines that are neither blank nor
-a comment nor inside a docstring (found with `ast`).  Exits 0 when every
-table is identical and 1 otherwise.
+a comment nor inside a docstring (found with `ast`), in total and per
+module.  Exits 0 when every table is identical and 1 otherwise.
 
 Each differing cell also gets a verdict from the benchmark's snapshot
 check (`perfbench/checks.py`), with the parent's table as the reference:
@@ -145,11 +145,11 @@ def _total_iterations(root: Path) -> Counter:
     return totals
 
 
-def source_lines(src: Path) -> tuple[int, int]:
-    """(line total, code lines) of src/critvar/*.py: the total as `wc -l`
-    counts it, and the lines that are neither blank nor a comment nor part
-    of a module, class or function docstring."""
-    total = code = 0
+def source_lines(src: Path) -> dict[str, tuple[int, int]]:
+    """{module file name: (line total, code lines)} of src/critvar/*.py: the
+    total as `wc -l` counts it, and the lines that are neither blank nor a
+    comment nor part of a module, class or function docstring."""
+    counts = {}
     for path in (src / "critvar").glob("*.py"):
         text = path.read_text()
         docs = set()
@@ -158,12 +158,10 @@ def source_lines(src: Path) -> tuple[int, int]:
                                   ast.AsyncFunctionDef))
                     and ast.get_docstring(node, clean=False) is not None):
                 docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-        lines = text.splitlines()
-        total += text.count("\n")
-        code += sum(1 for i, line in enumerate(lines, start=1)
-                    if line.strip() and not line.lstrip().startswith("#")
-                    and i not in docs)
-    return total, code
+        counts[path.name] = (text.count("\n"), sum(
+            1 for i, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.lstrip().startswith("#") and i not in docs))
+    return counts
 
 
 def compare(parent: Path, change: Path) -> tuple[int, int]:
@@ -238,9 +236,16 @@ def main(argv=None) -> int:
             return 2
         tables, differ = compare(Path(tmp) / "parent", Path(tmp) / "change")
     print(f"{tables - differ} of {tables} tables identical below the timestamp line")
-    (lines_p, code_p), (lines_c, code_c) = source_lines(args.parent), source_lines(args.change)
+    counts_p, counts_c = source_lines(args.parent), source_lines(args.change)
+    (lines_p, code_p), (lines_c, code_c) = (
+        map(sum, zip(*counts.values())) for counts in (counts_p, counts_c))
     print(f"critvar/*.py lines, parent -> change: {lines_p:,} -> {lines_c:,};"
           f" code lines {code_p:,} -> {code_c:,}")
+    print("code lines per module, parent -> change:")
+    for name in sorted(counts_p.keys() | counts_c.keys()):
+        before, after = (counts.get(name, (0, 0))[1] for counts in (counts_p, counts_c))
+        moved = f" ({after - before:+,})" if after != before else ""
+        print(f"  {name}: {before:,} -> {after:,}{moved}")
     return 1 if differ else 0
 
 

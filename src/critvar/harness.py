@@ -2,16 +2,17 @@
 
 A scenario is described by a flat-sectioned key/value config document
 ([domain], [weights.a], [weights.b], [flow], [sweep], [output]) on a ball
-in N = 4 to 8 dimensions.  Three keys (`schema`, `mode`, `plots`) each
-accept one value (_FIXED) and are kept only so that every scenario's
-text, and so its config hash, stays as it is.  Running a scenario
-executes the requested analyses in dependency order — closed-form
-constants, first eigenpairs, the coupling sweep of the descent flow,
-concentration-curve fits, the scaling-quotient estimate, and
-dilation-identity reports for every converged coupling — and emits one
-CSV per analysis.  Outputs are deterministic for a fixed (config, seed);
-the only non-reproducible byte is the timestamp comment above each CSV
-header.
+in N = 4 to 8 dimensions.  Each value has one spelling: `[sweep]` lists
+its couplings as `lambdas`, and three keys (`schema`, `mode`, `plots`)
+each accept one value (_FIXED: 1, `theorem`, `false`), kept only so that
+every scenario's text, and so its config hash, stays as it is.  Running
+a scenario executes the requested analyses in dependency order —
+closed-form constants, first eigenpairs, the coupling sweep of the
+descent flow, concentration-curve fits, the scaling-quotient estimate,
+and dilation-identity reports for every converged coupling — and emits
+one CSV per analysis.  Outputs are deterministic for a fixed (config,
+seed); the only non-reproducible byte is the timestamp comment above each
+CSV header.
 """
 
 from __future__ import annotations
@@ -99,13 +100,6 @@ def _words(text: str) -> tuple:
     return tuple(text.split())
 
 
-def _boolean(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
 # The scenario format, in the order serialize_scenario writes it:
 # section -> key -> (reader of the key's text, default).  MISSING marks a
 # required key; None an optional one, written only when set.  The two
@@ -118,7 +112,7 @@ _WEIGHT_FORMAT = {"gamma0": (_finite, MISSING), "exponent": (_finite, 2.0),
 # The keys kept only for the config hash, each with its one accepted value:
 # _section rejects any other and drops the key, and serialize_scenario
 # writes the value in the key's place.
-_FIXED = {"schema": 1, "mode": "theorem", "plots": False}
+_FIXED = {"schema": 1, "mode": "theorem", "plots": "false"}
 _FORMAT = {
     "domain": {"schema": (int, _FIXED["schema"]), "dimension": (int, MISSING),
                "radius": (_finite, 1.0), "cells": (int, 2000),
@@ -127,10 +121,9 @@ _FORMAT = {
     "weights.a": _WEIGHT_FORMAT,
     "weights.b": _WEIGHT_FORMAT,
     "flow": {f.name: (_FLOW_TYPES[f.type], f.default) for f in fields(FlowParams)},
-    "sweep": {"lambdas": (_floats, None), "start": (_finite, None),
-              "stop": (_finite, None), "step": (_finite, None)},
+    "sweep": {"lambdas": (_floats, ())},
     "output": {"directory": (str, "out"), "analyses": (_words, ANALYSES),
-               "plots": (_boolean, _FIXED["plots"])},
+               "plots": (str, _FIXED["plots"])},
 }
 # a [domain] or [output] key not in _FIXED names the Scenario field of the
 # same name, except directory
@@ -171,24 +164,11 @@ def _weight(perturbation_r, perturbation_theta, **profile) -> WeightProfile:
     return WeightProfile(perturbation=table, **profile)
 
 
-def _couplings(lambdas, start, stop, step) -> tuple:
-    """`lambdas`, or the range start, start + step, ... up to stop (with
-    rounding slack); a range needs all three keys.  Either holds at most
-    _MAX_COUPLINGS couplings, a range counted before it is built."""
-    span = (start, stop, step)
-    if span == (None,) * 3:
-        lambdas = () if lambdas is None else lambdas
-        last = len(lambdas) - 1
-    elif lambdas is not None:
-        raise ValueError("takes either 'lambdas' or a range, not both")
-    elif None in span or step <= 0.0:
-        raise ValueError("a range needs start, stop, and positive step")
-    else:                           # the range's last index; inf where it overflows
-        last = max((stop - start) / step + 1e-12, -1.0)
-    if last >= _MAX_COUPLINGS:
-        raise ValueError(f"{last + 1:.6g} couplings; a sweep holds at most {_MAX_COUPLINGS}")
-    return lambdas if lambdas is not None else tuple(
-        start + i * step for i in range(int(math.floor(last)) + 1))
+def _couplings(lambdas) -> tuple:
+    """`lambdas`, which hold at most _MAX_COUPLINGS couplings."""
+    if len(lambdas) > _MAX_COUPLINGS:
+        raise ValueError(f"{len(lambdas)} couplings; a sweep holds at most {_MAX_COUPLINGS}")
+    return lambdas
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -215,8 +195,6 @@ def parse_scenario(text: str) -> Scenario:
 def _text(value) -> str:
     """A value as config text its key's reader reads back; a newline in it
     continues the value on a tab-indented line."""
-    if isinstance(value, bool):
-        return str(value).lower()
     if not isinstance(value, str) and hasattr(value, "__iter__"):
         return " ".join(map(_text, value))
     return repr(value) if isinstance(value, float) else str(value).replace("\n", "\n\t")

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDenominator, GridTooCoarse
+from .errors import DegenerateDenominator, GridTooCoarse, IndefiniteWeight
 from .grid import FieldPair, RadialGrid, integrate
 from .spectral import first_eigenpair
 from .weights import WeightProfile
@@ -38,9 +38,13 @@ _MIN_WIDTH_CELLS = 20       # down to the radius of this node
 
 def tilde_weight(w: WeightProfile, grid: RadialGrid) -> np.ndarray:
     """Nodal samples of the radial tilt r * w'(r), taken once per (weight,
-    grid) and kept read-only on the grid (omega and Pohozaev share them)."""
+    grid) and kept read-only on the grid (omega and Pohozaev share them).
+    Raises IndefiniteWeight unless every sample is finite."""
     def build():
-        tilt = np.asarray(w.radial_tilt(grid.nodes), dtype=float)
+        with np.errstate(all="ignore"):         # an inf or nan sample is refused below
+            tilt = np.asarray(w.radial_tilt(grid.nodes), dtype=float)
+        if not np.all(np.isfinite(tilt)):
+            raise IndefiniteWeight("the weight's radial tilt r w'(r) must be finite on the grid")
         tilt.flags.writeable = False
         return tilt
     return grid._cached(("tilt", w), build)
@@ -185,6 +189,14 @@ def omega_estimate(
     )
 
 
+def _power(x: float, e: float) -> float:
+    """x ** e, inf where it overflows (float ** raises OverflowError there)."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
 def omega_bounds(
     dim: int,
     k: float,
@@ -204,18 +216,19 @@ def omega_bounds(
     overlap at k = l = 2 with different closed-form lower bounds (factor on
     the quadratic coefficient); each case is evaluated exactly as tabulated,
     with the at-most-quadratic branch taking precedence at k = l = 2.
+    A power past the float range reads inf (_power).
     """
     if k > 2.0 and l > 2.0:
         return 0.0, 0.0
     if k <= 2.0 and l <= 2.0:
         lower = dim ** 2 / 16.0 * min(
-            k * a_k * diam ** (k - 2.0), l * b_l * diam ** (l - 2.0)
+            k * a_k * _power(diam, k - 2.0), l * b_l * _power(diam, l - 2.0)
         )
         return lower, math.nan
     if (k == 2.0 and l > 2.0) or (l == 2.0 and k > 2.0):
         # quad: the quadratic weight's coefficient; (e, c): the other's power
         quad, e, c = (a_k, l, b_l) if k == 2.0 else (b_l, k, a_k)
-        lower = dim ** 2 / 16.0 * min(quad, e * c * diam ** (e - 2.0))
+        lower = dim ** 2 / 16.0 * min(quad, e * c * _power(diam, e - 2.0))
         return lower, 0.5 * quad * lambda1_unweighted() * diam ** 2
     return math.nan, math.nan
 

@@ -115,12 +115,14 @@ def assemble_operator(w: WeightProfile, grid: RadialGrid) -> TridiagonalOperator
     caches nothing) unless w is finite and positive at the nodes and faces.
     """
     def build():
-        nodes_w = np.asarray(w(grid.nodes), dtype=float)
+        faces = grid.faces[1:]                    # r_{i+1/2}, i = 1..n-1
+        # a value past the float range is refused below, or by the operator via c
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes_w = np.asarray(w(grid.nodes), dtype=float)
+            wf = np.asarray(w(faces), dtype=float)
+            c = grid.surface_factor * wf * faces ** (grid.dimension - 1) / grid.spacings[1:]
         if not np.all(np.isfinite(nodes_w) & (nodes_w > 0.0)):
             raise IndefiniteWeight("weight must be finite and strictly positive on the grid")
-        faces = grid.faces[1:]                    # r_{i+1/2}, i = 1..n-1
-        wf = np.asarray(w(faces), dtype=float)    # checked by the operator, via c
-        c = grid.surface_factor * wf * faces ** (grid.dimension - 1) / grid.spacings[1:]
         return grid._cached(("operator", c.tobytes()), lambda: TridiagonalOperator(c))
     return grid._cached(("operator", w), build)
 

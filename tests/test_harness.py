@@ -109,7 +109,7 @@ def test_roundtrip_identity():
 
 
 def test_roundtrip_with_perturbation():
-    text = MINIMAL + "\n[sweep]\nstart = 1.0\nstop = 2.0\nstep = 0.5\n"
+    text = MINIMAL + "\n[sweep]\nlambdas = 1.0 1.5 2.0\n"
     text = text.replace("[weights.b]",
                         "perturbation_r = 0.0 0.5 1.0\n"
                         "perturbation_theta = 0.0 0.1 0.0\n\n[weights.b]")
@@ -134,9 +134,7 @@ def test_scenario_fields_are_the_config_keys():
 
 _TABLE = "perturbation_r = 0.0 0.5 1.0\nperturbation_theta = 0.0 0.1 0.0\n"
 # every key at a value other than its default (the keys of _FIXED each
-# have only one value);
-# [sweep] gives its couplings as a list here and as a range below; a "%" is
-# text like any other character
+# have only one value); a "%" is text like any other character
 EVERY_KEY = f"""
 [domain]
 schema = 1
@@ -173,14 +171,12 @@ directory = runs/100%
 analyses = eig omega
 plots = false
 """
-RANGE = {"start": "0.5", "stop": "2.0", "step": "0.5"}
 
 
 def test_roundtrip_every_flow_key():
     given = configparser.ConfigParser(interpolation=None)
     given.read_string(EVERY_KEY)
     expected = {name: set(keys) for name, keys in _FORMAT.items()}
-    expected["sweep"] -= set(RANGE)
     assert {name: set(given[name]) for name in given.sections()} == expected
     for name in given.sections():
         for key, text in given[name].items():
@@ -195,11 +191,6 @@ def test_roundtrip_every_flow_key():
         for key, text in given[name].items():
             read = _FORMAT[name][key][0]
             assert read(out[name][key]) == read(text), (name, key)
-    assert parse_scenario(serialize_scenario(s)) == s
-    ranged = EVERY_KEY.replace("lambdas = 1.5 3.0", "".join(
-        f"{k} = {v}\n" for k, v in RANGE.items()))
-    s = parse_scenario(ranged)
-    assert s.lambdas == (0.5, 1.0, 1.5, 2.0)
     assert parse_scenario(serialize_scenario(s)) == s
 
 
@@ -394,6 +385,27 @@ def test_plots_true_exits_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("word", ["no", "False", "0", "off"])
+def test_plots_takes_only_the_word_false(word):
+    # each was read as a boolean false, a second spelling of the one value
+    with pytest.raises(ConfigError, match="'plots'"):
+        parse_scenario(MINIMAL + f"\n[output]\nplots = {word}\n")
+
+
+@pytest.mark.parametrize("key", ["start", "stop", "step"])
+def test_sweep_takes_no_range(tmp_path, capsys, key):
+    # [sweep] lists its couplings: the range start, stop, step was a second
+    # spelling of that list
+    cfg = tmp_path / "range.ini"
+    cfg.write_text(MINIMAL + f"\n[sweep]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[sweep\]"):
+        parse_scenario(cfg.read_text())
+    out = tmp_path / "out"
+    assert cli_main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change", [
     {"lambdas": (1.0, math.nan)},
     {"lambdas": (math.inf,)},
@@ -405,16 +417,14 @@ def test_scenario_rejects_what_a_run_cannot_do(change):
         replace(parse_scenario(SWEEP), **change)
 
 
-@pytest.mark.parametrize("sweep", ["lambdas = -3 3\n", "start = -3\nstop = 3\nstep = 6\n"],
-                         ids=["list", "range"])
-def test_negative_coupling_exits_2(tmp_path, capsys, sweep):
+def test_negative_coupling_exits_2(tmp_path, capsys):
     # the pool's candidates are sign-normalized, the right choice only for
     # lam >= 0: this sweep ran, and its -3 row read `pooled` at 11.946677,
     # above the 11.946522 its own 3 row's (u, -v) gives at -3
     cfg = tmp_path / "neg.ini"
     cfg.write_text(MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 200\n"
                                    "grading = geometric\nratio = 1.01")
-                   + "\n[sweep]\n" + sweep + "\n[output]\nanalyses = minimize\n")
+                   + "\n[sweep]\nlambdas = -3 3\n\n[output]\nanalyses = minimize\n")
     assert cli_main(["minimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "Q(-lam) = Q(lam)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -533,7 +543,8 @@ def test_cli_grading_past_float_range(tmp_path, capsys, ratio):
     MINIMAL.replace("dimension = 5", "dimension = five"),
     MINIMAL + "\n[sweep]\nlambdas = 1 two\n",
     MINIMAL + "\n[sweep]\nstart = 1\nstop = x\nstep = 1\n",
-    # a partial or infinite range once gave no couplings, or a raw traceback
+    # a partial or infinite range once gave no couplings, or a raw traceback;
+    # [sweep] now takes no range, so each of its keys is unknown
     MINIMAL + "\n[sweep]\nstop = 5\nstep = 1\n",
     MINIMAL + "\n[sweep]\nstep = 1\n",
     MINIMAL + "\n[sweep]\nstart = 1\nstop = inf\nstep = 1\n",
@@ -576,19 +587,14 @@ def test_bad_value_is_config_error(tmp_path, text):
 
 
 def test_sweep_holds_at_most_the_coupling_limit():
-    # a range was built whatever its count: start = 0, stop = 1e12,
-    # step = 1e-6 asked for a tuple of 1e18 couplings; each form is counted
-    # before anything is built, and an overflowing range raised OverflowError
-    at_limit = "start = 1\nstop = 10000\nstep = 1\n"
-    assert len(parse_scenario(MINIMAL + "\n[sweep]\n" + at_limit).lambdas) == 10000
-    for sweep in ("start = 0\nstop = 10000\nstep = 1\n",
-                  "lambdas = " + " ".join(map(str, range(10001))) + "\n"):
-        with pytest.raises(ConfigError, match="10001 couplings"):
-            parse_scenario(MINIMAL + "\n[sweep]\n" + sweep)
-    with pytest.raises(ConfigError, match="inf couplings"):
-        parse_scenario(MINIMAL + "\n[sweep]\nstart = -1e308\nstop = 1e308\nstep = 1\n")
-    assert parse_scenario(
-        MINIMAL + "\n[sweep]\nstart = 1e308\nstop = -1e308\nstep = 1\n").lambdas == ()
+    # a range was once built whatever its count: start = 0, stop = 1e12,
+    # step = 1e-6 asked for a tuple of 1e18 couplings; the list, the one
+    # spelling left, is counted as well
+    sweeps = [MINIMAL + "\n[sweep]\nlambdas = " + " ".join(map(str, range(count))) + "\n"
+              for count in (10000, 10001)]
+    assert len(parse_scenario(sweeps[0]).lambdas) == 10000
+    with pytest.raises(ConfigError, match="10001 couplings"):
+        parse_scenario(sweeps[1])
 
 
 def test_cli_writes_an_absent_number_as_nan(tmp_path, capsys):
@@ -639,14 +645,14 @@ def _is_number(read) -> bool:
 def _number_cases():
     """(section, key, entry) for every number of the config format: each
     numeric key of _FORMAT (entry None), and each entry of a list-valued
-    one, at its place in EVERY_KEY or RANGE."""
+    one, at its place in EVERY_KEY."""
     given = configparser.ConfigParser(interpolation=None)
     given.read_string(EVERY_KEY)
     for name, keys in _FORMAT.items():
         for key, (read, _) in keys.items():
             if not _is_number(read):
                 continue
-            text = RANGE[key] if name == "sweep" and key in RANGE else given[name][key]
+            text = given[name][key]
             if isinstance(read(text), tuple):
                 for entry in range(len(text.split())):
                     yield pytest.param(name, key, entry, id=f"{name}.{key}[{entry}]")
@@ -661,9 +667,6 @@ def test_every_number_must_be_finite(tmp_path, capsys, name, key, entry, bad):
     # asymptotics failure, step = nan ran a flow, lambdas = nan failed
     # inside the flow, radius = nan as "nodes must be strictly increasing"
     text = EVERY_KEY.replace("cells = 300", "cells = 40")
-    if name == "sweep" and key in RANGE:
-        text = text.replace("lambdas = 1.5 3.0", "".join(
-            f"{k} = {v}\n" for k, v in RANGE.items()))
     parse_scenario(text)                        # valid but for the bad number
     config = configparser.ConfigParser(interpolation=None)
     config.read_string(text)
@@ -682,7 +685,7 @@ def test_every_number_must_be_finite(tmp_path, capsys, name, key, entry, bad):
 
 @pytest.mark.parametrize("output, sweep", [
     ("analyses =", ""),
-    ("analyses = minimize", "[sweep]\nstart = 5\nstop = 1\nstep = 1\n"),
+    ("analyses = minimize", "[sweep]\nlambdas =\n"),
 ], ids=["no-analysis", "minimize-without-couplings"])
 def test_run_with_nothing_to_do_is_config_error(tmp_path, output, sweep):
     text = MINIMAL.replace("dimension = 5", "dimension = 5\ncells = 100")
@@ -696,8 +699,8 @@ def test_run_with_nothing_to_do_is_config_error(tmp_path, output, sweep):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sweep", ["", "\n[sweep]\nstart = 5\nstop = 1\nstep = 1\n"],
-                         ids=["no-sweep", "empty-range"])
+@pytest.mark.parametrize("sweep", ["", "\n[sweep]\nlambdas =\n"],
+                         ids=["no-sweep", "empty-list"])
 def test_all_without_couplings_runs_what_needs_none(tmp_path, capsys, sweep):
     # minimize, asymptotics and pohozaev have no coupling to run on, so they
     # are not run; no pohozaev failure is reported for a sweep never made
@@ -761,6 +764,41 @@ def test_domain_section_ends_in_a_grid_or_a_critvar_error(domain):
     except CritvarError:
         return
     assert isinstance(grid, RadialGrid) and len(grid.nodes) == domain["cells"] + 1
+
+
+# weight values from 0 to past the float range's square root; each weight
+# section is gamma0 + coefficient r^exponent, the two sharing gamma0
+_WEIGHT_VALUES = (0.0, 1e-300, 1e-8, 2.0, 4.0, 1e300)
+_POWERS = st.tuples(st.sampled_from(_WEIGHT_VALUES), st.sampled_from(_WEIGHT_VALUES))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(domain=st.builds(lambda n: {"dimension": n, "cells": 64}, st.integers(4, 8)),
+       gamma0=st.sampled_from(_WEIGHT_VALUES), a=_POWERS, b=_POWERS)
+# 2.0 ** (1e300 - 2) raised OverflowError in omega_bounds: exit 1
+@example(domain={"dimension": 6, "cells": 20}, gamma0=1e-300, a=(2.0, 0.5), b=(1e300, 1e-8))
+# c e = 1e300 * 1e300 is inf beside r^(e - 1) = 0: a nan tilt, omega nan, exit 0
+@example(domain={"dimension": 5, "cells": 200}, gamma0=1e300, a=(2.0, 0.0),
+         b=(1e300, 1e300))
+# the conductances overflowed with a RuntimeWarning before the operator refused them
+@example(domain={"dimension": 4, "cells": 200, "grading": "geometric", "ratio": 0.9},
+         gamma0=1e300, a=(1e-300, 1e300), b=(1e-300, 1e300))
+def test_weight_sections_end_in_a_report_or_a_critvar_error(domain, gamma0, a, b):
+    text = "[domain]\n" + "".join(f"{key} = {value}\n" for key, value in domain.items())
+    for name, (exponent, coefficient) in (("a", a), ("b", b)):
+        text += (f"\n[weights.{name}]\ngamma0 = {gamma0!r}\nexponent = {exponent!r}\n"
+                 f"coefficient = {coefficient!r}\n")
+    text += "\n[output]\nanalyses = constants eig omega\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = run(parse_scenario(text))
+        except CritvarError:
+            return
+    assert not report.failures
+    assert [len(report.tables[name]) for name in ("constants", "eig", "omega")] == [1, 1, 1]
+    eig, omega = report.tables["eig"][0], report.tables["omega"][0]
+    assert math.isfinite(eig["lambda_tilde"]) and not math.isnan(omega["value"])
 
 
 def _machinery_config(tmp_path, dim):

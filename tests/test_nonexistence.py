@@ -1,6 +1,7 @@
 """Dilation identity, scaling quotient, omega bounds, Hardy inequality."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from critvar import (FieldPair, WeightProfile, build_grid, dirichlet_field,
                      omega_bounds, omega_estimate, phi_quotient,
                      pohozaev_report, tilde_weight, unit_sphere_area)
-from critvar.errors import DegenerateDenominator, GridTooCoarse
+from critvar.errors import DegenerateDenominator, GridTooCoarse, IndefiniteWeight
 from conftest import hardy_sides, smooth_dirichlet_field
 
 
@@ -28,6 +29,20 @@ def test_tilde_negative_profile(grid5):
     interior = (grid5.nodes > 0.01) & (grid5.nodes < 0.99)
     assert np.all(t[interior] < 0.0)
     assert np.allclose(t[interior], -1.5 * grid5.nodes[interior] ** 3, atol=1e-5)
+
+
+def test_tilt_that_is_not_finite_is_indefinite_weight():
+    # c e = 1e300 * 1e300 is inf while r^(e - 1) is 0 inside the ball: the
+    # tilt read nan there, with two RuntimeWarnings, and omega wrote nan
+    grid = build_grid(5, 1.0, 200)
+    b = WeightProfile(1e300, 1e300, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):                  # a failure is not cached
+            with pytest.raises(IndefiniteWeight, match="tilt"):
+                tilde_weight(b, grid)
+        with pytest.raises(IndefiniteWeight, match="tilt"):
+            omega_estimate(WeightProfile(1e300), b, grid)
 
 
 # --- dilation identity ------------------------------------------------------
@@ -243,6 +258,16 @@ def test_omega_bounds_tabulated_examples():
     lower, upper = omega_bounds(5, 1.5, 4.0, 1.0, 1.0, 2.0,
                                 lambda: pytest.fail("eigenvalue read"))
     assert math.isnan(lower) and math.isnan(upper)
+
+
+def test_omega_bounds_past_the_float_range_read_inf():
+    # 2.0 ** (1e300 - 2) raised OverflowError, and `critvar all` exited 1:
+    # e c diam^(e - 2) is inf there, so the lower bound is N^2/16 quad
+    lower, upper = omega_bounds(6, 2.0, 1e300, 0.5, 1e-8, 2.0, lambda: 1.0)
+    assert (lower, upper) == (36.0 / 16.0 * 0.5, 0.5 * 0.5 * 1.0 * 4.0)
+    # below quadratic on a tiny ball, diam^(k - 2) overflows the same way
+    lower, _ = omega_bounds(5, 1.0, 0.5, 1.0, 1.0, 1e-250, lambda: 1.0)
+    assert lower == 25.0 / 16.0 * 1e250
 
 
 # --- Hardy ------------------------------------------------------------------

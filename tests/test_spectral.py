@@ -1,6 +1,7 @@
 """Flux-form operator assembly and the first weighted eigenpair."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ def test_indefinite_weight_rejected(grid5):
     w = WeightProfile(1.0, 2.0, 0.0, ((0.0, 1.0), (0.0, -4.0)))   # 1 - 4 r^3 < 0 outside
     with pytest.raises(IndefiniteWeight):
         assemble_operator(w, grid5)
+
+
+def test_overflowing_weight_or_conductances_are_indefinite_without_a_warning():
+    # ratio 0.9 leaves outer spacings near 1e-10: 1e300 / h overflowed with
+    # a RuntimeWarning before the operator refused the inf conductance; on
+    # R = 2, 1e308 r^2 overflowed at the nodes with one before the weight
+    # was refused
+    geometric = build_grid(4, 1.0, 200, grading="geometric", ratio=0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IndefiniteWeight, match="conductances"):
+            assemble_operator(WeightProfile(1e300, 1e-300, 1e300), geometric)
+        with pytest.raises(IndefiniteWeight, match="weight must be finite"):
+            assemble_operator(WeightProfile(1.0, 2.0, 1e308), build_grid(5, 2.0, 200))
 
 
 def test_solve_matches_long_double_running_sums(grid5_geo, quad_weight, rng):
